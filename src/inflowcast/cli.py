@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io as iomod
 from . import __version__
-from .costmodel import PriceConfig, evaluate_case, price_sweep
+from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
 from .data import CANONICAL_HORIZONS, horizon_by_name
 from .errors import InflowcastError, InputError, NumericalError
 from .pipeline import (
@@ -348,21 +348,35 @@ def cmd_verify(args, cfg) -> int:
 
 
 def _cost_settings(cfg, seed) -> CostSettings:
-    lo = _getint(cfg, "cost", "differential_min")
-    hi = _getint(cfg, "cost", "differential_max")
-    step = _getint(cfg, "cost", "differential_step")
+    lo, hi, step, n_nodes, n_boot = (
+        _getint(cfg, "cost", key)
+        for key in ("differential_min", "differential_max", "differential_step", "quadrature_nodes", "bootstrap")
+    )
+    for key, value, least in (
+        ("differential_min", lo, 1),
+        ("differential_step", step, 1),
+        ("quadrature_nodes", n_nodes, 1),
+        ("bootstrap", n_boot, 2),
+    ):
+        if value < least:
+            raise InputError(f"config [cost] {key}: must be at least {least}, got {value}")
+    if hi < lo:
+        raise InputError(f"config [cost] differential_max: {hi} is below differential_min {lo}, so the sweep is empty")
+    decision_differential = _getfloat(cfg, "cost", "decision_differential")
+    if not decision_differential > 0:
+        raise InputError(f"config [cost] decision_differential: must be positive, got {decision_differential}")
     return CostSettings(
         peak_price=_getfloat(cfg, "cost", "peak_price"),
         differentials=tuple(range(lo, hi + 1, step)),
-        decision_differential=_getfloat(cfg, "cost", "decision_differential"),
+        decision_differential=decision_differential,
         free_up_frac=_getfloat(cfg, "cost", "free_up_frac"),
         free_down_frac=_getfloat(cfg, "cost", "free_down_frac"),
         stage2_up_frac=_getfloat(cfg, "cost", "stage2_up_frac"),
         stage2_down_frac=_getfloat(cfg, "cost", "stage2_down_frac"),
         max_capacity_frac=_getfloat(cfg, "cost", "max_capacity_frac"),
         energy_per_inflow_day=_getfloat(cfg, "cost", "energy_per_inflow_day"),
-        n_nodes=_getint(cfg, "cost", "quadrature_nodes"),
-        n_boot=_getint(cfg, "cost", "bootstrap"),
+        n_nodes=n_nodes,
+        n_boot=n_boot,
         seed=seed,
     )
 
@@ -370,11 +384,11 @@ def _cost_settings(cfg, seed) -> CostSettings:
 def cmd_cost_eval(args, cfg) -> int:
     out = _out_dir(args)
     seed = _seed(args, cfg)
+    settings = _cost_settings(cfg, seed)
     models = TrainedModels.from_dict(iomod.read_json(args.models))
     inflow, issues, _, _ = _load_dataset(args)
     tables = build_case_tables(issues, inflow, models.horizons)
     predictions = predict_params(models, tables)
-    settings = _cost_settings(cfg, seed)
     cases = build_cost_cases(
         models,
         tables,
@@ -386,6 +400,7 @@ def cmd_cost_eval(args, cfg) -> int:
     )
     if not cases:
         raise InputError("no cost cases could be built (missing observations or climatology)")
+    adjustments = {ftype: optimal_adjustments(cases, ftype, settings.n_nodes) for ftype in FORECAST_TYPES}
     rows, _ = price_sweep(
         cases,
         differentials=settings.differentials,
@@ -393,6 +408,7 @@ def cmd_cost_eval(args, cfg) -> int:
         n_boot=settings.n_boot,
         seed=seed,
         n_nodes=settings.n_nodes,
+        adjustments=adjustments,
     )
     iomod.write_table_csv(
         out / "value_report.csv",
@@ -400,20 +416,15 @@ def cmd_cost_eval(args, cfg) -> int:
         [[r.forecast_type, r.horizon, r.differential, r.water_value, r.se, r.n_cases] for r in rows],
     )
     prices = PriceConfig(peak=settings.peak_price, differential=settings.decision_differential)
-    decision_rows = []
-    for case in cases:
-        for ftype, (decision, costs) in evaluate_case(case, prices, settings.n_nodes).items():
-            decision_rows.append(
-                [
-                    case.issue_date.isoformat(),
-                    case.horizon,
-                    ftype,
-                    decision.adjustment,
-                    costs.stage1,
-                    costs.stage2,
-                    costs.total,
-                ]
-            )
+    columns = {
+        ftype: (a, costs.stage1, costs.stage2, costs.total)
+        for ftype, (a, costs) in evaluate_cases(cases, prices, adjustments=adjustments).items()
+    }
+    decision_rows = [
+        [case.issue_date.isoformat(), case.horizon, ftype, *(col[i] for col in cols)]
+        for i, case in enumerate(cases)
+        for ftype, cols in columns.items()
+    ]
     iomod.write_table_csv(
         out / "decisions.csv",
         ["issue_date", "horizon", "type", "A", "stage1", "stage2", "total"],

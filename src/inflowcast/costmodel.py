@@ -11,12 +11,20 @@ half the differential below it, and inflow beyond the plant's full-time
 capacity spilled at the full peak price.  Both stages are piecewise linear,
 so the expected-cost minimiser is found exactly by evaluating every
 breakpoint.
+
+Within the adjustment range every price term is the differential times a
+price-free cost, except spill, which the adjustment cannot change: the
+expected cost is ``differential * F(A) + peak * E[spill]``.  The optimal
+adjustment is therefore the same at every price, so the price sweep decides
+once per case and forecast type (``optimal_adjustments``, batched over cases)
+and prices every differential from those decisions.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -30,13 +38,17 @@ FORECAST_TYPES = ("climatological", "deterministic", "probabilistic")
 
 @dataclass(frozen=True)
 class PriceConfig:
-    """Constant peak price and the peak minus off-peak differential (GBP/MWh)."""
+    """Constant peak price and the peak minus off-peak differential (GBP/MWh).
+
+    ``differential`` may also be a column array, which prices a whole sweep
+    of differentials at once.
+    """
 
     peak: float = 50.0
     differential: float = 30.0
 
     def __post_init__(self):
-        if self.differential <= 0:
+        if np.any(np.asarray(self.differential) <= 0):
             raise InputError("price differential must be positive")
 
     @property
@@ -52,6 +64,8 @@ class OperatingEnvelope:
     horizon (MWh); ``max_capacity_frac`` is the multiple of it reachable by
     running at full capacity around the clock; ``energy_per_inflow`` converts
     one unit of normalised inflow sustained over the horizon into MWh.
+    ``_stacked_envelope`` fills the fields with aligned arrays, one entry per
+    case, which the stage costs accept unchanged.
     """
 
     clim_generation: float
@@ -182,9 +196,12 @@ def stage2_cost(adjustment, observed_energy, env: OperatingEnvelope, prices: Pri
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _gl_nodes(n_nodes: int):
     x, w = roots_legendre(n_nodes)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to (0, 1)
+    u, w = 0.5 * (x + 1.0), 0.5 * w  # mapped to (0, 1)
+    u.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return u, w
 
 
 def forecast_atoms(forecast, env: OperatingEnvelope, n_nodes: int = 256):
@@ -356,6 +373,139 @@ def evaluate_case(case: CostCase, prices: PriceConfig, n_nodes: int = 256):
     return out
 
 
+# ---------------------------------------------------------------------------
+# batched decisions: one optimal adjustment per (case, forecast type)
+# ---------------------------------------------------------------------------
+
+_BLOCK_ELEMENTS = 1 << 17  # cases x (atoms + candidates) per block: about 1 MB per temporary
+
+
+def _stacked_envelope(envelopes, column: bool = False) -> OperatingEnvelope:
+    """One envelope whose fields are aligned arrays, one entry per input envelope.
+
+    ``column`` gives ``(n, 1)`` fields.  The inputs were validated when built,
+    so the stack is not validated again.
+    """
+    stacked = object.__new__(OperatingEnvelope)
+    for f in fields(OperatingEnvelope):
+        values = np.array([getattr(e, f.name) for e in envelopes], dtype=float)
+        object.__setattr__(stacked, f.name, values[:, None] if column else values)
+    return stacked
+
+
+def _atom_matrices(forecasts, energy_per_inflow: np.ndarray, n_nodes: int):
+    """Batched ``forecast_atoms``: ``(n_cases, n_atoms)`` value and weight matrices.
+
+    ``forecasts`` are all point forecasts (one column) or all ZAGA forecasts,
+    with ``energy_per_inflow`` as an ``(n_cases, 1)`` column.  A ZAGA row holds
+    its Gauss-Legendre atoms and then its zero mass; when ``nu = 0`` that last
+    column repeats the first atom with weight 0, so it adds no breakpoint and
+    no cost.
+    """
+    if forecasts and all(isinstance(f, ZagaDistribution) for f in forecasts):
+        u, w = _gl_nodes(n_nodes)
+        shape, scale, nu, offset = np.array([(f.shape, f.scale, f.nu, f.offset) for f in forecasts]).T[..., None]
+        cont = gamma_ppf(u, shape, scale) - offset
+        values = np.concatenate([cont, np.where(nu > 0, -offset, cont[:, :1])], axis=1) * energy_per_inflow
+        weights = np.concatenate([(1.0 - nu) * w, nu], axis=1)
+        return values, weights
+    try:
+        points = np.array([float(f) for f in forecasts])[:, None]
+    except TypeError:
+        raise InputError("batched decisions need all-point or all-ZAGA forecasts") from None
+    return points * energy_per_inflow, np.ones_like(points)
+
+
+def _rowwise_searchsorted(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(a[r], v[r], side)`` for every row r; rows of ``a`` and ``v`` sorted."""
+    first, second = (a, v) if side == "right" else (v, a)
+    order = np.argsort(np.concatenate([first, second], axis=1), axis=1, kind="stable")
+    from_a = order < a.shape[1] if side == "right" else order >= v.shape[1]
+    # in the stable merge the entries of v keep their (sorted) order
+    return np.cumsum(from_a, axis=1)[~from_a].reshape(v.shape)
+
+
+def _decide_block(values: np.ndarray, weights: np.ndarray, env: OperatingEnvelope) -> np.ndarray:
+    """Optimal adjustments for a block of cases; ``env`` fields are ``(n, 1)`` columns.
+
+    The candidates are those of ``_breakpoints``; the objective is the
+    price-free F(A) (stage 1 plus expected off-peak overage and half the
+    underage, per unit differential), with the hinge sums taken from sorted
+    prefix sums as in ``_expected_objective``.
+    """
+    c = env.clim_generation
+    spill = np.maximum(0.0, values - env.capacity_energy)
+    b = values - env.stage2_up_frac * c - spill
+    fixed = np.broadcast_arrays(env.a_min, -env.free_down_frac, 0.0, env.free_up_frac, env.a_max)
+    cand = np.concatenate([*fixed, b / c - 1.0, values / c - env.stage2_down_frac], axis=1)
+    cand = np.sort(np.clip(cand, env.a_min, env.a_max), axis=1)
+    t = (1.0 + cand) * c
+
+    def take(x, idx):
+        return np.take_along_axis(x, idx, axis=1)
+
+    zeros = np.zeros((len(values), 1))
+    ob = np.argsort(b, axis=1, kind="stable")
+    b_sorted, wb = take(b, ob), take(weights, ob)
+    suffix_w = np.concatenate([np.cumsum(wb[:, ::-1], axis=1)[:, ::-1], zeros], axis=1)
+    suffix_bw = np.concatenate([np.cumsum((wb * b_sorted)[:, ::-1], axis=1)[:, ::-1], zeros], axis=1)
+    j = _rowwise_searchsorted(b_sorted, t, "right")
+    over = take(suffix_bw, j) - t * take(suffix_w, j)
+
+    oi = np.argsort(values, axis=1, kind="stable")
+    i_sorted, wi = take(values, oi), take(weights, oi)
+    prefix_w = np.concatenate([zeros, np.cumsum(wi, axis=1)], axis=1)
+    prefix_iw = np.concatenate([zeros, np.cumsum(wi * i_sorted, axis=1)], axis=1)
+    u = t - env.stage2_down_frac * c
+    k = _rowwise_searchsorted(i_sorted, u, "left")
+    under = u * take(prefix_w, k) - take(prefix_iw, k)
+
+    stage1 = (np.maximum(0.0, cand - env.free_up_frac) + 0.5 * np.maximum(0.0, -cand - env.free_down_frac)) * c
+    cost = stage1 + over + 0.5 * under
+    best = cost.min(axis=1, keepdims=True)
+    tied = cost <= best + 1e-9 * (1.0 + np.abs(best))
+    size = np.where(tied, np.abs(cand), np.inf).min(axis=1, keepdims=True)
+    return np.where(tied & (np.abs(cand) == size), cand, np.inf).min(axis=1)
+
+
+def optimal_adjustments(cases, forecast_type: str, n_nodes: int = 256) -> np.ndarray:
+    """Batched ``optimal_adjustment``: the optimal adjustment of every case, at any price.
+
+    Same candidates and tie-break as ``optimal_adjustment`` (smallest |A|,
+    then negative first), over the price-free objective, in blocks of cases
+    so that no temporary grows past about 1 MB.  Ties are within 1e-9 of that
+    objective, where ``optimal_adjustment`` takes them within 1e-9 of the
+    priced one; the two differ only on candidates that close to the optimum.
+    """
+    cases = list(cases)
+    envelopes = [c.envelope for c in cases]
+    epi = np.array([e.energy_per_inflow for e in envelopes])[:, None]
+    values, weights = _atom_matrices([c.forecast(forecast_type) for c in cases], epi, n_nodes)
+    rows = max(1, _BLOCK_ELEMENTS // (3 * values.shape[1] + 5))
+    out = np.empty(len(cases))
+    for lo in range(0, len(cases), rows):
+        blk = slice(lo, lo + rows)
+        out[blk] = _decide_block(values[blk], weights[blk], _stacked_envelope(envelopes[blk], column=True))
+    return out
+
+
+def evaluate_cases(cases, prices: PriceConfig, n_nodes: int = 256, adjustments=None):
+    """Batched ``evaluate_case``: per forecast type, the adjustments and their realised costs.
+
+    ``prices.differential`` may be a column of differentials, which gives one
+    row of costs per differential.  ``adjustments`` may carry
+    ``optimal_adjustments`` results by forecast type, to reuse them.
+    """
+    cases = list(cases)
+    env = _stacked_envelope([c.envelope for c in cases])
+    observed = env.inflow_energy([c.observed_inflow for c in cases])
+    out = {}
+    for ftype in FORECAST_TYPES:
+        a = adjustments[ftype] if adjustments is not None else optimal_adjustments(cases, ftype, n_nodes)
+        out[ftype] = (a, CostBreakdown(stage1_cost(a, env, prices), stage2_cost(a, observed, env, prices)))
+    return out
+
+
 @dataclass(frozen=True)
 class ValueRow:
     forecast_type: str
@@ -374,11 +524,14 @@ def price_sweep(
     seed: int = 0,
     n_nodes: int = 256,
     min_cases: int = 20,
+    adjustments=None,
 ):
     """Water value per (forecast type, horizon, differential) with bootstrap bands.
 
-    Bootstrap resamples cases with identical index draws across forecast types
-    and differentials (paired), per horizon and for the pooled "all" stratum.
+    Each case is decided once per forecast type and priced at every
+    differential.  Bootstrap resamples cases with identical index draws across
+    forecast types and differentials (paired), per horizon and for the pooled
+    "all" stratum.  ``adjustments`` is as in ``evaluate_cases``.
     Returns (value rows, per-case total-cost table).
     """
     cases = list(cases)
@@ -387,22 +540,11 @@ def price_sweep(
     horizons = sorted({c.horizon for c in cases})
     n = len(cases)
     gens = np.array([c.envelope.clim_generation for c in cases])
-    observed = np.array([c.envelope.inflow_energy(c.observed_inflow) for c in cases])
-    atom_cache = {
-        ftype: [forecast_atoms(c.forecast(ftype), c.envelope, n_nodes) for c in cases]
-        for ftype in FORECAST_TYPES
-    }
+    diffs = [float(d) for d in differentials]
+    prices = PriceConfig(peak=peak_price, differential=np.array(diffs)[:, None])
     totals = {}  # (ftype, differential) -> (n,) realised totals
-    for diff in differentials:
-        prices = PriceConfig(peak=peak_price, differential=float(diff))
-        for ftype in FORECAST_TYPES:
-            col = np.empty(n)
-            for i, case in enumerate(cases):
-                decision = optimal_adjustment(
-                    None, case.envelope, prices, ftype, atoms=atom_cache[ftype][i]
-                )
-                col[i] = realized_cost(decision, observed[i], case.envelope, prices).total
-            totals[(ftype, float(diff))] = col
+    for ftype, (_, costs) in evaluate_cases(cases, prices, n_nodes, adjustments).items():
+        totals.update(((ftype, d), col) for d, col in zip(diffs, costs.total))
 
     rng = np.random.default_rng(seed)
     groups = {"all": np.arange(n)}

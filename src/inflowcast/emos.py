@@ -355,8 +355,9 @@ def fit_emos(
         )
         if not np.isfinite(res.fun):
             continue
-        # a line-search abort at rounding precision is still a converged fit
-        acceptable = res.success or (res.status == 2 and np.max(np.abs(res.jac)) <= 1e-5)
+        # a line-search abort at rounding precision is still a converged fit;
+        # the bound is the gradient level of starts L-BFGS reports as converged
+        acceptable = res.success or (res.status == 2 and np.max(np.abs(res.jac)) <= 1e-4)
         if acceptable:
             theta_full = polish(expand(res.x))
             ll, _ = loglik_and_gradient(theta_full, design, y, ridge=ridge)

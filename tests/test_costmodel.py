@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from inflowcast.costmodel import (
+    FORECAST_TYPES,
     CostCase,
     DiscreteForecast,
     OperatingEnvelope,
     PriceConfig,
     evaluate_case,
+    evaluate_cases,
     expected_stage2,
     forecast_atoms,
     optimal_adjustment,
+    optimal_adjustments,
     price_sweep,
     realized_cost,
     stage1_cost,
@@ -294,3 +299,108 @@ class TestSweep:
         assert set(out) == {"climatological", "deterministic", "probabilistic"}
         for decision, costs in out.values():
             assert costs.total == pytest.approx(costs.stage1 + costs.stage2)
+
+
+# kinds of batched-decision cases, each drawn at least once per example:
+# "band" - point forecasts inside or at the edge of the free bands, where the
+#          objective is flat and the tie-break decides;
+# "spill" - observation and forecast mass above the plant's capacity;
+# "low" - negative forecasts (ZAGA offset) with a down band reaching
+#         A = -1, so the optimum is clipped at a_min;
+# "high" - forecasts far above capacity, whose kinks are clipped at a_max
+#          (the optimum itself cannot sit at a_max: beyond the free up band
+#          stage 1 costs the differential per MWh and saves at most that)
+CASE_KINDS = ("band", "spill", "low", "high")
+
+
+@st.composite
+def batch_case(draw, kind):
+    def ratio(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    if kind == "band" and draw(st.booleans()):
+        env = OperatingEnvelope(clim_generation=100.0)  # band edges at exact ratios
+    else:
+        free_up = ratio(0.05, 0.5)
+        env = OperatingEnvelope(
+            clim_generation=ratio(20.0, 200.0),
+            free_up_frac=free_up,
+            free_down_frac=ratio(1.0, 1.5) if kind == "low" else ratio(0.05, 0.5),
+            stage2_up_frac=ratio(0.05, 0.5),
+            stage2_down_frac=ratio(0.05, 0.8),
+            max_capacity_frac=ratio(1.05 + free_up, 3.0),
+            energy_per_inflow=ratio(20.0, 150.0),
+        )
+    unit = env.clim_generation / env.energy_per_inflow  # inflow of one climatological generation
+    cap = env.max_capacity_frac
+    nu = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.6)))
+    offset = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5))) * unit
+    level = {
+        "band": lambda: draw(st.one_of(st.sampled_from([0.5, 0.8, 1.0, 1.2, 1.4, 1.7]), st.floats(0.3, 1.9))),
+        "spill": lambda: ratio(cap, 2.0 * cap),
+        "low": lambda: -ratio(0.0, 1.0),
+        "high": lambda: ratio(cap + 0.5, 3.0 * cap),
+    }[kind]
+    if kind == "low":
+        offset = max(offset, 1.2 * unit)
+    dist = ZagaDistribution((abs(level()) + 0.1) * unit + offset, ratio(0.2, 1.5), nu, offset)
+    return CostCase(
+        issue_date=np.datetime64("2015-01-05").astype("datetime64[D]").astype(object),
+        horizon=draw(st.sampled_from(["Forecast Week 1", "Forecast Week 2"])),
+        observed_inflow=level() * unit,
+        envelope=env,
+        climatological=level() * unit,
+        deterministic=level() * unit,
+        probabilistic=dist,
+    )
+
+
+@st.composite
+def batch_cases(draw):
+    n = draw(st.integers(len(CASE_KINDS), 3 * len(CASE_KINDS)))
+    return [draw(batch_case(CASE_KINDS[i % len(CASE_KINDS)])) for i in range(n)]
+
+
+class TestBatchedDecisions:
+    @settings(max_examples=40, deadline=None)
+    @given(batch_cases())
+    def test_match_per_case_reference_at_every_differential(self, cases):
+        diffs = tuple(range(5, 101, 5))
+        adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
+        _, totals = price_sweep(cases, diffs, n_boot=2, min_cases=1, adjustments=adjustments)
+        for ftype in FORECAST_TYPES:
+            for i, case in enumerate(cases):
+                atoms = forecast_atoms(case.forecast(ftype), case.envelope)
+                observed = case.envelope.inflow_energy(case.observed_inflow)
+                for d in diffs:
+                    prices = PriceConfig(peak=50.0, differential=float(d))
+                    decision = optimal_adjustment(None, case.envelope, prices, ftype, atoms=atoms)
+                    assert adjustments[ftype][i] == decision.adjustment, (ftype, i, d)
+                    expected = realized_cost(decision, observed, case.envelope, prices).total
+                    assert totals[(ftype, float(d))][i] == expected, (ftype, i, d)
+
+    def test_clipped_optimum_at_a_min(self):
+        # every outcome lies below the stage-2 down band even at A = -1, and the
+        # stage-1 down band is free that far: cutting all generation is optimal
+        env = OperatingEnvelope(clim_generation=100.0, free_down_frac=1.2)
+        case = CostCase(
+            issue_date=np.datetime64("2015-01-05").astype("datetime64[D]").astype(object),
+            horizon="Forecast Week 1",
+            observed_inflow=0.0,
+            envelope=env,
+            climatological=-0.8,
+            deterministic=-0.8,
+            probabilistic=ZagaDistribution(0.1, 0.5, 0.3, 1.0),
+        )
+        for ftype in FORECAST_TYPES:
+            assert optimal_adjustments([case], ftype)[0] == env.a_min
+            assert optimal_adjustment(case.forecast(ftype), env, PRICES).adjustment == env.a_min
+
+    def test_evaluate_cases_matches_evaluate_case(self, rng):
+        cases = make_cases(rng, n=30)
+        batched = evaluate_cases(cases, PRICES)
+        for i, case in enumerate(cases):
+            for ftype, (decision, costs) in evaluate_case(case, PRICES).items():
+                a, batch_costs = batched[ftype]
+                assert a[i] == decision.adjustment
+                assert (batch_costs.stage1[i], batch_costs.stage2[i]) == (costs.stage1, costs.stage2)
