@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import InputError, NumericalError
 from .splines import CyclicSplineBasis, seasonal_phase
@@ -291,6 +291,10 @@ def fit_emos(
     ``inflow_obs`` are raw (possibly negative) observed inflows; the offset
     that makes the training minimum exactly zero is applied internally.
     """
+    # imported here because only training needs it: at module level every
+    # command that imports this module would pay its import time and memory
+    from scipy import optimize
+
     basis = basis or CyclicSplineBasis()
     features = np.asarray(features, dtype=float)
     y_raw = np.asarray(inflow_obs, dtype=float)

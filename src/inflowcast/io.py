@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,7 @@ def _require(path: Path) -> Path:
 
 
 def _rows(path: Path, required: tuple[str, ...]):
-    """Yield (lineno, dict) rows of a CSV; validates the header up front."""
+    """Yield (line number, dict) rows of a CSV; validates the header up front."""
     path = _require(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -47,8 +49,8 @@ def _rows(path: Path, required: tuple[str, ...]):
         missing = [c for c in required if c not in header]
         if missing:
             raise InputError(f"{path}: missing required columns {missing} (header: {header})")
-        for lineno, row in enumerate(reader, start=2):
-            yield lineno, row
+        for row in reader:
+            yield reader.line_num, row
 
 
 def _parse(path: Path, lineno: int, row: dict, column: str, conv):
@@ -173,10 +175,13 @@ def write_compensation_csv(path, schedule: CompensationSchedule) -> None:
 
 
 def read_daily_series_csv(path, value_column: str, date_column: str = "date") -> DailySeries:
+    """`<date_column>,<value_column>`; values must be finite (they may be negative)."""
     dates, values = [], []
     for lineno, row in _rows(Path(path), (date_column, value_column)):
         dates.append(_parse(path, lineno, row, date_column, _to_date))
         values.append(_parse(path, lineno, row, value_column, float))
+        if not math.isfinite(values[-1]):
+            raise InputError(f"{path}:{lineno}: non-finite value {row[value_column]!r} in column {value_column!r}")
     if not dates:
         raise InputError(f"{path}: no rows")
     return DailySeries(np.array(dates, dtype="datetime64[D]"), values)
@@ -216,7 +221,9 @@ def read_reanalysis_csv(path) -> DailySeries:
     """`date,precip_mm_day`."""
     series = read_daily_series_csv(path, "precip_mm_day")
     if np.any(series.values < 0):
-        raise InputError(f"{path}: negative precipitation rates")
+        for lineno, row in _rows(Path(path), ("precip_mm_day",)):
+            if float(row["precip_mm_day"]) < 0:
+                raise InputError(f"{path}:{lineno}: negative precipitation rate {row['precip_mm_day']!r}")
     return series
 
 
@@ -253,78 +260,161 @@ def write_nao_csv(path, nao: NaoIndex) -> None:
 # ---------------------------------------------------------------------------
 
 
+_ENSEMBLE_SCHEMAS = {
+    "daily": ("issue_date", "member", "lead_day", "precip_mm_day"),
+    "split": ("issue_date", "member", "lead_day", "largescale_mm_day", "convective_mm_day"),
+    "six_hourly": ("issue_date", "member", "lead_step_hours", "precip_mm"),
+}
+_ENSEMBLE_CONVERTERS = {"issue_date": _to_date, "member": int, "lead_day": int, "lead_step_hours": int}
+_CHUNK_ROWS = 16384
+
+
+def _line_of(path: Path, record: int) -> int:
+    """Line number of body record ``record`` (0-based, blank lines included)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(reader, record + 2):
+            pass
+        return reader.line_num
+
+
+def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
+    """What is wrong with one ensemble row, checked in column order, or None."""
+    columns = _ENSEMBLE_SCHEMAS[mode]
+    values = {}
+    for c in columns:
+        try:
+            values[c] = _ENSEMBLE_CONVERTERS.get(c, float)(fields.get(c))
+        except (TypeError, ValueError, AttributeError):
+            return f"bad value {fields.get(c)!r} in column {c!r}"
+        if c == "lead_step_hours" and (values[c] <= 0 or values[c] % 6):
+            return "lead_step_hours must be a positive multiple of 6"
+    if values.get("lead_day", 1) <= 0:
+        return "lead day must be positive"
+    for c in columns[3:]:
+        if not (math.isfinite(values[c]) and values[c] >= 0):
+            return f"precipitation must be finite and non-negative, got {fields[c]!r} in column {c!r}"
+    return None
+
+
+def _ensemble_chunk(path, header, mode, chunk, record, day_of):
+    """Columns (issue day number, member, lead day, amount) of one chunk of rows,
+    or None for a chunk of blank lines.
+
+    ``record`` is the index of the chunk's first body record; ``day_of`` caches
+    the day number of every issue_date string seen so far.  A chunk that
+    fails a conversion or a check is scanned row by row for the first bad row.
+    """
+    columns = _ENSEMBLE_SCHEMAS[mode]
+    rows = [row for row in chunk if row]
+    if not rows:
+        return None
+    where = {name: i for i, name in enumerate(header)}  # last one wins, as in csv.DictReader
+    try:
+        cols = list(zip(*rows))  # as wide as the shortest row
+        raw = [cols[where[c]] for c in columns]
+        for s in set(raw[0]).difference(day_of):
+            day_of[s] = int(_to_date(s).astype(np.int64))
+        n = len(rows)
+        issue = np.fromiter(map(day_of.__getitem__, raw[0]), np.int64, n)
+        member = np.fromiter(map(int, raw[1]), np.int64, n)
+        lead = np.fromiter(map(int, raw[2]), np.int64, n)
+        values = [np.fromiter(map(float, col), float, n) for col in raw[3:]]
+    except (IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        error = exc
+    else:
+        error = None
+        flagged = (lead <= 0) | (lead % 6 != 0) if mode == "six_hourly" else lead <= 0
+        for v in values:
+            flagged |= ~np.isfinite(v) | (v < 0)
+        if not flagged.any():
+            day = (lead + 23) // 24 if mode == "six_hourly" else lead
+            return issue, member, day, values[0] + values[1] if mode == "split" else values[0]
+    for k, row in enumerate(chunk):
+        problem = row and _ensemble_row_problem(dict(zip(header, row)), mode)
+        if problem:
+            raise InputError(f"{path}:{_line_of(path, record + k)}: {problem}")
+    raise InputError(f"{path}: a value from line {_line_of(path, record)} on is out of range ({error})")
+
+
 def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForecast]:
     """Long-form ensemble file, daily or 6-hourly.
 
     Daily rows: `issue_date,member,lead_day,precip_mm_day`.  Six-hourly rows
     (`issue_date,member,lead_step_hours,precip_mm`) are summed into daily
-    totals, i.e. mm/day rates.  When total precipitation is split into
-    `largescale_mm_day` and `convective_mm_day` columns the two are summed.
+    totals, i.e. mm/day rates, in row order.  When total precipitation is
+    split into `largescale_mm_day` and `convective_mm_day` columns the two
+    are summed.  Rows may come in any order; every issue must have the same
+    members and each member at least ``min_lead_days`` complete lead days
+    (the issue is cut to the shortest member).
+
+    The body is read in chunks of ``_CHUNK_ROWS`` rows, each converted column
+    by column; a failing chunk is scanned row by row only to name the line.
     """
     path = _require(Path(path))
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-    cols = set(header)
-    if {"issue_date", "member", "lead_day", "precip_mm_day"} <= cols:
-        mode = "daily"
-    elif {"issue_date", "member", "lead_day", "largescale_mm_day", "convective_mm_day"} <= cols:
-        mode = "split"
-    elif {"issue_date", "member", "lead_step_hours", "precip_mm"} <= cols:
-        mode = "six_hourly"
-    else:
-        raise InputError(f"{path}: unrecognised ensemble schema (header: {sorted(cols)})")
-
-    data: dict[np.datetime64, dict[int, dict[int, float]]] = {}
-    required = {
-        "daily": ("issue_date", "member", "lead_day", "precip_mm_day"),
-        "split": ("issue_date", "member", "lead_day", "largescale_mm_day", "convective_mm_day"),
-        "six_hourly": ("issue_date", "member", "lead_step_hours", "precip_mm"),
-    }[mode]
-    for lineno, row in _rows(path, required):
-        issue = _parse(path, lineno, row, "issue_date", _to_date)
-        member = _parse(path, lineno, row, "member", int)
-        if mode == "six_hourly":
-            step = _parse(path, lineno, row, "lead_step_hours", int)
-            if step <= 0 or step % 6:
-                raise InputError(f"{path}:{lineno}: lead_step_hours must be a positive multiple of 6")
-            day = (step + 23) // 24
-            amount = _parse(path, lineno, row, "precip_mm", float)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        cols = set(header)
+        for mode, required in _ENSEMBLE_SCHEMAS.items():
+            if set(required) <= cols:
+                break
         else:
-            day = _parse(path, lineno, row, "lead_day", int)
-            if mode == "daily":
-                amount = _parse(path, lineno, row, "precip_mm_day", float)
-            else:
-                amount = _parse(path, lineno, row, "largescale_mm_day", float) + _parse(
-                    path, lineno, row, "convective_mm_day", float
-                )
-        if day <= 0:
-            raise InputError(f"{path}:{lineno}: lead day must be positive")
-        per_day = data.setdefault(issue, {}).setdefault(member, {})
-        total, count = per_day.get(day, (0.0, 0))
-        per_day[day] = (total + amount, count + 1)
-
-    steps_per_day = 4 if mode == "six_hourly" else 1
-    forecasts = []
-    for issue in sorted(data):
-        members = sorted(data[issue])
-        n_days = min(max(d.keys()) for d in data[issue].values())
-        if n_days < min_lead_days:
-            raise InputError(
-                f"{path}: issue {issue} has only {n_days} lead days (need >= {min_lead_days})"
-            )
-        grid = np.empty((len(members), n_days))
-        for i, m in enumerate(members):
-            per_day = data[issue][m]
-            for d in range(1, n_days + 1):
-                if d not in per_day or per_day[d][1] != steps_per_day:
-                    raise InputError(
-                        f"{path}: issue {issue} member {m} has incomplete data for lead day {d}"
-                    )
-                grid[i, d - 1] = per_day[d][0]
-        forecasts.append(EnsemblePrecipForecast(issue.astype(dt.date), grid))
-    if not forecasts:
+            raise InputError(f"{path}: unrecognised ensemble schema (header: {sorted(cols)})")
+        parts, record, day_of = [], 0, {}
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            part = _ensemble_chunk(path, header, mode, chunk, record, day_of)
+            if part is not None:
+                parts.append(part)
+            record += len(chunk)
+    if not parts:
         raise InputError(f"{path}: no forecast rows")
-    return forecasts
+    issue, member, day, amount = (np.concatenate(c) for c in zip(*parts))
+
+    issues, issue_idx = np.unique(issue, return_inverse=True)
+    issues = issues.astype("datetime64[D]")
+    members, member_idx = np.unique(member, return_inverse=True)
+    n_issues, n_members = len(issues), len(members)
+    pair = issue_idx * n_members + member_idx
+    present = np.zeros((n_issues, n_members), dtype=bool)
+    present.flat[pair] = True
+    member_sets, set_counts = np.unique(present, axis=0, return_counts=True)
+    if len(member_sets) > 1:
+        usual = member_sets[np.argmax(set_counts)]
+        i = int(np.argmax((present != usual).any(axis=1)))
+        raise InputError(
+            f"{path}: issue {issues[i]} has {int(present[i].sum())} members {members[present[i]].tolist()} "
+            f"but {set_counts.max()} of the {n_issues} issues have {int(usual.sum())} {members[usual].tolist()}; "
+            "every issue needs the same members"
+        )
+
+    # an issue is cut to its shortest member, and every lead day up to there
+    # needs all its steps; no pair has more complete days than rows / steps,
+    # which bounds the grid however large a lead day is
+    steps_per_day = 4 if mode == "six_hourly" else 1
+    last_day = np.zeros(n_issues * n_members, dtype=np.int64)
+    np.maximum.at(last_day, pair, day)
+    n_days = last_day.reshape(n_issues, n_members).min(axis=1)
+    short = n_days < min_lead_days
+    if short.any():
+        i = int(np.argmax(short))
+        raise InputError(f"{path}: issue {issues[i]} has only {n_days[i]} lead days (need >= {min_lead_days})")
+    width = int(min(n_days.max(), np.bincount(pair).max() // steps_per_day + 1))
+    keep = day <= np.minimum(n_days, width)[issue_idx]
+    cell = (pair * width + day - 1)[keep]
+    counts = np.bincount(cell, minlength=n_issues * n_members * width).reshape(n_issues, n_members, width)
+    incomplete = (counts != steps_per_day) & (np.arange(1, width + 1) <= n_days[:, None, None])
+    if incomplete.any():
+        i, m, d = np.unravel_index(np.argmax(incomplete), incomplete.shape)
+        raise InputError(f"{path}: issue {issues[i]} member {members[m]} has incomplete data for lead day {d + 1}")
+
+    totals = np.zeros(n_issues * n_members * width)
+    np.add.at(totals, cell, amount[keep])
+    totals = totals.reshape(n_issues, n_members, width)
+    return [
+        EnsemblePrecipForecast(issue_date, totals[i, :, :n])
+        for i, (issue_date, n) in enumerate(zip(issues.tolist(), n_days.tolist()))
+    ]
 
 
 def write_ensemble_csv(path, forecasts) -> None:

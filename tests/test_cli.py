@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import inflowcast
 from inflowcast.cli import main
 
 CONFIG = """
@@ -251,6 +256,32 @@ class TestErrorPaths:
         assert f"[cost] {key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["cost-eval", "train"])
+    @pytest.mark.parametrize("probe", ["ragged_members", "nan_precipitation", "nan_inflow"])
+    def test_malformed_input_exits_2_with_location(self, run_dir, tmp_path, capsys, probe, command):
+        inflow = (run_dir / "inflow.csv").read_text().splitlines()
+        ensemble = (run_dir / "ensemble.csv").read_text().splitlines()
+        first_issue = ensemble[1].split(",")[0]
+        if probe == "ragged_members":
+            last = max(int(line.split(",")[1]) for line in ensemble[1:] if line.startswith(first_issue))
+            ensemble = [line for line in ensemble if not line.startswith(f"{first_issue},{last},")]
+            expected = f"{tmp_path / 'ensemble.csv'}: issue {first_issue} has {last} members"
+        elif probe == "nan_precipitation":
+            ensemble[7] = ensemble[7].rsplit(",", 1)[0] + ",nan"
+            expected = f"{tmp_path / 'ensemble.csv'}:8: precipitation must be finite"
+        else:
+            inflow[7] = inflow[7].split(",")[0] + ",nan"
+            expected = f"{tmp_path / 'inflow.csv'}:8: non-finite value 'nan'"
+        (tmp_path / "inflow.csv").write_text("\n".join(inflow) + "\n")
+        (tmp_path / "ensemble.csv").write_text("\n".join(ensemble) + "\n")
+        data = ["--inflow", str(tmp_path / "inflow.csv"), "--ensemble", str(tmp_path / "ensemble.csv")]
+        models = ["--models", str(run_dir / "models.json")] if command == "cost-eval" else []
+        rc = main([command, *models, *data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert expected in err
+        assert "Traceback" not in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(["--config", str(tmp_path / "none.ini"), "synth", "--out", str(tmp_path)])
         assert rc == 2
@@ -267,3 +298,11 @@ class TestTrainConvergence:
         assert main([*base, "synth", "--out", str(tmp_path)]) == 0
         data = ["--inflow", str(tmp_path / "inflow.csv"), "--ensemble", str(tmp_path / "ensemble.csv")]
         assert main([*base, "train", *data, "--out", str(tmp_path)]) == 0
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only training fits EMOS, so only `train` should pay for scipy.optimize
+    code = "import sys, inflowcast.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(inflowcast.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

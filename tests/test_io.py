@@ -1,8 +1,11 @@
 import datetime as dt
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from inflowcast import io as iomod
@@ -145,6 +148,147 @@ class TestEnsembleCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InputError, match="schema"):
             iomod.read_ensemble_csv(path)
+
+
+ENSEMBLE_HEADERS = {
+    "daily": "issue_date,member,lead_day,precip_mm_day",
+    "split": "issue_date,member,lead_day,largescale_mm_day,convective_mm_day",
+    "six_hourly": "issue_date,member,lead_step_hours,precip_mm",
+}
+
+
+@st.composite
+def ensemble_files(draw):
+    """(mode, issues, members, n_days, rows, blank positions); rows in file order."""
+    mode = draw(st.sampled_from(sorted(ENSEMBLE_HEADERS)))
+    issues = [dt.date(2015, 1, 5) + dt.timedelta(days=7 * i) for i in range(draw(st.integers(1, 3)))]
+    members = sorted(draw(st.lists(st.integers(0, 50), min_size=2, max_size=3, unique=True)))
+    n_days = draw(st.integers(1, 4))
+    amount = st.floats(0.0, 50.0)
+    rows = []
+    for issue in issues:
+        for m in members:
+            for day in range(1, n_days + 1):
+                if mode == "six_hourly":
+                    rows += [(issue, m, (day - 1) * 24 + step, (draw(amount),)) for step in (6, 12, 18, 24)]
+                else:
+                    rows.append((issue, m, day, tuple(draw(amount) for _ in range(1 + (mode == "split")))))
+    rows = draw(st.permutations(rows))
+    blanks = draw(st.lists(st.integers(0, len(rows)), max_size=3))
+    return mode, issues, members, n_days, rows, blanks
+
+
+def _ensemble_lines(mode, rows, blanks):
+    lines = [f"{issue.isoformat()},{m},{lead},{','.join(repr(a) for a in amounts)}" for issue, m, lead, amounts in rows]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    return [ENSEMBLE_HEADERS[mode]] + lines
+
+
+class TestColumnarEnsembleReader:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ensemble_files(), st.integers(1, 40))
+    def test_any_row_order_reads_back_bitwise(self, tmp_path, spec, chunk_rows):
+        mode, issues, members, n_days, rows, blanks = spec
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(_ensemble_lines(mode, rows, blanks)) + "\n")
+        # daily totals accumulate in file order, as a running Python sum
+        totals = {}
+        for issue, m, lead, amounts in rows:
+            day = (lead + 23) // 24 if mode == "six_hourly" else lead
+            totals[issue, m, day] = totals.get((issue, m, day), 0.0) + sum(amounts)
+        with mock.patch.object(iomod, "_CHUNK_ROWS", chunk_rows):
+            back = iomod.read_ensemble_csv(path, min_lead_days=n_days)
+        assert [f.issue_date for f in back] == issues
+        for f in back:
+            expected = np.array([[totals[f.issue_date, m, d] for d in range(1, n_days + 1)] for m in members])
+            assert f.members.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ensemble_files(), st.data(), st.integers(1, 40))
+    def test_bad_value_names_its_line(self, tmp_path, spec, data, chunk_rows):
+        mode, issues, members, n_days, rows, blanks = spec
+        lines = _ensemble_lines(mode, rows, blanks)
+        k = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line and i > 0]))
+        fields = lines[k].split(",")
+        column = data.draw(st.integers(0, len(fields) - 1))
+        bad = {
+            0: ["2015-02-30", "soon", ""],
+            1: ["1.5", "x", ""],
+            2: ["0", "-6", "x"] + (["3", "25"] if mode == "six_hourly" else []),
+        }.get(column, ["nan", "-inf", "inf", "-0.5", "1e", ""])
+        fields[column] = data.draw(st.sampled_from(bad))
+        lines[k] = ",".join(fields)
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(iomod, "_CHUNK_ROWS", chunk_rows), pytest.raises(InputError) as err:
+            iomod.read_ensemble_csv(path, min_lead_days=n_days)
+        assert str(err.value).startswith(f"{path}:{k + 1}:")
+
+    def test_short_row_names_its_line(self, tmp_path):
+        lines = ["issue_date,member,lead_day,precip_mm_day"]
+        lines += [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
+        lines[3] = "2015-01-05,1,1"
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=r":4: bad value None in column 'precip_mm_day'"):
+            iomod.read_ensemble_csv(path, min_lead_days=2)
+
+    def test_ragged_members_rejected(self, tmp_path):
+        lines = ["issue_date,member,lead_day,precip_mm_day"]
+        for issue in ("2015-01-05", "2015-01-12", "2015-01-19"):
+            for m in (0, 1, 2):
+                if not (issue == "2015-01-12" and m == 2):
+                    lines += [f"{issue},{m},{d},1.0" for d in (1, 2)]
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=r"issue 2015-01-12 has 2 members \[0, 1\] but 2 of the 3 issues have 3 \[0, 1, 2\]"):
+            iomod.read_ensemble_csv(path, min_lead_days=2)
+
+    def test_issue_cut_to_shortest_member(self, tmp_path):
+        lines = ["issue_date,member,lead_day,precip_mm_day"]
+        lines += [f"2015-01-05,{m},{d},{d}.0" for m in (0, 1) for d in range(1, 4 + m)]
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        back = iomod.read_ensemble_csv(path, min_lead_days=3)
+        assert back[0].members.tolist() == [[1.0, 2.0, 3.0]] * 2
+        with pytest.raises(InputError, match="has only 3 lead days"):
+            iomod.read_ensemble_csv(path, min_lead_days=4)
+
+    def test_duplicate_row_is_incomplete(self, tmp_path):
+        lines = ["issue_date,member,lead_day,precip_mm_day"]
+        lines += [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
+        lines.append(lines[2])
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="member 0 has incomplete data for lead day 2"):
+            iomod.read_ensemble_csv(path, min_lead_days=2)
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        path = tmp_path / "ensemble.csv"
+        path.write_text("issue_date,member,lead_day,precip_mm_day\n\n")
+        with pytest.raises(InputError, match="no forecast rows"):
+            iomod.read_ensemble_csv(path)
+
+
+class TestDailySeriesCsv:
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_its_line(self, tmp_path, raw):
+        path = tmp_path / "inflow.csv"
+        path.write_text(f"date,inflow_norm\n2015-01-01,0.5\n\n2015-01-02,{raw}\n")
+        with pytest.raises(InputError, match=rf"^{path}:4: non-finite value '{raw}' in column 'inflow_norm'"):
+            iomod.read_inflow_csv(path)
+
+    def test_negative_reanalysis_names_its_line(self, tmp_path):
+        path = tmp_path / "reanalysis.csv"
+        path.write_text("date,precip_mm_day\n2015-01-01,0.5\n2015-01-02,-0.2\n")
+        with pytest.raises(InputError, match=rf"^{path}:3: negative precipitation rate '-0.2'"):
+            iomod.read_reanalysis_csv(path)
+
+    def test_negative_inflow_accepted(self, tmp_path):
+        path = tmp_path / "inflow.csv"
+        path.write_text("date,inflow_norm\n2015-01-01,-0.25\n")
+        assert iomod.read_inflow_csv(path).values.tolist() == [-0.25]
 
 
 class TestMiscCsv:
