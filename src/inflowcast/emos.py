@@ -62,6 +62,10 @@ def compute_feature_matrix(members: np.ndarray) -> np.ndarray:
     srt = np.sort(m, axis=1)
     weights = 2.0 * np.arange(k) - (k - 1)
     mad = (srt * weights).sum(axis=1) * 2.0 / k**2
+    # members a subnormal step apart have a spread that rounds to zero; floor it
+    # at the smallest positive double so that zero spread still means constant
+    spread = srt[:, -1] > srt[:, 0]
+    mad = np.where(spread, np.maximum(mad, np.finfo(float).smallest_subnormal), mad)
     return np.column_stack([mean, frac, mad])
 
 
