@@ -312,10 +312,8 @@ def cmd_verify(args, cfg) -> int:
         tables,
         predictions,
         inflow,
-        [f.issue_date for f in issues],
         nao=nao,
         reanalysis=reanalysis,
-        n_levels=_getint(cfg, "verification", "crps_levels"),
         n_boot=_getint(cfg, "verification", "bootstrap"),
         seed=seed,
         min_cases=_getint(cfg, "verification", "min_cases"),
@@ -394,7 +392,6 @@ def cmd_cost_eval(args, cfg) -> int:
         tables,
         predictions,
         inflow,
-        [f.issue_date for f in issues],
         settings,
         min_clim_years=_getint(cfg, "verification", "min_climatology_years"),
     )

@@ -15,17 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costmodel import CostCase, OperatingEnvelope
-from .data import (
-    CANONICAL_HORIZONS,
-    ClimatologyCache,
-    HorizonSpec,
-    horizon_average,
-    observed_horizon_mean,
-)
+from .data import CANONICAL_HORIZONS, HorizonSpec, horizon_average, observed_horizon_mean
 from .emos import EmosModel, compute_feature_matrix, fit_emos
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .regression import LinearInflowModel, run_cross_validation
-from .series import DailySeries, month_of, year_of
+from .series import DailySeries, year_of
 from .splines import CyclicSplineBasis, seasonal_phase
 from .verification import (
     NaoIndex,
@@ -94,6 +88,30 @@ def build_case_tables(
             obs_p = np.full(len(issues), np.nan)
         tables[h.name] = HorizonCaseTable(h, dates, years, members, obs, obs_p)
     return tables
+
+
+def climatology_scores(table: HorizonCaseTable, values: np.ndarray, score, min_years: int = 3) -> np.ndarray:
+    """Score every observed case against its monthly climatology; NaN where unusable.
+
+    ``values`` is a column of ``table`` (``obs_inflow`` or ``obs_precip``).
+    The climatology of issue month m and forecast year Y is every observed
+    value issued in month m outside years Y and Y + 1.  ``score(sample,
+    observations)`` is called once per (m, Y) group with the observations of
+    that group's cases and returns one value per observation, or one for all.
+    A group whose sample spans fewer than ``min_years`` years stays NaN.
+    """
+    observed = ~np.isnan(values)
+    months = table.issue_dates.astype("datetime64[M]").astype(np.int64) % 12
+    years = table.issue_years
+    out = np.full(len(values), np.nan)
+    for month in np.unique(months[observed]):
+        in_month = observed & (months == month)
+        for year in np.unique(years[in_month]):
+            sample = in_month & (years != year) & (years != year + 1)
+            if len(np.unique(years[sample])) >= min_years:
+                cases = in_month & (years == year)
+                out[cases] = score(values[sample], values[cases])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +260,22 @@ class PredictedParams:
         return q - self.offset[:, None]
 
 
+def _check_params(horizon: str, fold_year: int, mu, sigma, nu, offset) -> None:
+    """Reject a fold model whose ZAGA parameters are non-finite or out of range."""
+    for name, x, valid in (
+        ("mu", mu, mu > 0),
+        ("sigma", sigma, sigma > 0),
+        ("nu", nu, (nu >= 0) & (nu < 1)),
+        ("offset", offset, offset >= 0),
+    ):
+        bad = ~(np.isfinite(x) & valid)
+        if bad.any():
+            raise NumericalError(
+                f"horizon '{horizon}' fold {fold_year}: the model gives {name} = {x[bad][0]}; "
+                "ZAGA needs finite mu > 0, sigma > 0, 0 <= nu < 1 and offset >= 0"
+            )
+
+
 def predict_params(
     models: TrainedModels, tables: dict[str, HorizonCaseTable]
 ) -> dict[str, PredictedParams]:
@@ -265,7 +299,9 @@ def predict_params(
                 raise InputError(f"no EMOS model for horizon '{h.name}' fold {fold_year}")
             bench = reg.slope * table.member_matrix[mask] + reg.intercept
             feats = compute_feature_matrix(bench)
-            m, s, v = emos.params_for(feats, phases[mask])
+            with np.errstate(over="ignore", invalid="ignore"):
+                m, s, v = emos.params_for(feats, phases[mask])
+            _check_params(h.name, fold_year, m, s, v, np.array([emos.offset]))
             mu[mask] = m
             sigma[mask] = s
             nu[mask] = v
@@ -344,10 +380,8 @@ def verify_skill(
     tables: dict[str, HorizonCaseTable],
     predictions: dict[str, PredictedParams],
     inflow: DailySeries,
-    issue_dates_all,
     nao: NaoIndex | None = None,
     reanalysis: DailySeries | None = None,
-    n_levels: int = 1024,
     n_boot: int = 1000,
     seed: int = 0,
     min_cases: int = 20,
@@ -357,16 +391,12 @@ def verify_skill(
     """Score EMOS, benchmark and (optionally) raw precip forecasts against climatology.
 
     Every case is scored against the fair CRPS of its month's climatological
-    sample (forecast year and successor excluded); skill reports are produced
-    per horizon, plus season and NAO strata for the calibrated forecasts.
+    sample (``climatology_scores``: forecast year and successor excluded);
+    skill reports are produced per horizon, plus season and NAO strata for the
+    calibrated forecasts.  The observations come from ``tables``; ``inflow``
+    is not read, and ``reanalysis`` only switches the precipitation scores on.
     """
     report = VerificationReport()
-    clim_inflow = ClimatologyCache(inflow, issue_dates_all, min_years=min_clim_years)
-    clim_precip = (
-        ClimatologyCache(reanalysis, issue_dates_all, min_years=min_clim_years)
-        if reanalysis is not None
-        else None
-    )
 
     def add(rep: SkillReport | None, variable: str):
         if rep is not None:
@@ -375,21 +405,8 @@ def verify_skill(
     for h in models.horizons:
         table = tables[h.name]
         pred = predictions[h.name]
-        observed = ~np.isnan(table.obs_inflow)
-
-        clim_scores = np.full(len(table), np.nan)
-        usable = observed.copy()
-        for i in np.flatnonzero(observed):
-            issue = table.issue_dates[i]
-            month = month_of(issue)
-            try:
-                sample = clim_inflow.get(month, h, int(table.issue_years[i]))
-            except InputError:
-                usable[i] = False
-                continue
-            clim_scores[i] = fair_crps_sample(sample.values, np.array([table.obs_inflow[i]]))[0]
-
-        idx = np.flatnonzero(usable)
+        clim_scores = climatology_scores(table, table.obs_inflow, fair_crps_sample, min_clim_years)
+        idx = np.flatnonzero(~np.isnan(clim_scores))
         if len(idx) >= min_cases:
             emos_scores = crps_zaga_batch(
                 pred.mu[idx],
@@ -397,7 +414,6 @@ def verify_skill(
                 pred.nu[idx],
                 pred.offset[idx],
                 table.obs_inflow[idx],
-                n_levels=n_levels,
             )
             bench_scores = fair_crps_many(pred.benchmark[idx], table.obs_inflow[idx])
             cs = clim_scores[idx]
@@ -446,20 +462,9 @@ def verify_skill(
                 )
 
         # raw ensemble precipitation skill against reanalysis
-        if clim_precip is not None:
-            p_observed = ~np.isnan(table.obs_precip)
-            p_clim = np.full(len(table), np.nan)
-            p_usable = p_observed.copy()
-            for i in np.flatnonzero(p_observed):
-                issue = table.issue_dates[i]
-                month = month_of(issue)
-                try:
-                    sample = clim_precip.get(month, h, int(table.issue_years[i]))
-                except InputError:
-                    p_usable[i] = False
-                    continue
-                p_clim[i] = fair_crps_sample(sample.values, np.array([table.obs_precip[i]]))[0]
-            pidx = np.flatnonzero(p_usable)
+        if reanalysis is not None:
+            p_clim = climatology_scores(table, table.obs_precip, fair_crps_sample, min_clim_years)
+            pidx = np.flatnonzero(~np.isnan(p_clim))
             if len(pidx) >= min_cases:
                 precip_scores = fair_crps_many(table.member_matrix[pidx], table.obs_precip[pidx])
                 add(
@@ -498,27 +503,23 @@ def build_cost_cases(
     tables: dict[str, HorizonCaseTable],
     predictions: dict[str, PredictedParams],
     inflow: DailySeries,
-    issue_dates_all,
     settings: CostSettings,
     min_clim_years: int = 3,
 ) -> list[CostCase]:
-    """One cost case per scored forecast, with all three competing forecasts attached."""
-    clim_cache = ClimatologyCache(inflow, issue_dates_all, min_years=min_clim_years)
+    """One cost case per scored forecast, with all three competing forecasts attached.
+
+    Observations and climatology medians come from ``tables``; ``inflow`` is
+    not read.  Cases without a climatology, or whose climatological median is
+    not positive (no planned generation to adjust against), are left out.
+    """
     cases = []
     for h in models.horizons:
         table = tables[h.name]
         pred = predictions[h.name]
         epi = settings.energy_per_inflow_day * h.n_days
-        for i in np.flatnonzero(~np.isnan(table.obs_inflow)):
-            issue = table.issue_dates[i]
-            month = month_of(issue)
-            try:
-                sample = clim_cache.get(month, h, int(table.issue_years[i]))
-            except InputError:
-                continue
-            clim_median = float(np.median(sample.values))
-            if clim_median <= 0:
-                continue  # no planned generation to adjust against
+        medians = climatology_scores(table, table.obs_inflow, lambda sample, _: np.median(sample), min_clim_years)
+        for i in np.flatnonzero(medians > 0):
+            clim_median = float(medians[i])
             dist = pred.distribution(int(i))
             env = OperatingEnvelope(
                 clim_generation=clim_median * epi,

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .data import HorizonSpec
 from .errors import InputError, NumericalError
-from .zaga import ZagaDistribution, gamma_cdf, gamma_ppf
+from .zaga import ZagaDistribution, gamma_cdf
 
 SKILL_FAIR = 0.15
 SKILL_GOOD = 0.30
@@ -57,87 +58,42 @@ def fair_crps_sample(sample: np.ndarray, observations: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# parametric CRPS via quantile discretisation
+# parametric CRPS in closed form
 # ---------------------------------------------------------------------------
 
-_TAIL_LEVELS = 1.0 - 10.0 ** np.arange(-4.0, -9.5, -1.0)
 
+def crps_zaga_batch(mu, sigma, nu, offset, observations) -> np.ndarray:
+    """Exact CRPS of zero-adjusted gamma forecasts, ``E|Y - z| - E|Y - Y'| / 2``.
 
-def _quantile_levels(n_levels: int) -> np.ndarray:
-    u = (np.arange(n_levels) + 0.5) / n_levels
-    extra = _TAIL_LEVELS[_TAIL_LEVELS > u[-1]]
-    return np.concatenate([u, extra])
+    On the internal axis z = observation + offset, Y is 0 with probability nu
+    and X ~ Gamma(a, theta) otherwise, with a = 1/sigma^2 and a * theta = mu.
+    For z >= 0 (Gneiting & Raftery 2007; Scheuerer & Moeller 2015)
 
+        E|X - z|      = z (2 G_a(z) - 1) - mu (2 G_{a+1}(z) - 1)
+        E|X - X'| / 2 = theta / B(1/2, a)
 
-def crps_zaga_batch(mu, sigma, nu, offset, observations, n_levels: int = 1024) -> np.ndarray:
-    """CRPS of zero-adjusted gamma forecasts, integrating the squared CDF difference.
-
-    The integral is discretised at ``n_levels`` equally spaced probability
-    levels of the gamma part (plus a handful of deep-tail levels so the
-    truncated tail is negligible) and accumulated with the trapezoid rule in
-    value space; the point mass at zero and the support shift are handled
-    exactly.  Scores are reported in the user-facing (shifted) space, which
-    leaves CRPS unchanged.
+    with G_k the Gamma(k, theta) CDF, and E|X - z| = mu - z below zero.  The
+    point mass adds nu |z| to the first term and nu (1 - nu) mu to the
+    second, so for z <= 0 the score is -z + (1 - nu)^2 (mu - theta / B(1/2, a)).
+    Scores are reported in the user-facing (shifted) space, which leaves
+    CRPS unchanged.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    offset = np.atleast_1d(np.asarray(offset, dtype=float))
-    y = np.atleast_1d(np.asarray(observations, dtype=float))
-    n = len(y)
-    mu, sigma, nu, offset = (np.broadcast_to(v, (n,)).copy() for v in (mu, sigma, nu, offset))
-
+    mu, sigma, nu, offset, y = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (mu, sigma, nu, offset, observations))
+    )
     shape = 1.0 / sigma**2
     scale = sigma**2 * mu
-    z = y + offset  # observation on the non-negative internal axis
-
-    u = _quantile_levels(n_levels)
-    x = gamma_ppf(u[None, :], shape[:, None], scale[:, None])  # (n, m)
-    nodes = np.concatenate([np.zeros((n, 1)), x], axis=1)  # include x = 0
-    f_at = nu[:, None] + (1.0 - nu[:, None]) * np.concatenate(
-        [np.zeros((n, 1)), np.broadcast_to(u, (n, len(u)))], axis=1
-    )
-    m = nodes.shape[1]
-
-    dx = np.diff(nodes, axis=1)
-    f2 = f_at**2
-    g2 = (1.0 - f_at) ** 2
-    seg_low = 0.5 * (f2[:, 1:] + f2[:, :-1]) * dx
-    seg_high = 0.5 * (g2[:, 1:] + g2[:, :-1]) * dx
-    cum_low = np.concatenate([np.zeros((n, 1)), np.cumsum(seg_low, axis=1)], axis=1)
-    tail_high = np.concatenate(
-        [np.cumsum(seg_high[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))], axis=1
-    )
-
-    below = z <= 0.0
-    zc = np.where(below, 1.0, z)
-    fz = nu + (1.0 - nu) * gamma_cdf(zc, shape, scale)
-
-    j = (nodes < zc[:, None]).sum(axis=1)  # nodes strictly left of z; >= 1 since node0 = 0 < z
-    jm1 = (j - 1)[:, None]
-    x_left = np.take_along_axis(nodes, jm1, axis=1)[:, 0]
-    f_left = np.take_along_axis(f_at, jm1, axis=1)[:, 0]
-    cum_left = np.take_along_axis(cum_low, jm1, axis=1)[:, 0]
-    inside = j < m
-    jj = np.minimum(j, m - 1)[:, None]
-    x_right = np.where(inside, np.take_along_axis(nodes, jj, axis=1)[:, 0], zc)
-    f_right = np.where(inside, np.take_along_axis(f_at, jj, axis=1)[:, 0], fz)
-    tail_right = np.where(inside, np.take_along_axis(tail_high, jj, axis=1)[:, 0], 0.0)
-
-    i_low = cum_left + 0.5 * (f_left**2 + fz**2) * (zc - x_left)
-    i_high = 0.5 * ((1.0 - fz) ** 2 + (1.0 - f_right) ** 2) * (x_right - zc) + tail_right
-    crps_pos = i_low + i_high
-    crps_neg = -z + tail_high[:, 0]
-    return np.where(below, crps_neg, crps_pos)
+    z = y + offset
+    zp = np.maximum(z, 0.0)
+    abs_x = zp * (2.0 * gamma_cdf(zp, shape, scale) - 1.0) - mu * (2.0 * gamma_cdf(zp, shape + 1.0, scale) - 1.0)
+    half_pair = scale * np.exp(special.gammaln(shape + 0.5) - special.gammaln(shape) - special.gammaln(0.5))
+    w = 1.0 - nu
+    return nu * np.abs(z) + w * (abs_x + zp - z) - w * nu * mu - w**2 * half_pair
 
 
-def crps_parametric(dist: ZagaDistribution, observation: float, n_levels: int = 1024) -> float:
+def crps_parametric(dist: ZagaDistribution, observation: float) -> float:
     """CRPS of a single zero-adjusted gamma forecast (shifted space observation)."""
-    return float(
-        crps_zaga_batch(
-            dist.mu, dist.sigma, dist.nu, dist.offset, np.array([observation]), n_levels
-        )[0]
-    )
+    return float(crps_zaga_batch(dist.mu, dist.sigma, dist.nu, dist.offset, np.array([observation]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +207,15 @@ def season_of_month(month: int) -> str:
     return "summer" if month in EXTENDED_SUMMER else "winter"
 
 
+def _majority_months(issue_dates, horizon: HorizonSpec) -> np.ndarray:
+    """``majority_month`` of every issue, as months since 1970-01."""
+    first_day = np.asarray(issue_dates, dtype="datetime64[D]") + np.timedelta64(horizon.start_day, "D")
+    months = (first_day[:, None] + np.arange(horizon.n_days)).astype("datetime64[M]").astype(np.int64)
+    offsets = months - months[:, :1]  # a window spans consecutive months 0, 1, ...
+    counts = (offsets[:, :, None] == np.arange(offsets.max(initial=0) + 1)).sum(axis=1)
+    return months[:, 0] + counts.argmax(axis=1)  # first maximum = earliest month
+
+
 def stratum_mask(
     issue_dates,
     horizon: HorizonSpec,
@@ -271,20 +236,15 @@ def stratum_mask(
         raise InputError(f"unknown NAO condition {nao_condition!r}")
     if nao_condition != "any" and nao is None:
         raise InputError("an NAO index series is required for NAO stratification")
-    mask = np.ones(len(issue_dates), dtype=bool)
-    for i, issue in enumerate(issue_dates):
-        year, month = majority_month(issue, horizon)
-        if season != "all" and season_of_month(month) != season:
-            mask[i] = False
-            continue
-        if nao_condition != "any":
-            value = nao.value(year, month)
-            if value is None:
-                mask[i] = False
-            elif nao_condition == "positive" and not value > nao_threshold:
-                mask[i] = False
-            elif nao_condition == "negative" and not value < -nao_threshold:
-                mask[i] = False
+    months = _majority_months(issue_dates, horizon)
+    mask = np.ones(len(months), dtype=bool)
+    if season != "all":
+        mask &= np.isin(months % 12 + 1, EXTENDED_SUMMER) == (season == "summer")
+    if nao_condition != "any":
+        uniq, inverse = np.unique(months, return_inverse=True)
+        values = [nao.value(int(m) // 12 + 1970, int(m) % 12 + 1) for m in uniq]
+        value = np.array([np.nan if v is None else v for v in values], dtype=float)[inverse]
+        mask &= value > nao_threshold if nao_condition == "positive" else value < -nao_threshold
     return mask
 
 
@@ -303,22 +263,27 @@ class BootstrapResult:
 
 
 def bootstrap_spread(data, statistic, n_boot: int = 1000, seed: int = 0, min_cases: int = 20) -> BootstrapResult:
-    """Case-resampling bootstrap of an arbitrary statistic; band is +/- 2 standard errors."""
+    """Case-resampling bootstrap of a statistic; band is +/- 2 standard errors.
+
+    ``statistic(sample, axis)`` reduces the case axis ``axis`` of ``sample``,
+    as ``np.mean`` does, so all ``n_boot`` resamples are scored in one call.
+    """
     arr = np.asarray(data, dtype=float)
     n = arr.shape[0]
     if n < min_cases:
         raise InputError(f"{n} cases is below the bootstrap minimum of {min_cases}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(n_boot, n))
-    reps = np.array([statistic(arr[row]) for row in idx])
-    est = float(statistic(arr))
+    reps = np.asarray(statistic(arr[idx], axis=1), dtype=float)
+    est = float(statistic(arr, axis=0))
     se = float(reps.std(ddof=1))
     return BootstrapResult(est, se, est - 2 * se, est + 2 * se, n_boot)
 
 
-def _fcrpss_stat(pairs: np.ndarray) -> float:
-    denom = pairs[:, 1].mean()
-    return 1.0 - pairs[:, 0].mean() / denom if denom > 0 else np.nan
+def _fcrpss_stat(pairs: np.ndarray, axis: int):
+    """fCRPSS of (..., case, [forecast, climatology]) score pairs; NaN without climatology CRPS."""
+    denom = pairs[..., 1].mean(axis=axis)
+    return 1.0 - pairs[..., 0].mean(axis=axis) / np.where(denom > 0, denom, np.nan)
 
 
 @dataclass(frozen=True)

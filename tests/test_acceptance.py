@@ -263,7 +263,6 @@ def test_skill_decay_reproduction(pipeline10):
         tables,
         predictions,
         scenario.inflow,
-        [f.issue_date for f in scenario.forecasts],
         nao=scenario.nao,
         n_boot=1000,
         seed=0,
@@ -373,7 +372,7 @@ def test_value_ordering(pipeline10):
     settings = CostSettings()
     cases = build_cost_cases(
         models, tables, predictions, scenario.inflow,
-        [f.issue_date for f in scenario.forecasts], settings,
+        settings,
     )
     differentials = tuple(range(5, 101, 5))
     rows, totals = price_sweep(

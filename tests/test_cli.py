@@ -282,6 +282,33 @@ class TestErrorPaths:
         assert expected in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["forecast", "verify", "cost-eval"])
+    @pytest.mark.parametrize("fault", ["mu_overflow", "negative_offset"])
+    def test_bad_model_exits_3_with_location(self, run_dir, tmp_path, capsys, fault, command):
+        models = json.loads((run_dir / "models.json").read_text())
+        bad = models["emos"][0]
+        if fault == "mu_overflow":
+            bad["beta_mu"][0] += 1000.0  # the intercept: exp overflows on every case
+            expected = "mu = inf"
+        else:
+            bad["offset"] = -0.5
+            expected = "offset = -0.5"
+        (tmp_path / "models.json").write_text(json.dumps(models))
+        rc = main(
+            [
+                command,
+                "--models", str(tmp_path / "models.json"),
+                "--inflow", str(run_dir / "inflow.csv"),
+                "--ensemble", str(run_dir / "ensemble.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"horizon '{bad['horizon']}' fold {bad['fold_year']}" in err
+        assert expected in err
+        assert "Traceback" not in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(["--config", str(tmp_path / "none.ini"), "synth", "--out", str(tmp_path)])
         assert rc == 2

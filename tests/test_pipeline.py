@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from inflowcast.data import horizon_by_name
+from inflowcast.data import CANONICAL_HORIZONS, build_climatology, horizon_by_name, observed_horizon_mean
+from inflowcast.errors import InputError
 from inflowcast.pipeline import (
+    HorizonCaseTable,
     TrainedModels,
     build_case_tables,
     build_cost_cases,
+    climatology_scores,
     CostSettings,
     forecast_rows,
     predict_params,
     train_models,
     verify_skill,
 )
+from inflowcast.series import DailySeries
+from inflowcast.verification import fair_crps_sample
 
 HORIZONS = (horizon_by_name("week1"), horizon_by_name("week2"), horizon_by_name("2week"))
 
@@ -96,12 +102,65 @@ def report(trained):
         tables,
         predictions,
         scenario.inflow,
-        [f.issue_date for f in scenario.forecasts],
         nao=scenario.nao,
         reanalysis=scenario.precip,
         n_boot=150,
         seed=0,
     )
+
+
+class TestClimatologyMask:
+    """The per-(month, year) mask over the case table against ``build_climatology``."""
+
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        h_index=st.integers(0, len(CANONICAL_HORIZONS) - 1),
+        n_years=st.integers(3, 6),
+        issue_share=st.floats(0.05, 1.0),
+        n_gaps=st.integers(0, 12),
+        min_years=st.integers(1, 5),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_same_samples_and_unusable_groups(self, data_seed, h_index, n_years, issue_share, n_gaps, min_years):
+        gen = np.random.default_rng(data_seed)
+        h = CANONICAL_HORIZONS[h_index]
+        days = np.arange(np.datetime64("2009-01-01"), np.datetime64(f"{2009 + n_years}-02-15"))
+        keep = np.ones(len(days), dtype=bool)
+        for start in gen.integers(0, len(days), n_gaps):
+            keep[start : start + gen.integers(1, 60)] = False  # unobserved spells
+        series = DailySeries(days[keep], gen.normal(1.0, 1.0, keep.sum()))
+        issues = days[: -h.end_day][::3]
+        issues = issues[gen.random(len(issues)) < issue_share]
+        obs = np.array([np.nan if (v := observed_horizon_mean(series, d, h)) is None else v for d in issues])
+        years = issues.astype("datetime64[Y]").astype(int) + 1970
+        table = HorizonCaseTable(h, issues, years, np.zeros((len(issues), 2)), obs, np.full(len(issues), np.nan))
+
+        samples = []
+
+        def record(sample, observations):
+            samples.append(np.sort(sample))
+            return len(samples) - 1
+
+        group = climatology_scores(table, obs, record, min_years)
+        crps = climatology_scores(table, obs, fair_crps_sample, min_years) if min_years >= 2 else None
+        reference = {}
+        for i in range(len(issues)):
+            month = int(issues[i].astype("datetime64[M]").astype(int)) % 12 + 1
+            if np.isnan(obs[i]):
+                assert np.isnan(group[i])
+                continue
+            key = (month, int(years[i]))
+            if key not in reference:
+                try:
+                    reference[key] = build_climatology(series, h, month, key[1], issues, min_years).values
+                except InputError:
+                    reference[key] = None
+            if reference[key] is None:
+                assert np.isnan(group[i])
+                continue
+            assert np.array_equal(samples[int(group[i])], np.sort(reference[key]))
+            if crps is not None:
+                assert crps[i] == fair_crps_sample(reference[key], np.array([obs[i]]))[0]
 
 
 class TestVerification:
@@ -144,7 +203,7 @@ class TestSkillLimits:
         predictions = predict_params(models, tables)
         rep = verify_skill(
             models, tables, predictions, scenario.inflow,
-            [f.issue_date for f in scenario.forecasts], n_boot=300, seed=2,
+            n_boot=300, seed=2,
         )
         return [rep.lookup("inflow_emos", h.name) for h in horizons]
 
@@ -164,7 +223,7 @@ class TestCostCases:
         settings = CostSettings(energy_per_inflow_day=10.0)
         cases = build_cost_cases(
             models, tables, predictions, scenario.inflow,
-            [f.issue_date for f in scenario.forecasts], settings,
+            settings,
         )
         assert cases
         by_horizon = {}

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import integrate, special, stats
 
-from inflowcast.data import horizon_by_name
+from inflowcast.data import CANONICAL_HORIZONS, horizon_by_name
 from inflowcast.errors import InputError, NumericalError
 from inflowcast.verification import (
     NaoIndex,
+    _fcrpss_stat,
     bootstrap_spread,
     classify_skill,
     crps_parametric,
@@ -24,6 +25,25 @@ from inflowcast.verification import (
     stratum_mask,
 )
 from inflowcast.zaga import ZagaDistribution
+
+
+def crps_by_quadrature(mu, sigma, nu, offset, y):
+    """Integral of (F(x) - 1{x >= z})^2 on the internal axis, z = y + offset."""
+    a, theta, z = 1.0 / sigma**2, sigma**2 * mu, y + offset
+    zc = max(z, 0.0)
+
+    def cdf(x):
+        return nu + (1.0 - nu) * special.gammainc(a, x / theta)
+
+    quantiles = [special.gammaincinv(a, p) * theta for p in (1e-14, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-14)]
+    points = sorted({0.0, zc, *quantiles})
+    total = max(-z, 0.0)  # below the support F = 0, so the integrand is 1 on [z, 0]
+    for lo, hi in zip(points[:-1], points[1:]):
+        if hi <= zc:
+            total += integrate.quad(lambda x: cdf(x) ** 2, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+        else:
+            total += integrate.quad(lambda x: (1.0 - cdf(x)) ** 2, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+    return total
 
 
 def brute_force_fair_crps(members, y):
@@ -134,6 +154,37 @@ class TestParametricCrps:
             d = ZagaDistribution(mu[i], sigma[i], nu[i], off[i])
             assert_allclose(batch[i], crps_parametric(d, ys[i]), rtol=1e-12)
 
+    @given(
+        mu=st.floats(0.1, 5.0),
+        sigma=st.floats(0.05, 2.0),
+        nu=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+        offset=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        y=st.one_of(st.floats(-3.0, 8.0), st.just(None)),
+    )
+    @example(mu=1.0, sigma=0.05, nu=0.0, offset=0.0, y=1.0)
+    @example(mu=2.0, sigma=0.7, nu=0.3, offset=0.4, y=-0.4)
+    @example(mu=2.0, sigma=0.7, nu=0.3, offset=0.4, y=-2.0)
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_closed_form_matches_quadrature(self, mu, sigma, nu, offset, y):
+        y = -offset if y is None else y  # None: the observation sits on the point mass, z = 0
+        exact = crps_zaga_batch(mu, sigma, nu, offset, y)[0]
+        assert exact == pytest.approx(crps_by_quadrature(mu, sigma, nu, offset, y), rel=1e-8, abs=1e-12)
+
+    @given(
+        mu=st.floats(0.1, 5.0),
+        sigma=st.floats(0.05, 2.0),
+        nu=st.floats(0.0, 0.9),
+        offset=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_continuous_at_zero(self, mu, sigma, nu, offset):
+        # the slope is -1 below z = 0 and 2 nu - 1 just above, so a step of
+        # 1e-9 moves the score by at most 1e-9
+        at, below, above = crps_zaga_batch(mu, sigma, nu, offset, -offset + np.array([0.0, -1e-9, 1e-9]))
+        assert abs(below - at) <= 2e-9
+        assert abs(above - at) <= 2e-9
+
     def test_observation_below_support(self):
         d = ZagaDistribution(1.0, 0.7, nu=0.1, offset=0.2)
         # y below -offset: CRPS gains the |y + offset| wedge
@@ -239,6 +290,8 @@ class TestStratification:
         assert majority_month(np.datetime64("2015-03-28"), week1) == (2015, 4)
         # issue 2015-03-27: window Mar 28 .. Apr 3 -> 4 March days
         assert majority_month(np.datetime64("2015-03-27"), week1) == (2015, 3)
+        # issue 2015-03-24, two weeks: Mar 25 .. Apr 7 -> 7 days each, the earlier month wins
+        assert majority_month(np.datetime64("2015-03-24"), horizon_by_name("2week")) == (2015, 3)
 
     def test_extended_seasons(self):
         assert season_of_month(4) == "summer"
@@ -272,6 +325,35 @@ class TestStratification:
             assert pos[i] == (v > 0.4)
             assert neg[i] == (v < -0.4)
 
+    @given(
+        days=st.lists(st.integers(0, 3 * 365), min_size=1, max_size=40),
+        h_index=st.integers(0, len(CANONICAL_HORIZONS) - 1),
+        season=st.sampled_from(["all", "summer", "winter"]),
+        nao_condition=st.sampled_from(["any", "positive", "negative"]),
+        nao_months=st.dictionaries(st.integers(0, 40), st.floats(-1.5, 1.5), max_size=40),
+    )
+    @example(days=[85, 86], h_index=0, season="all", nao_condition="positive", nao_months={2: 0.5, 3: 0.5})
+    @example(days=[82], h_index=6, season="winter", nao_condition="negative", nao_months={2: -0.5})
+    @example(days=[82], h_index=6, season="all", nao_condition="positive", nao_months={3: 0.5})
+    @settings(max_examples=150, deadline=None)
+    def test_vectorised_mask_matches_majority_month_loop(self, days, h_index, season, nao_condition, nao_months):
+        # day 0 is 2015-01-01, so 85/86 are 2015-03-27/28 and 82 is 2015-03-24;
+        # months count from 2015-01, and months outside the dictionary have no NAO value
+        dates = np.datetime64("2015-01-01") + np.array(days)
+        h = CANONICAL_HORIZONS[h_index]
+        nao = NaoIndex({(2015 + m // 12, m % 12 + 1): v for m, v in nao_months.items()})
+        expected = np.ones(len(dates), dtype=bool)
+        for i, issue in enumerate(dates):
+            year, month = majority_month(issue, h)
+            value = nao.value(year, month)
+            if season != "all" and season_of_month(month) != season:
+                expected[i] = False
+            elif nao_condition != "any" and (
+                value is None or not (value > 0.4 if nao_condition == "positive" else value < -0.4)
+            ):
+                expected[i] = False
+        assert np.array_equal(stratum_mask(dates, h, season, nao_condition, nao), expected)
+
     def test_nao_required_when_filtering(self):
         with pytest.raises(InputError):
             stratum_mask(np.array([np.datetime64("2015-01-01")]), horizon_by_name("week1"), "all", "positive")
@@ -295,6 +377,30 @@ class TestBootstrap:
         r1 = bootstrap_spread(data, np.mean, n_boot=500, seed=42)
         r2 = bootstrap_spread(data, np.mean, n_boot=500, seed=42)
         assert r1 == r2
+
+    @given(
+        n=st.integers(20, 120),
+        n_boot=st.integers(2, 300),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_call_matches_row_loop(self, n, n_boot, data_seed, seed):
+        gen = np.random.default_rng(data_seed)
+        pairs = np.column_stack([gen.gamma(1.0, 0.5, n), gen.gamma(1.0, 1.0, n) + 0.1])
+
+        def loop_se(arr, statistic):
+            rows = np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
+            return np.array([statistic(arr[row]) for row in rows]).std(ddof=1)
+
+        def fcrpss_row(p):
+            return 1.0 - p[:, 0].mean() / p[:, 1].mean()
+
+        vec = bootstrap_spread(pairs, _fcrpss_stat, n_boot=n_boot, seed=seed)
+        assert_allclose(vec.se, loop_se(pairs, fcrpss_row), rtol=1e-12, atol=0)
+        assert vec.estimate == pytest.approx(fcrpss_row(pairs), rel=1e-12)
+        mean = bootstrap_spread(pairs[:, 0], np.mean, n_boot=n_boot, seed=seed)
+        assert_allclose(mean.se, loop_se(pairs[:, 0], np.mean), rtol=1e-12, atol=0)
 
     def test_skill_report_understaffed_returns_none(self):
         assert skill_report(np.ones(5), np.ones(5), "Forecast Week 1") is None
