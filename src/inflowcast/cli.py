@@ -41,7 +41,7 @@ from .telemetry import (
 )
 
 DEFAULT_CONFIG = {
-    "run": {"seed": "0", "threads": "1"},
+    "run": {"seed": "0"},
     "horizons": {"names": ",".join(h.name for h in CANONICAL_HORIZONS)},
     "cleaning": {
         "level_min": "150.0",
@@ -272,7 +272,6 @@ def cmd_train(args, cfg) -> int:
         n_starts=_getint(cfg, "emos", "starts"),
         min_cases=_getint(cfg, "emos", "min_cases"),
         seed=seed,
-        max_workers=args.threads if args.threads is not None else _getint(cfg, "run", "threads"),
     )
     iomod.write_json(out / "models.json", models.to_dict())
     write_manifest(
@@ -311,7 +310,6 @@ def cmd_verify(args, cfg) -> int:
         models,
         tables,
         predictions,
-        inflow,
         nao=nao,
         reanalysis=reanalysis,
         n_boot=_getint(cfg, "verification", "bootstrap"),
@@ -391,7 +389,6 @@ def cmd_cost_eval(args, cfg) -> int:
         models,
         tables,
         predictions,
-        inflow,
         settings,
         min_clim_years=_getint(cfg, "verification", "min_climatology_years"),
     )
@@ -499,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI config file overriding built-in defaults")
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap for fitting")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

@@ -17,5 +17,5 @@ class CurveDomainError(InputError):
     """A lookup fell outside the tabulated domain of a plant curve."""
 
 
-class LeakageError(InflowcastError):
+class LeakageError(InputError):
     """A model was about to be applied to data from its own training fold."""

@@ -175,10 +175,12 @@ def write_compensation_csv(path, schedule: CompensationSchedule) -> None:
 
 
 def read_daily_series_csv(path, value_column: str, date_column: str = "date") -> DailySeries:
-    """`<date_column>,<value_column>`; values must be finite (they may be negative)."""
+    """`<date_column>,<value_column>`; dates must increase, values must be finite (they may be negative)."""
     dates, values = [], []
     for lineno, row in _rows(Path(path), (date_column, value_column)):
         dates.append(_parse(path, lineno, row, date_column, _to_date))
+        if len(dates) > 1 and dates[-1] <= dates[-2]:
+            raise InputError(f"{path}:{lineno}: date {dates[-1]} is not after {dates[-2]}")
         values.append(_parse(path, lineno, row, value_column, float))
         if not math.isfinite(values[-1]):
             raise InputError(f"{path}:{lineno}: non-finite value {row[value_column]!r} in column {value_column!r}")
@@ -236,14 +238,19 @@ def write_reanalysis_csv(path, series: DailySeries) -> None:
 
 
 def read_nao_csv(path) -> NaoIndex:
-    """`year,month,index`."""
-    entries = {}
+    """`year,month,index`; one finite index per month."""
+    entries, lines = {}, {}
     for lineno, row in _rows(Path(path), ("year", "month", "index")):
         y = _parse(path, lineno, row, "year", int)
         m = _parse(path, lineno, row, "month", int)
         if not 1 <= m <= 12:
             raise InputError(f"{path}:{lineno}: month {m} out of range")
+        if (y, m) in lines:
+            raise InputError(f"{path}:{lineno}: month {y}-{m:02d} repeats line {lines[(y, m)]}")
         entries[(y, m)] = _parse(path, lineno, row, "index", float)
+        if not math.isfinite(entries[(y, m)]):
+            raise InputError(f"{path}:{lineno}: non-finite value {row['index']!r} in column 'index'")
+        lines[(y, m)] = lineno
     return NaoIndex(entries)
 
 

@@ -9,17 +9,16 @@ same years.
 from __future__ import annotations
 
 import datetime as dt
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .costmodel import CostCase, OperatingEnvelope
-from .data import CANONICAL_HORIZONS, HorizonSpec, horizon_average, observed_horizon_mean
+from .data import CANONICAL_HORIZONS, HorizonSpec, horizon_average
 from .emos import EmosModel, compute_feature_matrix, fit_emos
-from .errors import InputError, NumericalError
-from .regression import LinearInflowModel, run_cross_validation
-from .series import DailySeries, year_of
+from .errors import InputError, LeakageError, NumericalError
+from .regression import WEEK1, LinearInflowModel, run_cross_validation
+from .series import DailySeries
 from .splines import CyclicSplineBasis, seasonal_phase
 from .verification import (
     NaoIndex,
@@ -57,6 +56,22 @@ class HorizonCaseTable:
         return len(self.issue_dates)
 
 
+def _observed_means(series: DailySeries | None, issue_dates: np.ndarray, horizon: HorizonSpec) -> np.ndarray:
+    """Mean of ``series`` over each issue's horizon window; NaN unless every day is present."""
+    out = np.full(len(issue_dates), np.nan)
+    if series is None:
+        return out
+    n = horizon.n_days
+    lo = np.searchsorted(series.dates, issue_dates + np.timedelta64(horizon.start_day, "D"))
+    # dates strictly increase, so all n days are present iff the entry n - 1 places on is the last one
+    last = lo + n - 1
+    complete = last < len(series)
+    complete[complete] = series.dates[last[complete]] == issue_dates[complete] + np.timedelta64(horizon.end_day, "D")
+    rows = np.flatnonzero(complete)
+    out[rows] = series.values[lo[rows, None] + np.arange(n)].mean(axis=1)
+    return out
+
+
 def build_case_tables(
     issues,
     inflow: DailySeries,
@@ -64,30 +79,26 @@ def build_case_tables(
     reanalysis: DailySeries | None = None,
 ) -> dict[str, HorizonCaseTable]:
     issues = sorted(issues, key=lambda f: f.issue_date)
-    tables = {}
+    if not issues:
+        raise InputError("no forecast issues")
+    n_lead = min(f.n_lead_days for f in issues)
     for h in horizons:
-        dates = np.array([np.datetime64(f.issue_date, "D") for f in issues])
-        years = np.array([year_of(d) for d in dates])
-        members = np.stack([horizon_average(f, h) for f in issues])
-        obs = np.array(
-            [
-                np.nan if (v := observed_horizon_mean(inflow, f.issue_date, h)) is None else v
-                for f in issues
-            ]
+        if h.end_day > n_lead:
+            horizon_average(next(f for f in issues if f.n_lead_days < h.end_day), h)  # raises, naming the issue
+    dates = np.array([np.datetime64(f.issue_date, "D") for f in issues])
+    years = dates.astype("datetime64[Y]").astype(int) + 1970
+    lead_days = np.stack([f.members[:, : max((h.end_day for h in horizons), default=0)] for f in issues])
+    return {
+        h.name: HorizonCaseTable(
+            h,
+            dates,
+            years,
+            lead_days[:, :, h.start_day - 1 : h.end_day].mean(axis=2),
+            _observed_means(inflow, dates, h),
+            _observed_means(reanalysis, dates, h),
         )
-        if reanalysis is not None:
-            obs_p = np.array(
-                [
-                    np.nan
-                    if (v := observed_horizon_mean(reanalysis, f.issue_date, h)) is None
-                    else v
-                    for f in issues
-                ]
-            )
-        else:
-            obs_p = np.full(len(issues), np.nan)
-        tables[h.name] = HorizonCaseTable(h, dates, years, members, obs, obs_p)
-    return tables
+        for h in horizons
+    }
 
 
 def climatology_scores(table: HorizonCaseTable, values: np.ndarray, score, min_years: int = 3) -> np.ndarray:
@@ -164,20 +175,18 @@ def train_models(
     min_years: int = 4,
     min_pairs: int = 30,
     seed: int = 0,
-    max_workers: int = 1,
     tables: dict[str, HorizonCaseTable] | None = None,
 ) -> TrainedModels:
     """Fit the fold regressions and one EMOS model per (horizon, fold)."""
-    cv = run_cross_validation(
-        issues, inflow, horizons, member_wise=member_wise, min_years=min_years, min_pairs=min_pairs
-    )
-    basis = CyclicSplineBasis(n_knots)
     tables = tables or build_case_tables(issues, inflow, horizons)
+    week1 = tables[WEEK1.name] if WEEK1.name in tables else build_case_tables(issues, inflow, (WEEK1,))[WEEK1.name]
+    regressions = run_cross_validation(week1, member_wise=member_wise, min_years=min_years, min_pairs=min_pairs)
+    basis = CyclicSplineBasis(n_knots)
 
-    jobs = []
+    emos: dict[tuple[str, int], EmosModel] = {}
     for h_index, h in enumerate(horizons):
         table = tables[h.name]
-        for fold_year, reg in sorted(cv.models.items()):
+        for fold_year, reg in sorted(regressions.items()):
             train_mask = (
                 ~np.isnan(table.obs_inflow)
                 & (table.issue_years != fold_year)
@@ -189,40 +198,22 @@ def train_models(
                     f"cases is below the minimum of {min_cases}"
                 )
             bench = reg.slope * table.member_matrix[train_mask] + reg.intercept
-            feats = compute_feature_matrix(bench)
             fit_seed = int(np.random.SeedSequence([seed, fold_year, h_index]).generate_state(1)[0])
-            jobs.append(
-                (
-                    (h.name, fold_year),
-                    dict(
-                        features=feats,
-                        dates=table.issue_dates[train_mask],
-                        inflow_obs=table.obs_inflow[train_mask],
-                        basis=basis,
-                        horizon=h.name,
-                        fold_year=fold_year,
-                        ridge=ridge,
-                        n_starts=n_starts,
-                        min_cases=min_cases,
-                        seed=fit_seed,
-                        compute_se=False,
-                    ),
-                )
+            emos[(h.name, fold_year)] = fit_emos(
+                features=compute_feature_matrix(bench),
+                dates=table.issue_dates[train_mask],
+                inflow_obs=table.obs_inflow[train_mask],
+                basis=basis,
+                horizon=h.name,
+                fold_year=fold_year,
+                ridge=ridge,
+                n_starts=n_starts,
+                min_cases=min_cases,
+                seed=fit_seed,
+                compute_se=False,
             )
 
-    emos: dict[tuple[str, int], EmosModel] = {}
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {key: pool.submit(fit_emos, **kw) for key, kw in jobs}
-            for key, fut in futures.items():
-                emos[key] = fut.result()
-    else:
-        for key, kw in jobs:
-            emos[key] = fit_emos(**kw)
-
-    return TrainedModels(
-        regressions=cv.models, emos=emos, horizons=tuple(horizons), basis=basis
-    )
+    return TrainedModels(regressions=regressions, emos=emos, horizons=tuple(horizons), basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +282,12 @@ def predict_params(
         benchmark = np.full_like(table.member_matrix, np.nan)
         phases = seasonal_phase(table.issue_dates, models.basis.period)
         for fold_year, reg in models.regressions.items():
+            leaked = reg.training_years & {fold_year, fold_year + 1}
+            if leaked:
+                raise LeakageError(
+                    f"horizon '{h.name}' fold {fold_year}: the regression was trained on years "
+                    f"{sorted(leaked)}, which the fold must withhold"
+                )
             mask = table.issue_years == fold_year
             if not mask.any():
                 continue
@@ -379,7 +376,6 @@ def verify_skill(
     models: TrainedModels,
     tables: dict[str, HorizonCaseTable],
     predictions: dict[str, PredictedParams],
-    inflow: DailySeries,
     nao: NaoIndex | None = None,
     reanalysis: DailySeries | None = None,
     n_boot: int = 1000,
@@ -393,8 +389,8 @@ def verify_skill(
     Every case is scored against the fair CRPS of its month's climatological
     sample (``climatology_scores``: forecast year and successor excluded);
     skill reports are produced per horizon, plus season and NAO strata for the
-    calibrated forecasts.  The observations come from ``tables``; ``inflow``
-    is not read, and ``reanalysis`` only switches the precipitation scores on.
+    calibrated forecasts.  The observations come from ``tables``;
+    ``reanalysis`` only switches the precipitation scores on.
     """
     report = VerificationReport()
 
@@ -502,14 +498,12 @@ def build_cost_cases(
     models: TrainedModels,
     tables: dict[str, HorizonCaseTable],
     predictions: dict[str, PredictedParams],
-    inflow: DailySeries,
     settings: CostSettings,
     min_clim_years: int = 3,
 ) -> list[CostCase]:
     """One cost case per scored forecast, with all three competing forecasts attached.
 
-    Observations and climatology medians come from ``tables``; ``inflow`` is
-    not read.  Cases without a climatology, or whose climatological median is
+    Observations and climatology medians come from ``tables``.  Cases without a climatology, or whose climatological median is
     not positive (no planned generation to adjust against), are left out.
     """
     cases = []

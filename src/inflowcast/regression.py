@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import (
-    CANONICAL_HORIZONS,
-    EnsemblePrecipForecast,
-    HorizonSpec,
-    horizon_average,
-    observed_horizon_mean,
-)
+from .data import CANONICAL_HORIZONS, EnsemblePrecipForecast, HorizonSpec, horizon_average
 from .errors import InputError, LeakageError
-from .series import DailySeries, year_of
+from .series import year_of
+
+if TYPE_CHECKING:
+    from .pipeline import HorizonCaseTable
 
 WEEK1 = CANONICAL_HORIZONS[0]
 
@@ -93,33 +91,18 @@ def fit_week1_regression(
     )
 
 
-def build_training_pairs(
-    issues,
-    inflow: DailySeries,
-    member_wise: bool = True,
-):
-    """Week-1 (precip, observed inflow) pairs from a set of forecast issues.
+def build_training_pairs(week1: HorizonCaseTable, rows, member_wise: bool = True):
+    """Week-1 (precip, observed inflow) pairs from the selected rows of a case table.
 
     With ``member_wise`` each member's week-1 mean forms its own pair against
     the single observed inflow; otherwise one pair per issue uses the ensemble
     mean.  Issues whose observation window is incomplete are dropped.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    n_issues = 0
-    for f in issues:
-        obs = observed_horizon_mean(inflow, f.issue_date, WEEK1)
-        if obs is None:
-            continue
-        means = horizon_average(f, WEEK1)
-        n_issues += 1
-        if member_wise:
-            xs.extend(means.tolist())
-            ys.extend([obs] * len(means))
-        else:
-            xs.append(float(means.mean()))
-            ys.append(obs)
-    return np.asarray(xs), np.asarray(ys), n_issues
+    keep = rows & ~np.isnan(week1.obs_inflow)
+    precip = week1.member_matrix[keep]
+    if member_wise:
+        return precip.ravel(), np.repeat(week1.obs_inflow[keep], precip.shape[1])
+    return precip.mean(axis=1), week1.obs_inflow[keep]
 
 
 def generate_benchmark(
@@ -138,50 +121,29 @@ def generate_benchmark(
     return BenchmarkEnsembleForecast(forecast.issue_date, horizon, members)
 
 
-@dataclass
-class CrossValidationResult:
-    models: dict[int, LinearInflowModel]  # keyed by forecast year
-    forecasts: list[BenchmarkEnsembleForecast]
-
-    def forecasts_for(self, horizon: HorizonSpec) -> list[BenchmarkEnsembleForecast]:
-        return [f for f in self.forecasts if f.horizon.name == horizon.name]
-
-
 def run_cross_validation(
-    issues,
-    inflow: DailySeries,
-    horizons=CANONICAL_HORIZONS,
+    week1: HorizonCaseTable,
     member_wise: bool = True,
     min_years: int = 4,
     min_pairs: int = 30,
-) -> CrossValidationResult:
-    """Out-of-sample benchmark forecasts for every issue, year by year.
+) -> dict[int, LinearInflowModel]:
+    """One week-1 regression per forecast year, keyed by that year.
 
-    For each forecast year Y one regression is fitted on all other years
-    except Y and Y+1, then applied to every issue of Y for all horizons.
+    For each forecast year Y the line is fitted on the Forecast Week 1 case
+    table without the issues of Y and Y+1.
     """
-    issues = sorted(issues, key=lambda f: f.issue_date)
-    issue_years = sorted({year_of(f.issue_date) for f in issues})
-    if len(issue_years) < min_years:
-        raise InputError(f"cross-validation needs at least {min_years} years, got {len(issue_years)}")
+    years = week1.issue_years
+    fold_years = np.unique(years).tolist()
+    if len(fold_years) < min_years:
+        raise InputError(f"cross-validation needs at least {min_years} years, got {len(fold_years)}")
 
     models: dict[int, LinearInflowModel] = {}
-    forecasts: list[BenchmarkEnsembleForecast] = []
-    for fold_year in issue_years:
-        train_issues = [
-            f for f in issues if year_of(f.issue_date) not in (fold_year, fold_year + 1)
-        ]
-        training_years = sorted({year_of(f.issue_date) for f in train_issues})
-        x, y, _ = build_training_pairs(train_issues, inflow, member_wise=member_wise)
+    for fold_year in fold_years:
+        train = (years != fold_year) & (years != fold_year + 1)
+        x, y = build_training_pairs(week1, train, member_wise=member_wise)
         if len(x) < min_pairs:
             raise InputError(
                 f"fold {fold_year}: only {len(x)} training pairs (minimum {min_pairs})"
             )
-        model = fit_week1_regression(x, y, training_years, min_pairs=min_pairs)
-        models[fold_year] = model
-        for f in issues:
-            if year_of(f.issue_date) != fold_year:
-                continue
-            for h in horizons:
-                forecasts.append(generate_benchmark(f, h, model))
-    return CrossValidationResult(models=models, forecasts=forecasts)
+        models[fold_year] = fit_week1_regression(x, y, np.unique(years[train]).tolist(), min_pairs=min_pairs)
+    return models

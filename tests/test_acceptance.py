@@ -262,7 +262,6 @@ def test_skill_decay_reproduction(pipeline10):
         models,
         tables,
         predictions,
-        scenario.inflow,
         nao=scenario.nao,
         n_boot=1000,
         seed=0,
@@ -371,7 +370,7 @@ def test_value_ordering(pipeline10):
     scenario, tables, models, predictions = pipeline10
     settings = CostSettings()
     cases = build_cost_cases(
-        models, tables, predictions, scenario.inflow,
+        models, tables, predictions,
         settings,
     )
     differentials = tuple(range(5, 101, 5))

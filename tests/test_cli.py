@@ -173,25 +173,6 @@ class TestReconstructCommand:
         assert abs(sum(values) / len(values) - 1.0) < 1e-9
 
 
-class TestThreads:
-    def test_threaded_training_matches_serial(self, run_dir, config_file, tmp_path):
-        outs = []
-        for threads, name in ((1, "t1"), (3, "t3")):
-            out = tmp_path / name
-            rc = main(
-                [
-                    "--config", config_file, "--seed", "5", "--threads", str(threads),
-                    "train",
-                    "--inflow", str(run_dir / "inflow.csv"),
-                    "--ensemble", str(run_dir / "ensemble.csv"),
-                    "--out", str(out),
-                ]
-            )
-            assert rc == 0
-            outs.append((out / "models.json").read_bytes())
-        assert outs[0] == outs[1]
-
-
 class TestErrorPaths:
     def test_missing_model_artifact_exits_2(self, run_dir, tmp_path, capsys):
         rc = main(
@@ -257,7 +238,7 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["cost-eval", "train"])
-    @pytest.mark.parametrize("probe", ["ragged_members", "nan_precipitation", "nan_inflow"])
+    @pytest.mark.parametrize("probe", ["ragged_members", "nan_precipitation", "nan_inflow", "repeated_inflow_date"])
     def test_malformed_input_exits_2_with_location(self, run_dir, tmp_path, capsys, probe, command):
         inflow = (run_dir / "inflow.csv").read_text().splitlines()
         ensemble = (run_dir / "ensemble.csv").read_text().splitlines()
@@ -269,9 +250,12 @@ class TestErrorPaths:
         elif probe == "nan_precipitation":
             ensemble[7] = ensemble[7].rsplit(",", 1)[0] + ",nan"
             expected = f"{tmp_path / 'ensemble.csv'}:8: precipitation must be finite"
-        else:
+        elif probe == "nan_inflow":
             inflow[7] = inflow[7].split(",")[0] + ",nan"
             expected = f"{tmp_path / 'inflow.csv'}:8: non-finite value 'nan'"
+        else:
+            inflow[7] = inflow[6]
+            expected = f"{tmp_path / 'inflow.csv'}:8: date {inflow[6].split(',')[0]} is not after {inflow[6].split(',')[0]}"
         (tmp_path / "inflow.csv").write_text("\n".join(inflow) + "\n")
         (tmp_path / "ensemble.csv").write_text("\n".join(ensemble) + "\n")
         data = ["--inflow", str(tmp_path / "inflow.csv"), "--ensemble", str(tmp_path / "ensemble.csv")]
@@ -307,6 +291,26 @@ class TestErrorPaths:
         assert rc == 3
         assert f"horizon '{bad['horizon']}' fold {bad['fold_year']}" in err
         assert expected in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["forecast", "verify", "cost-eval"])
+    def test_leaky_model_exits_2_naming_the_fold(self, run_dir, tmp_path, capsys, command):
+        models = json.loads((run_dir / "models.json").read_text())
+        fold = min(models["regressions"], key=int)
+        models["regressions"][fold]["training_years"].append(int(fold) + 1)  # the withheld successor year
+        (tmp_path / "models.json").write_text(json.dumps(models))
+        rc = main(
+            [
+                command,
+                "--models", str(tmp_path / "models.json"),
+                "--inflow", str(run_dir / "inflow.csv"),
+                "--ensemble", str(run_dir / "ensemble.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"fold {fold}: the regression was trained on years [{int(fold) + 1}]" in err
         assert "Traceback" not in err
 
     def test_missing_config_file_exits_2(self, tmp_path):

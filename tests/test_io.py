@@ -285,6 +285,15 @@ class TestDailySeriesCsv:
         with pytest.raises(InputError, match=rf"^{path}:3: negative precipitation rate '-0.2'"):
             iomod.read_reanalysis_csv(path)
 
+    @pytest.mark.parametrize("reader", ["read_inflow_csv", "read_reanalysis_csv"])
+    @pytest.mark.parametrize("second", ["2015-01-02", "2015-01-01"])
+    def test_repeated_or_reversed_date_names_its_line(self, tmp_path, reader, second):
+        column = "inflow_norm" if reader == "read_inflow_csv" else "precip_mm_day"
+        path = tmp_path / "series.csv"
+        path.write_text(f"date,{column}\n2015-01-01,0.5\n2015-01-02,0.5\n\n{second},0.5\n")
+        with pytest.raises(InputError, match=rf"^{path}:5: date {second} is not after 2015-01-02$"):
+            getattr(iomod, reader)(path)
+
     def test_negative_inflow_accepted(self, tmp_path):
         path = tmp_path / "inflow.csv"
         path.write_text("date,inflow_norm\n2015-01-01,-0.25\n")
@@ -306,6 +315,19 @@ class TestMiscCsv:
         assert back.value(2015, 1) == 0.5
         assert back.value(2015, 2) == -0.8
         assert back.value(2014, 12) is None
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_nao_non_finite_index_names_its_line(self, tmp_path, raw):
+        path = tmp_path / "nao.csv"
+        path.write_text(f"year,month,index\n2015,1,0.5\n2015,2,{raw}\n")
+        with pytest.raises(InputError, match=rf"^{path}:3: non-finite value '{raw}' in column 'index'$"):
+            iomod.read_nao_csv(path)
+
+    def test_nao_repeated_month_names_both_lines(self, tmp_path):
+        path = tmp_path / "nao.csv"
+        path.write_text("year,month,index\n2015,1,0.5\n2015,2,0.1\n2015,1,-0.8\n")
+        with pytest.raises(InputError, match=rf"^{path}:4: month 2015-01 repeats line 2$"):
+            iomod.read_nao_csv(path)
 
     def test_float_round_trip_exact(self, tmp_path):
         vals = [0.1, 1 / 3, 2.0000000000000004, 1e-17]

@@ -1,9 +1,19 @@
+import datetime as dt
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from inflowcast.data import CANONICAL_HORIZONS, build_climatology, horizon_by_name, observed_horizon_mean
+from inflowcast.data import (
+    CANONICAL_HORIZONS,
+    EnsemblePrecipForecast,
+    build_climatology,
+    horizon_average,
+    horizon_by_name,
+    observed_horizon_mean,
+)
 from inflowcast.errors import InputError
 from inflowcast.pipeline import (
     HorizonCaseTable,
@@ -17,7 +27,8 @@ from inflowcast.pipeline import (
     train_models,
     verify_skill,
 )
-from inflowcast.series import DailySeries
+from inflowcast.regression import WEEK1, fit_week1_regression
+from inflowcast.series import DailySeries, year_of
 from inflowcast.verification import fair_crps_sample
 
 HORIZONS = (horizon_by_name("week1"), horizon_by_name("week2"), horizon_by_name("2week"))
@@ -29,6 +40,99 @@ def trained(scenario5):
     models = train_models(scenario5.forecasts, scenario5.inflow, HORIZONS, tables=tables, seed=3)
     predictions = predict_params(models, tables)
     return scenario5, tables, models, predictions
+
+
+def gappy_series(gen, days, n_gaps):
+    keep = np.ones(len(days), dtype=bool)
+    for start in gen.integers(0, len(days), n_gaps):
+        keep[start : start + gen.integers(1, 60)] = False  # unobserved spells
+    return DailySeries(days[keep], gen.normal(1.0, 1.0, keep.sum()))
+
+
+def observed_or_nan(series, issue_date, horizon):
+    mean = observed_horizon_mean(series, issue_date, horizon)
+    return np.nan if mean is None else mean
+
+
+class TestCaseTables:
+    """``build_case_tables`` against a per-issue ``horizon_average`` / ``observed_horizon_mean`` loop."""
+
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        h_indices=st.lists(st.integers(0, len(CANONICAL_HORIZONS) - 1), min_size=1, unique=True),
+        n_issues=st.integers(1, 40),
+        n_members=st.integers(2, 4),
+        min_lead=st.sampled_from([30, 42]),
+        n_gaps=st.integers(0, 8),
+        with_reanalysis=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_per_issue_loop(
+        self, data_seed, h_indices, n_issues, n_members, min_lead, n_gaps, with_reanalysis
+    ):
+        gen = np.random.default_rng(data_seed)
+        horizons = tuple(CANONICAL_HORIZONS[i] for i in h_indices)
+        days = np.arange(np.datetime64("2009-11-01"), np.datetime64("2012-03-01"))
+        inflow = gappy_series(gen, days, n_gaps)
+        reanalysis = gappy_series(gen, days, n_gaps) if with_reanalysis else None
+        issue_days = gen.choice(days[: -50], n_issues, replace=False)  # a random subset, unsorted
+        issues = [
+            EnsemblePrecipForecast(
+                day.astype(dt.date), gen.gamma(1.0, 2.0, (n_members, gen.integers(min_lead, 47)))
+            )
+            for day in issue_days
+        ]
+
+        ordered = sorted(issues, key=lambda f: f.issue_date)
+        try:
+            members = {h.name: np.stack([horizon_average(f, h) for f in ordered]) for h in horizons}
+        except InputError as exc:  # an issue is shorter than a horizon
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                build_case_tables(issues, inflow, horizons, reanalysis=reanalysis)
+            return
+        tables = build_case_tables(issues, inflow, horizons, reanalysis=reanalysis)
+
+        dates = np.array([np.datetime64(f.issue_date, "D") for f in ordered])
+        assert list(tables) == [h.name for h in horizons]
+        for h in horizons:
+            table = tables[h.name]
+            inflow_obs = np.array([observed_or_nan(inflow, d, h) for d in dates])
+            precip_obs = np.array([observed_or_nan(reanalysis, d, h) if reanalysis else np.nan for d in dates])
+            expected = (dates, np.array([year_of(d) for d in dates]), members[h.name], inflow_obs, precip_obs)
+            got = (table.issue_dates, table.issue_years, table.member_matrix, table.obs_inflow, table.obs_precip)
+            for want, have in zip(expected, got):
+                assert (have.dtype, have.shape) == (want.dtype, want.shape)
+                assert have.tobytes() == want.tobytes()
+
+
+class TestFoldRegressions:
+    @pytest.mark.parametrize("member_wise", [True, False])
+    def test_equal_to_fit_on_per_issue_pairs(self, scenario5, member_wise):
+        dates = scenario5.inflow.dates
+        # random gaps, and a year without one observed window, which still counts as a training year
+        keep = np.random.default_rng(8).random(len(dates)) > 0.02
+        keep &= dates.astype("datetime64[Y]") != np.datetime64("2011")
+        inflow = DailySeries(dates[keep], scenario5.inflow.values[keep])
+        # trained on Forecast Week 2 only: the Week-1 table is built inside
+        models = train_models(
+            scenario5.forecasts, inflow, (horizon_by_name("week2"),), member_wise=member_wise, n_starts=1
+        )
+        issues = sorted(scenario5.forecasts, key=lambda f: f.issue_date)
+        years = [year_of(f.issue_date) for f in issues]
+        assert sorted(models.regressions) == sorted(set(years))
+        assert 2011 in set(years)
+        for fold_year, model in models.regressions.items():
+            x, y = [], []
+            for f, year in zip(issues, years):
+                obs = observed_horizon_mean(inflow, f.issue_date, WEEK1)
+                if year in (fold_year, fold_year + 1) or obs is None:
+                    continue
+                means = horizon_average(f, WEEK1)
+                x.extend(means.tolist() if member_wise else [float(means.mean())])
+                y.extend([obs] * (len(means) if member_wise else 1))
+            training_years = set(years) - {fold_year, fold_year + 1}
+            assert model == fit_week1_regression(x, y, training_years)
+            assert not {fold_year, fold_year + 1} & model.training_years
 
 
 class TestTraining:
@@ -101,7 +205,6 @@ def report(trained):
         models,
         tables,
         predictions,
-        scenario.inflow,
         nao=scenario.nao,
         reanalysis=scenario.precip,
         n_boot=150,
@@ -125,13 +228,10 @@ class TestClimatologyMask:
         gen = np.random.default_rng(data_seed)
         h = CANONICAL_HORIZONS[h_index]
         days = np.arange(np.datetime64("2009-01-01"), np.datetime64(f"{2009 + n_years}-02-15"))
-        keep = np.ones(len(days), dtype=bool)
-        for start in gen.integers(0, len(days), n_gaps):
-            keep[start : start + gen.integers(1, 60)] = False  # unobserved spells
-        series = DailySeries(days[keep], gen.normal(1.0, 1.0, keep.sum()))
+        series = gappy_series(gen, days, n_gaps)
         issues = days[: -h.end_day][::3]
         issues = issues[gen.random(len(issues)) < issue_share]
-        obs = np.array([np.nan if (v := observed_horizon_mean(series, d, h)) is None else v for d in issues])
+        obs = np.array([observed_or_nan(series, d, h) for d in issues])
         years = issues.astype("datetime64[Y]").astype(int) + 1970
         table = HorizonCaseTable(h, issues, years, np.zeros((len(issues), 2)), obs, np.full(len(issues), np.nan))
 
@@ -202,7 +302,7 @@ class TestSkillLimits:
         models = train_models(scenario.forecasts, scenario.inflow, horizons, tables=tables, seed=1)
         predictions = predict_params(models, tables)
         rep = verify_skill(
-            models, tables, predictions, scenario.inflow,
+            models, tables, predictions,
             n_boot=300, seed=2,
         )
         return [rep.lookup("inflow_emos", h.name) for h in horizons]
@@ -222,7 +322,7 @@ class TestCostCases:
         scenario, tables, models, predictions = trained
         settings = CostSettings(energy_per_inflow_day=10.0)
         cases = build_cost_cases(
-            models, tables, predictions, scenario.inflow,
+            models, tables, predictions,
             settings,
         )
         assert cases

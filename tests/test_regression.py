@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from inflowcast.data import CANONICAL_HORIZONS, EnsemblePrecipForecast, horizon_by_name
+from inflowcast.data import EnsemblePrecipForecast, horizon_by_name
 from inflowcast.errors import InputError, LeakageError
+from inflowcast.pipeline import build_case_tables
 from inflowcast.regression import (
+    WEEK1,
     build_training_pairs,
     fit_week1_regression,
     generate_benchmark,
     run_cross_validation,
 )
 from inflowcast.series import DailySeries, year_of
+
+
+def week1_table(issues, inflow):
+    return build_case_tables(issues, inflow, (WEEK1,))[WEEK1.name]
 
 
 class TestFit:
@@ -110,16 +116,14 @@ class TestGenerateBenchmark:
 
 class TestCrossValidation:
     def test_fold_exclusion_and_leakage_guard(self, scenario5):
-        cv = run_cross_validation(scenario5.forecasts, scenario5.inflow, CANONICAL_HORIZONS[:2])
-        years = sorted(cv.models)
+        models = run_cross_validation(week1_table(scenario5.forecasts, scenario5.inflow))
+        years = sorted(models)
         assert len(years) == 5
-        for fold_year, model in cv.models.items():
+        for fold_year, model in models.items():
             assert fold_year not in model.training_years
             assert fold_year + 1 not in model.training_years
-        for bench in cv.forecasts:
-            fold_year = year_of(np.datetime64(bench.issue_date))
-            model = cv.models[fold_year]
-            assert not ({fold_year, fold_year + 1} & model.training_years)
+        for f in scenario5.forecasts:  # the leakage guard accepts every issue's own fold model
+            generate_benchmark(f, WEEK1, models[year_of(np.datetime64(f.issue_date))])
 
     def test_identical_years_give_identical_models(self):
         # replicate one synthetic year of data across five years
@@ -142,18 +146,18 @@ class TestCrossValidation:
             inflow_dates.extend(days[keep])
             inflow_vals.extend(base_inflow[: keep.sum()])
         inflow = DailySeries(np.array(inflow_dates), inflow_vals)
-        cv = run_cross_validation(issues, inflow, CANONICAL_HORIZONS[:1], min_pairs=20)
+        models = run_cross_validation(week1_table(issues, inflow), min_pairs=20)
         # every fold sees the same pair multiset up to replication, and
         # replicating pairs leaves least squares unchanged
-        slopes = [m.slope for m in cv.models.values()]
-        intercepts = [m.intercept for m in cv.models.values()]
+        slopes = [m.slope for m in models.values()]
+        intercepts = [m.intercept for m in models.values()]
         assert_allclose(slopes, slopes[0], rtol=1e-9)
         assert_allclose(intercepts, intercepts[0], rtol=1e-9)
 
     def test_fold_assembly_matches_filter_oracle(self, scenario5):
-        cv = run_cross_validation(scenario5.forecasts, scenario5.inflow, CANONICAL_HORIZONS[:1])
+        models = run_cross_validation(week1_table(scenario5.forecasts, scenario5.inflow))
         all_years = sorted({year_of(np.datetime64(f.issue_date)) for f in scenario5.forecasts})
-        for fold_year, model in cv.models.items():
+        for fold_year, model in models.items():
             expected = {y for y in all_years if y not in (fold_year, fold_year + 1)}
             assert model.training_years == expected
 
@@ -165,14 +169,16 @@ class TestCrossValidation:
         dates = np.arange(np.datetime64("2015-01-01"), np.datetime64("2016-06-01"))
         inflow = DailySeries(dates, rng.gamma(2.0, 0.5, len(dates)))
         with pytest.raises(InputError):
-            run_cross_validation(issues, inflow, CANONICAL_HORIZONS[:1])
+            run_cross_validation(week1_table(issues, inflow))
 
 
 class TestTrainingPairs:
     def test_member_wise_vs_ensemble_mean_counts(self, scenario5):
         issues = scenario5.forecasts[:80]
-        x_m, y_m, n_issues = build_training_pairs(issues, scenario5.inflow, member_wise=True)
-        x_e, y_e, _ = build_training_pairs(issues, scenario5.inflow, member_wise=False)
+        table = week1_table(issues, scenario5.inflow)
+        rows = np.ones(len(table), dtype=bool)
+        x_m, y_m = build_training_pairs(table, rows, member_wise=True)
+        x_e, y_e = build_training_pairs(table, rows, member_wise=False)
         k = issues[0].n_members
         assert len(x_m) == k * len(x_e)
         # ensemble-mean pairs are the member-wise means per issue
