@@ -55,7 +55,7 @@ DEFAULT_CONFIG = {
         "knots": "6",
         "ridge": "1e-6",
         "starts": "3",
-        "max_iterations": "1000",
+        "max_iterations": "1000",  # accepted and ignored: the Newton fit needs no budget
         "min_cases": "100",
         "member_wise": "true",
     },

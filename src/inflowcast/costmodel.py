@@ -302,14 +302,17 @@ def optimal_adjustment(
 
     The objective is piecewise linear in the adjustment, so evaluating every
     breakpoint is exact; ties resolve to the smallest-magnitude adjustment.
-    ``atoms`` may carry a precomputed ``forecast_atoms`` result for reuse
-    across price configurations.
+    The objective is ``differential * F(A) + peak * E[spill]``; candidates
+    within 1e-9 (1 + |F|) of the best F tie, so the decision does not depend
+    on the prices.  ``atoms`` may carry a precomputed ``forecast_atoms``
+    result for reuse across price configurations.
     """
     values, weights = atoms if atoms is not None else forecast_atoms(forecast, env, n_nodes)
     cand = _breakpoints(values, env)
     obj = _expected_objective(cand, values, weights, env, prices)
     best = obj.min()
-    tol = 1e-9 * (1.0 + abs(best))
+    spill_cost = prices.peak * float(np.maximum(0.0, values - env.capacity_energy) @ weights)
+    tol = 1e-9 * (prices.differential + abs(best - spill_cost))
     tied = cand[obj <= best + tol]
     a_star = float(min(tied, key=lambda a: (abs(a), a > 0)))
     cost = stage1_cost(a_star, env, prices) + float(
@@ -471,11 +474,9 @@ def _decide_block(values: np.ndarray, weights: np.ndarray, env: OperatingEnvelop
 def optimal_adjustments(cases, forecast_type: str, n_nodes: int = 256) -> np.ndarray:
     """Batched ``optimal_adjustment``: the optimal adjustment of every case, at any price.
 
-    Same candidates and tie-break as ``optimal_adjustment`` (smallest |A|,
-    then negative first), over the price-free objective, in blocks of cases
-    so that no temporary grows past about 1 MB.  Ties are within 1e-9 of that
-    objective, where ``optimal_adjustment`` takes them within 1e-9 of the
-    priced one; the two differ only on candidates that close to the optimum.
+    Same candidates, ties and tie-break as ``optimal_adjustment`` (smallest
+    |A|, then negative first), over the price-free objective, in blocks of
+    cases so that no temporary grows past about 1 MB.
     """
     cases = list(cases)
     envelopes = [c.envelope for c in cases]

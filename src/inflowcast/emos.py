@@ -12,6 +12,10 @@ log / log / logit links:
 Observed inflows are shifted by the largest negative training inflow before
 fitting so the gamma support applies; the fitted offset is carried by every
 predicted distribution and subtracted again at evaluation time.
+
+The coefficients maximise the ridge-penalised log-likelihood by a damped,
+projected Newton ascent on its exact (closed-form) information matrix, from
+several starts.
 """
 
 from __future__ import annotations
@@ -175,6 +179,55 @@ def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
     return float(ll.sum()) - penalty, grad
 
 
+def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: bool = False) -> np.ndarray:
+    """Minus the Hessian of the penalised log-likelihood (the observed information).
+
+    With shape a = sigma^-2, r = y / scale and L = log(y) - log(scale) -
+    digamma(a), a positive observation adds to the (eta_mu, eta_sigma) block
+
+        [[ r,          2 (r - a)                                 ],
+         [ 2 (r - a),  4 r - 4 a L - 8 a + 4 a^2 trigamma(a)     ]]
+
+    and every observation adds nu (1 - nu) to the separable logit(nu) block;
+    the ridge adds 2 * ridge on the spline coefficients.  ``expected=True``
+    gives the block-diagonal Fisher information instead, the expectation given
+    a positive observation (r -> a, L -> 0): a for mu, 4 a (a trigamma(a) - 1)
+    for sigma, no mu-sigma block.  It is positive definite wherever the
+    design is of full rank.
+    """
+    theta = np.asarray(theta, dtype=float)
+    y = np.asarray(y, dtype=float)
+    b1, b2, b3 = design.split(theta)
+    pos = y > 0.0
+    x1 = design.x_mu[pos]
+    x2 = design.x_sigma[pos]
+    yp = y[pos]
+    eta2 = x2 @ b2
+    a = np.exp(-2.0 * eta2)
+    log_s = 2.0 * eta2 + x1 @ b1
+    a_trigamma = a * special.polygamma(1, a)
+    if expected:
+        w11, w12, w22 = a, None, 4.0 * a * (a_trigamma - 1.0)
+    else:
+        r = yp * np.exp(-log_s)
+        big_l = np.log(yp) - log_s - special.digamma(a)
+        w11, w12 = r, 2.0 * (r - a)
+        w22 = 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * a_trigamma
+    nu = special.expit(design.x_nu @ b3)
+
+    p1, p2 = x1.shape[1], x2.shape[1]
+    info = np.zeros((design.n_params, design.n_params))
+    info[:p1, :p1] = x1.T @ (w11[:, None] * x1)
+    info[p1 : p1 + p2, p1 : p1 + p2] = x2.T @ (w22[:, None] * x2)
+    if w12 is not None:
+        info[:p1, p1 : p1 + p2] = x1.T @ (w12[:, None] * x2)
+        info[p1 : p1 + p2, :p1] = info[:p1, p1 : p1 + p2].T
+    info[p1 + p2 :, p1 + p2 :] = design.x_nu.T @ ((nu * (1.0 - nu))[:, None] * design.x_nu)
+    mask = design.spline_mask()
+    info[mask, mask] += 2.0 * ridge
+    return info
+
+
 # ---------------------------------------------------------------------------
 # fitted model
 # ---------------------------------------------------------------------------
@@ -276,6 +329,68 @@ def _initial_theta(design: EmosDesign, y: np.ndarray) -> np.ndarray:
     return theta
 
 
+# box on every coefficient, Newton steps per start, step halvings per step
+_BOUND = 40.0
+_MAX_STEPS = 100
+_MAX_HALVINGS = 60
+# a start has converged when the Newton decrement, twice the log-likelihood
+# gain the quadratic model still expects, is below this share of |loglik|
+_DECREMENT_TOL = 1e-11
+
+
+def _newton_direction(theta, grad, move, design, y, ridge) -> np.ndarray:
+    """Newton step over the ``move`` coordinates, zero elsewhere.
+
+    Uses the observed information where it is positive definite, and the
+    block-diagonal Fisher information otherwise; its pseudo-inverse leaves
+    out the directions a collinear design does not identify.
+    """
+    sub = np.ix_(move, move)
+    step = np.zeros_like(theta)
+    try:
+        chol = np.linalg.cholesky(information(theta, design, y, ridge)[sub])
+        step[move] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[move]))
+    except np.linalg.LinAlgError:
+        fisher = information(theta, design, y, ridge, expected=True)[sub]
+        step[move] = np.linalg.pinv(fisher, hermitian=True) @ grad[move]
+    return step
+
+
+def _newton_ascent(theta, free, design, y, ridge):
+    """Damped, projected Newton ascent over the ``free`` coordinates in the box.
+
+    A coordinate on a bound whose gradient, or whose Newton step, points out
+    of the box stays on the bound for that step.  Each step is halved until
+    the log-likelihood does not fall.  Returns the final coefficients, or
+    None when the start does not converge.
+    """
+    ll, grad = loglik_and_gradient(theta, design, y, ridge=ridge)
+    if not np.isfinite(ll):
+        return None
+    for _ in range(_MAX_STEPS):
+        lower, upper = theta <= -_BOUND, theta >= _BOUND
+        move = free & ~(lower & (grad < 0)) & ~(upper & (grad > 0))
+        while True:
+            step = _newton_direction(theta, grad, move, design, y, ridge)
+            outward = (lower & (step < 0)) | (upper & (step > 0))
+            if not outward.any():
+                break
+            move &= ~outward
+        if float(grad @ step) <= _DECREMENT_TOL * (1.0 + abs(ll)):
+            return theta
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(theta + t * step, -_BOUND, _BOUND)
+            ll_trial, grad_trial = loglik_and_gradient(trial, design, y, ridge=ridge)
+            if ll_trial >= ll:
+                break
+            t *= 0.5
+        else:
+            return None
+        theta, ll, grad = trial, ll_trial, grad_trial
+    return None
+
+
 def fit_emos(
     features: np.ndarray,
     dates,
@@ -286,19 +401,15 @@ def fit_emos(
     ridge: float = 1e-6,
     n_starts: int = 3,
     min_cases: int = 100,
-    max_iter: int = 1000,
     seed: int = 0,
     compute_se: bool = True,
 ) -> EmosModel:
-    """Maximum-penalised-likelihood fit with a multi-start quasi-Newton ascent.
+    """Maximum-penalised-likelihood fit by multi-start, damped, projected Newton ascent.
 
     ``inflow_obs`` are raw (possibly negative) observed inflows; the offset
     that makes the training minimum exactly zero is applied internally.
+    Every coefficient is kept in [-40, 40].
     """
-    # imported here because only training needs it: at module level every
-    # command that imports this module would pay its import time and memory
-    from scipy import optimize
-
     basis = basis or CyclicSplineBasis()
     features = np.asarray(features, dtype=float)
     y_raw = np.asarray(inflow_obs, dtype=float)
@@ -313,26 +424,28 @@ def fit_emos(
 
     # without any zero observations the zero-mass submodel sits on its boundary
     # (nu -> 0); pin it there instead of letting the optimiser crawl to -inf
-    has_zeros = bool((y <= 0).any())
-    n_free = design.n_params if has_zeros else design.n_params - design.x_nu.shape[1]
-    pinned_b3 = np.array([-30.0, 0.0])
-
-    def expand(theta_free):
-        if has_zeros:
-            return theta_free
-        return np.concatenate([theta_free, pinned_b3])
-
-    def objective(theta_free):
-        ll, grad = loglik_and_gradient(expand(theta_free), design, y, ridge=ridge)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros(n_free)
-        return -ll, -grad[:n_free]
+    pos = y > 0.0
+    n_nu = design.x_nu.shape[1]
+    pinned = np.zeros(design.n_params)
+    varied = np.ones(design.n_params, dtype=bool)  # the coordinates the starts perturb
+    if pos.all():
+        varied[-n_nu:] = False
+        pinned[-n_nu:] = (-30.0, 0.0)
+    # a coefficient whose design column is zero on every case that informs it
+    # (the positive observations for mu and sigma, all cases for nu) leaves the
+    # likelihood flat; pin it at 0 rather than keep whatever the start gave it
+    informed = np.concatenate(
+        [(design.x_mu[pos] != 0).any(axis=0), (design.x_sigma[pos] != 0).any(axis=0), (design.x_nu != 0).any(axis=0)]
+    )
+    free = informed & varied
 
     rng = np.random.default_rng(seed)
-    theta0 = _initial_theta(design, y)[:n_free]
+    theta0 = np.where(free, _initial_theta(design, y), pinned)
     starts = [theta0]
     for _ in range(n_starts - 1):
-        starts.append(theta0 + rng.normal(0.0, 0.3, size=n_free))
+        start = theta0.copy()
+        start[varied] += rng.normal(0.0, 0.3, size=int(varied.sum()))
+        starts.append(np.where(free, start, pinned))
 
     def polish(theta_full):
         """Shift the flat direction (constant seasonal term vs intercept) to the ridge optimum.
@@ -350,36 +463,22 @@ def fit_emos(
             out[intercept] += shift
         return out
 
-    bounds = [(-40.0, 40.0)] * n_free
     candidates = []
     for start in starts:
-        res = optimize.minimize(
-            objective,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": max_iter, "maxfun": 10 * max_iter, "ftol": 1e-14, "gtol": 1e-9},
-        )
-        if not np.isfinite(res.fun):
-            continue
-        # a line-search abort at rounding precision is still a converged fit;
-        # the bound is the gradient level of starts L-BFGS reports as converged
-        acceptable = res.success or (res.status == 2 and np.max(np.abs(res.jac)) <= 1e-4)
-        if acceptable:
-            theta_full = polish(expand(res.x))
+        fitted = _newton_ascent(start, free, design, y, ridge)
+        if fitted is not None:
+            theta_full = polish(fitted)
             ll, _ = loglik_and_gradient(theta_full, design, y, ridge=ridge)
-            candidates.append((ll, theta_full, res))
+            candidates.append((ll, theta_full))
     if not candidates:
         raise NumericalError(
-            f"EMOS fit did not converge for horizon {horizon!r} (fold {fold_year!r}) "
-            f"after {n_starts} starts and {max_iter} iterations"
+            f"EMOS fit did not converge for horizon {horizon!r} (fold {fold_year!r}) after {n_starts} starts"
         )
-    best_ll, theta_hat, _ = max(candidates, key=lambda c: c[0])
+    best_ll, theta_hat = max(candidates, key=lambda c: c[0])
 
     se = None
     if compute_se:
-        se = _standard_errors(theta_hat, design, y, ridge)
+        se = _standard_errors(theta_hat, free, design, y, ridge)
 
     b1, b2, b3 = design.split(theta_hat)
     return EmosModel(
@@ -397,25 +496,13 @@ def fit_emos(
     )
 
 
-def _standard_errors(theta: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Observed-information standard errors via central differences of the gradient."""
-    p = len(theta)
-    hess = np.empty((p, p))
-    for j in range(p):
-        h = 1e-5 * (1.0 + abs(theta[j]))
-        tp = theta.copy()
-        tp[j] += h
-        tm = theta.copy()
-        tm[j] -= h
-        _, gp = loglik_and_gradient(tp, design, y, ridge)
-        _, gm = loglik_and_gradient(tm, design, y, ridge)
-        hess[:, j] = (gp - gm) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
-    info = -hess  # observed information of the penalised log-likelihood
+def _standard_errors(theta: np.ndarray, free: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
+    """Standard errors from the observed information over the free coefficients; NaN for pinned ones."""
+    se = np.full(len(theta), np.nan)
     try:
-        cov = np.linalg.pinv(info)
+        cov = np.linalg.pinv(information(theta, design, y, ridge)[np.ix_(free, free)])
     except np.linalg.LinAlgError:
-        return np.full(p, np.nan)
-    diag = np.diag(cov).copy()
-    diag[diag < 0] = np.nan
-    return np.sqrt(diag)
+        return se
+    diag = np.diag(cov)
+    se[free] = np.sqrt(np.where(diag < 0, np.nan, diag))
+    return se

@@ -61,6 +61,13 @@ def _parse(path: Path, lineno: int, row: dict, column: str, conv):
         raise InputError(f"{path}:{lineno}: bad value {raw!r} in column {column!r}") from None
 
 
+def _parse_finite(path: Path, lineno: int, row: dict, column: str) -> float:
+    value = _parse(path, lineno, row, column, float)
+    if not math.isfinite(value):
+        raise InputError(f"{path}:{lineno}: non-finite value {row[column]!r} in column {column!r}")
+    return value
+
+
 def _to_date(raw: str) -> np.datetime64:
     return np.datetime64(dt.date.fromisoformat(raw.strip()), "D")
 
@@ -110,6 +117,8 @@ def read_grid_table_csv(path) -> GridTable:
             levels = [float(c) for c in header[1:]]
         except ValueError:
             raise InputError(f"{path}:1: level axis header must be numeric") from None
+        if not all(map(math.isfinite, levels)):
+            raise InputError(f"{path}:1: non-finite level in the level axis header")
         powers, values = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -119,6 +128,8 @@ def read_grid_table_csv(path) -> GridTable:
                 values.append([float(c) for c in row[1:]])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: non-numeric grid entry") from None
+            if not all(map(math.isfinite, [powers[-1], *values[-1]])):
+                raise InputError(f"{path}:{lineno}: non-finite grid entry")
             if len(values[-1]) != len(levels):
                 raise InputError(f"{path}:{lineno}: expected {len(levels)} grid columns")
     return GridTable(np.array(powers), np.array(levels), np.array(values))
@@ -133,11 +144,11 @@ def write_grid_table_csv(path, table: GridTable) -> None:
 
 
 def read_storage_csv(path) -> StorageCurve:
-    """`level_m,volume_m3`, strictly increasing."""
+    """`level_m,volume_m3`, finite and strictly increasing."""
     levels, volumes = [], []
     for lineno, row in _rows(Path(path), ("level_m", "volume_m3")):
-        levels.append(_parse(path, lineno, row, "level_m", float))
-        volumes.append(_parse(path, lineno, row, "volume_m3", float))
+        levels.append(_parse_finite(path, lineno, row, "level_m"))
+        volumes.append(_parse_finite(path, lineno, row, "volume_m3"))
     return StorageCurve(np.array(levels), np.array(volumes))
 
 
@@ -150,12 +161,12 @@ def write_storage_csv(path, curve: StorageCurve) -> None:
 
 
 def read_compensation_csv(path) -> CompensationSchedule:
-    """`start_date,end_date,flow_m3s`, non-overlapping date ranges."""
+    """`start_date,end_date,flow_m3s`, non-overlapping date ranges, finite flows."""
     starts, ends, rates = [], [], []
     for lineno, row in _rows(Path(path), ("start_date", "end_date", "flow_m3s")):
         starts.append(_parse(path, lineno, row, "start_date", _to_date))
         ends.append(_parse(path, lineno, row, "end_date", _to_date))
-        rates.append(_parse(path, lineno, row, "flow_m3s", float))
+        rates.append(_parse_finite(path, lineno, row, "flow_m3s"))
     if not starts:
         raise InputError(f"{path}: no compensation rows")
     return CompensationSchedule(np.array(starts), np.array(ends), rates)
@@ -181,9 +192,7 @@ def read_daily_series_csv(path, value_column: str, date_column: str = "date") ->
         dates.append(_parse(path, lineno, row, date_column, _to_date))
         if len(dates) > 1 and dates[-1] <= dates[-2]:
             raise InputError(f"{path}:{lineno}: date {dates[-1]} is not after {dates[-2]}")
-        values.append(_parse(path, lineno, row, value_column, float))
-        if not math.isfinite(values[-1]):
-            raise InputError(f"{path}:{lineno}: non-finite value {row[value_column]!r} in column {value_column!r}")
+        values.append(_parse_finite(path, lineno, row, value_column))
     if not dates:
         raise InputError(f"{path}: no rows")
     return DailySeries(np.array(dates, dtype="datetime64[D]"), values)
@@ -247,9 +256,7 @@ def read_nao_csv(path) -> NaoIndex:
             raise InputError(f"{path}:{lineno}: month {m} out of range")
         if (y, m) in lines:
             raise InputError(f"{path}:{lineno}: month {y}-{m:02d} repeats line {lines[(y, m)]}")
-        entries[(y, m)] = _parse(path, lineno, row, "index", float)
-        if not math.isfinite(entries[(y, m)]):
-            raise InputError(f"{path}:{lineno}: non-finite value {row['index']!r} in column 'index'")
+        entries[(y, m)] = _parse_finite(path, lineno, row, "index")
         lines[(y, m)] = lineno
     return NaoIndex(entries)
 

@@ -512,6 +512,7 @@ def build_cost_cases(
         pred = predictions[h.name]
         epi = settings.energy_per_inflow_day * h.n_days
         medians = climatology_scores(table, table.obs_inflow, lambda sample, _: np.median(sample), min_clim_years)
+        forecast_medians = pred.quantiles([0.5])[:, 0]
         for i in np.flatnonzero(medians > 0):
             clim_median = float(medians[i])
             dist = pred.distribution(int(i))
@@ -531,7 +532,7 @@ def build_cost_cases(
                     observed_inflow=float(table.obs_inflow[i]),
                     envelope=env,
                     climatological=clim_median,
-                    deterministic=float(dist.quantile(0.5)),
+                    deterministic=float(forecast_medians[i]),
                     probabilistic=dist,
                 )
             )

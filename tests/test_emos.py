@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
+from inflowcast.cli import main
 from inflowcast.emos import (
     EmosModel,
     build_design,
     compute_feature_matrix,
     compute_features,
     fit_emos,
+    information,
     loglik_and_gradient,
     predict_distribution,
 )
@@ -95,6 +99,30 @@ class TestLikelihood:
                     loglik_and_gradient(tp, design, y)[0] - loglik_and_gradient(tm, design, y)[0]
                 ) / (2 * h)
             assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+    def test_information_matches_finite_differences(self, rng):
+        design = random_design(rng)
+        y = np.where(rng.random(80) < 0.2, 0.0, rng.gamma(2.0, 1.0, 80))
+        for _ in range(10):
+            theta = rng.normal(0, 0.4, design.n_params)
+            fd = np.empty((design.n_params, design.n_params))
+            for j in range(len(theta)):
+                h = 1e-6 * (1 + abs(theta[j]))
+                tp, tm = theta.copy(), theta.copy()
+                tp[j] += h
+                tm[j] -= h
+                fd[:, j] = (loglik_and_gradient(tp, design, y)[1] - loglik_and_gradient(tm, design, y)[1]) / (2 * h)
+            info = information(theta, design, y)
+            assert_allclose(info, info.T, rtol=1e-12)
+            assert_allclose(info, -fd, rtol=1e-5, atol=1e-6)
+
+    def test_fisher_information_is_positive_definite_where_observed_is_not(self, rng):
+        design = random_design(rng)
+        y = np.where(rng.random(80) < 0.2, 0.0, rng.gamma(2.0, 1.0, 80))
+        theta = rng.normal(0, 0.4, design.n_params)
+        theta[0] = 3.0  # mu far above every observation: the sigma curvature changes sign
+        assert np.linalg.eigvalsh(information(theta, design, y)).min() < 0
+        assert np.linalg.eigvalsh(information(theta, design, y, expected=True)).min() > 0
 
     def test_all_zero_batch_favours_high_nu(self, rng):
         design = random_design(rng, n=40)
@@ -182,6 +210,57 @@ class TestFit:
         mu, sigma, nu = model.params_for(feats[:5], seasonal_phase(dates[:5]))
         assert np.all(nu < 1e-10)
 
+    def test_all_zero_design_column_pinned_at_zero(self, rng):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=400)
+        feats[:, 1] = 0.0  # frac_nonpos: every training ensemble has all members positive
+        models = [fit_emos(feats, dates, y, basis=basis, min_cases=100, seed=seed) for seed in (1, 2)]
+        held_out = np.column_stack([feats[:20, 0], np.linspace(0.1, 0.9, 20), feats[:20, 2]])
+        phases = seasonal_phase(dates[:20])
+        for model in models:
+            assert model.beta_mu[2] == 0.0
+            assert len(model.start_logliks) == 3
+            assert np.isnan(model.standard_errors[2])
+            assert np.isfinite(np.delete(model.standard_errors, 2)).all()
+        for a, b in zip(models[0].params_for(held_out, phases), models[1].params_for(held_out, phases)):
+            assert_allclose(a, b, rtol=1e-6)
+
+    def test_quasi_separated_zero_mass_matches_lbfgs_oracle(self, rng):
+        from scipy import optimize
+
+        n = 300
+        basis = CyclicSplineBasis(6)
+        feats = np.column_stack([rng.normal(1.0, 0.6, n), rng.uniform(0, 0.4, n), rng.uniform(0.05, 0.8, n)])
+        dates = np.datetime64("2009-01-01") + rng.integers(0, 3650, n).astype("timedelta64[D]")
+        mu = np.exp(0.2 + 0.5 * feats[:, 0])
+        sigma = np.exp(-0.6 + 0.3 * feats[:, 2])
+        y = rng.gamma(1 / sigma**2, sigma**2 * mu)
+        y[np.argmax(feats[:, 0])] = 0.0  # the only zero, at the largest ensemble mean
+        model = fit_emos(feats, dates, y, basis=basis, min_cases=100, compute_se=False)
+        # nu -> 1 at that case and -> 0 elsewhere: the intercept runs to its bound
+        assert model.beta_nu[0] == -40.0
+        assert len(model.start_logliks) == 3
+
+        design = build_design(feats, seasonal_phase(dates), basis)
+
+        def objective(theta):
+            ll, grad = loglik_and_gradient(theta, design, y)
+            return (np.inf, np.zeros_like(theta)) if not np.isfinite(ll) else (-ll, -grad)
+
+        start = np.zeros(design.n_params)
+        start[-2] = -3.0
+        oracle = optimize.minimize(
+            objective,
+            start,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(-40.0, 40.0)] * design.n_params,
+            options={"maxiter": 5000, "maxfun": 50000, "ftol": 1e-15, "gtol": 1e-10},
+        )
+        assert oracle.success
+        assert_allclose(oracle.x[-2], -40.0)
+        assert model.loglik >= -oracle.fun - 1e-9 * abs(oracle.fun)
+        assert_allclose(model.loglik, -oracle.fun, rtol=1e-7)
+
     def test_serialisation_round_trip(self, rng):
         feats, dates, y, _, _, basis = simulate_training(rng, n=400, with_negatives=True)
         model = fit_emos(feats, dates, y, basis=basis, min_cases=100, horizon="Forecast Week 1", fold_year=2012, compute_se=False)
@@ -230,3 +309,19 @@ class TestPredict:
         lo = predict_distribution(model, compute_features([0.5, 0.7]), "2015-03-01")
         hi = predict_distribution(model, compute_features([1.5, 1.7]), "2015-03-01")
         assert hi.mu > lo.mu
+
+
+def test_train_at_refit_seed_105_keeps_every_start(tmp_path):
+    # the refit benchmark's scenario at a seed where a start acceptance rule
+    # on an absolute gradient bound dropped starts in two of the ten fits
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[synth]\nyears = 5\nmembers = 5\n\n[horizons]\nnames = Forecast Week 1, 4 Week Forecast\n")
+    base = ["--config", str(cfg), "--seed", "105"]
+    assert main([*base, "synth", "--out", str(tmp_path)]) == 0
+    data = ["--inflow", str(tmp_path / "inflow.csv"), "--ensemble", str(tmp_path / "ensemble.csv")]
+    assert main([*base, "train", *data, "--out", str(tmp_path)]) == 0
+    fits = json.loads((tmp_path / "models.json").read_text())["emos"]
+    assert len(fits) == 10
+    for fit in fits:
+        assert len(fit["start_logliks"]) == 3, (fit["horizon"], fit["fold_year"])
+        assert max(fit["start_logliks"]) - min(fit["start_logliks"]) <= 1e-6

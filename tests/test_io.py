@@ -78,6 +78,29 @@ class TestCurvesCsv:
         assert np.array_equal(back.rates, sched.rates)
         assert np.array_equal(back.starts, sched.starts)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_storage_non_finite_value_names_its_line(self, tmp_path, raw):
+        path = tmp_path / "storage.csv"
+        path.write_text(f"level_m,volume_m3\n150.0,1000.0\n\n200.0,{raw}\n250.0,3000.0\n")
+        with pytest.raises(InputError, match=rf"^{path}:4: non-finite value '{raw}' in column 'volume_m3'$"):
+            iomod.read_storage_csv(path)
+
+    @pytest.mark.parametrize("line, bad", [(1, "power_w,150.0,inf"), (2, "0.0,nan,0.6"), (4, "-inf,0.7,0.8")])
+    def test_grid_non_finite_entry_names_its_line(self, tmp_path, line, bad):
+        rows = ["power_w,150.0,200.0", "0.0,0.5,0.6", "", "1000.0,0.7,0.8"]
+        rows[line - 1] = bad
+        path = tmp_path / "eff.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=rf"^{path}:{line}: non-finite"):
+            iomod.read_grid_table_csv(path)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_compensation_non_finite_flow_names_its_line(self, tmp_path, raw):
+        path = tmp_path / "comp.csv"
+        path.write_text(f"start_date,end_date,flow_m3s\n2015-01-01,2015-06-30,1.5\n2015-07-01,2015-12-31,{raw}\n")
+        with pytest.raises(InputError, match=rf"^{path}:3: non-finite value '{raw}' in column 'flow_m3s'$"):
+            iomod.read_compensation_csv(path)
+
 
 class TestInflowCsv:
     def test_round_trip_with_sidecar(self, tmp_path):
