@@ -77,7 +77,7 @@ DEFAULT_CONFIG = {
         "stage2_down_frac": "0.5",
         "max_capacity_frac": "2.4",
         "energy_per_inflow_day": "10.0",
-        "quadrature_nodes": "256",
+        "quadrature_nodes": "256",  # accepted and ignored: decisions come from the exact ZAGA CDF
         "bootstrap": "1000",
     },
     "synth": {
@@ -98,7 +98,13 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser()
     cfg.read_dict(DEFAULT_CONFIG)
     if path is not None:
-        read = cfg.read(path)
+        try:
+            read = cfg.read(path)
+            config_fingerprint(cfg)  # resolves every value, so a stray '%' fails here
+        except configparser.InterpolationError as exc:
+            raise InputError(f"config file {path}: [{exc.section}] {exc.option}: {exc.message}") from None
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise InputError(f"config file {path}: {exc}") from None
         if not read:
             raise InputError(f"config file not found: {path}")
     return cfg
@@ -122,6 +128,13 @@ def _getint(cfg, section, key):
         return cfg.getint(section, key)
     except ValueError:
         raise InputError(f"config [{section}] {key}: not an integer: {cfg.get(section, key)!r}") from None
+
+
+def _getboolean(cfg, section, key):
+    try:
+        return cfg.getboolean(section, key)
+    except ValueError:
+        raise InputError(f"config [{section}] {key}: not a boolean: {cfg.get(section, key)!r}") from None
 
 
 def _horizons(cfg):
@@ -172,7 +185,7 @@ def cmd_synth(args, cfg) -> int:
         seasonal_amplitude=_getfloat(cfg, "synth", "seasonal_amplitude"),
         drift=_getfloat(cfg, "synth", "drift"),
         noise_sd=_getfloat(cfg, "synth", "noise_sd"),
-        skill_half_life=None if half_life_raw.lower() in ("none", "inf") else float(half_life_raw),
+        skill_half_life=None if half_life_raw.lower() in ("none", "inf") else _getfloat(cfg, "synth", "skill_half_life"),
         marginal=cfg.get("synth", "marginal"),
         seed=seed,
     )
@@ -247,12 +260,10 @@ def cmd_reconstruct(args, cfg) -> int:
     return 0
 
 
-def _load_dataset(args, need_reanalysis=False, need_nao=False):
+def _load_dataset(args):
     inflow = iomod.read_inflow_csv(args.inflow, Path(args.inflow).with_name("inflow_meta.json"))
     issues = iomod.read_ensemble_csv(args.ensemble)
     reanalysis = iomod.read_reanalysis_csv(args.reanalysis) if getattr(args, "reanalysis", None) else None
-    if need_reanalysis and reanalysis is None:
-        raise InputError("this command requires --reanalysis")
     nao = iomod.read_nao_csv(args.nao) if getattr(args, "nao", None) else None
     return inflow, issues, reanalysis, nao
 
@@ -266,7 +277,7 @@ def cmd_train(args, cfg) -> int:
         issues,
         inflow,
         horizons,
-        member_wise=cfg.getboolean("emos", "member_wise"),
+        member_wise=_getboolean(cfg, "emos", "member_wise"),
         n_knots=_getint(cfg, "emos", "knots"),
         ridge=_getfloat(cfg, "emos", "ridge"),
         n_starts=_getint(cfg, "emos", "starts"),
@@ -337,21 +348,24 @@ def cmd_verify(args, cfg) -> int:
         "verify",
         cfg,
         seed,
-        {"models": args.models, "inflow": args.inflow, "ensemble": args.ensemble},
+        {
+            "models": args.models,
+            "inflow": args.inflow,
+            "ensemble": args.ensemble,
+            **{k: v for k, v in (("reanalysis", args.reanalysis), ("nao", args.nao)) if v},
+        },
         ["skill.json", "skill_by_horizon.csv", "reliability.csv"],
     )
     return 0
 
 
 def _cost_settings(cfg, seed) -> CostSettings:
-    lo, hi, step, n_nodes, n_boot = (
-        _getint(cfg, "cost", key)
-        for key in ("differential_min", "differential_max", "differential_step", "quadrature_nodes", "bootstrap")
+    lo, hi, step, n_boot = (
+        _getint(cfg, "cost", key) for key in ("differential_min", "differential_max", "differential_step", "bootstrap")
     )
     for key, value, least in (
         ("differential_min", lo, 1),
         ("differential_step", step, 1),
-        ("quadrature_nodes", n_nodes, 1),
         ("bootstrap", n_boot, 2),
     ):
         if value < least:
@@ -371,7 +385,6 @@ def _cost_settings(cfg, seed) -> CostSettings:
         stage2_down_frac=_getfloat(cfg, "cost", "stage2_down_frac"),
         max_capacity_frac=_getfloat(cfg, "cost", "max_capacity_frac"),
         energy_per_inflow_day=_getfloat(cfg, "cost", "energy_per_inflow_day"),
-        n_nodes=n_nodes,
         n_boot=n_boot,
         seed=seed,
     )
@@ -394,14 +407,13 @@ def cmd_cost_eval(args, cfg) -> int:
     )
     if not cases:
         raise InputError("no cost cases could be built (missing observations or climatology)")
-    adjustments = {ftype: optimal_adjustments(cases, ftype, settings.n_nodes) for ftype in FORECAST_TYPES}
+    adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
     rows, _ = price_sweep(
         cases,
         differentials=settings.differentials,
         peak_price=settings.peak_price,
         n_boot=settings.n_boot,
         seed=seed,
-        n_nodes=settings.n_nodes,
         adjustments=adjustments,
     )
     iomod.write_table_csv(

@@ -8,16 +8,18 @@ per MWh), further decreases store water of which half is later sold off-peak
 of observed inflow energy from the adjusted discharge, with a free band of
 +20% / -50% of climatological generation, the differential per MWh above it,
 half the differential below it, and inflow beyond the plant's full-time
-capacity spilled at the full peak price.  Both stages are piecewise linear,
-so the expected-cost minimiser is found exactly by evaluating every
-breakpoint.
+capacity spilled at the full peak price.
 
 Within the adjustment range every price term is the differential times a
 price-free cost, except spill, which the adjustment cannot change: the
 expected cost is ``differential * F(A) + peak * E[spill]``.  The optimal
 adjustment is therefore the same at every price, so the price sweep decides
-once per case and forecast type (``optimal_adjustments``, batched over cases)
-and prices every differential from those decisions.
+once per case and forecast type and prices every differential from those
+decisions.  ``optimal_adjustments`` decides a batch of cases exactly from the
+forecast CDF: F is convex, so its minimiser is a critical-fractile root (a
+newsvendor condition).  ``optimal_adjustment`` is the per-case reference: it
+evaluates the piecewise-linear objective at every breakpoint of a finite
+forecast, a ZAGA forecast being cut into Gauss-Legendre atoms.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def _breakpoints(values: np.ndarray, env: OperatingEnvelope) -> np.ndarray:
     c = env.clim_generation
     spill = np.maximum(0.0, values - env.capacity_energy)
     over_kink = (values - env.stage2_up_frac * c - spill) / c - 1.0
-    under_kink = values / c - env.stage2_down_frac
+    under_kink = values / c - (1.0 - env.stage2_down_frac)
     fixed = np.array([env.a_min, -env.free_down_frac, 0.0, env.free_up_frac, env.a_max])
     cand = np.concatenate([fixed, over_kink, under_kink])
     cand = np.clip(cand, env.a_min, env.a_max)
@@ -296,7 +298,6 @@ def optimal_adjustment(
     prices: PriceConfig,
     forecast_type: str = "probabilistic",
     n_nodes: int = 256,
-    atoms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AdjustmentDecision:
     """Minimise stage-1 plus expected stage-2 cost over the adjustment range.
 
@@ -304,10 +305,9 @@ def optimal_adjustment(
     breakpoint is exact; ties resolve to the smallest-magnitude adjustment.
     The objective is ``differential * F(A) + peak * E[spill]``; candidates
     within 1e-9 (1 + |F|) of the best F tie, so the decision does not depend
-    on the prices.  ``atoms`` may carry a precomputed ``forecast_atoms``
-    result for reuse across price configurations.
+    on the prices.
     """
-    values, weights = atoms if atoms is not None else forecast_atoms(forecast, env, n_nodes)
+    values, weights = forecast_atoms(forecast, env, n_nodes)
     cand = _breakpoints(values, env)
     obj = _expected_objective(cand, values, weights, env, prices)
     best = obj.min()
@@ -380,117 +380,86 @@ def evaluate_case(case: CostCase, prices: PriceConfig, n_nodes: int = 256):
 # batched decisions: one optimal adjustment per (case, forecast type)
 # ---------------------------------------------------------------------------
 
-_BLOCK_ELEMENTS = 1 << 17  # cases x (atoms + candidates) per block: about 1 MB per temporary
+_HALVINGS = 60  # bisection steps: a bracket of width w closes to w * 2**-60
 
 
-def _stacked_envelope(envelopes, column: bool = False) -> OperatingEnvelope:
+def _stacked_envelope(envelopes) -> OperatingEnvelope:
     """One envelope whose fields are aligned arrays, one entry per input envelope.
 
-    ``column`` gives ``(n, 1)`` fields.  The inputs were validated when built,
-    so the stack is not validated again.
+    The inputs were validated when built, so the stack is not validated again.
     """
     stacked = object.__new__(OperatingEnvelope)
     for f in fields(OperatingEnvelope):
-        values = np.array([getattr(e, f.name) for e in envelopes], dtype=float)
-        object.__setattr__(stacked, f.name, values[:, None] if column else values)
+        object.__setattr__(stacked, f.name, np.array([getattr(e, f.name) for e in envelopes], dtype=float))
     return stacked
 
 
-def _atom_matrices(forecasts, energy_per_inflow: np.ndarray, n_nodes: int):
-    """Batched ``forecast_atoms``: ``(n_cases, n_atoms)`` value and weight matrices.
+def _fractile_gap(adjustment, dist: ZagaDistribution, env: OperatingEnvelope) -> np.ndarray:
+    """h(A): the slope of the expected stage-2 cost per unit differential, over clim generation.
 
-    ``forecasts`` are all point forecasts (one column) or all ZAGA forecasts,
-    with ``energy_per_inflow`` as an ``(n_cases, 1)`` column.  A ZAGA row holds
-    its Gauss-Legendre atoms and then its zero mass; when ``nu = 0`` that last
-    column repeats the first atom with weight 0, so it adds no breakpoint and
-    no cost.
-    """
-    if forecasts and all(isinstance(f, ZagaDistribution) for f in forecasts):
-        u, w = _gl_nodes(n_nodes)
-        shape, scale, nu, offset = np.array([(f.shape, f.scale, f.nu, f.offset) for f in forecasts]).T[..., None]
-        cont = gamma_ppf(u, shape, scale) - offset
-        values = np.concatenate([cont, np.where(nu > 0, -offset, cont[:, :1])], axis=1) * energy_per_inflow
-        weights = np.concatenate([(1.0 - nu) * w, nu], axis=1)
-        return values, weights
-    try:
-        points = np.array([float(f) for f in forecasts])[:, None]
-    except TypeError:
-        raise InputError("batched decisions need all-point or all-ZAGA forecasts") from None
-    return points * energy_per_inflow, np.ones_like(points)
-
-
-def _rowwise_searchsorted(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted(a[r], v[r], side)`` for every row r; rows of ``a`` and ``v`` sorted."""
-    first, second = (a, v) if side == "right" else (v, a)
-    order = np.argsort(np.concatenate([first, second], axis=1), axis=1, kind="stable")
-    from_a = order < a.shape[1] if side == "right" else order >= v.shape[1]
-    # in the stable merge the entries of v keep their (sorted) order
-    return np.cumsum(from_a, axis=1)[~from_a].reshape(v.shape)
-
-
-def _decide_block(values: np.ndarray, weights: np.ndarray, env: OperatingEnvelope) -> np.ndarray:
-    """Optimal adjustments for a block of cases; ``env`` fields are ``(n, 1)`` columns.
-
-    The candidates are those of ``_breakpoints``; the objective is the
-    price-free F(A) (stage 1 plus expected off-peak overage and half the
-    underage, per unit differential), with the hinge sums taken from sorted
-    prefix sums as in ``_expected_objective``.
+    ``h(A) = P(I <= (1 + A - down) c) / 2 - P(I > (1 + A + up) c) [(1 + A + up) c < cap]``,
+    the right derivative of the expected underage (half rate) and off-peak
+    overage; ``dist`` and ``env`` hold one entry per case.
     """
     c = env.clim_generation
-    spill = np.maximum(0.0, values - env.capacity_energy)
-    b = values - env.stage2_up_frac * c - spill
-    fixed = np.broadcast_arrays(env.a_min, -env.free_down_frac, 0.0, env.free_up_frac, env.a_max)
-    cand = np.concatenate([*fixed, b / c - 1.0, values / c - env.stage2_down_frac], axis=1)
-    cand = np.sort(np.clip(cand, env.a_min, env.a_max), axis=1)
-    t = (1.0 + cand) * c
-
-    def take(x, idx):
-        return np.take_along_axis(x, idx, axis=1)
-
-    zeros = np.zeros((len(values), 1))
-    ob = np.argsort(b, axis=1, kind="stable")
-    b_sorted, wb = take(b, ob), take(weights, ob)
-    suffix_w = np.concatenate([np.cumsum(wb[:, ::-1], axis=1)[:, ::-1], zeros], axis=1)
-    suffix_bw = np.concatenate([np.cumsum((wb * b_sorted)[:, ::-1], axis=1)[:, ::-1], zeros], axis=1)
-    j = _rowwise_searchsorted(b_sorted, t, "right")
-    over = take(suffix_bw, j) - t * take(suffix_w, j)
-
-    oi = np.argsort(values, axis=1, kind="stable")
-    i_sorted, wi = take(values, oi), take(weights, oi)
-    prefix_w = np.concatenate([zeros, np.cumsum(wi, axis=1)], axis=1)
-    prefix_iw = np.concatenate([zeros, np.cumsum(wi * i_sorted, axis=1)], axis=1)
-    u = t - env.stage2_down_frac * c
-    k = _rowwise_searchsorted(i_sorted, u, "left")
-    under = u * take(prefix_w, k) - take(prefix_iw, k)
-
-    stage1 = (np.maximum(0.0, cand - env.free_up_frac) + 0.5 * np.maximum(0.0, -cand - env.free_down_frac)) * c
-    cost = stage1 + over + 0.5 * under
-    best = cost.min(axis=1, keepdims=True)
-    tied = cost <= best + 1e-9 * (1.0 + np.abs(best))
-    size = np.where(tied, np.abs(cand), np.inf).min(axis=1, keepdims=True)
-    return np.where(tied & (np.abs(cand) == size), cand, np.inf).min(axis=1)
+    under = dist.cdf((1.0 + adjustment - env.stage2_down_frac) * c / env.energy_per_inflow)
+    top = (1.0 + adjustment + env.stage2_up_frac) * c
+    over = np.where(top < env.capacity_energy, 1.0 - dist.cdf(top / env.energy_per_inflow), 0.0)
+    return 0.5 * under - over
 
 
-def optimal_adjustments(cases, forecast_type: str, n_nodes: int = 256) -> np.ndarray:
+def optimal_adjustments(cases, forecast_type: str) -> np.ndarray:
     """Batched ``optimal_adjustment``: the optimal adjustment of every case, at any price.
 
-    Same candidates, ties and tie-break as ``optimal_adjustment`` (smallest
-    |A|, then negative first), over the price-free objective, in blocks of
-    cases so that no temporary grows past about 1 MB.
+    Inside the adjustment range the price-free objective F is convex with
+    ``F'(A) / c = s1'(A) / c + h(A)`` (``_fractile_gap``), where ``s1'/c`` is
+    -1/2 below the free down band, 0 inside it and +1 above it.  As
+    ``-1 <= h <= 1/2``, the minimiser lies in ``[lo, hi] = [max(-free_down,
+    a_min), min(free_up, a_max)]``, and the decision is the minimiser nearest
+    0 (the tie-break of ``optimal_adjustment``): the root of the
+    nondecreasing h on the side of 0 where F falls, clipped to ``[lo, hi]``.
+
+    For a point forecast h is -1 below the over kink A1, 0 up to the under
+    kink A2 and 1/2 beyond, so the decision is ``clip(clip(0, A1, A2), lo,
+    hi)``, with the kinks of ``_breakpoints``.  For ZAGA forecasts a
+    vectorised bisection finds ``inf{A > 0: h >= 0}`` when ``h(0) < 0`` and
+    ``sup{A < 0: h <= 0}`` otherwise.
     """
     cases = list(cases)
-    envelopes = [c.envelope for c in cases]
-    epi = np.array([e.energy_per_inflow for e in envelopes])[:, None]
-    values, weights = _atom_matrices([c.forecast(forecast_type) for c in cases], epi, n_nodes)
-    rows = max(1, _BLOCK_ELEMENTS // (3 * values.shape[1] + 5))
-    out = np.empty(len(cases))
-    for lo in range(0, len(cases), rows):
-        blk = slice(lo, lo + rows)
-        out[blk] = _decide_block(values[blk], weights[blk], _stacked_envelope(envelopes[blk], column=True))
-    return out
+    env = _stacked_envelope([case.envelope for case in cases])
+    lo = np.maximum(-env.free_down_frac, env.a_min)
+    hi = np.minimum(env.free_up_frac, env.a_max)
+    forecasts = [case.forecast(forecast_type) for case in cases]
+    if not forecasts or not all(isinstance(f, ZagaDistribution) for f in forecasts):
+        try:
+            values = env.inflow_energy([float(f) for f in forecasts])
+        except TypeError:
+            raise InputError("batched decisions need all-point or all-ZAGA forecasts") from None
+        c = env.clim_generation
+        spill = np.maximum(0.0, values - env.capacity_energy)
+        over_kink = (values - env.stage2_up_frac * c - spill) / c - 1.0
+        under_kink = values / c - (1.0 - env.stage2_down_frac)
+        return np.clip(np.clip(0.0, over_kink, under_kink), lo, hi)
+
+    dist = ZagaDistribution(*np.array([(f.mu, f.sigma, f.nu, f.offset) for f in forecasts]).T)
+    rising = _fractile_gap(0.0, dist, env) < 0  # F falls to the right of 0
+
+    def below(a):  # A lies below the decision
+        h = _fractile_gap(a, dist, env)
+        return np.where(rising, h < 0, h <= 0)
+
+    # bracket [a, b] with the decision in (a, b]; a range end that h does not
+    # cross is the decision itself
+    a = np.where(rising, 0.0, lo)
+    b = np.where(rising, hi, np.where(below(lo), 0.0, lo))
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (a + b)
+        low = below(mid)
+        a, b = np.where(low, mid, a), np.where(low, b, mid)
+    return b
 
 
-def evaluate_cases(cases, prices: PriceConfig, n_nodes: int = 256, adjustments=None):
+def evaluate_cases(cases, prices: PriceConfig, adjustments=None):
     """Batched ``evaluate_case``: per forecast type, the adjustments and their realised costs.
 
     ``prices.differential`` may be a column of differentials, which gives one
@@ -502,7 +471,7 @@ def evaluate_cases(cases, prices: PriceConfig, n_nodes: int = 256, adjustments=N
     observed = env.inflow_energy([c.observed_inflow for c in cases])
     out = {}
     for ftype in FORECAST_TYPES:
-        a = adjustments[ftype] if adjustments is not None else optimal_adjustments(cases, ftype, n_nodes)
+        a = adjustments[ftype] if adjustments is not None else optimal_adjustments(cases, ftype)
         out[ftype] = (a, CostBreakdown(stage1_cost(a, env, prices), stage2_cost(a, observed, env, prices)))
     return out
 
@@ -523,7 +492,6 @@ def price_sweep(
     peak_price: float = 50.0,
     n_boot: int = 1000,
     seed: int = 0,
-    n_nodes: int = 256,
     min_cases: int = 20,
     adjustments=None,
 ):
@@ -544,7 +512,7 @@ def price_sweep(
     diffs = [float(d) for d in differentials]
     prices = PriceConfig(peak=peak_price, differential=np.array(diffs)[:, None])
     totals = {}  # (ftype, differential) -> (n,) realised totals
-    for ftype, (_, costs) in evaluate_cases(cases, prices, n_nodes, adjustments).items():
+    for ftype, (_, costs) in evaluate_cases(cases, prices, adjustments).items():
         totals.update(((ftype, d), col) for d, col in zip(diffs, costs.total))
 
     rng = np.random.default_rng(seed)

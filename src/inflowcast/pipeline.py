@@ -489,7 +489,6 @@ class CostSettings:
     stage2_down_frac: float = 0.5
     max_capacity_frac: float = 2.4
     energy_per_inflow_day: float = 10.0  # MWh per unit normalised inflow per day
-    n_nodes: int = 256
     n_boot: int = 1000
     seed: int = 0
 

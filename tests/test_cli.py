@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import inflowcast
+from inflowcast import costmodel
 from inflowcast.cli import main
 
 CONFIG = """
@@ -61,6 +62,25 @@ def run_dir(tmp_path_factory, config_file):
     return out
 
 
+def _cost_eval(config_file, run_dir, out):
+    return main(
+        [
+            "--config", str(config_file), "--seed", "5", "cost-eval",
+            "--models", str(run_dir / "models.json"),
+            "--inflow", str(run_dir / "inflow.csv"),
+            "--ensemble", str(run_dir / "ensemble.csv"),
+            "--out", str(out),
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
+def cost_dir(tmp_path_factory, config_file, run_dir):
+    out = tmp_path_factory.mktemp("cost")
+    assert _cost_eval(config_file, run_dir, out) == 0
+    return out
+
+
 class TestPipelineCommands:
     def test_outputs_exist(self, run_dir):
         for name in (
@@ -95,30 +115,26 @@ class TestPipelineCommands:
         header = (run_dir / "forecasts.csv").read_text().splitlines()[0]
         assert header == "issue_date,horizon,q05,q25,q50,q75,q95,nu,mu,sigma,offset"
 
-    def test_cost_eval_and_report(self, run_dir, config_file, tmp_path):
-        out = tmp_path / "cost"
-        rc = main(
-            [
-                "--config", config_file, "--seed", "5", "cost-eval",
-                "--models", str(run_dir / "models.json"),
-                "--inflow", str(run_dir / "inflow.csv"),
-                "--ensemble", str(run_dir / "ensemble.csv"),
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        assert (out / "value_report.csv").exists()
-        assert (out / "decisions.csv").exists()
+    def test_verify_manifest_lists_reanalysis_and_nao(self, run_dir):
+        inputs = json.loads((run_dir / "verify_manifest.json").read_text())["inputs"]
+        assert inputs == {
+            name: str(run_dir / f"{name}.{ext}")
+            for name, ext in (("models", "json"), ("inflow", "csv"), ("ensemble", "csv"), ("reanalysis", "csv"), ("nao", "csv"))
+        }
+
+    def test_cost_eval_and_report(self, run_dir, config_file, cost_dir, tmp_path):
+        assert (cost_dir / "value_report.csv").exists()
+        assert (cost_dir / "decisions.csv").exists()
         rc = main(
             [
                 "--config", config_file, "report",
                 "--skill", str(run_dir / "skill.json"),
-                "--values", str(out / "value_report.csv"),
-                "--out", str(out),
+                "--values", str(cost_dir / "value_report.csv"),
+                "--out", str(tmp_path),
             ]
         )
         assert rc == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["value_gains"]
         gains = {
             (g["forecast_type"], g["horizon"], g["differential"]): g["value_gain_over_climatology"]
@@ -160,6 +176,16 @@ class TestIdempotence:
         )
         assert rc == 0
         assert (tmp_path / "models.json").read_bytes() == (run_dir / "models.json").read_bytes()
+
+    def test_cost_quadrature_nodes_is_ignored(self, run_dir, cost_dir, tmp_path):
+        # decisions come from the exact ZAGA CDF: no Gauss-Legendre nodes are built
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG.replace("[cost]\n", "[cost]\nquadrature_nodes = 0\n"))
+        costmodel._gl_nodes.cache_clear()
+        assert _cost_eval(config, run_dir, tmp_path) == 0
+        assert costmodel._gl_nodes.cache_info().misses == 0
+        for name in ("value_report.csv", "decisions.csv"):
+            assert (tmp_path / name).read_bytes() == (cost_dir / name).read_bytes()
 
 
 class TestReconstructCommand:
@@ -230,10 +256,9 @@ class TestErrorPaths:
         [
             ("differential_step = 0", "differential_step"),
             ("differential_min = 60\ndifferential_max = 10", "differential_max"),
-            ("quadrature_nodes = 0", "quadrature_nodes"),
             ("bootstrap = 1", "bootstrap"),
         ],
-        ids=["step_zero", "min_above_max", "no_nodes", "one_draw"],
+        ids=["step_zero", "min_above_max", "one_draw"],
     )
     def test_bad_cost_setting_exits_2(self, run_dir, tmp_path, capsys, setting, key):
         cfg = tmp_path / "bad.ini"
@@ -326,6 +351,28 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"fold {fold}: the regression was trained on years [{int(fold) + 1}]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, command, expected",
+        [
+            ("seed = 5\n", "synth", "bad.ini"),
+            ("[run]\nseed = 5\nseed = 6\n", "synth", "bad.ini"),
+            ("[run]\nseed = 5%\n", "synth", "[run] seed"),
+            ("[run]\nseed = \xff\n", "synth", "bad.ini"),
+            ("[emos]\nmember_wise = maybe\n", "train", "[emos] member_wise"),
+            ("[synth]\nskill_half_life = soon\n", "synth", "[synth] skill_half_life"),
+        ],
+        ids=["no_section_header", "repeated_key", "stray_percent", "not_utf8", "member_wise_maybe", "half_life_soon"],
+    )
+    def test_malformed_config_exits_2(self, run_dir, tmp_path, capsys, text, command, expected):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text.encode("latin-1"))
+        data = ["--inflow", str(run_dir / "inflow.csv"), "--ensemble", str(run_dir / "ensemble.csv")]
+        rc = main(["--config", str(cfg), command, *(data if command == "train" else ()), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert expected in err
         assert "Traceback" not in err
 
     def test_missing_config_file_exits_2(self, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import gammaincc
 
 from inflowcast.costmodel import (
     FORECAST_TYPES,
@@ -149,6 +150,19 @@ class TestOptimalAdjustment:
             grid, objs = grid_objective(fc, env, prices)
             assert decision.expected_cost <= objs.min() + 1e-9 * (1 + abs(objs.min()))
             assert env.a_min <= decision.adjustment <= env.a_max
+
+    @pytest.mark.parametrize("stage2_down", [0.3, 0.7])
+    def test_beats_grid_off_the_default_down_band(self, rng, stage2_down):
+        # the stage-2 down kink sits at I / c - (1 - stage2_down), which only
+        # the default 0.5 confuses with I / c - stage2_down
+        env = OperatingEnvelope(clim_generation=100.0, stage2_down_frac=stage2_down)
+        for _ in range(100):
+            k = int(rng.integers(1, 4))
+            w = rng.random(k)
+            fc = DiscreteForecast(rng.uniform(0, 3, k), w / w.sum())
+            decision = optimal_adjustment(fc, env, PRICES)
+            _, objs = grid_objective(fc, env, PRICES)
+            assert decision.expected_cost <= objs.min() + 1e-9 * (1 + abs(objs.min()))
 
     def test_tie_prefers_smallest_magnitude(self):
         # a flat zero-cost plateau spans the free bands; 0 must win
@@ -361,23 +375,59 @@ def batch_cases(draw):
     return [draw(batch_case(CASE_KINDS[i % len(CASE_KINDS)])) for i in range(n)]
 
 
+def exact_objective(adjustment, dist: ZagaDistribution, env: OperatingEnvelope) -> float:
+    """Price-free F(A) under a ZAGA forecast, from the gamma partial expectations.
+
+    For Y ~ (1 - nu) Gamma(a, s) + nu delta_0 with gamma mean mu and G_k the
+    regularised lower incomplete gamma function,
+    E[max(0, Y - tau)] = (1 - nu) [mu (1 - G_{a+1}(tau/s)) - tau (1 - G_a(tau/s))]
+    for tau >= 0; inflow energy is I = epi (Y - offset).
+    """
+    c, epi = env.clim_generation, env.energy_per_inflow
+    a, s, mu, nu = dist.shape, dist.scale, dist.mu, dist.nu
+
+    def excess(t):  # E[max(0, I - t)]
+        tau = t / epi + dist.offset
+        if tau < 0:
+            return epi * ((1.0 - nu) * mu - tau)
+        return epi * (1.0 - nu) * (mu * gammaincc(a + 1.0, tau / s) - tau * gammaincc(a, tau / s))
+
+    top = (1.0 + adjustment + env.stage2_up_frac) * c
+    over = excess(top) - excess(env.capacity_energy) if top < env.capacity_energy else 0.0
+    bottom = (1.0 + adjustment - env.stage2_down_frac) * c
+    under = bottom - epi * dist.mean() + excess(bottom)
+    stage1 = (max(0.0, adjustment - env.free_up_frac) + 0.5 * max(0.0, -adjustment - env.free_down_frac)) * c
+    return stage1 + over + 0.5 * under
+
+
 class TestBatchedDecisions:
     @settings(max_examples=40, deadline=None)
     @given(batch_cases())
-    def test_match_per_case_reference_at_every_differential(self, cases):
+    def test_point_decisions_match_per_case_reference_at_every_differential(self, cases):
         diffs = tuple(range(5, 101, 5))
         adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
         _, totals = price_sweep(cases, diffs, n_boot=2, min_cases=1, adjustments=adjustments)
-        for ftype in FORECAST_TYPES:
+        for ftype in ("climatological", "deterministic"):
             for i, case in enumerate(cases):
-                atoms = forecast_atoms(case.forecast(ftype), case.envelope)
                 observed = case.envelope.inflow_energy(case.observed_inflow)
                 for d in diffs:
                     prices = PriceConfig(peak=50.0, differential=float(d))
-                    decision = optimal_adjustment(None, case.envelope, prices, ftype, atoms=atoms)
+                    decision = optimal_adjustment(case.forecast(ftype), case.envelope, prices, ftype)
                     assert adjustments[ftype][i] == decision.adjustment, (ftype, i, d)
                     expected = realized_cost(decision, observed, case.envelope, prices).total
                     assert totals[(ftype, float(d))][i] == expected, (ftype, i, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch_cases())
+    def test_zaga_decisions_minimise_the_exact_objective(self, cases):
+        adjustments = optimal_adjustments(cases, "probabilistic")
+        for case, a in zip(cases, adjustments):
+            env, dist = case.envelope, case.probabilistic
+            assert env.a_min <= a <= env.a_max
+            reference = optimal_adjustment(dist, env, PRICES).adjustment
+            grid = np.linspace(env.a_min, env.a_max, 2001)
+            best = min(exact_objective(x, dist, env) for x in (reference, *grid))
+            assert exact_objective(a, dist, env) <= best + 1e-9 * (1.0 + abs(best)), (a, reference)
 
     def test_clipped_optimum_at_a_min(self):
         # every outcome lies below the stage-2 down band even at A = -1, and the
@@ -396,11 +446,17 @@ class TestBatchedDecisions:
             assert optimal_adjustments([case], ftype)[0] == env.a_min
             assert optimal_adjustment(case.forecast(ftype), env, PRICES).adjustment == env.a_min
 
-    def test_evaluate_cases_matches_evaluate_case(self, rng):
+    def test_evaluate_cases_prices_the_batched_decisions(self, rng):
         cases = make_cases(rng, n=30)
         batched = evaluate_cases(cases, PRICES)
+        for ftype in FORECAST_TYPES:
+            a, costs = batched[ftype]
+            assert np.array_equal(a, optimal_adjustments(cases, ftype))
+            for i, case in enumerate(cases):
+                observed = case.envelope.inflow_energy(case.observed_inflow)
+                assert costs.stage1[i] == stage1_cost(a[i], case.envelope, PRICES)
+                assert costs.stage2[i] == stage2_cost(a[i], observed, case.envelope, PRICES)
         for i, case in enumerate(cases):
             for ftype, (decision, costs) in evaluate_case(case, PRICES).items():
-                a, batch_costs = batched[ftype]
-                assert a[i] == decision.adjustment
-                assert (batch_costs.stage1[i], batch_costs.stage2[i]) == (costs.stage1, costs.stage2)
+                if ftype != "probabilistic":
+                    assert batched[ftype][0][i] == decision.adjustment
