@@ -260,6 +260,17 @@ def cmd_reconstruct(args, cfg) -> int:
     return 0
 
 
+def _load_models(path) -> TrainedModels:
+    """The models file of `train`; a malformed one is an input error naming the file and key."""
+    data = iomod.read_json(path)
+    try:
+        return TrainedModels.from_dict(data)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (InputError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise InputError(f"{path}: malformed models file: {exc}") from None
+
+
 def _load_dataset(args):
     inflow = iomod.read_inflow_csv(args.inflow, Path(args.inflow).with_name("inflow_meta.json"))
     issues = iomod.read_ensemble_csv(args.ensemble)
@@ -293,7 +304,7 @@ def cmd_train(args, cfg) -> int:
 
 def cmd_forecast(args, cfg) -> int:
     out = _out_dir(args)
-    models = TrainedModels.from_dict(iomod.read_json(args.models))
+    models = _load_models(args.models)
     inflow, issues, _, _ = _load_dataset(args)
     tables = build_case_tables(issues, inflow, models.horizons)
     predictions = predict_params(models, tables)
@@ -313,7 +324,7 @@ def cmd_forecast(args, cfg) -> int:
 def cmd_verify(args, cfg) -> int:
     out = _out_dir(args)
     seed = _seed(args, cfg)
-    models = TrainedModels.from_dict(iomod.read_json(args.models))
+    models = _load_models(args.models)
     inflow, issues, reanalysis, nao = _load_dataset(args)
     tables = build_case_tables(issues, inflow, models.horizons, reanalysis=reanalysis)
     predictions = predict_params(models, tables)
@@ -394,7 +405,7 @@ def cmd_cost_eval(args, cfg) -> int:
     out = _out_dir(args)
     seed = _seed(args, cfg)
     settings = _cost_settings(cfg, seed)
-    models = TrainedModels.from_dict(iomod.read_json(args.models))
+    models = _load_models(args.models)
     inflow, issues, _, _ = _load_dataset(args)
     tables = build_case_tables(issues, inflow, models.horizons)
     predictions = predict_params(models, tables)
@@ -427,8 +438,8 @@ def cmd_cost_eval(args, cfg) -> int:
         for ftype, (a, costs) in evaluate_cases(cases, prices, adjustments=adjustments).items()
     }
     decision_rows = [
-        [case.issue_date.isoformat(), case.horizon, ftype, *(col[i] for col in cols)]
-        for i, case in enumerate(cases)
+        [date, horizon, ftype, *(col[i] for col in cols)]
+        for i, (date, horizon) in enumerate(zip(cases.issue_dates.astype(str).tolist(), cases.horizons.tolist()))
         for ftype, cols in columns.items()
     ]
     iomod.write_table_csv(
@@ -452,7 +463,9 @@ def cmd_report(args, cfg) -> int:
     skill = iomod.read_json(args.skill) if args.skill else None
     value_rows = (
         iomod.read_table_csv(
-            args.values, ["forecast_type", "horizon", "differential", "water_value", "se", "n"]
+            args.values,
+            ["forecast_type", "horizon", "differential", "water_value", "se", "n"],
+            finite=("differential", "water_value"),
         )
         if args.values
         else None
@@ -461,13 +474,15 @@ def cmd_report(args, cfg) -> int:
         raise InputError("report needs at least one of --skill / --values")
     payload = {}
     if skill is not None:
+        if not (isinstance(skill, dict) and isinstance(skill.get("skill"), list)):
+            raise InputError(f"{args.skill}: expected a JSON object with a 'skill' list, as `verify` writes")
         payload["skill"] = skill["skill"]
         payload["reliability"] = skill.get("reliability", {})
     if value_rows is not None:
         baseline = {}
         for row in value_rows:
             if row["forecast_type"] == "climatological":
-                baseline[(row["horizon"], row["differential"])] = float(row["water_value"])
+                baseline[(row["horizon"], row["differential"])] = row["water_value"]
         gains = []
         for row in value_rows:
             if row["forecast_type"] == "climatological":
@@ -479,8 +494,8 @@ def cmd_report(args, cfg) -> int:
                 {
                     "forecast_type": row["forecast_type"],
                     "horizon": row["horizon"],
-                    "differential": float(row["differential"]),
-                    "value_gain_over_climatology": float(row["water_value"]) - base,
+                    "differential": row["differential"],
+                    "value_gain_over_climatology": row["water_value"] - base,
                 }
             )
         payload["value_gains"] = gains

@@ -15,7 +15,8 @@ price-free cost, except spill, which the adjustment cannot change: the
 expected cost is ``differential * F(A) + peak * E[spill]``.  The optimal
 adjustment is therefore the same at every price, so the price sweep decides
 once per case and forecast type and prices every differential from those
-decisions.  ``optimal_adjustments`` decides a batch of cases exactly from the
+decisions.  The cases are one ``CostCases`` table of aligned columns, and
+``optimal_adjustments`` decides all of them at once, exactly from the
 forecast CDF: F is convex, so its minimiser is a critical-fractile root (a
 newsvendor condition).  ``optimal_adjustment`` is the per-case reference: it
 evaluates the piecewise-linear objective at every breakpoint of a finite
@@ -24,8 +25,7 @@ forecast, a ZAGA forecast being cut into Gauss-Legendre atoms.
 
 from __future__ import annotations
 
-import datetime as dt
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,10 +53,6 @@ class PriceConfig:
         if np.any(np.asarray(self.differential) <= 0):
             raise InputError("price differential must be positive")
 
-    @property
-    def off_peak(self) -> float:
-        return self.peak - self.differential
-
 
 @dataclass(frozen=True)
 class OperatingEnvelope:
@@ -66,8 +62,8 @@ class OperatingEnvelope:
     horizon (MWh); ``max_capacity_frac`` is the multiple of it reachable by
     running at full capacity around the clock; ``energy_per_inflow`` converts
     one unit of normalised inflow sustained over the horizon into MWh.
-    ``_stacked_envelope`` fills the fields with aligned arrays, one entry per
-    case, which the stage costs accept unchanged.
+    Any field may be an array with one entry per case, which the stage costs
+    accept unchanged; the conditions hold elementwise.
     """
 
     clim_generation: float
@@ -79,13 +75,14 @@ class OperatingEnvelope:
     energy_per_inflow: float = 100.0
 
     def __post_init__(self):
-        if self.clim_generation <= 0:
+        if np.any(self.clim_generation <= 0):
             raise InputError("climatological generation must be positive")
-        if min(self.free_up_frac, self.free_down_frac, self.stage2_up_frac, self.stage2_down_frac) <= 0:
+        bands = (self.free_up_frac, self.free_down_frac, self.stage2_up_frac, self.stage2_down_frac)
+        if any(np.any(band <= 0) for band in bands):
             raise InputError("free-band fractions must be positive")
-        if self.max_capacity_frac <= 1.0 + self.free_up_frac:
+        if np.any(self.max_capacity_frac <= 1.0 + self.free_up_frac):
             raise InputError("max capacity must exceed the free stage-1 band")
-        if self.energy_per_inflow <= 0:
+        if np.any(self.energy_per_inflow <= 0):
             raise InputError("energy conversion must be positive")
 
     @property
@@ -349,16 +346,24 @@ def water_value(total_costs, clim_generations, peak_price: float) -> float:
 
 
 @dataclass(frozen=True)
-class CostCase:
-    """One scored forecast: observed inflow plus the three competing forecasts."""
+class CostCases:
+    """Scored forecasts as aligned columns: observed inflow plus the three competing forecasts.
 
-    issue_date: dt.date
-    horizon: str
-    observed_inflow: float  # normalised inflow over the horizon
+    Every column has one entry per case.  ``envelope`` holds one envelope
+    whose ``clim_generation`` (and any other field) is such a column, and
+    ``probabilistic`` one ZAGA distribution with array parameters.
+    """
+
+    issue_dates: np.ndarray  # datetime64[D]
+    horizons: np.ndarray  # horizon names
+    observed_inflow: np.ndarray  # normalised inflow over the horizon
     envelope: OperatingEnvelope
-    climatological: float  # climatology median (point forecast, inflow units)
-    deterministic: float  # predictive median (point forecast, inflow units)
+    climatological: np.ndarray  # climatology medians (point forecasts, inflow units)
+    deterministic: np.ndarray  # predictive medians (point forecasts, inflow units)
     probabilistic: ZagaDistribution
+
+    def __len__(self) -> int:
+        return len(self.issue_dates)
 
     def forecast(self, forecast_type: str):
         if forecast_type not in FORECAST_TYPES:
@@ -366,13 +371,16 @@ class CostCase:
         return getattr(self, forecast_type)
 
 
-def evaluate_case(case: CostCase, prices: PriceConfig, n_nodes: int = 256):
-    """Decisions and realised cost breakdowns for all three forecast types."""
-    observed = case.envelope.inflow_energy(case.observed_inflow)
+def evaluate_case(forecasts, observed_inflow: float, env: OperatingEnvelope, prices: PriceConfig, n_nodes=256):
+    """Per-case reference: decision and realised cost breakdown for each forecast.
+
+    ``forecasts`` maps forecast types to the case's forecasts.
+    """
+    observed = env.inflow_energy(observed_inflow)
     out = {}
-    for ftype in FORECAST_TYPES:
-        decision = optimal_adjustment(case.forecast(ftype), case.envelope, prices, ftype, n_nodes)
-        out[ftype] = (decision, realized_cost(decision, observed, case.envelope, prices))
+    for ftype, forecast in forecasts.items():
+        decision = optimal_adjustment(forecast, env, prices, ftype, n_nodes)
+        out[ftype] = (decision, realized_cost(decision, observed, env, prices))
     return out
 
 
@@ -381,17 +389,6 @@ def evaluate_case(case: CostCase, prices: PriceConfig, n_nodes: int = 256):
 # ---------------------------------------------------------------------------
 
 _HALVINGS = 60  # bisection steps: a bracket of width w closes to w * 2**-60
-
-
-def _stacked_envelope(envelopes) -> OperatingEnvelope:
-    """One envelope whose fields are aligned arrays, one entry per input envelope.
-
-    The inputs were validated when built, so the stack is not validated again.
-    """
-    stacked = object.__new__(OperatingEnvelope)
-    for f in fields(OperatingEnvelope):
-        object.__setattr__(stacked, f.name, np.array([getattr(e, f.name) for e in envelopes], dtype=float))
-    return stacked
 
 
 def _fractile_gap(adjustment, dist: ZagaDistribution, env: OperatingEnvelope) -> np.ndarray:
@@ -408,7 +405,7 @@ def _fractile_gap(adjustment, dist: ZagaDistribution, env: OperatingEnvelope) ->
     return 0.5 * under - over
 
 
-def optimal_adjustments(cases, forecast_type: str) -> np.ndarray:
+def optimal_adjustments(cases: CostCases, forecast_type: str) -> np.ndarray:
     """Batched ``optimal_adjustment``: the optimal adjustment of every case, at any price.
 
     Inside the adjustment range the price-free objective F is convex with
@@ -421,31 +418,31 @@ def optimal_adjustments(cases, forecast_type: str) -> np.ndarray:
 
     For a point forecast h is -1 below the over kink A1, 0 up to the under
     kink A2 and 1/2 beyond, so the decision is ``clip(clip(0, A1, A2), lo,
-    hi)``, with the kinks of ``_breakpoints``.  For ZAGA forecasts a
+    hi)``, with the kinks of ``_breakpoints``, or 0 where F(0) is within
+    1e-9 (1 + F) of it (a kink that rounding moved off 0).  For ZAGA forecasts a
     vectorised bisection finds ``inf{A > 0: h >= 0}`` when ``h(0) < 0`` and
     ``sup{A < 0: h <= 0}`` otherwise.
     """
-    cases = list(cases)
-    env = _stacked_envelope([case.envelope for case in cases])
+    env = cases.envelope
     lo = np.maximum(-env.free_down_frac, env.a_min)
     hi = np.minimum(env.free_up_frac, env.a_max)
-    forecasts = [case.forecast(forecast_type) for case in cases]
-    if not forecasts or not all(isinstance(f, ZagaDistribution) for f in forecasts):
-        try:
-            values = env.inflow_energy([float(f) for f in forecasts])
-        except TypeError:
-            raise InputError("batched decisions need all-point or all-ZAGA forecasts") from None
+    forecast = cases.forecast(forecast_type)
+    if not isinstance(forecast, ZagaDistribution):
+        values = env.inflow_energy(forecast)
         c = env.clim_generation
         spill = np.maximum(0.0, values - env.capacity_energy)
         over_kink = (values - env.stage2_up_frac * c - spill) / c - 1.0
         under_kink = values / c - (1.0 - env.stage2_down_frac)
-        return np.clip(np.clip(0.0, over_kink, under_kink), lo, hi)
+        a = np.clip(np.clip(0.0, over_kink, under_kink), lo, hi)
+        # F is linear between 0 and a; where F(0) ties with F(a), 0 wins, as in optimal_adjustment
+        unit = PriceConfig(peak=0.0, differential=1.0)
+        f_a, f_0 = (stage1_cost(x, env, unit) + stage2_cost(x, values, env, unit) for x in (a, np.zeros_like(a)))
+        return np.where(f_0 <= f_a + 1e-9 * (1.0 + f_a), 0.0, a)
 
-    dist = ZagaDistribution(*np.array([(f.mu, f.sigma, f.nu, f.offset) for f in forecasts]).T)
-    rising = _fractile_gap(0.0, dist, env) < 0  # F falls to the right of 0
+    rising = _fractile_gap(0.0, forecast, env) < 0  # F falls to the right of 0
 
     def below(a):  # A lies below the decision
-        h = _fractile_gap(a, dist, env)
+        h = _fractile_gap(a, forecast, env)
         return np.where(rising, h < 0, h <= 0)
 
     # bracket [a, b] with the decision in (a, b]; a range end that h does not
@@ -459,16 +456,15 @@ def optimal_adjustments(cases, forecast_type: str) -> np.ndarray:
     return b
 
 
-def evaluate_cases(cases, prices: PriceConfig, adjustments=None):
+def evaluate_cases(cases: CostCases, prices: PriceConfig, adjustments=None):
     """Batched ``evaluate_case``: per forecast type, the adjustments and their realised costs.
 
     ``prices.differential`` may be a column of differentials, which gives one
     row of costs per differential.  ``adjustments`` may carry
     ``optimal_adjustments`` results by forecast type, to reuse them.
     """
-    cases = list(cases)
-    env = _stacked_envelope([c.envelope for c in cases])
-    observed = env.inflow_energy([c.observed_inflow for c in cases])
+    env = cases.envelope
+    observed = env.inflow_energy(cases.observed_inflow)
     out = {}
     for ftype in FORECAST_TYPES:
         a = adjustments[ftype] if adjustments is not None else optimal_adjustments(cases, ftype)
@@ -487,7 +483,7 @@ class ValueRow:
 
 
 def price_sweep(
-    cases,
+    cases: CostCases,
     differentials=tuple(range(5, 101, 5)),
     peak_price: float = 50.0,
     n_boot: int = 1000,
@@ -503,12 +499,10 @@ def price_sweep(
     "all" stratum.  ``adjustments`` is as in ``evaluate_cases``.
     Returns (value rows, per-case total-cost table).
     """
-    cases = list(cases)
-    if len(cases) < min_cases:
-        raise InputError(f"{len(cases)} cost cases is below the minimum of {min_cases}")
-    horizons = sorted({c.horizon for c in cases})
     n = len(cases)
-    gens = np.array([c.envelope.clim_generation for c in cases])
+    if n < min_cases:
+        raise InputError(f"{n} cost cases is below the minimum of {min_cases}")
+    gens = cases.envelope.clim_generation
     diffs = [float(d) for d in differentials]
     prices = PriceConfig(peak=peak_price, differential=np.array(diffs)[:, None])
     totals = {}  # (ftype, differential) -> (n,) realised totals
@@ -517,8 +511,8 @@ def price_sweep(
 
     rng = np.random.default_rng(seed)
     groups = {"all": np.arange(n)}
-    for h in horizons:
-        groups[h] = np.array([i for i, c in enumerate(cases) if c.horizon == h])
+    for h in np.unique(cases.horizons).tolist():
+        groups[h] = np.flatnonzero(cases.horizons == h)
     index_draws = {
         name: rng.integers(0, len(idx), size=(n_boot, len(idx))) for name, idx in groups.items()
     }
@@ -548,14 +542,14 @@ def price_sweep(
 
 
 def value_difference(
-    cases, totals_base: np.ndarray, totals_other: np.ndarray, n_boot: int = 1000, seed: int = 0
+    cases: CostCases, totals_base: np.ndarray, totals_other: np.ndarray, n_boot: int = 1000, seed: int = 0
 ) -> BootstrapResult:
     """Paired bootstrap of WV(other) - WV(base); positive means 'other' is worth more.
 
     Lower realised costs mean higher water value, so the difference is
     (sum(base costs) - sum(other costs)) / sum(clim generation).
     """
-    gens = np.array([c.envelope.clim_generation for c in cases])
+    gens = cases.envelope.clim_generation
     n = len(gens)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, n, size=(n_boot, n))

@@ -282,13 +282,20 @@ class EmosModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmosModel":
+        """Inverse of ``to_dict``; each coefficient vector must fit the spline basis."""
         se = d.get("standard_errors")
+        basis = CyclicSplineBasis(int(d["n_knots"]), float(d["period"]))
+        betas = {}
+        for key, size in (("beta_mu", 3 + basis.n_knots), ("beta_sigma", 3 + basis.n_knots), ("beta_nu", 2)):
+            betas[key] = np.asarray(d[key], dtype=float)
+            if betas[key].shape != (size,):
+                raise InputError(
+                    f"{key}: expected {size} coefficients for {basis.n_knots} knots, got shape {betas[key].shape}"
+                )
         return cls(
-            beta_mu=np.asarray(d["beta_mu"], dtype=float),
-            beta_sigma=np.asarray(d["beta_sigma"], dtype=float),
-            beta_nu=np.asarray(d["beta_nu"], dtype=float),
+            **betas,
             offset=float(d["offset"]),
-            basis=CyclicSplineBasis(int(d["n_knots"]), float(d["period"])),
+            basis=basis,
             horizon=d.get("horizon", ""),
             fold_year=d.get("fold_year"),
             n_cases=int(d.get("n_cases", 0)),

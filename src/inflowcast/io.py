@@ -199,16 +199,26 @@ def read_daily_series_csv(path, value_column: str, date_column: str = "date") ->
 
 
 def read_inflow_csv(path, sidecar=None) -> InflowSeries:
-    """`date,inflow_norm`; the JSON sidecar restores the normalisation constant."""
+    """`date,inflow_norm`; the JSON sidecar restores the normalisation constant.
+
+    The sidecar, if present, is a JSON object whose `normalization_constant`
+    is a finite positive number and whose `window` is `daily` or `weekly`.
+    """
     base = read_daily_series_csv(path, "inflow_norm")
-    norm = 1.0
-    window = "daily"
-    if sidecar is not None and Path(sidecar).exists():
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        norm = float(meta.get("normalization_constant", 1.0))
-        window = meta.get("window", "daily")
-    return InflowSeries(base.dates, base.values, normalization_constant=norm, window=window)
+    if sidecar is None or not Path(sidecar).exists():
+        return InflowSeries(base.dates, base.values)
+    meta = read_json(sidecar)
+    if not isinstance(meta, dict):
+        raise InputError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")
+    raw = meta.get("normalization_constant", 1.0)
+    try:
+        norm = float(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"{sidecar}: normalization_constant: not a number: {raw!r}") from None
+    try:
+        return InflowSeries(base.dates, base.values, normalization_constant=norm, window=meta.get("window", "daily"))
+    except InputError as exc:
+        raise InputError(f"{sidecar}: {exc}") from None
 
 
 def write_inflow_csv(path, series: InflowSeries, sidecar=None, cleaning_report: dict | None = None) -> None:
@@ -455,11 +465,14 @@ def write_table_csv(path, header, rows) -> None:
             w.writerow([_fmt(c) for c in row])
 
 
-def read_table_csv(path, columns):
-    """Read selected columns back; returns list of dicts with raw strings."""
+def read_table_csv(path, columns, finite=()):
+    """Read selected columns back as dicts of raw strings.
+
+    The ``finite`` columns are parsed as finite floats, failing as `file:line`.
+    """
     out = []
-    for _, row in _rows(Path(path), tuple(columns)):
-        out.append({c: row[c] for c in columns})
+    for lineno, row in _rows(Path(path), tuple(columns)):
+        out.append({c: _parse_finite(path, lineno, row, c) if c in finite else row[c] for c in columns})
     return out
 
 
@@ -470,5 +483,8 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
-    with open(_require(Path(path))) as fh:
-        return json.load(fh)
+    try:
+        with open(_require(Path(path))) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise InputError(f"{path}: not valid JSON: {exc}") from None

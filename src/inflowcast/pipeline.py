@@ -8,12 +8,11 @@ same years.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import CostCase, OperatingEnvelope
+from .costmodel import CostCases, OperatingEnvelope
 from .data import CANONICAL_HORIZONS, HorizonSpec, horizon_average
 from .emos import EmosModel, compute_feature_matrix, fit_emos
 from .errors import InputError, LeakageError, NumericalError
@@ -230,11 +229,6 @@ class PredictedParams:
     nu: np.ndarray
     offset: np.ndarray
     benchmark: np.ndarray  # (n, K) benchmark ensemble inflow members
-
-    def distribution(self, i: int) -> ZagaDistribution:
-        return ZagaDistribution(
-            float(self.mu[i]), float(self.sigma[i]), float(self.nu[i]), float(self.offset[i])
-        )
 
     def quantiles(self, levels) -> np.ndarray:
         """User-space quantiles, shape (n, len(levels))."""
@@ -499,40 +493,38 @@ def build_cost_cases(
     predictions: dict[str, PredictedParams],
     settings: CostSettings,
     min_clim_years: int = 3,
-) -> list[CostCase]:
+) -> CostCases:
     """One cost case per scored forecast, with all three competing forecasts attached.
 
-    Observations and climatology medians come from ``tables``.  Cases without a climatology, or whose climatological median is
-    not positive (no planned generation to adjust against), are left out.
+    Observations and climatology medians come from ``tables``.  Cases without
+    a climatology, or whose climatological median is not positive (no planned
+    generation to adjust against), are left out.  The cases of every horizon
+    are concatenated in the order of ``models.horizons``.
     """
-    cases = []
+    parts = [(np.empty(0, "datetime64[D]"), np.empty(0, str), *[np.empty(0)] * 8)]  # typed even with no horizons
     for h in models.horizons:
-        table = tables[h.name]
-        pred = predictions[h.name]
-        epi = settings.energy_per_inflow_day * h.n_days
+        table, pred = tables[h.name], predictions[h.name]
         medians = climatology_scores(table, table.obs_inflow, lambda sample, _: np.median(sample), min_clim_years)
-        forecast_medians = pred.quantiles([0.5])[:, 0]
-        for i in np.flatnonzero(medians > 0):
-            clim_median = float(medians[i])
-            dist = pred.distribution(int(i))
-            env = OperatingEnvelope(
-                clim_generation=clim_median * epi,
-                free_up_frac=settings.free_up_frac,
-                free_down_frac=settings.free_down_frac,
-                stage2_up_frac=settings.stage2_up_frac,
-                stage2_down_frac=settings.stage2_down_frac,
-                max_capacity_frac=settings.max_capacity_frac,
-                energy_per_inflow=epi,
+        keep = np.flatnonzero(medians > 0)
+        parts.append(
+            (
+                table.issue_dates[keep],
+                np.full(len(keep), h.name),
+                table.obs_inflow[keep],
+                medians[keep],
+                pred.quantiles([0.5])[keep, 0],
+                np.full(len(keep), settings.energy_per_inflow_day * h.n_days),
+                *(column[keep] for column in (pred.mu, pred.sigma, pred.nu, pred.offset)),
             )
-            cases.append(
-                CostCase(
-                    issue_date=table.issue_dates[i].astype(dt.date),
-                    horizon=h.name,
-                    observed_inflow=float(table.obs_inflow[i]),
-                    envelope=env,
-                    climatological=clim_median,
-                    deterministic=float(forecast_medians[i]),
-                    probabilistic=dist,
-                )
-            )
-    return cases
+        )
+    dates, names, observed, clim, det, epi, *zaga = (np.concatenate(column) for column in zip(*parts))
+    envelope = OperatingEnvelope(
+        clim_generation=clim * epi,
+        free_up_frac=settings.free_up_frac,
+        free_down_frac=settings.free_down_frac,
+        stage2_up_frac=settings.stage2_up_frac,
+        stage2_down_frac=settings.stage2_down_frac,
+        max_capacity_frac=settings.max_capacity_frac,
+        energy_per_inflow=epi,
+    )
+    return CostCases(dates, names, observed, envelope, clim, det, ZagaDistribution(*zaga))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,12 +9,6 @@ import numpy as np
 from .errors import InputError
 
 ONE_DAY = np.timedelta64(1, "D")
-
-
-def as_day_array(dates) -> np.ndarray:
-    """Coerce a sequence of dates (datetime.date / ISO strings / datetime64) to datetime64[D]."""
-    arr = np.asarray(dates, dtype="datetime64[D]")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -30,7 +23,7 @@ class DailySeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", as_day_array(self.dates))
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.dates.shape != self.values.shape or self.dates.ndim != 1:
             raise InputError("dates and values must be 1-D arrays of equal length")
@@ -41,14 +34,6 @@ class DailySeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @property
-    def start(self) -> np.datetime64:
-        return self.dates[0]
-
-    @property
-    def end(self) -> np.datetime64:
-        return self.dates[-1]
 
     def window_mean(self, start, end) -> float | None:
         """Mean of the values on days [start, end] inclusive.
@@ -66,13 +51,6 @@ class DailySeries:
         if hi - lo != n_expected:
             return None
         return float(self.values[lo:hi].mean())
-
-    def value_on(self, day) -> float | None:
-        day = np.datetime64(day, "D")
-        i = np.searchsorted(self.dates, day, side="left")
-        if i < len(self.dates) and self.dates[i] == day:
-            return float(self.values[i])
-        return None
 
     def years(self) -> np.ndarray:
         """Distinct calendar years present in the series."""
@@ -93,8 +71,8 @@ class InflowSeries(DailySeries):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.normalization_constant <= 0:
-            raise InputError("normalization constant must be positive")
+        if not (np.isfinite(self.normalization_constant) and self.normalization_constant > 0):
+            raise InputError(f"normalization constant must be finite and positive, got {self.normalization_constant}")
         if self.window not in ("daily", "weekly"):
             raise InputError(f"unknown window {self.window!r}")
 
@@ -106,7 +84,3 @@ def year_of(day) -> int:
 def month_of(day) -> int:
     d = np.datetime64(day, "D")
     return int((d.astype("datetime64[M]") - d.astype("datetime64[Y]")) / np.timedelta64(1, "M")) + 1
-
-
-def to_pydate(day) -> dt.date:
-    return np.datetime64(day, "D").astype(dt.date)

@@ -81,6 +81,17 @@ def cost_dir(tmp_path_factory, config_file, run_dir):
     return out
 
 
+def _edit_emos(edit):
+    """A models.json mutation that applies ``edit`` to every calibration model."""
+
+    def mutate(text):
+        models = json.loads(text)
+        models["emos"] = [edit(m) for m in models["emos"]]
+        return json.dumps(models)
+
+    return mutate
+
+
 class TestPipelineCommands:
     def test_outputs_exist(self, run_dir):
         for name in (
@@ -374,6 +385,106 @@ class TestErrorPaths:
         assert rc == 2
         assert expected in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["forecast", "verify", "cost-eval"])
+    @pytest.mark.parametrize(
+        "name, mutate, expected",
+        [
+            ("models.json", lambda text: "{bad", "models.json: not valid JSON"),
+            (
+                "models.json",
+                _edit_emos(lambda m: {k: v for k, v in m.items() if k != "beta_mu"}),
+                "models.json: missing key 'beta_mu'",
+            ),
+            (
+                "models.json",
+                _edit_emos(lambda m: {**m, "beta_mu": m["beta_mu"][:-1]}),
+                "models.json: malformed models file: beta_mu: expected 9 coefficients for 6 knots, got shape (8,)",
+            ),
+            ("inflow_meta.json", lambda text: "{bad", "inflow_meta.json: not valid JSON"),
+            ("inflow_meta.json", lambda text: "[1]", "inflow_meta.json: expected a JSON object, got list"),
+            (
+                "inflow_meta.json",
+                lambda text: '{"normalization_constant": "abc"}',
+                "inflow_meta.json: normalization_constant: not a number: 'abc'",
+            ),
+            (
+                "inflow_meta.json",
+                lambda text: '{"normalization_constant": NaN}',
+                "inflow_meta.json: normalization constant must be finite and positive, got nan",
+            ),
+        ],
+        ids=[
+            "models_not_json", "models_without_beta_mu", "beta_mu_one_short",
+            "sidecar_not_json", "sidecar_list", "sidecar_norm_abc", "sidecar_norm_nan",
+        ],
+    )
+    def test_malformed_models_or_sidecar_exits_2(self, run_dir, tmp_path, capsys, command, name, mutate, expected):
+        for copied in ("models.json", "inflow_meta.json", "inflow.csv"):
+            (tmp_path / copied).write_text((run_dir / copied).read_text())
+        (tmp_path / name).write_text(mutate((run_dir / name).read_text()))
+        rc = main(
+            [
+                command,
+                "--models", str(tmp_path / "models.json"),
+                "--inflow", str(tmp_path / "inflow.csv"),
+                "--ensemble", str(run_dir / "ensemble.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{tmp_path / name}: " in err
+        assert expected in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, text, expected",
+        [
+            ("skill.json", '{"reliability": {}}', "skill.json: expected a JSON object with a 'skill' list"),
+            ("skill.json", "[]", "skill.json: expected a JSON object with a 'skill' list"),
+            ("value_report.csv", "abc", "value_report.csv:2: bad value 'abc' in column 'water_value'"),
+            ("value_report.csv", "nan", "value_report.csv:2: non-finite value 'nan' in column 'water_value'"),
+        ],
+        ids=["skill_without_skill", "skill_list", "water_value_abc", "water_value_nan"],
+    )
+    def test_malformed_report_input_exits_2(self, run_dir, cost_dir, tmp_path, capsys, name, text, expected):
+        (tmp_path / "skill.json").write_text((run_dir / "skill.json").read_text())
+        lines = (cost_dir / "value_report.csv").read_text().splitlines()
+        (tmp_path / "value_report.csv").write_text("\n".join(lines) + "\n")
+        if name == "skill.json":
+            (tmp_path / name).write_text(text)
+        else:
+            fields = lines[1].split(",")
+            fields[3] = text  # water_value
+            (tmp_path / name).write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+        rc = main(
+            [
+                "report",
+                "--skill", str(tmp_path / "skill.json"),
+                "--values", str(tmp_path / "value_report.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert expected in err
+        assert "Traceback" not in err
+
+    def test_cost_eval_without_horizons_exits_2(self, run_dir, tmp_path, capsys):
+        models = json.loads((run_dir / "models.json").read_text())
+        (tmp_path / "models.json").write_text(json.dumps({**models, "horizons": []}))
+        rc = main(
+            [
+                "cost-eval",
+                "--models", str(tmp_path / "models.json"),
+                "--inflow", str(run_dir / "inflow.csv"),
+                "--ensemble", str(run_dir / "ensemble.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "no cost cases could be built" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(["--config", str(tmp_path / "none.ini"), "synth", "--out", str(tmp_path)])

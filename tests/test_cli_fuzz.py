@@ -1,0 +1,143 @@
+"""Hypothesis fuzz of the CLI: mutated inputs of `forecast` and `report` end in exit 0, 2 or 3.
+
+Each example copies the outputs of a tiny run (5 years, 3 members), mutates
+one or two input files and calls ``main()`` in this process, so any exception
+that is not mapped to an exit code fails the test.  CSV files lose, repeat,
+reorder or corrupt rows; the ensemble also loses one member of one issue;
+JSON files are truncated or have one value replaced by a value of another
+type.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from inflowcast.cli import main
+
+ODD_VALUES = ("nan", "inf", "-inf", "", "abc", "-1", "1e400")
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@st.composite
+def csv_mutation(draw, lines, ensemble=False):
+    """Mutated CSV lines (header first)."""
+    lines = list(lines)
+    kinds = ["drop", "duplicate", "value", "reverse", "swap"] + (["ragged"] if ensemble else [])
+    kind = draw(st.sampled_from(kinds))
+    row = draw(st.integers(1, len(lines) - 1))
+    if kind == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif kind == "duplicate":
+        lines.insert(row, lines[row])
+    elif kind == "value":
+        fields = lines[row].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_VALUES))
+        lines[row] = ",".join(fields)
+    elif kind == "reverse":
+        lines[1:] = lines[:0:-1]
+    elif kind == "swap":
+        other = draw(st.integers(1, len(lines) - 1))
+        lines[row], lines[other] = lines[other], lines[row]
+    else:  # one member of one issue goes missing
+        issue, member = lines[row].split(",")[:2]
+        lines = [line for line in lines if not line.startswith(f"{issue},{member},")]
+    return "\n".join(lines) + "\n"
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+@st.composite
+def json_mutation(draw, text):
+    """Truncated JSON text, or the JSON with one value (the whole document included) retyped."""
+    if draw(st.booleans()):
+        return text[: draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return json.dumps(value)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _mutations(draw, sources, names):
+    """Mutated text of one or two of ``names``."""
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    out = {}
+    for name in chosen:
+        text = sources[name]
+        if name.endswith(".json"):
+            out[name] = draw(json_mutation(text))
+        else:
+            out[name] = draw(csv_mutation(text.splitlines(), ensemble=name == "ensemble.csv"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def sources(tiny_run):
+    names = ("inflow.csv", "inflow_meta.json", "ensemble.csv", "models.json", "skill.json", "value_report.csv")
+    return {name: (tiny_run / name).read_text() for name in names}
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _write(work, sources, mutated):
+    for name, text in sources.items():
+        (work / name).write_text(mutated.get(name, text))
+
+
+FUZZ = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@FUZZ
+@given(data=st.data())
+def test_forecast_survives_mutated_inputs(sources, work, data):
+    mutated = _mutations(data.draw, sources, ["inflow.csv", "inflow_meta.json", "ensemble.csv", "models.json"])
+    _write(work, sources, mutated)
+    rc = main(
+        [
+            "forecast",
+            "--models", str(work / "models.json"),
+            "--inflow", str(work / "inflow.csv"),
+            "--ensemble", str(work / "ensemble.csv"),
+            "--out", str(work / "out"),
+        ]
+    )
+    assert rc in (0, 2, 3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_report_survives_mutated_inputs(sources, work, data):
+    mutated = _mutations(data.draw, sources, ["skill.json", "value_report.csv"])
+    _write(work, sources, mutated)
+    rc = main(
+        [
+            "report",
+            "--skill", str(work / "skill.json"),
+            "--values", str(work / "value_report.csv"),
+            "--out", str(work / "out"),
+        ]
+    )
+    assert rc in (0, 2, 3)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from scipy.special import gammaincc
 
 from inflowcast.costmodel import (
     FORECAST_TYPES,
-    CostCase,
+    CostCases,
     DiscreteForecast,
     OperatingEnvelope,
     PriceConfig,
@@ -247,7 +249,41 @@ class TestWaterValue:
         assert_allclose(water_value([100.0, 300.0], [100.0, 100.0], 50.0), (10000 - 400) / 200)
 
 
-def make_cases(rng, n=60):
+@dataclass(frozen=True)
+class Case:
+    """One scored forecast built from scalars; ``stack`` turns a list of them into ``CostCases``."""
+
+    horizon: str
+    observed_inflow: float
+    envelope: OperatingEnvelope
+    climatological: float
+    deterministic: float
+    probabilistic: ZagaDistribution
+
+    def forecast(self, forecast_type: str):
+        return getattr(self, forecast_type)
+
+    def forecasts(self) -> dict:
+        return {ftype: self.forecast(ftype) for ftype in FORECAST_TYPES}
+
+
+def stack(cases) -> CostCases:
+    def column(items, attr):
+        return np.array([getattr(item, attr) for item in items])
+
+    envs, dists = [c.envelope for c in cases], [c.probabilistic for c in cases]
+    return CostCases(
+        issue_dates=np.full(len(cases), np.datetime64("2015-01-05", "D")),
+        horizons=column(cases, "horizon"),
+        observed_inflow=column(cases, "observed_inflow"),
+        envelope=OperatingEnvelope(**{f.name: column(envs, f.name) for f in fields(OperatingEnvelope)}),
+        climatological=column(cases, "climatological"),
+        deterministic=column(cases, "deterministic"),
+        probabilistic=ZagaDistribution(*(column(dists, p) for p in ("mu", "sigma", "nu", "offset"))),
+    )
+
+
+def make_case_list(rng, n=60):
     cases = []
     for i in range(n):
         clim = float(rng.uniform(0.8, 1.2))
@@ -256,8 +292,7 @@ def make_cases(rng, n=60):
         )
         env = OperatingEnvelope(clim_generation=clim * 100.0, energy_per_inflow=100.0)
         cases.append(
-            CostCase(
-                issue_date=np.datetime64("2015-01-05").astype("datetime64[D]").astype(object),
+            Case(
                 horizon="Forecast Week 1" if i % 2 else "Forecast Week 2",
                 observed_inflow=float(dist.random(rng, 1)[0]),
                 envelope=env,
@@ -267,6 +302,10 @@ def make_cases(rng, n=60):
             )
         )
     return cases
+
+
+def make_cases(rng, n=60) -> CostCases:
+    return stack(make_case_list(rng, n))
 
 
 class TestSweep:
@@ -301,15 +340,15 @@ class TestSweep:
             cases, totals[("climatological", 60.0)], totals[("probabilistic", 60.0)], n_boot=300, seed=1
         )
         direct = water_value(
-            totals[("probabilistic", 60.0)], np.array([c.envelope.clim_generation for c in cases]), 50.0
+            totals[("probabilistic", 60.0)], cases.envelope.clim_generation, 50.0
         ) - water_value(
-            totals[("climatological", 60.0)], np.array([c.envelope.clim_generation for c in cases]), 50.0
+            totals[("climatological", 60.0)], cases.envelope.clim_generation, 50.0
         )
         assert_allclose(diff.estimate, direct, rtol=1e-10)
 
     def test_evaluate_case_returns_all_types(self, rng):
-        case = make_cases(rng, n=1)[0]
-        out = evaluate_case(case, PRICES)
+        case = make_case_list(rng, n=1)[0]
+        out = evaluate_case(case.forecasts(), case.observed_inflow, case.envelope, PRICES)
         assert set(out) == {"climatological", "deterministic", "probabilistic"}
         for decision, costs in out.values():
             assert costs.total == pytest.approx(costs.stage1 + costs.stage2)
@@ -358,8 +397,7 @@ def batch_case(draw, kind):
     if kind == "low":
         offset = max(offset, 1.2 * unit)
     dist = ZagaDistribution((abs(level()) + 0.1) * unit + offset, ratio(0.2, 1.5), nu, offset)
-    return CostCase(
-        issue_date=np.datetime64("2015-01-05").astype("datetime64[D]").astype(object),
+    return Case(
         horizon=draw(st.sampled_from(["Forecast Week 1", "Forecast Week 2"])),
         observed_inflow=level() * unit,
         envelope=env,
@@ -405,8 +443,9 @@ class TestBatchedDecisions:
     @given(batch_cases())
     def test_point_decisions_match_per_case_reference_at_every_differential(self, cases):
         diffs = tuple(range(5, 101, 5))
-        adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
-        _, totals = price_sweep(cases, diffs, n_boot=2, min_cases=1, adjustments=adjustments)
+        table = stack(cases)
+        adjustments = {ftype: optimal_adjustments(table, ftype) for ftype in FORECAST_TYPES}
+        _, totals = price_sweep(table, diffs, n_boot=2, min_cases=1, adjustments=adjustments)
         for ftype in ("climatological", "deterministic"):
             for i, case in enumerate(cases):
                 observed = case.envelope.inflow_energy(case.observed_inflow)
@@ -420,7 +459,7 @@ class TestBatchedDecisions:
     @settings(max_examples=40, deadline=None)
     @given(batch_cases())
     def test_zaga_decisions_minimise_the_exact_objective(self, cases):
-        adjustments = optimal_adjustments(cases, "probabilistic")
+        adjustments = optimal_adjustments(stack(cases), "probabilistic")
         for case, a in zip(cases, adjustments):
             env, dist = case.envelope, case.probabilistic
             assert env.a_min <= a <= env.a_max
@@ -433,8 +472,7 @@ class TestBatchedDecisions:
         # every outcome lies below the stage-2 down band even at A = -1, and the
         # stage-1 down band is free that far: cutting all generation is optimal
         env = OperatingEnvelope(clim_generation=100.0, free_down_frac=1.2)
-        case = CostCase(
-            issue_date=np.datetime64("2015-01-05").astype("datetime64[D]").astype(object),
+        case = Case(
             horizon="Forecast Week 1",
             observed_inflow=0.0,
             envelope=env,
@@ -443,20 +481,34 @@ class TestBatchedDecisions:
             probabilistic=ZagaDistribution(0.1, 0.5, 0.3, 1.0),
         )
         for ftype in FORECAST_TYPES:
-            assert optimal_adjustments([case], ftype)[0] == env.a_min
+            assert optimal_adjustments(stack([case]), ftype)[0] == env.a_min
             assert optimal_adjustment(case.forecast(ftype), env, PRICES).adjustment == env.a_min
 
+    def test_point_kink_rounded_off_zero_ties_with_zero(self):
+        # a spilling point forecast whose over kink is 0 up to rounding (2.2e-16):
+        # the reference keeps 0 by its tie rule, and so must the batched decision
+        env = OperatingEnvelope(
+            clim_generation=85.49157465330748, free_up_frac=0.25, free_down_frac=0.5,
+            stage2_up_frac=0.5, max_capacity_frac=1.5, energy_per_inflow=20.0,
+        )
+        value = 8.549157465330747
+        case = Case("Forecast Week 1", value, env, value, value, ZagaDistribution(8.976615338597286, 1.0))
+        assert optimal_adjustment(value, env, PRICES).adjustment == 0.0
+        assert optimal_adjustments(stack([case]), "climatological")[0] == 0.0
+
     def test_evaluate_cases_prices_the_batched_decisions(self, rng):
-        cases = make_cases(rng, n=30)
-        batched = evaluate_cases(cases, PRICES)
+        cases = make_case_list(rng, n=30)
+        table = stack(cases)
+        batched = evaluate_cases(table, PRICES)
         for ftype in FORECAST_TYPES:
             a, costs = batched[ftype]
-            assert np.array_equal(a, optimal_adjustments(cases, ftype))
+            assert np.array_equal(a, optimal_adjustments(table, ftype))
             for i, case in enumerate(cases):
                 observed = case.envelope.inflow_energy(case.observed_inflow)
                 assert costs.stage1[i] == stage1_cost(a[i], case.envelope, PRICES)
                 assert costs.stage2[i] == stage2_cost(a[i], observed, case.envelope, PRICES)
         for i, case in enumerate(cases):
-            for ftype, (decision, costs) in evaluate_case(case, PRICES).items():
+            reference = evaluate_case(case.forecasts(), case.observed_inflow, case.envelope, PRICES)
+            for ftype, (decision, costs) in reference.items():
                 if ftype != "probabilistic":
                     assert batched[ftype][0][i] == decision.adjustment

@@ -1,11 +1,16 @@
 """perfbench/tracer.py wraps library functions by name; each of them must still exist.
 
 A target that is renamed or deleted makes every traced benchmark command fail
-with an AttributeError, so the check runs here, in the test suite.
+with an AttributeError, so the check runs here, in the test suite, together
+with a traced run that checks a counter the tracer reads from a result.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -23,3 +28,26 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"inflowcast.{module_name}.{attr}")
     assert not missing, f"perfbench/tracer.py wraps names the package no longer has: {missing}"
+
+
+def test_cost_cases_hook_counts_every_case(tiny_run, tmp_path):
+    # the `_cost_cases` hook reads len() of what build_cost_cases returns;
+    # decisions.csv holds one row per case and forecast type
+    root = TRACER.parents[1]
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run(
+        [
+            sys.executable, str(TRACER), "--spans", str(spans), "--",
+            "--config", str(tiny_run / "run.ini"), "--seed", "3", "cost-eval",
+            "--models", str(tiny_run / "models.json"),
+            "--inflow", str(tiny_run / "inflow.csv"),
+            "--ensemble", str(tiny_run / "ensemble.csv"),
+            "--out", str(tmp_path),
+        ],
+        env=env, check=True, capture_output=True,
+    )
+    counts = json.loads(spans.read_text())["counts"]
+    rows = len((tmp_path / "decisions.csv").read_text().splitlines()) - 1
+    assert rows > 0 and rows % 3 == 0
+    assert counts["pipeline.cost_cases"] == rows // 3

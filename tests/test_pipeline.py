@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import re
 
@@ -14,6 +15,7 @@ from inflowcast.data import (
     horizon_by_name,
     observed_horizon_mean,
 )
+from inflowcast.costmodel import optimal_adjustments
 from inflowcast.errors import InputError
 from inflowcast.pipeline import (
     HorizonCaseTable,
@@ -30,6 +32,7 @@ from inflowcast.pipeline import (
 from inflowcast.regression import WEEK1, fit_week1_regression
 from inflowcast.series import DailySeries, year_of
 from inflowcast.verification import fair_crps_sample
+from inflowcast.zaga import ZagaDistribution
 
 HORIZONS = (horizon_by_name("week1"), horizon_by_name("week2"), horizon_by_name("2week"))
 
@@ -188,7 +191,8 @@ class TestPrediction:
         h = horizon_by_name(row[1])
         table = tables[h.name]
         i = 7 % len(table)
-        dist = predictions[h.name].distribution(i)
+        pred = predictions[h.name]
+        dist = ZagaDistribution(pred.mu[i], pred.sigma[i], pred.nu[i], pred.offset[i])
         assert_allclose(row[2], dist.quantile(0.05), rtol=1e-10)
         assert_allclose(row[4], dist.quantile(0.5), rtol=1e-10)
 
@@ -325,15 +329,31 @@ class TestCostCases:
             models, tables, predictions,
             settings,
         )
-        assert cases
-        by_horizon = {}
-        for c in cases:
-            by_horizon.setdefault(c.horizon, c)
-        assert by_horizon["Forecast Week 1"].envelope.energy_per_inflow == pytest.approx(70.0)
-        assert by_horizon["2 Week Forecast"].envelope.energy_per_inflow == pytest.approx(140.0)
-        for c in cases[:50]:
-            assert c.envelope.clim_generation == pytest.approx(
-                c.climatological * c.envelope.energy_per_inflow
-            )
+        assert len(cases)
+        env = cases.envelope
+        for name, epi in (("Forecast Week 1", 70.0), ("2 Week Forecast", 140.0)):
+            rows = cases.horizons == name
+            assert rows.any()
+            assert_allclose(env.energy_per_inflow[rows], epi)
+        # horizons come in the order of the models, each in issue order
+        assert list(dict.fromkeys(cases.horizons.tolist())) == [h.name for h in models.horizons]
+        for name in dict.fromkeys(cases.horizons.tolist()):
+            assert np.all(np.diff(cases.issue_dates[cases.horizons == name]) > np.timedelta64(0, "D"))
+        assert_allclose(env.clim_generation, cases.climatological * env.energy_per_inflow, rtol=1e-12)
+        # every column is aligned with the cases
+        columns = (cases.observed_inflow, cases.climatological, cases.deterministic, cases.probabilistic.mu)
+        assert {len(column) for column in columns} == {len(cases)}
         # the batched medians are bitwise those of the per-case distributions
-        assert all(c.deterministic == c.probabilistic.quantile(0.5) for c in cases)
+        d = cases.probabilistic
+        assert all(
+            cases.deterministic[i] == ZagaDistribution(d.mu[i], d.sigma[i], d.nu[i], d.offset[i]).quantile(0.5)
+            for i in range(len(cases))
+        )
+
+    def test_no_horizons_give_an_empty_table(self, trained):
+        _, tables, models, predictions = trained
+        models = dataclasses.replace(models, horizons=())
+        cases = build_cost_cases(models, tables, predictions, CostSettings())
+        assert len(cases) == 0
+        assert cases.issue_dates.dtype == np.dtype("datetime64[D]")
+        assert optimal_adjustments(cases, "probabilistic").shape == (0,)
