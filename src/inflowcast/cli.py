@@ -55,12 +55,10 @@ DEFAULT_CONFIG = {
         "knots": "6",
         "ridge": "1e-6",
         "starts": "3",
-        "max_iterations": "1000",  # accepted and ignored: the Newton fit needs no budget
         "min_cases": "100",
         "member_wise": "true",
     },
     "verification": {
-        "crps_levels": "1024",
         "bootstrap": "1000",
         "min_cases": "20",
         "min_climatology_years": "3",
@@ -77,7 +75,6 @@ DEFAULT_CONFIG = {
         "stage2_down_frac": "0.5",
         "max_capacity_frac": "2.4",
         "energy_per_inflow_day": "10.0",
-        "quadrature_nodes": "256",  # accepted and ignored: decisions come from the exact ZAGA CDF
         "bootstrap": "1000",
     },
     "synth": {

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _require(path: Path) -> Path:
     path = Path(path)
     if not path.exists():
@@ -40,10 +47,38 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _check_bytes(path: Path, forbidden: tuple[bytes, ...] = ()) -> None:
+    """Raise an InputError naming the line of the first byte of ``path`` that is not UTF-8 or is ``forbidden``."""
+    data = Path(path).read_bytes()
+    try:
+        if not data.isascii():
+            data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at, problem = exc.start, "is not valid UTF-8"
+    else:
+        at, problem = min((i for i in map(data.find, forbidden) if i >= 0), default=-1), "is not allowed"
+    if at >= 0:
+        line = len((data[:at] + b"x").splitlines())  # b"x": a line break just before the byte starts its line
+        raise InputError(f"{path}:{line}: byte {data[at : at + 1]!r} {problem}")
+
+
+def _first_bad_row(path: Path, problem) -> InputError | None:
+    """The `file:line` error of the first body row ``problem`` finds fault with (it gets a dict by header name)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for row in reader:
+            message = row and problem(dict(zip(header, row)))
+            if message:
+                return InputError(f"{path}:{reader.line_num}: {message}")
+    return None
+
+
 def _rows(path: Path, required: tuple[str, ...]):
     """Yield (line number, dict) rows of a CSV; validates the header up front."""
     path = _require(path)
-    with open(path, newline="") as fh:
+    _check_bytes(path)
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
@@ -97,17 +132,15 @@ def read_telemetry_csv(path) -> TelemetrySeries:
 
 
 def write_telemetry_csv(path, telemetry: TelemetrySeries) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "water_level_m", "power_w"])
-        for t, l, p in zip(telemetry.timestamps, telemetry.water_level, telemetry.power):
-            w.writerow([f"{t}Z", _fmt(l), _fmt(p)])
+    rows = zip((f"{t}Z" for t in telemetry.timestamps), map(_fmt, telemetry.water_level), map(_fmt, telemetry.power))
+    _write_csv(path, ["timestamp", "water_level_m", "power_w"], rows)
 
 
 def read_grid_table_csv(path) -> GridTable:
     """Rectangular grid: header `power_w,<level>,...`, one row per power value."""
     path = _require(Path(path))
-    with open(path, newline="") as fh:
+    _check_bytes(path)
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -136,11 +169,8 @@ def read_grid_table_csv(path) -> GridTable:
 
 
 def write_grid_table_csv(path, table: GridTable) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["power_w"] + [_fmt(l) for l in table.level_axis])
-        for p, row in zip(table.power_axis, table.values):
-            w.writerow([_fmt(p)] + [_fmt(v) for v in row])
+    rows = ([_fmt(p), *map(_fmt, row)] for p, row in zip(table.power_axis, table.values))
+    _write_csv(path, ["power_w", *map(_fmt, table.level_axis)], rows)
 
 
 def read_storage_csv(path) -> StorageCurve:
@@ -153,11 +183,7 @@ def read_storage_csv(path) -> StorageCurve:
 
 
 def write_storage_csv(path, curve: StorageCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level_m", "volume_m3"])
-        for l, v in zip(curve.level_axis, curve.volume):
-            w.writerow([_fmt(l), _fmt(v)])
+    _write_csv(path, ["level_m", "volume_m3"], zip(map(_fmt, curve.level_axis), map(_fmt, curve.volume)))
 
 
 def read_compensation_csv(path) -> CompensationSchedule:
@@ -173,11 +199,8 @@ def read_compensation_csv(path) -> CompensationSchedule:
 
 
 def write_compensation_csv(path, schedule: CompensationSchedule) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["start_date", "end_date", "flow_m3s"])
-        for s, e, r in zip(schedule.starts, schedule.ends, schedule.rates):
-            w.writerow([str(s), str(e), _fmt(r)])
+    rows = zip(schedule.starts, schedule.ends, map(_fmt, schedule.rates))
+    _write_csv(path, ["start_date", "end_date", "flow_m3s"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +245,7 @@ def read_inflow_csv(path, sidecar=None) -> InflowSeries:
 
 
 def write_inflow_csv(path, series: InflowSeries, sidecar=None, cleaning_report: dict | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "inflow_norm"])
-        for d, v in zip(series.dates, series.values):
-            w.writerow([str(d), _fmt(v)])
+    _write_csv(path, ["date", "inflow_norm"], zip(series.dates, map(_fmt, series.values)))
     if sidecar is not None:
         meta = {
             "normalization_constant": series.normalization_constant,
@@ -242,18 +261,13 @@ def read_reanalysis_csv(path) -> DailySeries:
     """`date,precip_mm_day`."""
     series = read_daily_series_csv(path, "precip_mm_day")
     if np.any(series.values < 0):
-        for lineno, row in _rows(Path(path), ("precip_mm_day",)):
-            if float(row["precip_mm_day"]) < 0:
-                raise InputError(f"{path}:{lineno}: negative precipitation rate {row['precip_mm_day']!r}")
+        c = "precip_mm_day"
+        raise _first_bad_row(Path(path), lambda row: float(row[c]) < 0 and f"negative precipitation rate {row[c]!r}")
     return series
 
 
 def write_reanalysis_csv(path, series: DailySeries) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "precip_mm_day"])
-        for d, v in zip(series.dates, series.values):
-            w.writerow([str(d), _fmt(v)])
+    _write_csv(path, ["date", "precip_mm_day"], zip(series.dates, map(_fmt, series.values)))
 
 
 def read_nao_csv(path) -> NaoIndex:
@@ -272,11 +286,7 @@ def read_nao_csv(path) -> NaoIndex:
 
 
 def write_nao_csv(path, nao: NaoIndex) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "month", "index"])
-        for (y, m), value in nao.items():
-            w.writerow([y, m, _fmt(value)])
+    _write_csv(path, ["year", "month", "index"], ((y, m, _fmt(value)) for (y, m), value in nao.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +299,18 @@ _ENSEMBLE_SCHEMAS = {
     "split": ("issue_date", "member", "lead_day", "largescale_mm_day", "convective_mm_day"),
     "six_hourly": ("issue_date", "member", "lead_step_hours", "precip_mm"),
 }
-_ENSEMBLE_CONVERTERS = {"issue_date": _to_date, "member": int, "lead_day": int, "lead_step_hours": int}
-_CHUNK_ROWS = 16384
+# numpy's parser cuts a string at NUL and reads the ASCII separators as blanks
+_NUMPY_BLANKS = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_ISSUE_DATE_BYTES = 16  # width an issue_date is read at; a field that fills it may have been cut
 
 
-def _line_of(path: Path, record: int) -> int:
-    """Line number of body record ``record`` (0-based, blank lines included)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for _ in itertools.islice(reader, record + 2):
-            pass
-        return reader.line_num
+def _to_issue_date(raw: str) -> np.datetime64:
+    if len(raw.encode()) >= _ISSUE_DATE_BYTES:
+        raise ValueError(raw)
+    return _to_date(raw)
+
+
+_ENSEMBLE_CONVERTERS = {"issue_date": _to_issue_date, "member": int, "lead_day": int, "lead_step_hours": int}
 
 
 def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
@@ -307,10 +318,15 @@ def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
     columns = _ENSEMBLE_SCHEMAS[mode]
     values = {}
     for c in columns:
+        raw = fields.get(c)
         try:
-            values[c] = _ENSEMBLE_CONVERTERS.get(c, float)(fields.get(c))
+            if c != "issue_date" and not (raw.isascii() and "_" not in raw):  # numbers as numpy reads them
+                raise ValueError(raw)
+            values[c] = _ENSEMBLE_CONVERTERS.get(c, float)(raw)
+            if isinstance(values[c], int) and not -(2**63) <= values[c] < 2**63:
+                raise ValueError(raw)
         except (TypeError, ValueError, AttributeError):
-            return f"bad value {fields.get(c)!r} in column {c!r}"
+            return f"bad value {raw!r} in column {c!r}"
         if c == "lead_step_hours" and (values[c] <= 0 or values[c] % 6):
             return "lead_step_hours must be a positive multiple of 6"
     if values.get("lead_day", 1) <= 0:
@@ -321,44 +337,33 @@ def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
     return None
 
 
-def _ensemble_chunk(path, header, mode, chunk, record, day_of):
-    """Columns (issue day number, member, lead day, amount) of one chunk of rows,
-    or None for a chunk of blank lines.
+def _ensemble_columns(path: Path, header: list[str], skip: int, mode: str):
+    """Columns (issue day number, member, lead day, amount) of every body row, or a ValueError.
 
-    ``record`` is the index of the chunk's first body record; ``day_of`` caches
-    the day number of every issue_date string seen so far.  A chunk that
-    fails a conversion or a check is scanned row by row for the first bad row.
+    One ``np.loadtxt`` reads the schema's columns by header name (the last one
+    wins, as in csv.DictReader); each distinct issue_date is parsed once.
     """
     columns = _ENSEMBLE_SCHEMAS[mode]
-    rows = [row for row in chunk if row]
-    if not rows:
-        return None
-    where = {name: i for i, name in enumerate(header)}  # last one wins, as in csv.DictReader
-    try:
-        cols = list(zip(*rows))  # as wide as the shortest row
-        raw = [cols[where[c]] for c in columns]
-        for s in set(raw[0]).difference(day_of):
-            day_of[s] = int(_to_date(s).astype(np.int64))
-        n = len(rows)
-        issue = np.fromiter(map(day_of.__getitem__, raw[0]), np.int64, n)
-        member = np.fromiter(map(int, raw[1]), np.int64, n)
-        lead = np.fromiter(map(int, raw[2]), np.int64, n)
-        values = [np.fromiter(map(float, col), float, n) for col in raw[3:]]
-    except (IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        error = exc
-    else:
-        error = None
-        flagged = (lead <= 0) | (lead % 6 != 0) if mode == "six_hourly" else lead <= 0
-        for v in values:
-            flagged |= ~np.isfinite(v) | (v < 0)
-        if not flagged.any():
-            day = (lead + 23) // 24 if mode == "six_hourly" else lead
-            return issue, member, day, values[0] + values[1] if mode == "split" else values[0]
-    for k, row in enumerate(chunk):
-        problem = row and _ensemble_row_problem(dict(zip(header, row)), mode)
-        if problem:
-            raise InputError(f"{path}:{_line_of(path, record + k)}: {problem}")
-    raise InputError(f"{path}: a value from line {_line_of(path, record)} on is out of range ({error})")
+    where = {name: i for i, name in enumerate(header)}
+    kinds = {"issue_date": f"S{_ISSUE_DATE_BYTES}", "member": np.int64, columns[2]: np.int64}
+    dtype = [(c, kinds.get(c, float)) for c in columns]
+    # A file object keeps numpy from decompressing by file name; latin-1 hands it the
+    # undecoded bytes, since its integer parser takes some characters above U+00FF for digits.
+    with open(path, encoding="latin-1") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        cols = [where[c] for c in columns]
+        rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, ndmin=1)
+    dates, issue_idx = np.unique(rows["issue_date"], return_inverse=True)
+    day_of = np.array([_to_issue_date(d.decode()) for d in dates.tolist()], dtype="datetime64[D]").astype(np.int64)
+    lead = rows[columns[2]]
+    values = [rows[c] for c in columns[3:]]
+    flagged = (lead <= 0) | (lead % 6 != 0) if mode == "six_hourly" else lead <= 0
+    for v in values:
+        flagged |= ~np.isfinite(v) | (v < 0)
+    if flagged.any():
+        raise ValueError("a value out of range")
+    day = (lead + 23) // 24 if mode == "six_hourly" else lead
+    return day_of[issue_idx], rows["member"], day, values[0] + values[1] if mode == "split" else values[0]
 
 
 def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForecast]:
@@ -372,28 +377,28 @@ def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForec
     members and each member at least ``min_lead_days`` complete lead days
     (the issue is cut to the shortest member).
 
-    The body is read in chunks of ``_CHUNK_ROWS`` rows, each converted column
-    by column; a failing chunk is scanned row by row only to name the line.
+    The body is parsed column by column in one pass; a file that fails to
+    parse or a check is scanned row by row only to name the first bad line.
     """
     path = _require(Path(path))
-    with open(path, newline="") as fh:
+    _check_bytes(path, _NUMPY_BLANKS)  # also in the columns that are not read
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        skip = reader.line_num
         cols = set(header)
         for mode, required in _ENSEMBLE_SCHEMAS.items():
             if set(required) <= cols:
                 break
         else:
             raise InputError(f"{path}: unrecognised ensemble schema (header: {sorted(cols)})")
-        parts, record, day_of = [], 0, {}
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            part = _ensemble_chunk(path, header, mode, chunk, record, day_of)
-            if part is not None:
-                parts.append(part)
-            record += len(chunk)
-    if not parts:
+    try:
+        issue, member, day, amount = _ensemble_columns(path, header, skip, mode)
+    except ValueError as exc:
+        bad_row = _first_bad_row(path, lambda fields: _ensemble_row_problem(fields, mode))
+        raise bad_row or InputError(f"{path}: {exc}") from None
+    if not len(issue):
         raise InputError(f"{path}: no forecast rows")
-    issue, member, day, amount = (np.concatenate(c) for c in zip(*parts))
 
     issues, issue_idx = np.unique(issue, return_inverse=True)
     issues = issues.astype("datetime64[D]")
@@ -442,13 +447,13 @@ def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForec
 
 
 def write_ensemble_csv(path, forecasts) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["issue_date", "member", "lead_day", "precip_mm_day"])
-        for f in forecasts:
-            for k in range(f.n_members):
-                for d in range(1, f.n_lead_days + 1):
-                    w.writerow([f.issue_date.isoformat(), k, d, _fmt(f.members[k, d - 1])])
+    rows = (
+        (f.issue_date, k, d, _fmt(v))
+        for f in forecasts
+        for k, member in enumerate(f.members.tolist())
+        for d, v in enumerate(member, 1)
+    )
+    _write_csv(path, ["issue_date", "member", "lead_day", "precip_mm_day"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +463,7 @@ def write_ensemble_csv(path, forecasts) -> None:
 
 def write_table_csv(path, header, rows) -> None:
     """Generic deterministic CSV writer; floats via repr."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(c) for c in row])
+    _write_csv(path, header, ([_fmt(c) for c in row] for row in rows))
 
 
 def read_table_csv(path, columns, finite=()):

@@ -353,7 +353,7 @@ def reconstruct_net_inflow(
 
     discharge = np.zeros_like(power)
     use = running & curve_ok
-    discharge[use] = power[use] / (eff[use] * WATER_DENSITY * GRAVITY * head[use])
+    discharge[use] = compute_discharge(power[use], eff[use], head[use])  # curve_ok meets its preconditions
 
     # volume derivative on the sub-series with valid volumes
     dvdt = np.full(len(telemetry), np.nan)

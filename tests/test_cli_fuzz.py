@@ -4,8 +4,9 @@ Each example copies the outputs of a tiny run (5 years, 3 members), mutates
 one or two input files and calls ``main()`` in this process, so any exception
 that is not mapped to an exit code fails the test.  CSV files lose, repeat,
 reorder or corrupt rows; the ensemble also loses one member of one issue;
-JSON files are truncated or have one value replaced by a value of another
-type.
+the ensemble and inflow files also gain a byte that is not UTF-8, a `#` line,
+a whitespace-only line, a quoted field or an extra trailing column.  JSON
+files are truncated or have one value replaced by a value of another type.
 """
 
 import json
@@ -29,10 +30,11 @@ JSON_VALUES = st.one_of(
 
 
 @st.composite
-def csv_mutation(draw, lines, ensemble=False):
-    """Mutated CSV lines (header first)."""
+def csv_mutation(draw, lines, ensemble=False, raw=False):
+    """Mutated CSV file bytes (header first); ``raw`` adds byte-level mutations."""
     lines = list(lines)
     kinds = ["drop", "duplicate", "value", "reverse", "swap"] + (["ragged"] if ensemble else [])
+    kinds += ["not_utf8", "comment", "whitespace", "quoted", "extra"] if raw else []
     kind = draw(st.sampled_from(kinds))
     row = draw(st.integers(1, len(lines) - 1))
     if kind == "drop":
@@ -48,10 +50,25 @@ def csv_mutation(draw, lines, ensemble=False):
     elif kind == "swap":
         other = draw(st.integers(1, len(lines) - 1))
         lines[row], lines[other] = lines[other], lines[row]
-    else:  # one member of one issue goes missing
+    elif kind == "ragged":  # one member of one issue goes missing
         issue, member = lines[row].split(",")[:2]
         lines = [line for line in lines if not line.startswith(f"{issue},{member},")]
-    return "\n".join(lines) + "\n"
+    elif kind == "comment":
+        lines.insert(row, "#" + lines[row])
+    elif kind == "whitespace":
+        lines.insert(row, draw(st.sampled_from([" ", "\t", " \t  "])))
+    elif kind == "quoted":
+        fields = lines[row].split(",")
+        k = draw(st.integers(0, len(fields) - 1))
+        fields[k] = f'"{fields[k]}"'
+        lines[row] = ",".join(fields)
+    elif kind == "extra":
+        lines[row] += "," + draw(st.sampled_from(["0", "x", '"a,b"', ""]))
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "not_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
 
 
 def _paths(node, prefix=()):
@@ -87,7 +104,8 @@ def _mutations(draw, sources, names):
         if name.endswith(".json"):
             out[name] = draw(json_mutation(text))
         else:
-            out[name] = draw(csv_mutation(text.splitlines(), ensemble=name == "ensemble.csv"))
+            raw = name in ("ensemble.csv", "inflow.csv")
+            out[name] = draw(csv_mutation(text.splitlines(), ensemble=name == "ensemble.csv", raw=raw))
     return out
 
 
@@ -104,7 +122,8 @@ def work(tmp_path_factory):
 
 def _write(work, sources, mutated):
     for name, text in sources.items():
-        (work / name).write_text(mutated.get(name, text))
+        data = mutated.get(name, text)
+        (work / name).write_bytes(data if isinstance(data, bytes) else data.encode())
 
 
 FUZZ = settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

@@ -1,6 +1,7 @@
 import datetime as dt
 import json
-from unittest import mock
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -210,8 +211,8 @@ def _ensemble_lines(mode, rows, blanks):
 
 class TestColumnarEnsembleReader:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(ensemble_files(), st.integers(1, 40))
-    def test_any_row_order_reads_back_bitwise(self, tmp_path, spec, chunk_rows):
+    @given(ensemble_files())
+    def test_any_row_order_reads_back_bitwise(self, tmp_path, spec):
         mode, issues, members, n_days, rows, blanks = spec
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(_ensemble_lines(mode, rows, blanks)) + "\n")
@@ -220,16 +221,15 @@ class TestColumnarEnsembleReader:
         for issue, m, lead, amounts in rows:
             day = (lead + 23) // 24 if mode == "six_hourly" else lead
             totals[issue, m, day] = totals.get((issue, m, day), 0.0) + sum(amounts)
-        with mock.patch.object(iomod, "_CHUNK_ROWS", chunk_rows):
-            back = iomod.read_ensemble_csv(path, min_lead_days=n_days)
+        back = iomod.read_ensemble_csv(path, min_lead_days=n_days)
         assert [f.issue_date for f in back] == issues
         for f in back:
             expected = np.array([[totals[f.issue_date, m, d] for d in range(1, n_days + 1)] for m in members])
             assert f.members.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(ensemble_files(), st.data(), st.integers(1, 40))
-    def test_bad_value_names_its_line(self, tmp_path, spec, data, chunk_rows):
+    @given(ensemble_files(), st.data())
+    def test_bad_value_names_its_line(self, tmp_path, spec, data):
         mode, issues, members, n_days, rows, blanks = spec
         lines = _ensemble_lines(mode, rows, blanks)
         k = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line and i > 0]))
@@ -244,9 +244,18 @@ class TestColumnarEnsembleReader:
         lines[k] = ",".join(fields)
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
-        with mock.patch.object(iomod, "_CHUNK_ROWS", chunk_rows), pytest.raises(InputError) as err:
+        with pytest.raises(InputError) as err:
             iomod.read_ensemble_csv(path, min_lead_days=n_days)
         assert str(err.value).startswith(f"{path}:{k + 1}:")
+
+    def test_six_hourly_step_off_the_grid_names_its_line(self, tmp_path):
+        lines = ["issue_date,member,lead_step_hours,precip_mm"]
+        lines += [f"2015-01-05,{m},{step},1.0" for m in (0, 1) for step in (6, 12, 18, 24)]
+        lines[6] = "2015-01-05,1,9,1.0"
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=rf"^{path}:7: lead_step_hours must be a positive multiple of 6$"):
+            iomod.read_ensemble_csv(path, min_lead_days=1)
 
     def test_short_row_names_its_line(self, tmp_path):
         lines = ["issue_date,member,lead_day,precip_mm_day"]
@@ -290,8 +299,99 @@ class TestColumnarEnsembleReader:
     def test_header_only_has_no_rows(self, tmp_path):
         path = tmp_path / "ensemble.csv"
         path.write_text("issue_date,member,lead_day,precip_mm_day\n\n")
-        with pytest.raises(InputError, match="no forecast rows"):
-            iomod.read_ensemble_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="no forecast rows"):
+                iomod.read_ensemble_csv(path)
+
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ("#2015-01-05,1,2,1.0", 0),  # not a comment
+            ("   ", 0),
+            ("\t", 0),
+            ("2015-01-05xxxxxxxxxxxxxxxxx,1,2,1.0", 0),  # longer than the width dates are read at
+            ("  2015-01-05    ,1,2,1.0", 0),  # a valid date padded to that width
+            ("2015-01-05,1\u01fe,2,1.0", 1),  # numpy's integer parser reads U+01FE as a digit
+            ("2015-01-05,1,1_0,1.0", 2),
+            ("2015-01-05,99999999999999999999,2,1.0", 1),  # beyond int64
+            ("2015-01-05,1,2,\u0661.5", 3),  # an Arabic-Indic digit
+        ],
+    )
+    def test_parser_quirk_is_a_bad_row(self, tmp_path, line, column):
+        header = "issue_date,member,lead_day,precip_mm_day"
+        lines = [header] + [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
+        lines.insert(3, line)
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        field, name = line.split(",")[column], header.split(",")[column]
+        with pytest.raises(InputError, match=re.escape(f"{path}:4: bad value {field!r} in column {name!r}") + "$"):
+            iomod.read_ensemble_csv(path, min_lead_days=2)
+
+    @pytest.mark.parametrize(
+        "line, byte",
+        [("2015-01-05\x00,1,2,1.0", "\x00"), ("2015-01-05,1,2,1.0\x1c", "\x1c"), ("2015-01-05,1,2,1.0,\x1f", "\x1f")],
+    )
+    def test_character_numpy_misreads_names_its_line(self, tmp_path, line, byte):
+        # numpy would drop a trailing NUL from the date and read the separators as blanks
+        lines = ["issue_date,member,lead_day,precip_mm_day"]
+        lines += [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
+        lines[4] = line
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}:5: byte {byte.encode()!r} is not allowed"
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            iomod.read_ensemble_csv(path, min_lead_days=2)
+
+    def test_quoted_fields_and_extra_columns_read_as_csv_reads_them(self, tmp_path):
+        rows = [(m, d, f"{m + d}.25") for m in (0, 1) for d in (1, 2)]
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        body = "".join(f"2015-01-05,{m},{d},{v}\n" for m, d, v in rows)
+        plain.write_text("issue_date,member,lead_day,precip_mm_day\n" + body)
+        odd.write_text(
+            '"issue_date",member,"lead_day",precip_mm_day,note\n'
+            + "".join(f'"2015-01-05", {m},"{d}",{v} ,"a, ""b""",extra\n' for m, d, v in rows)
+            + " 2015-01-05\t,1,3,9.0\n"  # a padded date, on a day past the issue's cut
+        )
+        back, expected = (iomod.read_ensemble_csv(p, min_lead_days=2) for p in (odd, plain))
+        assert [f.issue_date for f in back] == [f.issue_date for f in expected]
+        assert back[0].members.tobytes() == expected[0].members.tobytes()
+
+
+def _grid_file(path):
+    iomod.write_grid_table_csv(path, demo_plant_curves().efficiency)
+
+
+def _ensemble_file(path):
+    rows = "".join(f"2015-01-05,{m},{d},1.0,ok\n" for m in (0, 1) for d in (1, 2))
+    path.write_text("issue_date,member,lead_day,precip_mm_day,note\n" + rows)
+
+
+def _inflow_file(path):
+    rows = "".join(f"{dt.date(2000, 1, 1) + dt.timedelta(days=i)},0.125\n" for i in range(1000))
+    path.write_text("date,inflow_norm\n" + rows)
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "write, read, line",
+        [
+            (_ensemble_file, iomod.read_ensemble_csv, 4),  # in a column that is not read
+            (_inflow_file, iomod.read_inflow_csv, 700),
+            (_grid_file, iomod.read_grid_table_csv, 3),
+            (_inflow_file, lambda p: iomod.read_table_csv(p, ["date"]), 1),
+        ],
+    )
+    @pytest.mark.parametrize("at_start", [False, True])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, write, read, line, at_start):
+        path = tmp_path / "input.csv"
+        write(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        body = b"" if at_start else lines[line - 1].rstrip(b"\r\n")
+        lines[line - 1] = body + b"\xff" + lines[line - 1][len(body) :]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(InputError, match=rf"^{path}:{line}: byte b'\\xff' is not valid UTF-8$"):
+            read(path)
 
 
 class TestDailySeriesCsv:
