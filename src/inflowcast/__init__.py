@@ -2,12 +2,38 @@
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .data import CANONICAL_HORIZONS, EnsemblePrecipForecast, HorizonSpec
-from .emos import EmosFeatures, EmosModel, compute_features, fit_emos, predict_distribution
 from .errors import InflowcastError, InputError, NumericalError
 from .series import DailySeries, InflowSeries
-from .verification import classify_skill, fair_crps, fcrpss
-from .zaga import ZagaDistribution
+
+# These modules load scipy.special, so their names are imported on first use
+# (PEP 562): a command that computes no special function starts without it.
+_LAZY = {
+    "EmosFeatures": "emos",
+    "EmosModel": "emos",
+    "compute_features": "emos",
+    "fit_emos": "emos",
+    "predict_distribution": "emos",
+    "classify_skill": "verification",
+    "fair_crps": "verification",
+    "fcrpss": "verification",
+    "ZagaDistribution": "zaga",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "CANONICAL_HORIZONS",

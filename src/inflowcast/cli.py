@@ -14,31 +14,17 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import io as iomod
 from . import __version__
-from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
 from .data import CANONICAL_HORIZONS, horizon_by_name
 from .errors import InflowcastError, InputError, NumericalError
-from .pipeline import (
-    FORECAST_HEADER,
-    CostSettings,
-    TrainedModels,
-    build_case_tables,
-    build_cost_cases,
-    forecast_rows,
-    predict_params,
-    train_models,
-    verify_skill,
-)
-from .synth import ScenarioConfig, generate_scenario, simulate_telemetry
-from .telemetry import (
-    CleaningLimits,
-    PlantCurves,
-    aggregate_and_normalize,
-    clean_telemetry,
-    reconstruct_net_inflow,
-)
+
+# Each command imports the modules it computes with, so `synth`,
+# `reconstruct-inflow` and `report` start without scipy.special.
+if TYPE_CHECKING:
+    from .pipeline import CostSettings, TrainedModels
 
 DEFAULT_CONFIG = {
     "run": {"seed": "0"},
@@ -171,6 +157,8 @@ def _seed(args, cfg) -> int:
 
 
 def cmd_synth(args, cfg) -> int:
+    from .synth import ScenarioConfig, generate_scenario, simulate_telemetry
+
     out = _out_dir(args)
     seed = _seed(args, cfg)
     half_life_raw = cfg.get("synth", "skill_half_life")
@@ -219,6 +207,8 @@ def cmd_synth(args, cfg) -> int:
 
 
 def cmd_reconstruct(args, cfg) -> int:
+    from .telemetry import CleaningLimits, PlantCurves, aggregate_and_normalize, clean_telemetry, reconstruct_net_inflow
+
     out = _out_dir(args)
     telemetry = iomod.read_telemetry_csv(args.telemetry)
     curves = PlantCurves(
@@ -259,6 +249,8 @@ def cmd_reconstruct(args, cfg) -> int:
 
 def _load_models(path) -> TrainedModels:
     """The models file of `train`; a malformed one is an input error naming the file and key."""
+    from .pipeline import TrainedModels
+
     data = iomod.read_json(path)
     try:
         return TrainedModels.from_dict(data)
@@ -277,6 +269,8 @@ def _load_dataset(args):
 
 
 def cmd_train(args, cfg) -> int:
+    from .pipeline import train_models
+
     out = _out_dir(args)
     seed = _seed(args, cfg)
     inflow, issues, _, _ = _load_dataset(args)
@@ -300,6 +294,8 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_forecast(args, cfg) -> int:
+    from .pipeline import FORECAST_HEADER, build_case_tables, forecast_rows, predict_params
+
     out = _out_dir(args)
     models = _load_models(args.models)
     inflow, issues, _, _ = _load_dataset(args)
@@ -319,6 +315,8 @@ def cmd_forecast(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
+    from .pipeline import build_case_tables, predict_params, verify_skill
+
     out = _out_dir(args)
     seed = _seed(args, cfg)
     models = _load_models(args.models)
@@ -368,6 +366,8 @@ def cmd_verify(args, cfg) -> int:
 
 
 def _cost_settings(cfg, seed) -> CostSettings:
+    from .pipeline import CostSettings
+
     lo, hi, step, n_boot = (
         _getint(cfg, "cost", key) for key in ("differential_min", "differential_max", "differential_step", "bootstrap")
     )
@@ -399,6 +399,9 @@ def _cost_settings(cfg, seed) -> CostSettings:
 
 
 def cmd_cost_eval(args, cfg) -> int:
+    from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
+    from .pipeline import build_case_tables, build_cost_cases, predict_params
+
     out = _out_dir(args)
     seed = _seed(args, cfg)
     settings = _cost_settings(cfg, seed)

@@ -1,4 +1,4 @@
-"""Ensemble precipitation forecasts, forecast horizons and monthly climatology."""
+"""Ensemble precipitation forecasts, forecast horizons, monthly climatology and the NAO index."""
 
 from __future__ import annotations
 
@@ -210,3 +210,24 @@ class ClimatologyCache:
                 self._series, horizon, month, forecast_year, self._issues, self._min_years
             )
         return self._cache[key]
+
+
+# ---------------------------------------------------------------------------
+# circulation index
+# ---------------------------------------------------------------------------
+
+
+class NaoIndex:
+    """Monthly atmospheric-circulation index keyed by (year, month)."""
+
+    def __init__(self, entries: dict[tuple[int, int], float]):
+        self._entries = dict(entries)
+
+    def value(self, year: int, month: int) -> float | None:
+        return self._entries.get((year, month))
+
+    def items(self):
+        return sorted(self._entries.items())
+
+    def __len__(self) -> int:
+        return len(self._entries)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import EnsemblePrecipForecast
+from .data import EnsemblePrecipForecast, NaoIndex
 from .errors import InputError
 from .series import DailySeries, InflowSeries
 from .telemetry import (
@@ -24,7 +24,6 @@ from .telemetry import (
     StorageCurve,
     TelemetrySeries,
 )
-from .verification import NaoIndex
 
 
 def _fmt(x) -> str:
@@ -124,6 +123,8 @@ def read_telemetry_csv(path) -> TelemetrySeries:
     ts, level, power = [], [], []
     for lineno, row in _rows(Path(path), ("timestamp", "water_level_m", "power_w")):
         ts.append(_parse(path, lineno, row, "timestamp", _to_timestamp))
+        if len(ts) > 1 and ts[-1] <= ts[-2]:
+            raise InputError(f"{path}:{lineno}: telemetry timestamps must be strictly increasing: {ts[-1]} is not after {ts[-2]}")
         level.append(_parse(path, lineno, row, "water_level_m", float))
         power.append(_parse(path, lineno, row, "power_w", float))
     if not ts:
@@ -136,8 +137,16 @@ def write_telemetry_csv(path, telemetry: TelemetrySeries) -> None:
     _write_csv(path, ["timestamp", "water_level_m", "power_w"], rows)
 
 
+def _construct(path, cls, *arrays):
+    """``cls(*arrays)``, with its structural errors (too few points, say) prefixed by ``path``."""
+    try:
+        return cls(*arrays)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def read_grid_table_csv(path) -> GridTable:
-    """Rectangular grid: header `power_w,<level>,...`, one row per power value."""
+    """Rectangular grid: header `power_w,<level>,...`, one row per power value; both axes strictly increasing."""
     path = _require(Path(path))
     _check_bytes(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -152,6 +161,8 @@ def read_grid_table_csv(path) -> GridTable:
             raise InputError(f"{path}:1: level axis header must be numeric") from None
         if not all(map(math.isfinite, levels)):
             raise InputError(f"{path}:1: non-finite level in the level axis header")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise InputError(f"{path}:1: grid axes must be strictly increasing (level axis header)")
         powers, values = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -165,7 +176,9 @@ def read_grid_table_csv(path) -> GridTable:
                 raise InputError(f"{path}:{lineno}: non-finite grid entry")
             if len(values[-1]) != len(levels):
                 raise InputError(f"{path}:{lineno}: expected {len(levels)} grid columns")
-    return GridTable(np.array(powers), np.array(levels), np.array(values))
+            if len(powers) > 1 and powers[-1] <= powers[-2]:
+                raise InputError(f"{path}:{lineno}: grid axes must be strictly increasing (power {row[0]!r})")
+    return _construct(path, GridTable, np.array(powers), np.array(levels), np.array(values))
 
 
 def write_grid_table_csv(path, table: GridTable) -> None:
@@ -174,12 +187,14 @@ def write_grid_table_csv(path, table: GridTable) -> None:
 
 
 def read_storage_csv(path) -> StorageCurve:
-    """`level_m,volume_m3`, finite and strictly increasing."""
+    """`level_m,volume_m3`, finite and strictly increasing, at least 2 rows."""
     levels, volumes = [], []
     for lineno, row in _rows(Path(path), ("level_m", "volume_m3")):
         levels.append(_parse_finite(path, lineno, row, "level_m"))
         volumes.append(_parse_finite(path, lineno, row, "volume_m3"))
-    return StorageCurve(np.array(levels), np.array(volumes))
+        if len(levels) > 1 and not (levels[-1] > levels[-2] and volumes[-1] > volumes[-2]):
+            raise InputError(f"{path}:{lineno}: storage curve must be strictly increasing")
+    return _construct(path, StorageCurve, np.array(levels), np.array(volumes))
 
 
 def write_storage_csv(path, curve: StorageCurve) -> None:
@@ -195,7 +210,7 @@ def read_compensation_csv(path) -> CompensationSchedule:
         rates.append(_parse_finite(path, lineno, row, "flow_m3s"))
     if not starts:
         raise InputError(f"{path}: no compensation rows")
-    return CompensationSchedule(np.array(starts), np.array(ends), rates)
+    return _construct(path, CompensationSchedule, np.array(starts), np.array(ends), rates)
 
 
 def write_compensation_csv(path, schedule: CompensationSchedule) -> None:

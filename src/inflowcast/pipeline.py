@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costmodel import CostCases, OperatingEnvelope
-from .data import CANONICAL_HORIZONS, HorizonSpec, horizon_average
+from .data import CANONICAL_HORIZONS, HorizonSpec, NaoIndex, horizon_average
 from .emos import EmosModel, compute_feature_matrix, fit_emos
 from .errors import InputError, LeakageError, NumericalError
 from .regression import WEEK1, LinearInflowModel, run_cross_validation
 from .series import DailySeries
 from .splines import CyclicSplineBasis, seasonal_phase
 from .verification import (
-    NaoIndex,
     ReliabilityDiagram,
     SkillReport,
     crps_zaga_batch,

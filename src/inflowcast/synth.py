@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EnsemblePrecipForecast
+from .data import EnsemblePrecipForecast, NaoIndex
 from .errors import InputError
 from .series import DailySeries, InflowSeries
 from .telemetry import (
@@ -34,7 +34,6 @@ from .telemetry import (
     TelemetrySeries,
     constant_compensation,
 )
-from .verification import NaoIndex
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,9 @@ class GridTable:
         object.__setattr__(self, "power_axis", np.asarray(self.power_axis, dtype=float))
         object.__setattr__(self, "level_axis", np.asarray(self.level_axis, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if min(len(self.power_axis), len(self.level_axis)) < 2:
+            shape = f"{len(self.power_axis)} x {len(self.level_axis)}"
+            raise InputError(f"grid needs at least 2 points on each axis, got {shape} (power x level)")
         if np.any(np.diff(self.power_axis) <= 0) or np.any(np.diff(self.level_axis) <= 0):
             raise InputError("grid axes must be strictly increasing")
         if self.values.shape != (len(self.power_axis), len(self.level_axis)):
@@ -222,6 +225,8 @@ class StorageCurve:
     def __post_init__(self):
         object.__setattr__(self, "level_axis", np.asarray(self.level_axis, dtype=float))
         object.__setattr__(self, "volume", np.asarray(self.volume, dtype=float))
+        if len(self.level_axis) < 2:
+            raise InputError(f"storage curve needs at least 2 points, got {len(self.level_axis)}")
         if np.any(np.diff(self.level_axis) <= 0) or np.any(np.diff(self.volume) <= 0):
             raise InputError("storage curve must be strictly increasing")
 

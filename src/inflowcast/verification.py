@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .data import HorizonSpec
+from .data import HorizonSpec, NaoIndex
 from .errors import InputError, NumericalError
 from .zaga import ZagaDistribution, gamma_cdf
 
@@ -173,22 +173,6 @@ def randomized_pit(mu, sigma, nu, offset, observations, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 EXTENDED_SUMMER = (4, 5, 6, 7, 8, 9)  # April..September; winter is the complement
-
-
-class NaoIndex:
-    """Monthly atmospheric-circulation index keyed by (year, month)."""
-
-    def __init__(self, entries: dict[tuple[int, int], float]):
-        self._entries = dict(entries)
-
-    def value(self, year: int, month: int) -> float | None:
-        return self._entries.get((year, month))
-
-    def items(self):
-        return sorted(self._entries.items())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def majority_month(issue_date, horizon: HorizonSpec) -> tuple[int, int]:

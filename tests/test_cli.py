@@ -491,12 +491,56 @@ class TestErrorPaths:
         assert rc == 2
 
 
+def _python(code, cwd=None) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(inflowcast.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True)
+    return result.stdout.strip()
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # only training fits EMOS, so only `train` should pay for scipy.optimize
-    code = "import sys, inflowcast.cli; print('scipy.optimize' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(inflowcast.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert _python("import sys, inflowcast.cli; print('scipy.optimize' in sys.modules)") == "False"
+
+
+SCIPY_LOADED = "any(m.partition('.')[0] == 'scipy' for m in sys.modules)"
+
+
+def test_package_and_cli_import_leave_out_scipy():
+    code = f"import sys, inflowcast; a = {SCIPY_LOADED}; import inflowcast.cli; print(a, {SCIPY_LOADED})"
+    assert _python(code) == "False False"
+
+
+def test_only_numeric_commands_load_scipy_special(tmp_path, tiny_run):
+    # synth, reconstruct-inflow and report compute no special function
+    (tmp_path / "run.ini").write_text("[synth]\nyears = 5\nmembers = 3\n\n[horizons]\nnames = Forecast Week 1\n")
+    tables = ("telemetry", "efficiency", "net_head", "storage", "compensation")
+    commands = [
+        ["synth", "--with-telemetry", "--out", "."],
+        ["reconstruct-inflow", *(a for t in tables for a in (f"--{t.replace('_', '-')}", f"{t}.csv")), "--out", "rec"],
+        ["report", "--skill", str(tiny_run / "skill.json"), "--values", str(tiny_run / "value_report.csv"), "--out", "rep"],
+        ["train", "--inflow", "inflow.csv", "--ensemble", "ensemble.csv", "--out", "."],
+    ]
+    code = (
+        "import sys; from inflowcast.cli import main; "
+        f"commands = {commands!r}; "
+        "codes = [main(['--config', 'run.ini', '--seed', '3', *c]) for c in commands[:3]]; "
+        f"scipy = {SCIPY_LOADED}; "
+        "codes.append(main(['--config', 'run.ini', '--seed', '3', *commands[3]])); "
+        "print(codes, scipy, 'scipy.special' in sys.modules)"
+    )
+    assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0] False True"
+
+
+def test_star_import_resolves_every_name():
+    code = "import inflowcast; ns = {}; exec('from inflowcast import *', ns); print(sorted(set(inflowcast.__all__) - set(ns)))"
+    assert _python(code) == "[]"
+    assert inflowcast.fair_crps is inflowcast.verification.fair_crps
+    assert not hasattr(inflowcast, "no_such_name")
+
+
+def test_nao_index_lives_in_data():
+    assert _python("import inflowcast.verification as v, inflowcast.data as d; print(v.NaoIndex is d.NaoIndex)") == "True"
 
 
 def test_train_leaves_out_scipy_optimize(tmp_path):
@@ -509,8 +553,4 @@ def test_train_leaves_out_scipy_optimize(tmp_path):
         "assert main([*base, 'train', '--inflow', 'inflow.csv', '--ensemble', 'ensemble.csv', '--out', '.']) == 0; "
         "print('scipy.optimize' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(inflowcast.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    assert _python(code, cwd=tmp_path) == "False"

@@ -1,15 +1,18 @@
-"""Hypothesis fuzz of the CLI: mutated inputs of `forecast` and `report` end in exit 0, 2 or 3.
+"""Hypothesis fuzz of the CLI: mutated inputs of `forecast`, `report` and `reconstruct-inflow` end in exit 0, 2 or 3.
 
-Each example copies the outputs of a tiny run (5 years, 3 members), mutates
-one or two input files and calls ``main()`` in this process, so any exception
-that is not mapped to an exit code fails the test.  CSV files lose, repeat,
-reorder or corrupt rows; the ensemble also loses one member of one issue;
-the ensemble and inflow files also gain a byte that is not UTF-8, a `#` line,
-a whitespace-only line, a quoted field or an extra trailing column.  JSON
-files are truncated or have one value replaced by a value of another type.
+Each example copies the outputs of a tiny run (5 years, 3 members, four
+weeks of hourly telemetry), mutates one or two input files and calls
+``main()`` in this process, so any exception that is not mapped to an exit
+code fails the test.  CSV files lose, repeat, reorder or corrupt rows, or are
+cut to their header and at most one row; the ensemble also loses one member
+of one issue; the ensemble, inflow, telemetry and plant-curve files also gain
+a byte that is not UTF-8, a `#` line, a whitespace-only line, a quoted field
+or an extra trailing column.  JSON files are truncated or have one value
+replaced by a value of another type.
 """
 
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 
 from inflowcast.cli import main
 
+PLANT_FILES = ("telemetry.csv", "efficiency.csv", "net_head.csv", "storage.csv", "compensation.csv")
+RAW_MUTATED = ("ensemble.csv", "inflow.csv", *PLANT_FILES)  # also get byte-level mutations
 ODD_VALUES = ("nan", "inf", "-inf", "", "abc", "-1", "1e400")
 JSON_VALUES = st.one_of(
     st.none(),
@@ -33,7 +38,7 @@ JSON_VALUES = st.one_of(
 def csv_mutation(draw, lines, ensemble=False, raw=False):
     """Mutated CSV file bytes (header first); ``raw`` adds byte-level mutations."""
     lines = list(lines)
-    kinds = ["drop", "duplicate", "value", "reverse", "swap"] + (["ragged"] if ensemble else [])
+    kinds = ["drop", "duplicate", "value", "reverse", "swap", "truncate"] + (["ragged"] if ensemble else [])
     kinds += ["not_utf8", "comment", "whitespace", "quoted", "extra"] if raw else []
     kind = draw(st.sampled_from(kinds))
     row = draw(st.integers(1, len(lines) - 1))
@@ -47,6 +52,8 @@ def csv_mutation(draw, lines, ensemble=False, raw=False):
         lines[row] = ",".join(fields)
     elif kind == "reverse":
         lines[1:] = lines[:0:-1]
+    elif kind == "truncate":  # header only, or header and one row
+        lines = lines[: draw(st.integers(1, 2))]
     elif kind == "swap":
         other = draw(st.integers(1, len(lines) - 1))
         lines[row], lines[other] = lines[other], lines[row]
@@ -104,7 +111,7 @@ def _mutations(draw, sources, names):
         if name.endswith(".json"):
             out[name] = draw(json_mutation(text))
         else:
-            raw = name in ("ensemble.csv", "inflow.csv")
+            raw = name in RAW_MUTATED
             out[name] = draw(csv_mutation(text.splitlines(), ensemble=name == "ensemble.csv", raw=raw))
     return out
 
@@ -160,3 +167,42 @@ def test_report_survives_mutated_inputs(sources, work, data):
         ]
     )
     assert rc in (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def plant_sources(tmp_path_factory):
+    out = tmp_path_factory.mktemp("plant")
+    (out / "run.ini").write_text("[synth]\nyears = 5\nmembers = 3\n")
+    assert main(["--config", str(out / "run.ini"), "--seed", "3", "synth", "--with-telemetry", "--out", str(out)]) == 0
+    return {name: (out / name).read_text() for name in PLANT_FILES}
+
+
+def _reconstruct(work):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is a failure the exit code hides
+        return main(
+            [
+                "reconstruct-inflow",
+                *(a for name in PLANT_FILES for a in (f"--{name[:-4].replace('_', '-')}", str(work / name))),
+                "--out", str(work / "out"),
+            ]
+        )
+
+
+@FUZZ
+@given(data=st.data())
+def test_reconstruct_survives_mutated_inputs(plant_sources, work, data):
+    _write(work, plant_sources, _mutations(data.draw, plant_sources, list(PLANT_FILES)))
+    assert _reconstruct(work) in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "name, keep",
+    [("storage.csv", 1), ("storage.csv", 2), ("efficiency.csv", 2), ("net_head.csv", 2), ("telemetry.csv", 1)],
+)
+def test_reconstruct_rejects_too_short_table_naming_it(plant_sources, tmp_path, capsys, name, keep):
+    # header only, or one row: an axis of one point cannot be interpolated
+    _write(tmp_path, plant_sources, {name: "".join(plant_sources[name].splitlines(keepends=True)[:keep])})
+    assert _reconstruct(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / name}" in err and "Traceback" not in err

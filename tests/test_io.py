@@ -47,6 +47,13 @@ class TestTelemetryCsv:
         with pytest.raises(InputError, match="missing"):
             iomod.read_telemetry_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("second", ["2015-01-01T00:00:00Z", "2014-12-31T23:00:00Z"])
+    def test_repeated_or_reversed_timestamp_names_its_line(self, tmp_path, second):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(f"timestamp,water_level_m,power_w\n2015-01-01T00:00:00Z,200.0,1e6\n\n{second},200.0,1e6\n")
+        with pytest.raises(InputError, match=rf"^{path}:4: telemetry timestamps must be strictly increasing: "):
+            iomod.read_telemetry_csv(path)
+
 
 class TestCurvesCsv:
     def test_grid_round_trip(self, tmp_path):
@@ -94,6 +101,56 @@ class TestCurvesCsv:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError, match=rf"^{path}:{line}: non-finite"):
             iomod.read_grid_table_csv(path)
+
+    @pytest.mark.parametrize("body, n", [("", 0), ("150.0,1000.0\n", 1)])
+    def test_storage_with_fewer_than_two_rows_names_the_file(self, tmp_path, body, n):
+        path = tmp_path / "storage.csv"
+        path.write_text("level_m,volume_m3\n" + body)
+        with pytest.raises(InputError, match=rf"^{path}: storage curve needs at least 2 points, got {n}$"):
+            iomod.read_storage_csv(path)
+
+    @pytest.mark.parametrize("second", ["150.0,2000.0", "200.0,1000.0", "140.0,2000.0"])
+    def test_storage_not_increasing_names_its_line(self, tmp_path, second):
+        path = tmp_path / "storage.csv"
+        path.write_text(f"level_m,volume_m3\n150.0,1000.0\n\n{second}\n")
+        with pytest.raises(InputError, match=rf"^{path}:4: storage curve must be strictly increasing$"):
+            iomod.read_storage_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, shape",
+        [
+            ("power_w,150.0,200.0\n", "0 x 2"),
+            ("power_w,150.0,200.0\n0.0,0.5,0.6\n", "1 x 2"),
+            ("power_w,150.0\n0.0,0.5\n1000.0,0.7\n", "2 x 1"),
+        ],
+    )
+    def test_grid_with_one_point_on_an_axis_names_the_file(self, tmp_path, text, shape):
+        path = tmp_path / "eff.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=rf"^{path}: grid needs at least 2 points on each axis, got {shape} "):
+                iomod.read_grid_table_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            (["power_w,200.0,150.0", "0.0,0.5,0.6", "1000.0,0.7,0.8"], 1),
+            (["power_w,150.0,200.0", "0.0,0.5,0.6", "", "0.0,0.7,0.8"], 4),
+            (["power_w,150.0,200.0", "1000.0,0.5,0.6", "0.0,0.7,0.8"], 3),
+        ],
+    )
+    def test_grid_axis_not_increasing_names_its_line(self, tmp_path, rows, line):
+        path = tmp_path / "eff.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=rf"^{path}:{line}: grid axes must be strictly increasing"):
+            iomod.read_grid_table_csv(path)
+
+    def test_compensation_overlap_names_the_file(self, tmp_path):
+        path = tmp_path / "comp.csv"
+        path.write_text("start_date,end_date,flow_m3s\n2015-01-01,2015-06-30,1.5\n2015-06-01,2015-12-31,2.0\n")
+        with pytest.raises(InputError, match=rf"^{path}: compensation date ranges overlap$"):
+            iomod.read_compensation_csv(path)
 
     @pytest.mark.parametrize("raw", ["nan", "inf"])
     def test_compensation_non_finite_flow_names_its_line(self, tmp_path, raw):

@@ -160,6 +160,16 @@ class TestCurves:
         with pytest.raises(InputError):
             StorageCurve([1.0, 2.0, 3.0], [5.0, 4.0, 6.0])
 
+    @pytest.mark.parametrize("powers, levels, values", [([0.0], [0.0, 1.0], [[1.0, 2.0]]), ([0.0, 10.0], [], [[], []])])
+    def test_grid_needs_two_points_on_each_axis(self, powers, levels, values):
+        with pytest.raises(InputError, match="at least 2 points on each axis"):
+            GridTable(powers, levels, values)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_storage_needs_two_points(self, n):
+        with pytest.raises(InputError, match=f"at least 2 points, got {n}"):
+            StorageCurve([1.0][:n], [5.0][:n])
+
 
 class TestAggregation:
     def test_constant_series_normalises_to_one(self):
