@@ -434,7 +434,7 @@ def cmd_cost_eval(args, cfg) -> int:
     )
     prices = PriceConfig(peak=settings.peak_price, differential=settings.decision_differential)
     columns = {
-        ftype: (a, costs.stage1, costs.stage2, costs.total)
+        ftype: [c.tolist() for c in (a, costs.stage1, costs.stage2, costs.total)]
         for ftype, (a, costs) in evaluate_cases(cases, prices, adjustments=adjustments).items()
     }
     decision_rows = [

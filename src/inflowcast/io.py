@@ -1,7 +1,14 @@
 """CSV and JSON readers/writers for every file interface of the toolkit.
 
-Readers give line-numbered diagnostics on malformed rows; writers format
-floats with ``repr`` so outputs are byte-stable and round-trip exactly.
+Readers give line-numbered diagnostics on malformed rows.  The ensemble,
+telemetry and daily-series readers parse their columns with one
+``np.loadtxt`` and scan row by row only to name the first bad line.
+
+Writers write the bytes of the ``csv`` module's default dialect: ``,``
+between fields, CRLF line ends and minimal quoting (a field holding a
+comma, a quote or a line break is quoted).  Floats, numpy's too, are written
+with ``repr``, so outputs are byte-stable and round-trip exactly.  Each
+column is formatted in one pass, and a block of rows is written at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ import datetime as dt
 import json
 import math
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +34,55 @@ from .telemetry import (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+_BLOCK_ROWS = 256  # rows a writer formats and writes at a time, so its memory stays flat
+_QUOTED = (",", '"', "\r", "\n")  # characters that make the csv module quote a field
 
 
-def _write_csv(path, header, rows) -> None:
+def _texts(values) -> list[str]:
+    """The fields of one column as the csv module writes them after ``str``, with floats (numpy's too) by ``repr``.
+
+    Float and datetime arrays are formatted in one pass each; other values one
+    at a time.  A field holding a comma, a quote or a line break is quoted.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map(repr, values.astype(float, copy=False).tolist()))
+    if isinstance(values, np.ndarray) and values.dtype.kind == "M":
+        return np.datetime_as_string(values).tolist()
+    texts = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
+    joined = "".join(texts)
+    if any(c in joined for c in _QUOTED):
+        texts = ['"' + t.replace('"', '""') + '"' if any(c in t for c in _QUOTED) else t for t in texts]
+    return texts
+
+
+def _csv_lines(columns, line: str | None = None) -> str:
+    """Equal-length ``columns`` as CRLF-ended CSV lines; ``line`` is a ``str.format`` template for one row."""
+    fields = [_texts(c) for c in columns]
+    if len(fields) == 1:  # the csv module quotes a lone empty field, which would otherwise read as a blank line
+        fields[0] = [t or '""' for t in fields[0]]
+    template = line or ",".join(["{}"] * len(fields)) + "\r\n"
+    return "".join(map(template.format, *fields))
+
+
+def _column_lines(*columns, line: str | None = None):
+    """The CSV text of equal-length ``columns``, ``_BLOCK_ROWS`` rows at a time."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield _csv_lines([c[start : start + _BLOCK_ROWS] for c in columns], line)
+
+
+def _row_lines(rows):
+    """The CSV text of ``rows`` of equal length, ``_BLOCK_ROWS`` rows at a time."""
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield _csv_lines(list(zip(*block, strict=True)))
+
+
+def _write_csv(path, header, blocks) -> None:
+    """Write ``header``, then each block of whole CSV lines: the bytes the csv module writes for the same fields."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        # header fields as the csv module converts them: floats by repr, None as empty, the rest by str
+        fh.write(_csv_lines([[float.__repr__(h) if isinstance(h, float) else "" if h is None else str(h)] for h in header]))
+        fh.writelines(blocks)
 
 
 def _require(path: Path) -> Path:
@@ -62,37 +108,60 @@ def _check_bytes(path: Path, forbidden: tuple[bytes, ...] = ()) -> None:
 
 
 def _first_bad_row(path: Path, problem) -> InputError | None:
-    """The `file:line` error of the first body row ``problem`` finds fault with (it gets a dict by header name)."""
+    """The `file:line` error of the first body row ``problem`` finds fault with.
+
+    ``problem`` gets the row by header name as csv.DictReader gives it: the
+    last of a repeated name wins, and a short row's missing names are None.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for row in reader:
-            message = row and problem(dict(zip(header, row)))
+            message = row and problem(dict(zip(header, row)) | dict.fromkeys(header[len(row) :]))
             if message:
                 return InputError(f"{path}:{reader.line_num}: {message}")
     return None
 
 
+def _header(path: Path, required: tuple[str, ...] = (), forbidden: tuple[bytes, ...] = ()) -> tuple[list[str], int]:
+    """The header row of a CSV, which must name every ``required`` column, and the number of lines it takes.
+
+    The file must exist and be UTF-8 without a ``forbidden`` byte.
+    """
+    path = _require(path)
+    _check_bytes(path, forbidden)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing required columns {missing} (header: {header})")
+    return header, reader.line_num
+
+
 def _rows(path: Path, required: tuple[str, ...]):
     """Yield (line number, dict) rows of a CSV; validates the header up front."""
-    path = _require(path)
-    _check_bytes(path)
+    _header(path, required)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing required columns {missing} (header: {header})")
         for row in reader:
             yield reader.line_num, row
 
 
-def _parse(path: Path, lineno: int, row: dict, column: str, conv):
+def _converted(row: dict, column: str, conv):
+    """``(conv(field), None)`` for the row's ``column``, or ``(None, message)`` naming its bad value."""
     raw = row.get(column)
     try:
-        return conv(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}:{lineno}: bad value {raw!r} in column {column!r}") from None
+        return conv(raw), None
+    except (TypeError, ValueError, AttributeError):  # a short row has None, which has no .strip()
+        return None, f"bad value {raw!r} in column {column!r}"
+
+
+def _parse(path: Path, lineno: int, row: dict, column: str, conv):
+    value, message = _converted(row, column, conv)
+    if message:
+        raise InputError(f"{path}:{lineno}: {message}")
+    return value
 
 
 def _parse_finite(path: Path, lineno: int, row: dict, column: str) -> float:
@@ -118,23 +187,58 @@ def _to_timestamp(raw: str) -> np.datetime64:
 # ---------------------------------------------------------------------------
 
 
+def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], finite: bool, not_after: str):
+    """Columns ``key`` (from ``to_key``, strictly increasing) and ``values`` (floats) of a CSV, by header name, as arrays.
+
+    One ``np.loadtxt`` reads them into a structured array through the same
+    converters (the last of a repeated name wins, as in csv.DictReader); the
+    order and, if ``finite``, the finiteness are checked on whole columns.  A
+    file that fails to parse or a check is scanned row by row only to name the
+    first bad line, by the rules in row order: the key, its order against the
+    previous row (``not_after`` is the message), then each value.
+    """
+    path = Path(path)
+    header, skip = _header(path, (key, *values))
+    where = {name: i for i, name in enumerate(header)}
+    cols = [where[c] for c in (key, *values)]
+    dtype = [(key, unit)] + [(c, float) for c in values]
+    converters = {i: to_key if i == cols[0] else float for i in cols}
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, converters=converters, ndmin=1)
+        if np.any(rows[key][1:] <= rows[key][:-1]) or finite and not all(np.isfinite(rows[c]).all() for c in values):
+            raise ValueError("a value out of order or range")
+    except ValueError as exc:
+        previous = []
+
+        def problem(row):
+            k, message = _converted(row, key, to_key)
+            if message or (previous and k <= previous[0]):
+                return message or not_after.format(k, previous[0])
+            previous[:] = [k]
+            for c in values:
+                v, message = _converted(row, c, float)
+                if message or (finite and not math.isfinite(v)):
+                    return message or f"non-finite value {row[c]!r} in column {c!r}"
+            return None
+
+        raise _first_bad_row(path, problem) or InputError(f"{path}: {exc}") from None
+    return [np.ascontiguousarray(rows[c]) for c in (key, *values)]
+
+
 def read_telemetry_csv(path) -> TelemetrySeries:
     """`timestamp,water_level_m,power_w` with ISO-8601 UTC timestamps."""
-    ts, level, power = [], [], []
-    for lineno, row in _rows(Path(path), ("timestamp", "water_level_m", "power_w")):
-        ts.append(_parse(path, lineno, row, "timestamp", _to_timestamp))
-        if len(ts) > 1 and ts[-1] <= ts[-2]:
-            raise InputError(f"{path}:{lineno}: telemetry timestamps must be strictly increasing: {ts[-1]} is not after {ts[-2]}")
-        level.append(_parse(path, lineno, row, "water_level_m", float))
-        power.append(_parse(path, lineno, row, "power_w", float))
-    if not ts:
+    not_after = "telemetry timestamps must be strictly increasing: {} is not after {}"
+    ts, level, power = _read_series(path, "timestamp", _to_timestamp, "datetime64[s]", ("water_level_m", "power_w"), False, not_after)
+    if not len(ts):
         raise InputError(f"{path}: no telemetry rows")
-    return TelemetrySeries(np.array(ts, dtype="datetime64[s]"), level, power)
+    return TelemetrySeries(ts, level, power)
 
 
 def write_telemetry_csv(path, telemetry: TelemetrySeries) -> None:
-    rows = zip((f"{t}Z" for t in telemetry.timestamps), map(_fmt, telemetry.water_level), map(_fmt, telemetry.power))
-    _write_csv(path, ["timestamp", "water_level_m", "power_w"], rows)
+    lines = _column_lines(telemetry.timestamps, telemetry.water_level, telemetry.power, line="{}Z,{},{}\r\n")
+    _write_csv(path, ["timestamp", "water_level_m", "power_w"], lines)
 
 
 def _construct(path, cls, *arrays):
@@ -182,8 +286,7 @@ def read_grid_table_csv(path) -> GridTable:
 
 
 def write_grid_table_csv(path, table: GridTable) -> None:
-    rows = ([_fmt(p), *map(_fmt, row)] for p, row in zip(table.power_axis, table.values))
-    _write_csv(path, ["power_w", *map(_fmt, table.level_axis)], rows)
+    _write_csv(path, ["power_w", *_texts(table.level_axis)], _column_lines(table.power_axis, *table.values.T))
 
 
 def read_storage_csv(path) -> StorageCurve:
@@ -198,7 +301,7 @@ def read_storage_csv(path) -> StorageCurve:
 
 
 def write_storage_csv(path, curve: StorageCurve) -> None:
-    _write_csv(path, ["level_m", "volume_m3"], zip(map(_fmt, curve.level_axis), map(_fmt, curve.volume)))
+    _write_csv(path, ["level_m", "volume_m3"], _column_lines(curve.level_axis, curve.volume))
 
 
 def read_compensation_csv(path) -> CompensationSchedule:
@@ -214,8 +317,8 @@ def read_compensation_csv(path) -> CompensationSchedule:
 
 
 def write_compensation_csv(path, schedule: CompensationSchedule) -> None:
-    rows = zip(schedule.starts, schedule.ends, map(_fmt, schedule.rates))
-    _write_csv(path, ["start_date", "end_date", "flow_m3s"], rows)
+    lines = _column_lines(schedule.starts, schedule.ends, schedule.rates)
+    _write_csv(path, ["start_date", "end_date", "flow_m3s"], lines)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +328,10 @@ def write_compensation_csv(path, schedule: CompensationSchedule) -> None:
 
 def read_daily_series_csv(path, value_column: str, date_column: str = "date") -> DailySeries:
     """`<date_column>,<value_column>`; dates must increase, values must be finite (they may be negative)."""
-    dates, values = [], []
-    for lineno, row in _rows(Path(path), (date_column, value_column)):
-        dates.append(_parse(path, lineno, row, date_column, _to_date))
-        if len(dates) > 1 and dates[-1] <= dates[-2]:
-            raise InputError(f"{path}:{lineno}: date {dates[-1]} is not after {dates[-2]}")
-        values.append(_parse_finite(path, lineno, row, value_column))
-    if not dates:
+    dates, values = _read_series(path, date_column, _to_date, "datetime64[D]", (value_column,), True, "date {} is not after {}")
+    if not len(dates):
         raise InputError(f"{path}: no rows")
-    return DailySeries(np.array(dates, dtype="datetime64[D]"), values)
+    return DailySeries(dates, values)
 
 
 def read_inflow_csv(path, sidecar=None) -> InflowSeries:
@@ -260,7 +358,7 @@ def read_inflow_csv(path, sidecar=None) -> InflowSeries:
 
 
 def write_inflow_csv(path, series: InflowSeries, sidecar=None, cleaning_report: dict | None = None) -> None:
-    _write_csv(path, ["date", "inflow_norm"], zip(series.dates, map(_fmt, series.values)))
+    _write_csv(path, ["date", "inflow_norm"], _column_lines(series.dates, series.values))
     if sidecar is not None:
         meta = {
             "normalization_constant": series.normalization_constant,
@@ -282,7 +380,7 @@ def read_reanalysis_csv(path) -> DailySeries:
 
 
 def write_reanalysis_csv(path, series: DailySeries) -> None:
-    _write_csv(path, ["date", "precip_mm_day"], zip(series.dates, map(_fmt, series.values)))
+    _write_csv(path, ["date", "precip_mm_day"], _column_lines(series.dates, series.values))
 
 
 def read_nao_csv(path) -> NaoIndex:
@@ -301,7 +399,7 @@ def read_nao_csv(path) -> NaoIndex:
 
 
 def write_nao_csv(path, nao: NaoIndex) -> None:
-    _write_csv(path, ["year", "month", "index"], ((y, m, _fmt(value)) for (y, m), value in nao.items()))
+    _write_csv(path, ["year", "month", "index"], _row_lines((y, m, value) for (y, m), value in nao.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +493,14 @@ def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForec
     The body is parsed column by column in one pass; a file that fails to
     parse or a check is scanned row by row only to name the first bad line.
     """
-    path = _require(Path(path))
-    _check_bytes(path, _NUMPY_BLANKS)  # also in the columns that are not read
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        skip = reader.line_num
-        cols = set(header)
-        for mode, required in _ENSEMBLE_SCHEMAS.items():
-            if set(required) <= cols:
-                break
-        else:
-            raise InputError(f"{path}: unrecognised ensemble schema (header: {sorted(cols)})")
+    path = Path(path)
+    header, skip = _header(path, forbidden=_NUMPY_BLANKS)  # also in the columns that are not read
+    cols = set(header)
+    for mode, required in _ENSEMBLE_SCHEMAS.items():
+        if set(required) <= cols:
+            break
+    else:
+        raise InputError(f"{path}: unrecognised ensemble schema (header: {sorted(cols)})")
     try:
         issue, member, day, amount = _ensemble_columns(path, header, skip, mode)
     except ValueError as exc:
@@ -462,13 +556,14 @@ def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForec
 
 
 def write_ensemble_csv(path, forecasts) -> None:
-    rows = (
-        (f.issue_date, k, d, _fmt(v))
-        for f in forecasts
-        for k, member in enumerate(f.members.tolist())
-        for d, v in enumerate(member, 1)
-    )
-    _write_csv(path, ["issue_date", "member", "lead_day", "precip_mm_day"], rows)
+    _write_csv(path, ["issue_date", "member", "lead_day", "precip_mm_day"], map(_ensemble_lines, forecasts))
+
+
+def _ensemble_lines(forecast: EnsemblePrecipForecast) -> str:
+    """One issue's long-form rows, member by member and day by day."""
+    head = _texts([forecast.issue_date])[0]
+    days = [f",{d}," for d in range(1, forecast.members.shape[1] + 1)]
+    return "".join([f"{head},{k}{d}{v!r}\r\n" for k, member in enumerate(forecast.members.tolist()) for d, v in zip(days, member)])
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +572,8 @@ def write_ensemble_csv(path, forecasts) -> None:
 
 
 def write_table_csv(path, header, rows) -> None:
-    """Generic deterministic CSV writer; floats via repr."""
-    _write_csv(path, header, ([_fmt(c) for c in row] for row in rows))
+    """Generic deterministic CSV writer: ``rows`` of the header's length, floats via repr."""
+    _write_csv(path, header, _row_lines(rows))
 
 
 def read_table_csv(path, columns, finite=()):

@@ -159,6 +159,12 @@ class TestCurvesCsv:
         with pytest.raises(InputError, match=rf"^{path}:3: non-finite value '{raw}' in column 'flow_m3s'$"):
             iomod.read_compensation_csv(path)
 
+    def test_compensation_short_row_without_its_dates_names_its_line(self, tmp_path):
+        path = tmp_path / "comp.csv"
+        path.write_text("flow_m3s,start_date,end_date\n1.5,2015-01-01,2015-06-30\n2.0\n")
+        with pytest.raises(InputError, match=rf"^{path}:3: bad value None in column 'start_date'$"):
+            iomod.read_compensation_csv(path)
+
 
 class TestInflowCsv:
     def test_round_trip_with_sidecar(self, tmp_path):
