@@ -4,13 +4,16 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .data import CANONICAL_HORIZONS, EnsemblePrecipForecast, HorizonSpec
 from .errors import InflowcastError, InputError, NumericalError
-from .series import DailySeries, InflowSeries
 
-# These modules load scipy.special, so their names are imported on first use
-# (PEP 562): a command that computes no special function starts without it.
+# Every other name is imported on first use (PEP 562), so `import inflowcast`
+# loads neither numpy nor scipy and a command imports only what it computes with.
 _LAZY = {
+    "CANONICAL_HORIZONS": "data",
+    "EnsemblePrecipForecast": "data",
+    "HorizonSpec": "data",
+    "DailySeries": "series",
+    "InflowSeries": "series",
     "EmosFeatures": "emos",
     "EmosModel": "emos",
     "compute_features": "emos",

@@ -16,19 +16,20 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import io as iomod
 from . import __version__
-from .data import CANONICAL_HORIZONS, horizon_by_name
 from .errors import InflowcastError, InputError, NumericalError
+from .horizons import CANONICAL_WINDOWS
+from .textio import read_json, read_table_csv, write_json
 
-# Each command imports the modules it computes with, so `synth`,
-# `reconstruct-inflow` and `report` start without scipy.special.
+# Each command imports the modules it computes with: `report` reads and writes
+# only through `textio`, so it starts without numpy, and `synth` and
+# `reconstruct-inflow` start without scipy.special.
 if TYPE_CHECKING:
     from .pipeline import CostSettings, TrainedModels
 
 DEFAULT_CONFIG = {
     "run": {"seed": "0"},
-    "horizons": {"names": ",".join(h.name for h in CANONICAL_HORIZONS)},
+    "horizons": {"names": ",".join(name for name, _, _ in CANONICAL_WINDOWS)},
     "cleaning": {
         "level_min": "150.0",
         "level_max": "250.0",
@@ -120,14 +121,23 @@ def _getboolean(cfg, section, key):
         raise InputError(f"config [{section}] {key}: not a boolean: {cfg.get(section, key)!r}") from None
 
 
+def _at_least(cfg, section, key, least):
+    value = _getint(cfg, section, key)
+    if value < least:
+        raise InputError(f"config [{section}] {key}: must be at least {least}, got {value}")
+    return value
+
+
 def _horizons(cfg):
+    from .data import horizon_by_name
+
     names = [n.strip() for n in cfg.get("horizons", "names").split(",") if n.strip()]
     return tuple(horizon_by_name(n) for n in names)
 
 
 def write_manifest(out_dir: Path, command: str, cfg, seed: int, inputs: dict, outputs: list[str]):
     resolved, digest = config_fingerprint(cfg)
-    iomod.write_json(
+    write_json(
         out_dir / f"{command.replace('-', '_')}_manifest.json",
         {
             "command": command,
@@ -157,6 +167,7 @@ def _seed(args, cfg) -> int:
 
 
 def cmd_synth(args, cfg) -> int:
+    from . import io as iomod
     from .synth import ScenarioConfig, generate_scenario, simulate_telemetry
 
     out = _out_dir(args)
@@ -207,6 +218,7 @@ def cmd_synth(args, cfg) -> int:
 
 
 def cmd_reconstruct(args, cfg) -> int:
+    from . import io as iomod
     from .telemetry import CleaningLimits, PlantCurves, aggregate_and_normalize, clean_telemetry, reconstruct_net_inflow
 
     out = _out_dir(args)
@@ -251,7 +263,7 @@ def _load_models(path) -> TrainedModels:
     """The models file of `train`; a malformed one is an input error naming the file and key."""
     from .pipeline import TrainedModels
 
-    data = iomod.read_json(path)
+    data = read_json(path)
     try:
         return TrainedModels.from_dict(data)
     except KeyError as exc:
@@ -261,6 +273,8 @@ def _load_models(path) -> TrainedModels:
 
 
 def _load_dataset(args):
+    from . import io as iomod
+
     inflow = iomod.read_inflow_csv(args.inflow, Path(args.inflow).with_name("inflow_meta.json"))
     issues = iomod.read_ensemble_csv(args.ensemble)
     reanalysis = iomod.read_reanalysis_csv(args.reanalysis) if getattr(args, "reanalysis", None) else None
@@ -269,6 +283,7 @@ def _load_dataset(args):
 
 
 def cmd_train(args, cfg) -> int:
+    from . import io as iomod
     from .pipeline import train_models
 
     out = _out_dir(args)
@@ -294,6 +309,7 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_forecast(args, cfg) -> int:
+    from . import io as iomod
     from .pipeline import FORECAST_HEADER, build_case_tables, forecast_rows, predict_params
 
     out = _out_dir(args)
@@ -315,10 +331,12 @@ def cmd_forecast(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
+    from . import io as iomod
     from .pipeline import build_case_tables, predict_params, verify_skill
 
     out = _out_dir(args)
     seed = _seed(args, cfg)
+    n_boot = _at_least(cfg, "verification", "bootstrap", 2)
     models = _load_models(args.models)
     inflow, issues, reanalysis, nao = _load_dataset(args)
     tables = build_case_tables(issues, inflow, models.horizons, reanalysis=reanalysis)
@@ -329,7 +347,7 @@ def cmd_verify(args, cfg) -> int:
         predictions,
         nao=nao,
         reanalysis=reanalysis,
-        n_boot=_getint(cfg, "verification", "bootstrap"),
+        n_boot=n_boot,
         seed=seed,
         min_cases=_getint(cfg, "verification", "min_cases"),
         min_clim_years=_getint(cfg, "verification", "min_climatology_years"),
@@ -368,16 +386,8 @@ def cmd_verify(args, cfg) -> int:
 def _cost_settings(cfg, seed) -> CostSettings:
     from .pipeline import CostSettings
 
-    lo, hi, step, n_boot = (
-        _getint(cfg, "cost", key) for key in ("differential_min", "differential_max", "differential_step", "bootstrap")
-    )
-    for key, value, least in (
-        ("differential_min", lo, 1),
-        ("differential_step", step, 1),
-        ("bootstrap", n_boot, 2),
-    ):
-        if value < least:
-            raise InputError(f"config [cost] {key}: must be at least {least}, got {value}")
+    lo, hi = _at_least(cfg, "cost", "differential_min", 1), _getint(cfg, "cost", "differential_max")
+    step, n_boot = _at_least(cfg, "cost", "differential_step", 1), _at_least(cfg, "cost", "bootstrap", 2)
     if hi < lo:
         raise InputError(f"config [cost] differential_max: {hi} is below differential_min {lo}, so the sweep is empty")
     decision_differential = _getfloat(cfg, "cost", "decision_differential")
@@ -399,6 +409,7 @@ def _cost_settings(cfg, seed) -> CostSettings:
 
 
 def cmd_cost_eval(args, cfg) -> int:
+    from . import io as iomod
     from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
     from .pipeline import build_case_tables, build_cost_cases, predict_params
 
@@ -460,9 +471,9 @@ def cmd_cost_eval(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     out = _out_dir(args)
-    skill = iomod.read_json(args.skill) if args.skill else None
+    skill = read_json(args.skill) if args.skill else None
     value_rows = (
-        iomod.read_table_csv(
+        read_table_csv(
             args.values,
             ["forecast_type", "horizon", "differential", "water_value", "se", "n"],
             finite=("differential", "water_value"),
@@ -499,7 +510,7 @@ def cmd_report(args, cfg) -> int:
                 }
             )
         payload["value_gains"] = gains
-    iomod.write_json(out / "report.json", payload)
+    write_json(out / "report.json", payload)
     write_manifest(
         out,
         "report",

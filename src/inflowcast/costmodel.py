@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import InputError
-from .verification import BootstrapResult
+from .verification import BootstrapResult, replicate_sums
 from .zaga import ZagaDistribution, gamma_ppf
 
 FORECAST_TYPES = ("climatological", "deterministic", "probabilistic")
@@ -494,50 +494,56 @@ def price_sweep(
     """Water value per (forecast type, horizon, differential) with bootstrap bands.
 
     Each case is decided once per forecast type and priced at every
-    differential.  Bootstrap resamples cases with identical index draws across
-    forecast types and differentials (paired), per horizon and for the pooled
-    "all" stratum.  ``adjustments`` is as in ``evaluate_cases``.
+    differential.  The bootstrap resamples cases per horizon and for the
+    pooled "all" stratum, with the same draws for every forecast type and
+    differential (paired).  A realised total is ``differential * D + peak *
+    P``, with D and P the case's costs at unit prices, so one set of replicate
+    sums of the generations, D and P prices every differential:
+    a replicate's water value is ``(peak G - d D - peak P) / G`` in those
+    sums.  ``adjustments`` is as in ``evaluate_cases``.
     Returns (value rows, per-case total-cost table).
     """
     n = len(cases)
     if n < min_cases:
         raise InputError(f"{n} cost cases is below the minimum of {min_cases}")
     gens = cases.envelope.clim_generation
-    diffs = [float(d) for d in differentials]
-    prices = PriceConfig(peak=peak_price, differential=np.array(diffs)[:, None])
-    totals = {}  # (ftype, differential) -> (n,) realised totals
-    for ftype, (_, costs) in evaluate_cases(cases, prices, adjustments).items():
-        totals.update(((ftype, d), col) for d, col in zip(diffs, costs.total))
+    diffs = sorted({float(d) for d in differentials})
+    priced = evaluate_cases(cases, PriceConfig(peak=peak_price, differential=np.array(diffs)[:, None]), adjustments)
+    adjustments = {ftype: a for ftype, (a, _) in priced.items()}
+    totals = {(ftype, d): col for ftype, (_, costs) in priced.items() for d, col in zip(diffs, costs.total)}
+    # the price-free parts of every total: D at (peak 0, differential 1), P from (1, 1) less D
+    unit_d, unit_dp = (evaluate_cases(cases, PriceConfig(peak=p, differential=1.0), adjustments) for p in (0.0, 1.0))
+    columns = [gens]
+    for ftype in FORECAST_TYPES:
+        d = unit_d[ftype][1].total
+        columns += [d, unit_dp[ftype][1].total - d]
+    columns = np.column_stack(columns)
 
     rng = np.random.default_rng(seed)
     groups = {"all": np.arange(n)}
     for h in np.unique(cases.horizons).tolist():
         groups[h] = np.flatnonzero(cases.horizons == h)
-    index_draws = {
-        name: rng.integers(0, len(idx), size=(n_boot, len(idx))) for name, idx in groups.items()
-    }
-
+    d_col = np.array(diffs)[:, None]
     rows = []
     for name, idx in groups.items():
+        sums = replicate_sums(columns[idx], n_boot, rng)  # a group too small to report still takes its draws
         if len(idx) < min_cases:
             continue
-        draws = index_draws[name]
-        g = gens[idx]
-        g_boot = g[draws].sum(axis=1)
-        for (ftype, diff), col in sorted(totals.items()):
-            t = col[idx]
-            wv = water_value(t, g, peak_price)
-            reps = (g_boot * peak_price - t[draws].sum(axis=1)) / g_boot
-            rows.append(
-                ValueRow(
-                    forecast_type=ftype,
-                    horizon=name,
-                    differential=diff,
-                    water_value=wv,
-                    se=float(reps.std(ddof=1)),
-                    n_cases=len(idx),
+        g, g_boot = gens[idx], sums[:, 0]
+        for k, ftype in enumerate(FORECAST_TYPES):
+            t_boot = d_col * sums[:, 1 + 2 * k] + peak_price * sums[:, 2 + 2 * k]
+            se = ((g_boot * peak_price - t_boot) / g_boot).std(axis=1, ddof=1)
+            for diff, diff_se in zip(diffs, se.tolist()):
+                rows.append(
+                    ValueRow(
+                        forecast_type=ftype,
+                        horizon=name,
+                        differential=diff,
+                        water_value=water_value(totals[(ftype, diff)][idx], g, peak_price),
+                        se=diff_se,
+                        n_cases=len(idx),
+                    )
                 )
-            )
     return rows, totals
 
 
@@ -550,11 +556,10 @@ def value_difference(
     (sum(base costs) - sum(other costs)) / sum(clim generation).
     """
     gens = cases.envelope.clim_generation
-    n = len(gens)
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, n, size=(n_boot, n))
-    g_boot = gens[draws].sum(axis=1)
-    reps = (totals_base[draws].sum(axis=1) - totals_other[draws].sum(axis=1)) / g_boot
+    g_boot, base_boot, other_boot = replicate_sums(
+        np.column_stack([gens, totals_base, totals_other]), n_boot, np.random.default_rng(seed)
+    ).T
+    reps = (base_boot - other_boot) / g_boot
     est = float((totals_base.sum() - totals_other.sum()) / gens.sum())
     se = float(reps.std(ddof=1))
     return BootstrapResult(est, se, est - 2 * se, est + 2 * se, n_boot)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .horizons import CANONICAL_WINDOWS
 from .series import DailySeries, month_of, year_of
 
 # ---------------------------------------------------------------------------
@@ -41,19 +42,7 @@ class HorizonSpec:
         )
 
 
-CANONICAL_HORIZONS: tuple[HorizonSpec, ...] = (
-    HorizonSpec("Forecast Week 1", 1, 7),
-    HorizonSpec("Forecast Week 2", 8, 14),
-    HorizonSpec("Forecast Week 3", 15, 21),
-    HorizonSpec("Forecast Week 4", 22, 28),
-    HorizonSpec("Forecast Week 5", 29, 35),
-    HorizonSpec("Forecast Week 6", 36, 42),
-    HorizonSpec("2 Week Forecast", 1, 14),
-    HorizonSpec("3 Week Forecast", 1, 21),
-    HorizonSpec("4 Week Forecast", 1, 28),
-    HorizonSpec("5 Week Forecast", 1, 35),
-    HorizonSpec("6 Week Forecast", 1, 42),
-)
+CANONICAL_HORIZONS: tuple[HorizonSpec, ...] = tuple(HorizonSpec(*window) for window in CANONICAL_WINDOWS)
 
 WEEKLY_HORIZONS = CANONICAL_HORIZONS[:6]
 EXTENDED_HORIZONS = (CANONICAL_HORIZONS[0],) + CANONICAL_HORIZONS[6:]

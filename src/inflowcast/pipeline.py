@@ -386,11 +386,6 @@ def verify_skill(
     ``reanalysis`` only switches the precipitation scores on.
     """
     report = VerificationReport()
-
-    def add(rep: SkillReport | None, variable: str):
-        if rep is not None:
-            report.skill.append((variable, rep))
-
     for h in models.horizons:
         table = tables[h.name]
         pred = predictions[h.name]
@@ -406,14 +401,8 @@ def verify_skill(
             )
             bench_scores = fair_crps_many(pred.benchmark[idx], table.obs_inflow[idx])
             cs = clim_scores[idx]
-            add(
-                skill_report(emos_scores, cs, h.name, "all", n_boot=n_boot, seed=seed, min_cases=min_cases),
-                "inflow_emos",
-            )
-            add(
-                skill_report(bench_scores, cs, h.name, "all", n_boot=n_boot, seed=seed, min_cases=min_cases),
-                "inflow_benchmark",
-            )
+            both = {"inflow_emos": emos_scores, "inflow_benchmark": bench_scores}
+            report.skill += skill_report(both, cs, h.name, "all", n_boot=n_boot, seed=seed, min_cases=min_cases)
 
             # seasonal and circulation-index strata for the calibrated forecasts
             strata = [("summer", "any"), ("winter", "any")]
@@ -433,11 +422,8 @@ def verify_skill(
                 if smask.sum() < min_cases:
                     continue
                 label = season if nao_cond == "any" else f"{season}/nao_{nao_cond}"
-                add(
-                    skill_report(
-                        emos_scores[smask], cs[smask], h.name, label, n_boot=n_boot, seed=seed, min_cases=min_cases
-                    ),
-                    "inflow_emos",
+                report.skill += skill_report(
+                    {"inflow_emos": emos_scores[smask]}, cs[smask], h.name, label, n_boot=n_boot, seed=seed, min_cases=min_cases
                 )
 
             # reliability of the calibrated forecasts
@@ -456,11 +442,8 @@ def verify_skill(
             pidx = np.flatnonzero(~np.isnan(p_clim))
             if len(pidx) >= min_cases:
                 precip_scores = fair_crps_many(table.member_matrix[pidx], table.obs_precip[pidx])
-                add(
-                    skill_report(
-                        precip_scores, p_clim[pidx], h.name, "all", n_boot=n_boot, seed=seed, min_cases=min_cases
-                    ),
-                    "precip_ensemble",
+                report.skill += skill_report(
+                    {"precip_ensemble": precip_scores}, p_clim[pidx], h.name, "all", n_boot=n_boot, seed=seed, min_cases=min_cases
                 )
 
     return report

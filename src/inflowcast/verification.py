@@ -246,28 +246,53 @@ class BootstrapResult:
     n_boot: int
 
 
-def bootstrap_spread(data, statistic, n_boot: int = 1000, seed: int = 0, min_cases: int = 20) -> BootstrapResult:
-    """Case-resampling bootstrap of a statistic; band is +/- 2 standard errors.
+_BLOCK_DRAWS = 1 << 16  # case draws per block of replicates: 512 KB of indices and of each gathered column
 
-    ``statistic(sample, axis)`` reduces the case axis ``axis`` of ``sample``,
-    as ``np.mean`` does, so all ``n_boot`` resamples are scored in one call.
+
+def replicate_sums(columns, n_boot: int, rng: np.random.Generator) -> np.ndarray:
+    """Sums of the ``(n, k)`` columns over ``n_boot`` case resamples, as an ``(n_boot, k)`` array.
+
+    Replicate r sums the rows ``rng.integers(0, n, size=(n_boot, n))[r]``.
+    The indices are drawn a block of replicates at a time, which takes the
+    same numbers from ``rng`` as that one call, so memory stays flat in
+    ``n_boot``.  Each replicate sum of a column is ``column[rows].sum()``,
+    bit for bit.  Every bootstrap statistic here is a ratio of such sums;
+    this is the paired case bootstrap of Efron & Tibshirani (1993).
     """
-    arr = np.asarray(data, dtype=float)
-    n = arr.shape[0]
+    cols = np.array(np.asarray(columns, dtype=float).T, order="C")  # one contiguous row per column
+    n = cols.shape[1]
+    out = np.empty((n_boot, len(cols)))
+    per_block = max(1, _BLOCK_DRAWS // max(n, 1))
+    for start in range(0, n_boot, per_block):
+        rows = rng.integers(0, n, size=(min(per_block, n_boot - start), n))
+        for j, col in enumerate(cols):
+            out[start : start + len(rows), j] = col[rows].sum(axis=1)
+    return out
+
+
+def bootstrap_spread(
+    forecast_scores, climatology_scores, n_boot: int = 1000, seed: int = 0, min_cases: int = 20
+) -> list[BootstrapResult]:
+    """fCRPSS of each forecast against the paired climatology scores, with a +/- 2 SE bootstrap band.
+
+    ``forecast_scores`` is one ``(n,)`` column or ``(n, m)`` columns; every
+    forecast is resampled with the same case draws.  A replicate's fCRPSS is
+    1 - sum(f) / sum(c), NaN where sum(c) is not positive.  Returns one
+    ``BootstrapResult`` per forecast.
+    """
+    scores = np.column_stack([forecast_scores, climatology_scores]).astype(float, copy=False)
+    n = len(scores)
     if n < min_cases:
         raise InputError(f"{n} cases is below the bootstrap minimum of {min_cases}")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(n_boot, n))
-    reps = np.asarray(statistic(arr[idx], axis=1), dtype=float)
-    est = float(statistic(arr, axis=0))
-    se = float(reps.std(ddof=1))
-    return BootstrapResult(est, se, est - 2 * se, est + 2 * se, n_boot)
 
+    def skill(sums):  # 1 - sum(f) / sum(c) over the last axis
+        clim = sums[..., -1:]
+        return 1.0 - sums[..., :-1] / np.where(clim > 0, clim, np.nan)
 
-def _fcrpss_stat(pairs: np.ndarray, axis: int):
-    """fCRPSS of (..., case, [forecast, climatology]) score pairs; NaN without climatology CRPS."""
-    denom = pairs[..., 1].mean(axis=axis)
-    return 1.0 - pairs[..., 0].mean(axis=axis) / np.where(denom > 0, denom, np.nan)
+    est = skill(scores.sum(axis=0))
+    reps = skill(replicate_sums(scores, n_boot, np.random.default_rng(seed)))
+    se = [float(r.std(ddof=1)) for r in reps.T]  # one column at a time: the same bits as a lone forecast's
+    return [BootstrapResult(float(e), s, float(e - 2 * s), float(e + 2 * s), n_boot) for e, s in zip(est, se)]
 
 
 @dataclass(frozen=True)
@@ -295,27 +320,36 @@ class SkillReport:
 
 
 def skill_report(
-    forecast_scores,
+    forecasts: dict,
     climatology_scores,
     horizon: str,
     stratum: str = "all",
     n_boot: int = 1000,
     seed: int = 0,
     min_cases: int = 20,
-) -> SkillReport | None:
-    """fCRPSS with a paired case-resampling bootstrap band; None when understaffed."""
-    f = np.asarray(forecast_scores, dtype=float)
+) -> list[tuple[str, SkillReport]]:
+    """(variable, report) per forecast: fCRPSS with a paired case bootstrap band; [] when understaffed.
+
+    ``forecasts`` maps variable names to score arrays aligned with
+    ``climatology_scores``; they share one set of bootstrap draws.
+    """
     c = np.asarray(climatology_scores, dtype=float)
-    if len(f) < min_cases:
-        return None
-    score = fcrpss(f, c, min_pairs=min_cases)
-    boot = bootstrap_spread(np.column_stack([f, c]), _fcrpss_stat, n_boot=n_boot, seed=seed, min_cases=min_cases)
-    return SkillReport(
-        horizon=horizon,
-        stratum=stratum,
-        fcrpss=score,
-        se=boot.se,
-        spread=2 * boot.se,
-        skill_class=classify_skill(score),
-        n_cases=len(f),
-    )
+    if len(c) < min_cases:
+        return []
+    scores = {variable: fcrpss(f, c, min_pairs=min_cases) for variable, f in forecasts.items()}
+    boots = bootstrap_spread(np.column_stack(list(forecasts.values())), c, n_boot=n_boot, seed=seed, min_cases=min_cases)
+    return [
+        (
+            variable,
+            SkillReport(
+                horizon=horizon,
+                stratum=stratum,
+                fcrpss=score,
+                se=boot.se,
+                spread=2 * boot.se,
+                skill_class=classify_skill(score),
+                n_cases=len(c),
+            ),
+        )
+        for (variable, score), boot in zip(scores.items(), boots)
+    ]

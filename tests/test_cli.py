@@ -532,6 +532,17 @@ def test_only_numeric_commands_load_scipy_special(tmp_path, tiny_run):
     assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0] False True"
 
 
+def test_package_import_and_report_leave_out_numpy(tmp_path, tiny_run):
+    # report reads JSON and a CSV of strings, and writes JSON, through textio alone
+    report = ["report", "--skill", str(tiny_run / "skill.json"), "--values", str(tiny_run / "value_report.csv"), "--out", "rep"]
+    code = (
+        "import sys, inflowcast; a = 'numpy' in sys.modules; from inflowcast.cli import main; "
+        f"rc = main({report!r}); print(a, rc, 'numpy' in sys.modules)"
+    )
+    assert _python(code, cwd=tmp_path) == "False 0 False"
+    assert set(json.loads((tmp_path / "rep" / "report.json").read_text())) == {"skill", "reliability", "value_gains"}
+
+
 def test_star_import_resolves_every_name():
     code = "import inflowcast; ns = {}; exec('from inflowcast import *', ns); print(sorted(set(inflowcast.__all__) - set(ns)))"
     assert _python(code) == "[]"

@@ -1,5 +1,7 @@
 """Hypothesis fuzz of the CLI: mutated inputs of `forecast`, `report` and `reconstruct-inflow` end in exit 0, 2 or 3.
 
+`verify` is also run with `[verification] bootstrap` set below two draws.
+
 Each example copies the outputs of a tiny run (5 years, 3 members, four
 weeks of hourly telemetry), mutates one or two input files and calls
 ``main()`` in this process, so any exception that is not mapped to an exit
@@ -206,3 +208,27 @@ def test_reconstruct_rejects_too_short_table_naming_it(plant_sources, tmp_path, 
     assert _reconstruct(tmp_path) == 2
     err = capsys.readouterr().err
     assert f"{tmp_path / name}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bootstrap, code", [("1", 2), ("0", 2), ("-1", 2), ("2", 0)])
+def test_verify_needs_two_bootstrap_draws(tiny_run, tmp_path, capsys, bootstrap, code):
+    # one draw has no spread (numpy: "Degrees of freedom <= 0"), and a negative count no draws at all
+    (tmp_path / "run.ini").write_text(f"[verification]\nbootstrap = {bootstrap}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            [
+                "--config", str(tmp_path / "run.ini"), "--seed", "3", "verify",
+                "--models", str(tiny_run / "models.json"),
+                "--inflow", str(tiny_run / "inflow.csv"),
+                "--ensemble", str(tiny_run / "ensemble.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err
+    if code:
+        assert f"config [verification] bootstrap: must be at least 2, got {bootstrap}" in err
+    else:
+        assert all(r["se"] > 0 for r in json.loads((tmp_path / "out" / "skill.json").read_text())["skill"])

@@ -438,6 +438,92 @@ def exact_objective(adjustment, dist: ZagaDistribution, env: OperatingEnvelope) 
     return stage1 + over + 0.5 * under
 
 
+def gathered_sweep(cases, totals, peak, n_boot, seed, min_cases):
+    """The sweep's bootstrap by gathers: every group's (n_boot, n) draw matrix at once, one gather per column.
+
+    Returns {(forecast type, horizon, differential): (water value, SE)}.
+    """
+    gens = cases.envelope.clim_generation
+    rng = np.random.default_rng(seed)
+    groups = {"all": np.arange(len(cases))}
+    groups.update((h, np.flatnonzero(cases.horizons == h)) for h in np.unique(cases.horizons).tolist())
+    draws = {name: rng.integers(0, len(idx), size=(n_boot, len(idx))) for name, idx in groups.items()}
+    out = {}
+    for name, idx in groups.items():
+        if len(idx) < min_cases:
+            continue
+        g = gens[idx]
+        g_boot = g[draws[name]].sum(axis=1)
+        for (ftype, diff), col in totals.items():
+            t = col[idx]
+            reps = (g_boot * peak - t[draws[name]].sum(axis=1)) / g_boot
+            out[(ftype, name, diff)] = (water_value(t, g, peak), reps.std(ddof=1))
+    return out
+
+
+def random_cost_cases(rng, n: int) -> CostCases:
+    """``n`` cases of two horizons from array draws, without per-case objects."""
+    clim = rng.uniform(0.8, 1.2, n)
+    mu, sigma, nu = rng.uniform(0.6, 1.6, n), rng.uniform(0.3, 0.9, n), rng.uniform(0, 0.2, n)
+    dist = ZagaDistribution(mu, sigma, nu, np.full(n, 0.1))
+    return CostCases(
+        issue_dates=np.full(n, np.datetime64("2015-01-05", "D")),
+        horizons=np.where(np.arange(n) % 2, "Forecast Week 1", "Forecast Week 2"),
+        observed_inflow=rng.gamma(1 / sigma**2, sigma**2 * mu) * (rng.random(n) > nu) - 0.1,
+        envelope=OperatingEnvelope(clim_generation=clim * 100.0, energy_per_inflow=np.full(n, 100.0)),
+        climatological=clim,
+        deterministic=mu,
+        probabilistic=dist,
+    )
+
+
+class TestSweepBootstrap:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cases=batch_cases(),
+        diffs=st.lists(st.integers(1, 120), min_size=1, max_size=6),
+        n_boot=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        min_cases=st.integers(1, 4),  # batch_cases gives at least 4 cases; a horizon may have fewer
+    )
+    def test_replicate_sums_match_gathered_totals(self, cases, diffs, n_boot, seed, min_cases):
+        # water values bit for bit; SEs from d * sum(D) + peak * sum(P) within 1e-12 of sum(totals).
+        # A water value that cannot vary has SE 0 here but a few ulp of the peak price from the
+        # gathers (7e-15 at peak 50 in one example), hence the floor at 1e-12 of the peak.
+        table = stack(cases)
+        rows, totals = price_sweep(table, diffs, n_boot=n_boot, seed=seed, min_cases=min_cases)
+        reference = gathered_sweep(table, totals, 50.0, n_boot, seed, min_cases)
+        assert [(r.forecast_type, r.horizon, r.differential) for r in rows] == list(reference)
+        for r in rows:
+            wv, se = reference[(r.forecast_type, r.horizon, r.differential)]
+            assert r.water_value == wv
+            assert_allclose(r.se, se, rtol=1e-12, atol=1e-12 * 50.0)
+
+    def test_value_difference_matches_gathered_totals(self, rng):
+        cases = make_cases(rng)
+        _, totals = price_sweep(cases, differentials=(60,), n_boot=2, seed=0)
+        base, other = totals[("deterministic", 60.0)], totals[("probabilistic", 60.0)]
+        diff = value_difference(cases, base, other, n_boot=300, seed=4)
+        draws = np.random.default_rng(4).integers(0, len(cases), size=(300, len(cases)))
+        gens = cases.envelope.clim_generation
+        reps = (base[draws].sum(axis=1) - other[draws].sum(axis=1)) / gens[draws].sum(axis=1)
+        assert diff.se == reps.std(ddof=1)
+
+    def test_memory_stays_below_one_draw_matrix(self):
+        # the draws of 2,000 cases x 1,000 replicates would take 16 MB as one int64 matrix
+        import tracemalloc
+
+        cases = random_cost_cases(np.random.default_rng(11), 2000)
+        adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
+        tracemalloc.start()
+        try:
+            price_sweep(cases, tuple(range(5, 101, 5)), n_boot=1000, seed=2, adjustments=adjustments)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 2000 * np.dtype(np.int64).itemsize
+
+
 class TestBatchedDecisions:
     @settings(max_examples=40, deadline=None)
     @given(batch_cases())

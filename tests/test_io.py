@@ -47,6 +47,27 @@ class TestTelemetryCsv:
         with pytest.raises(InputError, match="missing"):
             iomod.read_telemetry_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_utc_offset_gives_the_same_instant_without_a_warning(self, tmp_path):
+        # numpy warns on an aware datetime ("no explicit representation of timezones")
+        stamps = {}
+        for name, first, second in (
+            ("z", "2015-01-01T00:00:00Z", "2015-01-01T01:30:00Z"),
+            ("offset", "2015-01-01T01:00:00+01:00", "2015-01-01T00:30:00-01:00"),
+        ):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"timestamp,water_level_m,power_w\n{first},200.0,1e6\n{second},200.0,1e6\n")
+            stamps[name] = iomod.read_telemetry_csv(path).timestamps
+        assert np.array_equal(stamps["offset"], stamps["z"])
+        assert stamps["z"].tolist() == [dt.datetime(2015, 1, 1, 0, 0), dt.datetime(2015, 1, 1, 1, 30)]
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_offset_before_year_one_stays_an_instant(self, tmp_path):
+        # datetime.astimezone cannot go below year 1; numpy can
+        path = tmp_path / "early.csv"
+        path.write_text("timestamp,water_level_m,power_w\n0001-01-01T00:30:00+01:00,200.0,1e6\n")
+        assert str(iomod.read_telemetry_csv(path).timestamps[0]) == "0000-12-31T23:30:00"
+
     @pytest.mark.parametrize("second", ["2015-01-01T00:00:00Z", "2014-12-31T23:00:00Z"])
     def test_repeated_or_reversed_timestamp_names_its_line(self, tmp_path, second):
         path = tmp_path / "telemetry.csv"

@@ -8,7 +8,6 @@ from inflowcast.data import CANONICAL_HORIZONS, horizon_by_name
 from inflowcast.errors import InputError, NumericalError
 from inflowcast.verification import (
     NaoIndex,
-    _fcrpss_stat,
     bootstrap_spread,
     classify_skill,
     crps_parametric,
@@ -20,6 +19,7 @@ from inflowcast.verification import (
     majority_month,
     randomized_pit,
     reliability_diagram,
+    replicate_sums,
     season_of_month,
     skill_report,
     stratum_mask,
@@ -361,22 +361,42 @@ class TestStratification:
 
 class TestBootstrap:
     def test_constant_scores_have_zero_se(self):
-        res = bootstrap_spread(np.full(50, 3.3), np.mean, n_boot=200, seed=1)
+        (res,) = bootstrap_spread(np.full(50, 3.3), np.full(50, 6.6), n_boot=200, seed=1)
         assert res.se == 0.0
-        assert res.lower == res.upper == pytest.approx(3.3)
+        assert res.lower == res.upper == pytest.approx(0.5)
 
     def test_bernoulli_se_matches_analytic(self, rng):
+        # against a climatology of ones the fCRPSS is 1 - mean(f), with the SE of the mean
         p, n = 0.3, 400
         data = (rng.random(n) < p).astype(float)
-        res = bootstrap_spread(data, np.mean, n_boot=1000, seed=2)
+        (res,) = bootstrap_spread(data, np.ones(n), n_boot=1000, seed=2)
         analytic = np.sqrt(data.mean() * (1 - data.mean()) / n)
         assert abs(res.se - analytic) / analytic < 0.15
 
     def test_fixed_seed_reproducible(self, rng):
-        data = rng.normal(0, 1, 100)
-        r1 = bootstrap_spread(data, np.mean, n_boot=500, seed=42)
-        r2 = bootstrap_spread(data, np.mean, n_boot=500, seed=42)
+        f, c = rng.gamma(1, 0.5, (2, 100))
+        r1 = bootstrap_spread(f, c + 0.1, n_boot=500, seed=42)
+        r2 = bootstrap_spread(f, c + 0.1, n_boot=500, seed=42)
         assert r1 == r2
+
+    @pytest.mark.parametrize("n", [7, 522, 11_484])
+    def test_blocked_draws_equal_one_call(self, monkeypatch, n):
+        # 1,000 replicates in blocks of 3 (333 blocks and a last one of 1) draw the same
+        # indices as one (n_boot, n) call, so each replicate sums the same cases
+        from inflowcast import verification
+
+        monkeypatch.setattr(verification, "_BLOCK_DRAWS", 3 * n)
+        col = np.random.default_rng(n).random(n)
+        sums = replicate_sums(col[:, None], 1000, np.random.default_rng(9))
+        rows = np.random.default_rng(9).integers(0, n, size=(1000, n))
+        assert np.array_equal(sums[:, 0], col[rows].sum(axis=1))
+
+    def test_generator_left_as_after_one_call(self):
+        # a group's draws leave the generator where one (n_boot, n) call would, so later groups match too
+        blocked, one_call = np.random.default_rng(4), np.random.default_rng(4)
+        replicate_sums(np.ones((1044, 2)), 1001, blocked)
+        one_call.integers(0, 1044, size=(1001, 1044))
+        assert np.array_equal(blocked.integers(0, 10**9, 5), one_call.integers(0, 10**9, 5))
 
     @given(
         n=st.integers(20, 120),
@@ -387,29 +407,41 @@ class TestBootstrap:
     @settings(max_examples=60, deadline=None)
     def test_one_call_matches_row_loop(self, n, n_boot, data_seed, seed):
         gen = np.random.default_rng(data_seed)
-        pairs = np.column_stack([gen.gamma(1.0, 0.5, n), gen.gamma(1.0, 1.0, n) + 0.1])
+        f, g = gen.gamma(1.0, 0.5, n), gen.gamma(1.0, 0.7, n)
+        c = gen.gamma(1.0, 1.0, n) + 0.1
 
-        def loop_se(arr, statistic):
+        def loop_se(statistic, *columns):
             rows = np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
-            return np.array([statistic(arr[row]) for row in rows]).std(ddof=1)
+            return np.array([statistic(*(x[row] for x in columns)) for row in rows]).std(ddof=1)
 
-        def fcrpss_row(p):
-            return 1.0 - p[:, 0].mean() / p[:, 1].mean()
+        def fcrpss_row(f, c):
+            return 1.0 - f.mean() / c.mean()
 
-        vec = bootstrap_spread(pairs, _fcrpss_stat, n_boot=n_boot, seed=seed)
-        assert_allclose(vec.se, loop_se(pairs, fcrpss_row), rtol=1e-12, atol=0)
-        assert vec.estimate == pytest.approx(fcrpss_row(pairs), rel=1e-12)
-        mean = bootstrap_spread(pairs[:, 0], np.mean, n_boot=n_boot, seed=seed)
-        assert_allclose(mean.se, loop_se(pairs[:, 0], np.mean), rtol=1e-12, atol=0)
+        vec = bootstrap_spread(np.column_stack([f, g]), c, n_boot=n_boot, seed=seed)
+        for res, scores in zip(vec, (f, g)):  # both forecasts resampled with the same draws
+            assert_allclose(res.se, loop_se(fcrpss_row, scores, c), rtol=1e-12, atol=0)
+            assert res.estimate == pytest.approx(fcrpss_row(scores, c), rel=1e-12)
+        mean_se = (replicate_sums(f[:, None], n_boot, np.random.default_rng(seed))[:, 0] / n).std(ddof=1)
+        assert_allclose(mean_se, loop_se(np.mean, f), rtol=1e-12, atol=0)
 
     def test_skill_report_understaffed_returns_none(self):
-        assert skill_report(np.ones(5), np.ones(5), "Forecast Week 1") is None
+        assert skill_report({"inflow_emos": np.ones(5)}, np.ones(5), "Forecast Week 1") == []
 
     def test_skill_report_fields(self, rng):
         f = rng.gamma(1, 0.5, 200)
         c = rng.gamma(1, 1.0, 200) + 0.3
-        rep = skill_report(f, c, "Forecast Week 1", n_boot=400, seed=3)
+        [(variable, rep)] = skill_report({"inflow_emos": f}, c, "Forecast Week 1", n_boot=400, seed=3)
+        assert variable == "inflow_emos"
+        assert rep.fcrpss == fcrpss(f, c)
         assert rep.spread == pytest.approx(2 * rep.se)
         assert rep.skill_class == classify_skill(rep.fcrpss)
         assert rep.n_cases == 200
         assert rep.spread_method == "bootstrap_2se"
+
+    def test_skill_reports_share_draws(self, rng):
+        # one kernel call for two forecasts gives each, bit for bit, the report of its own call
+        f, g = rng.gamma(1, 0.5, (2, 80))
+        c = rng.gamma(1, 1.0, 80) + 0.3
+        both = skill_report({"a": f, "b": g}, c, "Forecast Week 1", n_boot=300, seed=5)
+        alone = [skill_report({name: x}, c, "Forecast Week 1", n_boot=300, seed=5)[0] for name, x in (("a", f), ("b", g))]
+        assert both == alone
