@@ -349,7 +349,7 @@ def cmd_verify(args, cfg) -> int:
         reanalysis=reanalysis,
         n_boot=n_boot,
         seed=seed,
-        min_cases=_getint(cfg, "verification", "min_cases"),
+        min_cases=_at_least(cfg, "verification", "min_cases", 1),
         min_clim_years=_getint(cfg, "verification", "min_climatology_years"),
     )
     iomod.write_json(out / "skill.json", report.to_dict())

@@ -89,18 +89,11 @@ def _write_csv(path, header, blocks) -> None:
 
 
 def _first_bad_row(path: Path, problem) -> InputError | None:
-    """The `file:line` error of the first body row ``problem`` finds fault with.
-
-    ``problem`` gets the row by header name as csv.DictReader gives it: the
-    last of a repeated name wins, and a short row's missing names are None.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for row in reader:
-            message = row and problem(dict(zip(header, row)) | dict.fromkeys(header[len(row) :]))
-            if message:
-                return InputError(f"{path}:{reader.line_num}: {message}")
+    """The `file:line` error of the first body row ``problem`` finds fault with; it gets the rows of ``_rows``."""
+    for lineno, row in _rows(path, ()):
+        message = problem(row)
+        if message:
+            return InputError(f"{path}:{lineno}: {message}")
     return None
 
 

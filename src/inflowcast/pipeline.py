@@ -1,9 +1,9 @@
 """End-to-end orchestration: cross-validated training, prediction, scoring, valuation.
 
 The cross-validation contract runs through everything here: for a forecast
-year Y both the precipitation regression and the per-horizon EMOS models are
-fitted with years Y and Y+1 withheld, and climatology benchmarks exclude the
-same years.
+year Y the precipitation regression, the per-horizon EMOS models and the
+climatology benchmarks all leave out the years ``regression.withheld`` names,
+Y and Y+1.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from .costmodel import CostCases, OperatingEnvelope
 from .data import CANONICAL_HORIZONS, HorizonSpec, NaoIndex, horizon_average
 from .emos import EmosModel, compute_feature_matrix, fit_emos
 from .errors import InputError, LeakageError, NumericalError
-from .regression import WEEK1, LinearInflowModel, run_cross_validation
+from .regression import WEEK1, LinearInflowModel, run_cross_validation, withheld
 from .series import DailySeries
 from .splines import CyclicSplineBasis, seasonal_phase
 from .verification import (
+    DEFAULT_LEVELS,
+    RELIABILITY_MIN_CASES,
     ReliabilityDiagram,
     SkillReport,
     crps_zaga_batch,
@@ -29,7 +31,7 @@ from .verification import (
     skill_report,
     stratum_mask,
 )
-from .zaga import ZagaDistribution, gamma_ppf
+from .zaga import ZagaDistribution
 
 QUANTILE_COLUMNS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -104,9 +106,10 @@ def climatology_scores(table: HorizonCaseTable, values: np.ndarray, score, min_y
 
     ``values`` is a column of ``table`` (``obs_inflow`` or ``obs_precip``).
     The climatology of issue month m and forecast year Y is every observed
-    value issued in month m outside years Y and Y + 1.  ``score(sample,
-    observations)`` is called once per (m, Y) group with the observations of
-    that group's cases and returns one value per observation, or one for all.
+    value issued in month m outside the years the fold of Y withholds
+    (``withheld``).  ``score(sample, observations)`` is called once per (m, Y)
+    group with the observations of that group's cases and returns one value
+    per observation, or one for all.
     A group whose sample spans fewer than ``min_years`` years stays NaN.
     """
     observed = ~np.isnan(values)
@@ -116,7 +119,7 @@ def climatology_scores(table: HorizonCaseTable, values: np.ndarray, score, min_y
     for month in np.unique(months[observed]):
         in_month = observed & (months == month)
         for year in np.unique(years[in_month]):
-            sample = in_month & (years != year) & (years != year + 1)
+            sample = in_month & ~withheld(years, year)
             if len(np.unique(years[sample])) >= min_years:
                 cases = in_month & (years == year)
                 out[cases] = score(values[sample], values[cases])
@@ -185,11 +188,7 @@ def train_models(
     for h_index, h in enumerate(horizons):
         table = tables[h.name]
         for fold_year, reg in sorted(regressions.items()):
-            train_mask = (
-                ~np.isnan(table.obs_inflow)
-                & (table.issue_years != fold_year)
-                & (table.issue_years != fold_year + 1)
-            )
+            train_mask = ~np.isnan(table.obs_inflow) & ~withheld(table.issue_years, fold_year)
             if train_mask.sum() < min_cases:
                 raise InputError(
                     f"horizon '{h.name}' fold {fold_year}: {int(train_mask.sum())} training "
@@ -221,65 +220,28 @@ def train_models(
 
 @dataclass
 class PredictedParams:
-    """Distribution parameters aligned with a HorizonCaseTable's rows."""
+    """Predictive distributions aligned with a HorizonCaseTable's rows."""
 
-    mu: np.ndarray
-    sigma: np.ndarray
-    nu: np.ndarray
-    offset: np.ndarray
+    dist: ZagaDistribution  # one case per row
     benchmark: np.ndarray  # (n, K) benchmark ensemble inflow members
-
-    def quantiles(self, levels) -> np.ndarray:
-        """User-space quantiles, shape (n, len(levels))."""
-        levels = np.asarray(levels, dtype=float)
-        shape = 1.0 / self.sigma**2
-        scale = self.sigma**2 * self.mu
-        p = (levels[None, :] - self.nu[:, None]) / (1.0 - self.nu[:, None])
-        in_atom = levels[None, :] <= self.nu[:, None]
-        q = np.where(
-            in_atom,
-            0.0,
-            gamma_ppf(np.where(in_atom, 0.5, p), shape[:, None], scale[:, None]),
-        )
-        return q - self.offset[:, None]
-
-
-def _check_params(horizon: str, fold_year: int, mu, sigma, nu, offset) -> None:
-    """Reject a fold model whose ZAGA parameters are non-finite or out of range."""
-    for name, x, valid in (
-        ("mu", mu, mu > 0),
-        ("sigma", sigma, sigma > 0),
-        ("nu", nu, (nu >= 0) & (nu < 1)),
-        ("offset", offset, offset >= 0),
-    ):
-        bad = ~(np.isfinite(x) & valid)
-        if bad.any():
-            raise NumericalError(
-                f"horizon '{horizon}' fold {fold_year}: the model gives {name} = {x[bad][0]}; "
-                "ZAGA needs finite mu > 0, sigma > 0, 0 <= nu < 1 and offset >= 0"
-            )
 
 
 def predict_params(
     models: TrainedModels, tables: dict[str, HorizonCaseTable]
 ) -> dict[str, PredictedParams]:
-    """Out-of-sample predictive parameters for every case, fold by fold."""
+    """Out-of-sample predictive distributions for every case, fold by fold."""
     out = {}
     for h in models.horizons:
         table = tables[h.name]
-        n = len(table)
-        mu = np.full(n, np.nan)
-        sigma = np.full(n, np.nan)
-        nu = np.full(n, np.nan)
-        offset = np.full(n, np.nan)
+        params = np.full((4, len(table)), np.nan)  # mu, sigma, nu, offset
         benchmark = np.full_like(table.member_matrix, np.nan)
         phases = seasonal_phase(table.issue_dates, models.basis.period)
         for fold_year, reg in models.regressions.items():
-            leaked = reg.training_years & {fold_year, fold_year + 1}
+            leaked = [y for y in sorted(reg.training_years) if withheld(y, fold_year)]
             if leaked:
                 raise LeakageError(
                     f"horizon '{h.name}' fold {fold_year}: the regression was trained on years "
-                    f"{sorted(leaked)}, which the fold must withhold"
+                    f"{leaked}, which the fold must withhold"
                 )
             mask = table.issue_years == fold_year
             if not mask.any():
@@ -291,16 +253,16 @@ def predict_params(
             feats = compute_feature_matrix(bench)
             with np.errstate(over="ignore", invalid="ignore"):
                 m, s, v = emos.params_for(feats, phases[mask])
-            _check_params(h.name, fold_year, m, s, v, np.array([emos.offset]))
-            mu[mask] = m
-            sigma[mask] = s
-            nu[mask] = v
-            offset[mask] = emos.offset
+            try:
+                ZagaDistribution(m, s, v, emos.offset)
+            except ValueError as exc:
+                raise NumericalError(f"horizon '{h.name}' fold {fold_year}: the model gives {exc}") from None
+            params[:, mask] = m, s, v, np.full(len(m), emos.offset)
             benchmark[mask] = bench
-        if np.isnan(mu).any():
-            missing = table.issue_years[np.isnan(mu)]
+        if np.isnan(params[0]).any():
+            missing = table.issue_years[np.isnan(params[0])]
             raise InputError(f"horizon '{h.name}': no fold model covers years {sorted(set(missing))}")
-        out[h.name] = PredictedParams(mu, sigma, nu, offset, benchmark)
+        out[h.name] = PredictedParams(ZagaDistribution(*params), benchmark)
     return out
 
 
@@ -309,13 +271,13 @@ def forecast_rows(models: TrainedModels, tables, predictions) -> list[list]:
     rows = []
     for h in models.horizons:
         table = tables[h.name]
-        pred = predictions[h.name]
-        q = pred.quantiles(QUANTILE_COLUMNS)
+        dist = predictions[h.name].dist
+        q = dist.quantile(QUANTILE_COLUMNS)
         for i in range(len(table)):
             rows.append(
                 [str(table.issue_dates[i]), h.name]
                 + [float(q[i, j]) for j in range(len(QUANTILE_COLUMNS))]
-                + [float(pred.nu[i]), float(pred.mu[i]), float(pred.sigma[i]), float(pred.offset[i])]
+                + [float(dist.nu[i]), float(dist.mu[i]), float(dist.sigma[i]), float(dist.offset[i])]
             )
     return rows
 
@@ -375,7 +337,6 @@ def verify_skill(
     seed: int = 0,
     min_cases: int = 20,
     min_clim_years: int = 3,
-    reliability_levels=None,
 ) -> VerificationReport:
     """Score EMOS, benchmark and (optionally) raw precip forecasts against climatology.
 
@@ -392,13 +353,7 @@ def verify_skill(
         clim_scores = climatology_scores(table, table.obs_inflow, fair_crps_sample, min_clim_years)
         idx = np.flatnonzero(~np.isnan(clim_scores))
         if len(idx) >= min_cases:
-            emos_scores = crps_zaga_batch(
-                pred.mu[idx],
-                pred.sigma[idx],
-                pred.nu[idx],
-                pred.offset[idx],
-                table.obs_inflow[idx],
-            )
+            emos_scores = crps_zaga_batch(pred.dist[idx], table.obs_inflow[idx])
             bench_scores = fair_crps_many(pred.benchmark[idx], table.obs_inflow[idx])
             cs = clim_scores[idx]
             both = {"inflow_emos": emos_scores, "inflow_benchmark": bench_scores}
@@ -427,13 +382,9 @@ def verify_skill(
                 )
 
             # reliability of the calibrated forecasts
-            levels = reliability_levels if reliability_levels is not None else np.round(np.arange(0.05, 0.951, 0.05), 2)
-            if len(idx) >= 50:
-                sub = PredictedParams(
-                    pred.mu[idx], pred.sigma[idx], pred.nu[idx], pred.offset[idx], pred.benchmark[idx]
-                )
+            if len(idx) >= RELIABILITY_MIN_CASES:
                 report.reliability[h.name] = reliability_diagram(
-                    table.obs_inflow[idx], sub.quantiles(levels), levels
+                    table.obs_inflow[idx], pred.dist[idx].quantile(DEFAULT_LEVELS), DEFAULT_LEVELS
                 )
 
         # raw ensemble precipitation skill against reanalysis
@@ -485,18 +436,22 @@ def build_cost_cases(
     """
     parts = [(np.empty(0, "datetime64[D]"), np.empty(0, str), *[np.empty(0)] * 8)]  # typed even with no horizons
     for h in models.horizons:
-        table, pred = tables[h.name], predictions[h.name]
+        table = tables[h.name]
         medians = climatology_scores(table, table.obs_inflow, lambda sample, _: np.median(sample), min_clim_years)
         keep = np.flatnonzero(medians > 0)
+        dist = predictions[h.name].dist[keep]
         parts.append(
             (
                 table.issue_dates[keep],
                 np.full(len(keep), h.name),
                 table.obs_inflow[keep],
                 medians[keep],
-                pred.quantiles([0.5])[keep, 0],
+                dist.quantile(0.5),
                 np.full(len(keep), settings.energy_per_inflow_day * h.n_days),
-                *(column[keep] for column in (pred.mu, pred.sigma, pred.nu, pred.offset)),
+                dist.mu,
+                dist.sigma,
+                dist.nu,
+                dist.offset,
             )
         )
     dates, names, observed, clim, det, epi, *zaga = (np.concatenate(column) for column in zip(*parts))

@@ -25,6 +25,17 @@ if TYPE_CHECKING:
 WEEK1 = CANONICAL_HORIZONS[0]
 
 
+def withheld(years, fold_year: int):
+    """Whether each of ``years`` is withheld from the fold of forecast year ``fold_year``.
+
+    This is the cross-validation rule: the forecast year and the year after it
+    are left out of the regression, the EMOS models and the climatology that
+    score that year's forecasts.
+    """
+    years = np.asarray(years)
+    return (years == fold_year) | (years == fold_year + 1)
+
+
 @dataclass(frozen=True)
 class LinearInflowModel:
     """Least-squares line mapping week-1 mean precipitation (mm/day) to inflow."""
@@ -112,11 +123,9 @@ def generate_benchmark(
 ) -> BenchmarkEnsembleForecast:
     """Apply the regression to each member's horizon-mean precipitation."""
     issue_year = year_of(forecast.issue_date)
-    overlap = model.training_years & {issue_year, issue_year + 1}
+    overlap = [y for y in sorted(model.training_years) if withheld(y, issue_year)]
     if overlap:
-        raise LeakageError(
-            f"model trained on years {sorted(overlap)} cannot forecast an issue from {issue_year}"
-        )
+        raise LeakageError(f"model trained on years {overlap} cannot forecast an issue from {issue_year}")
     members = model.predict(horizon_average(forecast, horizon))
     return BenchmarkEnsembleForecast(forecast.issue_date, horizon, members)
 
@@ -130,7 +139,7 @@ def run_cross_validation(
     """One week-1 regression per forecast year, keyed by that year.
 
     For each forecast year Y the line is fitted on the Forecast Week 1 case
-    table without the issues of Y and Y+1.
+    table without the issues of the years its fold withholds (``withheld``).
     """
     years = week1.issue_years
     fold_years = np.unique(years).tolist()
@@ -139,7 +148,7 @@ def run_cross_validation(
 
     models: dict[int, LinearInflowModel] = {}
     for fold_year in fold_years:
-        train = (years != fold_year) & (years != fold_year + 1)
+        train = ~withheld(years, fold_year)
         x, y = build_training_pairs(week1, train, member_wise=member_wise)
         if len(x) < min_pairs:
             raise InputError(

@@ -62,12 +62,13 @@ def fair_crps_sample(sample: np.ndarray, observations: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def crps_zaga_batch(mu, sigma, nu, offset, observations) -> np.ndarray:
+def crps_zaga_batch(dist: ZagaDistribution, observations) -> np.ndarray:
     """Exact CRPS of zero-adjusted gamma forecasts, ``E|Y - z| - E|Y - Y'| / 2``.
 
     On the internal axis z = observation + offset, Y is 0 with probability nu
-    and X ~ Gamma(a, theta) otherwise, with a = 1/sigma^2 and a * theta = mu.
-    For z >= 0 (Gneiting & Raftery 2007; Scheuerer & Moeller 2015)
+    and X ~ Gamma(a, theta) otherwise, with a the shape and theta the scale of
+    ``dist`` (a * theta = mu).  For z >= 0 (Gneiting & Raftery 2007;
+    Scheuerer & Moeller 2015)
 
         E|X - z|      = z (2 G_a(z) - 1) - mu (2 G_{a+1}(z) - 1)
         E|X - X'| / 2 = theta / B(1/2, a)
@@ -78,11 +79,9 @@ def crps_zaga_batch(mu, sigma, nu, offset, observations) -> np.ndarray:
     Scores are reported in the user-facing (shifted) space, which leaves
     CRPS unchanged.
     """
-    mu, sigma, nu, offset, y = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (mu, sigma, nu, offset, observations))
+    mu, nu, offset, shape, scale, y = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (dist.mu, dist.nu, dist.offset, dist.shape, dist.scale, observations))
     )
-    shape = 1.0 / sigma**2
-    scale = sigma**2 * mu
     z = y + offset
     zp = np.maximum(z, 0.0)
     abs_x = zp * (2.0 * gamma_cdf(zp, shape, scale) - 1.0) - mu * (2.0 * gamma_cdf(zp, shape + 1.0, scale) - 1.0)
@@ -93,7 +92,7 @@ def crps_zaga_batch(mu, sigma, nu, offset, observations) -> np.ndarray:
 
 def crps_parametric(dist: ZagaDistribution, observation: float) -> float:
     """CRPS of a single zero-adjusted gamma forecast (shifted space observation)."""
-    return float(crps_zaga_batch(dist.mu, dist.sigma, dist.nu, dist.offset, np.array([observation]))[0])
+    return float(crps_zaga_batch(dist, np.array([observation]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +132,7 @@ def classify_skill(score: float) -> str:
 # ---------------------------------------------------------------------------
 
 DEFAULT_LEVELS = np.round(np.arange(0.05, 0.951, 0.05), 2)
+RELIABILITY_MIN_CASES = 50
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class ReliabilityDiagram:
     n_cases: int
 
 
-def reliability_diagram(observations, quantiles, levels=DEFAULT_LEVELS, min_cases: int = 50) -> ReliabilityDiagram:
+def reliability_diagram(observations, quantiles, levels=DEFAULT_LEVELS, min_cases: int = RELIABILITY_MIN_CASES) -> ReliabilityDiagram:
     """Empirical coverage of predictive quantiles: share of observations <= Q(level)."""
     y = np.asarray(observations, dtype=float)
     q = np.asarray(quantiles, dtype=float)
@@ -157,15 +157,10 @@ def reliability_diagram(observations, quantiles, levels=DEFAULT_LEVELS, min_case
 
 def randomized_pit(mu, sigma, nu, offset, observations, rng: np.random.Generator) -> np.ndarray:
     """Probability integral transform with the zero atom randomised uniformly."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    z = np.asarray(observations, dtype=float) + np.asarray(offset, dtype=float)
-    shape = 1.0 / sigma**2
-    scale = sigma**2 * mu
-    cont = nu + (1.0 - nu) * gamma_cdf(np.maximum(z, 0.0), shape, scale)
-    atom = rng.random(size=np.shape(z)) * nu
-    return np.where(z <= 0.0, atom, cont)
+    dist = ZagaDistribution(*(np.asarray(x, dtype=float) for x in (mu, sigma, nu, offset)))
+    z = np.asarray(observations, dtype=float) + dist.offset
+    atom = rng.random(size=np.shape(z)) * dist.nu
+    return np.where(z <= 0.0, atom, dist.cdf(observations))
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,27 @@ import numpy as np
 from scipy import special
 
 
-def _validate(mu, sigma, nu, offset):
-    if not (np.all(np.asarray(mu) > 0) and np.all(np.isfinite(mu))):
-        raise ValueError("mu must be finite and > 0")
-    if not (np.all(np.asarray(sigma) > 0) and np.all(np.isfinite(sigma))):
-        raise ValueError("sigma must be finite and > 0")
-    nu = np.asarray(nu)
-    if not np.all((nu >= 0) & (nu < 1)):
-        raise ValueError("nu must lie in [0, 1)")
-    if not np.all(np.asarray(offset) >= 0):
-        raise ValueError("offset must be >= 0")
+_VALID = (
+    ("mu", lambda x: x > 0),
+    ("sigma", lambda x: x > 0),
+    ("nu", lambda x: (x >= 0) & (x < 1)),
+    ("offset", lambda x: x >= 0),
+)
+
+
+def _validate(*params):
+    """Raise a ValueError naming the first out-of-range value of mu, sigma, nu or offset, in that order."""
+    for (name, valid), x in zip(_VALID, params):
+        x = np.asarray(x, dtype=float)
+        bad = ~(np.isfinite(x) & valid(x))
+        if bad.any():
+            raise ValueError(
+                f"{name} = {float(x[bad][0])}; ZAGA needs finite mu > 0, sigma > 0, 0 <= nu < 1 and offset >= 0"
+            )
+
+
+def _float_if_0d(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def gamma_cdf(x, shape, scale):
@@ -40,7 +51,12 @@ def gamma_ppf(p, shape, scale):
 
 @dataclass(frozen=True)
 class ZagaDistribution:
-    """Zero-adjusted gamma predictive distribution with an optional shift."""
+    """Zero-adjusted gamma predictive distribution with an optional shift.
+
+    The parameters are scalars or arrays that broadcast together, one entry
+    per case; evaluations broadcast against them elementwise, except
+    ``quantile``, which puts its levels on a new last axis.
+    """
 
     mu: float
     sigma: float
@@ -49,6 +65,10 @@ class ZagaDistribution:
 
     def __post_init__(self):
         _validate(self.mu, self.sigma, self.nu, self.offset)
+
+    def __getitem__(self, idx) -> "ZagaDistribution":
+        """The cases ``idx`` selects."""
+        return ZagaDistribution(*(p[idx] for p in np.broadcast_arrays(self.mu, self.sigma, self.nu, self.offset)))
 
     @property
     def shape(self) -> float:
@@ -66,29 +86,25 @@ class ZagaDistribution:
         ysafe = np.where(pos, y, 1.0)
         logpdf = (a - 1) * np.log(ysafe) - ysafe / s - a * np.log(s) - special.gammaln(a)
         dens = np.where(pos, (1.0 - self.nu) * np.exp(logpdf), 0.0)
-        dens = np.where(y == 0, self.nu, dens)
-        if np.isscalar(v):
-            return float(dens)
-        return dens
+        return _float_if_0d(np.where(y == 0, self.nu, dens))
 
     def cdf(self, v):
         y = np.asarray(v, dtype=float) + self.offset
-        out = np.where(y < 0, 0.0, self.nu + (1.0 - self.nu) * gamma_cdf(y, self.shape, self.scale))
-        if np.isscalar(v):
-            return float(out)
-        return out
+        return _float_if_0d(np.where(y < 0, 0.0, self.nu + (1.0 - self.nu) * gamma_cdf(y, self.shape, self.scale)))
 
     def quantile(self, p):
+        """Quantiles at levels ``p`` in (0, 1), of shape ``parameter shape + p.shape``."""
         p = np.asarray(p, dtype=float)
         if np.any((p <= 0) | (p >= 1)):
             raise ValueError("p must lie in (0, 1)")
-        in_atom = p <= self.nu
-        p_cont = np.where(in_atom, 0.5, (p - self.nu) / (1.0 - self.nu))
-        q = np.where(in_atom, 0.0, gamma_ppf(p_cont, self.shape, self.scale))
-        out = q - self.offset
-        if p.ndim == 0:
-            return float(out)
-        return out
+        levels_axes = tuple(range(-p.ndim, 0))
+        nu, shape, scale, offset = (
+            np.expand_dims(np.asarray(x, dtype=float), levels_axes) for x in (self.nu, self.shape, self.scale, self.offset)
+        )
+        in_atom = p <= nu
+        p_cont = np.where(in_atom, 0.5, (p - nu) / (1.0 - nu))
+        q = np.where(in_atom, 0.0, gamma_ppf(p_cont, shape, scale))
+        return _float_if_0d(q - offset)
 
     def mean(self) -> float:
         return (1.0 - self.nu) * self.mu - self.offset

@@ -1,6 +1,7 @@
 """Hypothesis fuzz of the CLI: mutated inputs of `forecast`, `report` and `reconstruct-inflow` end in exit 0, 2 or 3.
 
-`verify` is also run with `[verification] bootstrap` set below two draws.
+`verify` is also run with `[verification] bootstrap` set below two draws and
+`min_cases` below one case.
 
 Each example copies the outputs of a tiny run (5 years, 3 members, four
 weeks of hourly telemetry), mutates one or two input files and calls
@@ -232,3 +233,31 @@ def test_verify_needs_two_bootstrap_draws(tiny_run, tmp_path, capsys, bootstrap,
         assert f"config [verification] bootstrap: must be at least 2, got {bootstrap}" in err
     else:
         assert all(r["se"] > 0 for r in json.loads((tmp_path / "out" / "skill.json").read_text())["skill"])
+
+
+@pytest.mark.parametrize("min_cases, code", [("0", 2), ("-1", 2), ("1", 0)])
+def test_verify_needs_one_case_per_stratum(tiny_run, tmp_path, capsys, min_cases, code):
+    # an NAO index of 1.0 everywhere leaves every negative-phase stratum empty
+    nao = (tiny_run / "nao.csv").read_text().splitlines()
+    (tmp_path / "nao.csv").write_text("\n".join([nao[0], *(line.rsplit(",", 1)[0] + ",1.0" for line in nao[1:])]) + "\n")
+    (tmp_path / "run.ini").write_text(f"[verification]\nmin_cases = {min_cases}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            [
+                "--config", str(tmp_path / "run.ini"), "--seed", "3", "verify",
+                "--models", str(tiny_run / "models.json"),
+                "--inflow", str(tiny_run / "inflow.csv"),
+                "--ensemble", str(tiny_run / "ensemble.csv"),
+                "--nao", str(tmp_path / "nao.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err
+    if code:
+        assert f"config [verification] min_cases: must be at least 1, got {min_cases}" in err
+    else:
+        strata = {r["stratum"] for r in json.loads((tmp_path / "out" / "skill.json").read_text())["skill"]}
+        assert "all/nao_positive" in strata and not any("negative" in s for s in strata)

@@ -169,18 +169,18 @@ class TestTraining:
         clone = TrainedModels.from_dict(models.to_dict())
         pred2 = predict_params(clone, tables)
         for h in HORIZONS:
-            assert_allclose(predictions[h.name].mu, pred2[h.name].mu, rtol=1e-12)
-            assert_allclose(predictions[h.name].nu, pred2[h.name].nu, rtol=1e-12)
+            assert_allclose(predictions[h.name].dist.mu, pred2[h.name].dist.mu, rtol=1e-12)
+            assert_allclose(predictions[h.name].dist.nu, pred2[h.name].dist.nu, rtol=1e-12)
 
 
 class TestPrediction:
     def test_every_case_predicted(self, trained):
         _, tables, _, predictions = trained
         for h in HORIZONS:
-            pred = predictions[h.name]
-            assert np.all(np.isfinite(pred.mu))
-            assert np.all(pred.sigma > 0)
-            assert np.all((pred.nu >= 0) & (pred.nu < 1))
+            dist = predictions[h.name].dist
+            assert np.all(np.isfinite(dist.mu))
+            assert np.all(dist.sigma > 0)
+            assert np.all((dist.nu >= 0) & (dist.nu < 1))
 
     def test_quantile_rows_match_distributions(self, trained):
         _, tables, models, predictions = trained
@@ -191,14 +191,14 @@ class TestPrediction:
         h = horizon_by_name(row[1])
         table = tables[h.name]
         i = 7 % len(table)
-        pred = predictions[h.name]
+        pred = predictions[h.name].dist
         dist = ZagaDistribution(pred.mu[i], pred.sigma[i], pred.nu[i], pred.offset[i])
         assert_allclose(row[2], dist.quantile(0.05), rtol=1e-10)
         assert_allclose(row[4], dist.quantile(0.5), rtol=1e-10)
 
     def test_quantiles_monotone_across_levels(self, trained):
         _, tables, _, predictions = trained
-        q = predictions[HORIZONS[0].name].quantiles([0.05, 0.25, 0.5, 0.75, 0.95])
+        q = predictions[HORIZONS[0].name].dist.quantile([0.05, 0.25, 0.5, 0.75, 0.95])
         assert np.all(np.diff(q, axis=1) >= -1e-12)
 
 

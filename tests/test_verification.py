@@ -149,7 +149,7 @@ class TestParametricCrps:
         nu = rng.uniform(0, 0.5, 15)
         off = rng.uniform(0, 0.4, 15)
         ys = rng.normal(1, 1, 15)
-        batch = crps_zaga_batch(mu, sigma, nu, off, ys)
+        batch = crps_zaga_batch(ZagaDistribution(mu, sigma, nu, off), ys)
         for i in range(15):
             d = ZagaDistribution(mu[i], sigma[i], nu[i], off[i])
             assert_allclose(batch[i], crps_parametric(d, ys[i]), rtol=1e-12)
@@ -168,7 +168,7 @@ class TestParametricCrps:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_closed_form_matches_quadrature(self, mu, sigma, nu, offset, y):
         y = -offset if y is None else y  # None: the observation sits on the point mass, z = 0
-        exact = crps_zaga_batch(mu, sigma, nu, offset, y)[0]
+        exact = crps_zaga_batch(ZagaDistribution(mu, sigma, nu, offset), y)[0]
         assert exact == pytest.approx(crps_by_quadrature(mu, sigma, nu, offset, y), rel=1e-8, abs=1e-12)
 
     @given(
@@ -181,7 +181,7 @@ class TestParametricCrps:
     def test_continuous_at_zero(self, mu, sigma, nu, offset):
         # the slope is -1 below z = 0 and 2 nu - 1 just above, so a step of
         # 1e-9 moves the score by at most 1e-9
-        at, below, above = crps_zaga_batch(mu, sigma, nu, offset, -offset + np.array([0.0, -1e-9, 1e-9]))
+        at, below, above = crps_zaga_batch(ZagaDistribution(mu, sigma, nu, offset), -offset + np.array([0.0, -1e-9, 1e-9]))
         assert abs(below - at) <= 2e-9
         assert abs(above - at) <= 2e-9
 

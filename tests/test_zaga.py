@@ -49,6 +49,22 @@ class TestDensity:
             with pytest.raises(ValueError):
                 ZagaDistribution(**kwargs)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(offset=np.inf), "offset = inf"),
+            (dict(nu=np.nan), "nu = nan"),
+            (dict(mu=0.0), "mu = 0.0"),
+            (dict(mu=np.array([1.0, 2.0, 0.0])), "mu = 0.0"),
+            (dict(sigma=np.array([0.5, np.inf])), "sigma = inf"),
+        ],
+    )
+    def test_rejection_names_the_parameter(self, bad, message):
+        kwargs = dict(mu=1.0, sigma=1.0, nu=0.0, offset=0.0)
+        kwargs.update(bad)
+        with pytest.raises(ValueError, match=f"^{message};"):
+            ZagaDistribution(**kwargs)
+
 
 class TestQuantiles:
     def test_quantile_in_atom(self):
@@ -99,3 +115,51 @@ class TestOffset:
         draws = d.random(rng, 50_000)
         for v in (-0.4, 0.0, 1.0, 3.0):
             assert abs((draws <= v).mean() - d.cdf(v)) < 0.01
+
+
+# one case per entry: nu = 0 half the time, and levels drawn from the atoms as well as from (0, 1)
+_cases = st.lists(
+    st.tuples(
+        st.floats(0.05, 8.0),
+        st.floats(0.05, 3.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+        st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestArrayParameters:
+    @given(cases=_cases, levels=st.lists(st.floats(1e-6, 1 - 1e-6), max_size=5), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_quantile_of_arrays_is_the_per_case_quantile(self, cases, levels, data):
+        mu, sigma, nu, offset = (np.array(column) for column in zip(*cases))
+        # a level at or below some case's nu, and that nu itself, put levels inside the atom
+        levels = levels + [x for x in nu.tolist() if x > 0][:1] + [data.draw(st.floats(1e-6, max(nu.max(), 1e-6)))]
+        dist = ZagaDistribution(mu, sigma, nu, offset)
+        q = dist.quantile(levels)
+        assert q.shape == (len(cases), len(levels))
+        for i, case in enumerate(cases):
+            one = ZagaDistribution(*case)
+            assert q[i].tolist() == one.quantile(levels).tolist()
+            assert dist.quantile(levels[-1])[i] == one.quantile(levels[-1])  # a scalar level
+            assert isinstance(one.quantile(levels[-1]), float)
+
+    def test_quantile_levels_go_on_a_new_last_axis(self):
+        dist = ZagaDistribution(np.full((2, 3), 1.5), 0.8, 0.1, np.zeros((2, 1)))
+        assert dist.quantile([0.2, 0.5]).shape == (2, 3, 2)
+        assert dist.quantile(0.5).shape == (2, 3)
+        assert dist.quantile(np.full((4, 1), 0.5)).shape == (2, 3, 4, 1)
+
+    def test_indexing_selects_cases(self, rng):
+        mu, sigma, nu, offset = rng.uniform(0.5, 2, 9), rng.uniform(0.3, 1.2, 9), rng.uniform(0, 0.3, 9), rng.uniform(0, 0.5, 9)
+        dist = ZagaDistribution(mu, sigma, nu, offset)
+        for idx in (np.array([4, 0, 4]), np.arange(9) % 2 == 0, slice(2, 5), np.array([], dtype=int)):
+            sliced = ZagaDistribution(mu[idx], sigma[idx], nu[idx], offset[idx])
+            for name in ("mu", "sigma", "nu", "offset"):
+                assert getattr(dist[idx], name).tolist() == getattr(sliced, name).tolist()
+        assert dist[3] == ZagaDistribution(mu[3], sigma[3], nu[3], offset[3])
+        # a scalar parameter is repeated for the selected cases
+        shared = ZagaDistribution(mu, sigma, nu, 0.25)[np.array([1, 7])]
+        assert shared.offset.tolist() == [0.25, 0.25]
