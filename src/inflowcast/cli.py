@@ -12,7 +12,9 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -27,55 +29,60 @@ from .textio import read_json, read_table_csv, write_json
 if TYPE_CHECKING:
     from .pipeline import CostSettings, TrainedModels
 
-DEFAULT_CONFIG = {
-    "run": {"seed": "0"},
-    "horizons": {"names": ",".join(name for name, _, _ in CANONICAL_WINDOWS)},
+# Every config key as [section] key: (type, default text, smallest accepted
+# value or None).  A float must also be finite.  Keys not listed here, such as
+# retired ones, are accepted and ignored.
+CONFIG_KEYS = {
+    "run": {"seed": (int, "0", 0)},
+    "horizons": {"names": (str, ",".join(name for name, _, _ in CANONICAL_WINDOWS), None)},
     "cleaning": {
-        "level_min": "150.0",
-        "level_max": "250.0",
-        "power_min": "0.0",
-        "power_max": "12000000.0",
-        "max_level_step": "5.0",
-        "max_power_step": "10000000.0",
+        "level_min": (float, "150.0", None),
+        "level_max": (float, "250.0", None),
+        "power_min": (float, "0.0", None),
+        "power_max": (float, "12000000.0", None),
+        "max_level_step": (float, "5.0", None),
+        "max_power_step": (float, "10000000.0", None),
     },
     "emos": {
-        "knots": "6",
-        "ridge": "1e-6",
-        "starts": "3",
-        "min_cases": "100",
-        "member_wise": "true",
+        "knots": (int, "6", 4),
+        "ridge": (float, "1e-6", 0),
+        "starts": (int, "3", 1),
+        "min_cases": (int, "100", 1),
+        "member_wise": (bool, "true", None),
     },
     "verification": {
-        "bootstrap": "1000",
-        "min_cases": "20",
-        "min_climatology_years": "3",
+        "bootstrap": (int, "1000", 2),
+        "min_cases": (int, "20", 1),
+        "min_climatology_years": (int, "3", 2),  # a fair CRPS needs two climatology values
     },
     "cost": {
-        "peak_price": "50.0",
-        "differential_min": "5",
-        "differential_max": "100",
-        "differential_step": "5",
-        "decision_differential": "30.0",
-        "free_up_frac": "0.2",
-        "free_down_frac": "0.2",
-        "stage2_up_frac": "0.2",
-        "stage2_down_frac": "0.5",
-        "max_capacity_frac": "2.4",
-        "energy_per_inflow_day": "10.0",
-        "bootstrap": "1000",
+        "peak_price": (float, "50.0", None),
+        "differential_min": (int, "5", 1),
+        "differential_max": (int, "100", None),
+        "differential_step": (int, "5", 1),
+        "decision_differential": (float, "30.0", None),
+        "free_up_frac": (float, "0.2", None),
+        "free_down_frac": (float, "0.2", None),
+        "stage2_up_frac": (float, "0.2", None),
+        "stage2_down_frac": (float, "0.5", None),
+        "max_capacity_frac": (float, "2.4", None),
+        "energy_per_inflow_day": (float, "10.0", None),
+        "bootstrap": (int, "1000", 2),
     },
     "synth": {
-        "years": "10",
-        "start_year": "2009",
-        "members": "11",
-        "lead_days": "46",
-        "skill_half_life": "10.0",
-        "seasonal_amplitude": "0.5",
-        "drift": "0.12",
-        "noise_sd": "0.08",
-        "marginal": "gamma",
+        "years": (int, "10", 1),
+        "start_year": (int, "2009", 1),
+        "members": (int, "11", 2),
+        "lead_days": (int, "46", 42),  # the shortest ensemble `read_ensemble_csv` accepts
+        "skill_half_life": (float, "10.0", None),  # or none / inf: perfect members
+        "seasonal_amplitude": (float, "0.5", None),
+        "drift": (float, "0.12", None),
+        "noise_sd": (float, "0.08", None),
+        "marginal": (str, "gamma", None),
     },
 }
+DEFAULT_CONFIG = {section: {key: default for key, (_, default, _) in keys.items()} for section, keys in CONFIG_KEYS.items()}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
@@ -100,30 +107,19 @@ def config_fingerprint(cfg: configparser.ConfigParser) -> tuple[dict, str]:
     return resolved, digest
 
 
-def _getfloat(cfg, section, key):
+def _setting(cfg, section, key):
+    """The value of ``[section] key`` parsed by its type in `CONFIG_KEYS`; a bad value is an input error naming the key."""
+    kind, _, least = CONFIG_KEYS[section][key]
+    text = cfg.get(section, key)
+    if kind is str:
+        return text
     try:
-        return cfg.getfloat(section, key)
+        value = cfg.getboolean(section, key) if kind is bool else kind(text)
     except ValueError:
-        raise InputError(f"config [{section}] {key}: not a number: {cfg.get(section, key)!r}") from None
-
-
-def _getint(cfg, section, key):
-    try:
-        return cfg.getint(section, key)
-    except ValueError:
-        raise InputError(f"config [{section}] {key}: not an integer: {cfg.get(section, key)!r}") from None
-
-
-def _getboolean(cfg, section, key):
-    try:
-        return cfg.getboolean(section, key)
-    except ValueError:
-        raise InputError(f"config [{section}] {key}: not a boolean: {cfg.get(section, key)!r}") from None
-
-
-def _at_least(cfg, section, key, least):
-    value = _getint(cfg, section, key)
-    if value < least:
+        raise InputError(f"config [{section}] {key}: not {_TYPE_NAMES[kind]}: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise InputError(f"config [{section}] {key}: must be finite, got {text!r}")
+    if least is not None and value < least:
         raise InputError(f"config [{section}] {key}: must be at least {least}, got {value}")
     return value
 
@@ -131,21 +127,37 @@ def _at_least(cfg, section, key, least):
 def _horizons(cfg):
     from .data import horizon_by_name
 
-    names = [n.strip() for n in cfg.get("horizons", "names").split(",") if n.strip()]
-    return tuple(horizon_by_name(n) for n in names)
+    names = [n.strip() for n in _setting(cfg, "horizons", "names").split(",") if n.strip()]
+    try:
+        horizons = tuple(horizon_by_name(n) for n in names)
+    except InputError as exc:
+        raise InputError(f"config [horizons] names: {exc}") from None
+    if not horizons:
+        raise InputError("config [horizons] names: no horizon given")
+    for i, h in enumerate(horizons):
+        if h in horizons[:i]:
+            raise InputError(f"config [horizons] names: {h.name!r} is given twice")
+    return horizons
 
 
-def write_manifest(out_dir: Path, command: str, cfg, seed: int, inputs: dict, outputs: list[str]):
+# The file options of every command, by their names in `args`: a manifest lists those given.
+INPUT_OPTIONS = (
+    "telemetry", "efficiency", "net_head", "storage", "compensation",
+    "models", "inflow", "ensemble", "reanalysis", "nao", "skill", "values",
+)
+
+
+def write_manifest(args, cfg, seed: int, outputs: list[str]):
     resolved, digest = config_fingerprint(cfg)
     write_json(
-        out_dir / f"{command.replace('-', '_')}_manifest.json",
+        Path(args.out) / f"{args.command.replace('-', '_')}_manifest.json",
         {
-            "command": command,
+            "command": args.command,
             "package_version": __version__,
             "seed": seed,
             "config": resolved,
             "config_sha256": digest,
-            "inputs": {k: str(v) for k, v in inputs.items()},
+            "inputs": {name: str(getattr(args, name)) for name in INPUT_OPTIONS if getattr(args, name, None)},
             "outputs": sorted(outputs),
         },
     )
@@ -158,7 +170,11 @@ def _out_dir(args) -> Path:
 
 
 def _seed(args, cfg) -> int:
-    return args.seed if args.seed is not None else _getint(cfg, "run", "seed")
+    if args.seed is None:
+        return _setting(cfg, "run", "seed")
+    if args.seed < 0:
+        raise InputError(f"--seed: must be at least 0, got {args.seed}")
+    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +186,21 @@ def cmd_synth(args, cfg) -> int:
     from . import io as iomod
     from .synth import ScenarioConfig, generate_scenario, simulate_telemetry
 
-    out = _out_dir(args)
     seed = _seed(args, cfg)
-    half_life_raw = cfg.get("synth", "skill_half_life")
+    synth = partial(_setting, cfg, "synth")
     scenario_cfg = ScenarioConfig(
-        n_years=_getint(cfg, "synth", "years"),
-        start_year=_getint(cfg, "synth", "start_year"),
-        n_members=_getint(cfg, "synth", "members"),
-        lead_days=_getint(cfg, "synth", "lead_days"),
-        seasonal_amplitude=_getfloat(cfg, "synth", "seasonal_amplitude"),
-        drift=_getfloat(cfg, "synth", "drift"),
-        noise_sd=_getfloat(cfg, "synth", "noise_sd"),
-        skill_half_life=None if half_life_raw.lower() in ("none", "inf") else _getfloat(cfg, "synth", "skill_half_life"),
-        marginal=cfg.get("synth", "marginal"),
+        n_years=synth("years"),
+        start_year=synth("start_year"),
+        n_members=synth("members"),
+        lead_days=synth("lead_days"),
+        seasonal_amplitude=synth("seasonal_amplitude"),
+        drift=synth("drift"),
+        noise_sd=synth("noise_sd"),
+        skill_half_life=None if cfg.get("synth", "skill_half_life").lower() in ("none", "inf") else synth("skill_half_life"),
+        marginal=synth("marginal"),
         seed=seed,
     )
+    out = _out_dir(args)
     scenario = generate_scenario(scenario_cfg)
     outputs = []
 
@@ -213,7 +229,7 @@ def cmd_synth(args, cfg) -> int:
         )
         outputs.append("true_inflow.csv")
 
-    write_manifest(out, "synth", cfg, seed, {}, outputs)
+    write_manifest(args, cfg, seed, outputs)
     return 0
 
 
@@ -221,6 +237,13 @@ def cmd_reconstruct(args, cfg) -> int:
     from . import io as iomod
     from .telemetry import CleaningLimits, PlantCurves, aggregate_and_normalize, clean_telemetry, reconstruct_net_inflow
 
+    cleaning = partial(_setting, cfg, "cleaning")
+    limits = CleaningLimits(
+        level_bounds=(cleaning("level_min"), cleaning("level_max")),
+        power_bounds=(cleaning("power_min"), cleaning("power_max")),
+        max_level_step=cleaning("max_level_step"),
+        max_power_step=cleaning("max_power_step"),
+    )
     out = _out_dir(args)
     telemetry = iomod.read_telemetry_csv(args.telemetry)
     curves = PlantCurves(
@@ -229,12 +252,6 @@ def cmd_reconstruct(args, cfg) -> int:
         storage=iomod.read_storage_csv(args.storage),
     )
     compensation = iomod.read_compensation_csv(args.compensation)
-    limits = CleaningLimits(
-        level_bounds=(_getfloat(cfg, "cleaning", "level_min"), _getfloat(cfg, "cleaning", "level_max")),
-        power_bounds=(_getfloat(cfg, "cleaning", "power_min"), _getfloat(cfg, "cleaning", "power_max")),
-        max_level_step=_getfloat(cfg, "cleaning", "max_level_step"),
-        max_power_step=_getfloat(cfg, "cleaning", "max_power_step"),
-    )
     cleaned, cleaning_report = clean_telemetry(telemetry, limits)
     reconstruction = reconstruct_net_inflow(cleaned, curves, compensation)
     series = aggregate_and_normalize(
@@ -242,20 +259,7 @@ def cmd_reconstruct(args, cfg) -> int:
     )
     report = {"cleaning": cleaning_report.to_dict(), "reconstruction": reconstruction.to_report()}
     iomod.write_inflow_csv(out / "inflow.csv", series, out / "inflow_meta.json", report)
-    write_manifest(
-        out,
-        "reconstruct-inflow",
-        cfg,
-        _seed(args, cfg),
-        {
-            "telemetry": args.telemetry,
-            "efficiency": args.efficiency,
-            "net_head": args.net_head,
-            "storage": args.storage,
-            "compensation": args.compensation,
-        },
-        ["inflow.csv", "inflow_meta.json"],
-    )
+    write_manifest(args, cfg, _seed(args, cfg), ["inflow.csv", "inflow_meta.json"])
     return 0
 
 
@@ -286,25 +290,21 @@ def cmd_train(args, cfg) -> int:
     from . import io as iomod
     from .pipeline import train_models
 
-    out = _out_dir(args)
     seed = _seed(args, cfg)
-    inflow, issues, _, _ = _load_dataset(args)
     horizons = _horizons(cfg)
-    models = train_models(
-        issues,
-        inflow,
-        horizons,
-        member_wise=_getboolean(cfg, "emos", "member_wise"),
-        n_knots=_getint(cfg, "emos", "knots"),
-        ridge=_getfloat(cfg, "emos", "ridge"),
-        n_starts=_getint(cfg, "emos", "starts"),
-        min_cases=_getint(cfg, "emos", "min_cases"),
-        seed=seed,
+    emos = partial(_setting, cfg, "emos")
+    settings = dict(
+        member_wise=emos("member_wise"),
+        n_knots=emos("knots"),
+        ridge=emos("ridge"),
+        n_starts=emos("starts"),
+        min_cases=emos("min_cases"),
     )
+    out = _out_dir(args)
+    inflow, issues, _, _ = _load_dataset(args)
+    models = train_models(issues, inflow, horizons, **settings, seed=seed)
     iomod.write_json(out / "models.json", models.to_dict())
-    write_manifest(
-        out, "train", cfg, seed, {"inflow": args.inflow, "ensemble": args.ensemble}, ["models.json"]
-    )
+    write_manifest(args, cfg, seed, ["models.json"])
     return 0
 
 
@@ -319,14 +319,7 @@ def cmd_forecast(args, cfg) -> int:
     predictions = predict_params(models, tables)
     rows = forecast_rows(models, tables, predictions)
     iomod.write_table_csv(out / "forecasts.csv", FORECAST_HEADER, rows)
-    write_manifest(
-        out,
-        "forecast",
-        cfg,
-        _seed(args, cfg),
-        {"models": args.models, "inflow": args.inflow, "ensemble": args.ensemble},
-        ["forecasts.csv"],
-    )
+    write_manifest(args, cfg, _seed(args, cfg), ["forecasts.csv"])
     return 0
 
 
@@ -334,24 +327,19 @@ def cmd_verify(args, cfg) -> int:
     from . import io as iomod
     from .pipeline import build_case_tables, predict_params, verify_skill
 
-    out = _out_dir(args)
     seed = _seed(args, cfg)
-    n_boot = _at_least(cfg, "verification", "bootstrap", 2)
+    verification = partial(_setting, cfg, "verification")
+    settings = dict(
+        n_boot=verification("bootstrap"),
+        min_cases=verification("min_cases"),
+        min_clim_years=verification("min_climatology_years"),
+    )
+    out = _out_dir(args)
     models = _load_models(args.models)
     inflow, issues, reanalysis, nao = _load_dataset(args)
     tables = build_case_tables(issues, inflow, models.horizons, reanalysis=reanalysis)
     predictions = predict_params(models, tables)
-    report = verify_skill(
-        models,
-        tables,
-        predictions,
-        nao=nao,
-        reanalysis=reanalysis,
-        n_boot=n_boot,
-        seed=seed,
-        min_cases=_at_least(cfg, "verification", "min_cases", 1),
-        min_clim_years=_getint(cfg, "verification", "min_climatology_years"),
-    )
+    report = verify_skill(models, tables, predictions, nao=nao, reanalysis=reanalysis, seed=seed, **settings)
     iomod.write_json(out / "skill.json", report.to_dict())
     skill_rows = [
         [var, r.horizon, r.stratum, r.fcrpss, r.se, r.spread, r.skill_class, r.n_cases]
@@ -367,43 +355,25 @@ def cmd_verify(args, cfg) -> int:
         for level, cov in zip(d.levels, d.coverage):
             rel_rows.append([h, level, cov, d.n_cases])
     iomod.write_table_csv(out / "reliability.csv", ["horizon", "level", "coverage", "n"], rel_rows)
-    write_manifest(
-        out,
-        "verify",
-        cfg,
-        seed,
-        {
-            "models": args.models,
-            "inflow": args.inflow,
-            "ensemble": args.ensemble,
-            **{k: v for k, v in (("reanalysis", args.reanalysis), ("nao", args.nao)) if v},
-        },
-        ["skill.json", "skill_by_horizon.csv", "reliability.csv"],
-    )
+    write_manifest(args, cfg, seed, ["skill.json", "skill_by_horizon.csv", "reliability.csv"])
     return 0
 
 
 def _cost_settings(cfg, seed) -> CostSettings:
     from .pipeline import CostSettings
 
-    lo, hi = _at_least(cfg, "cost", "differential_min", 1), _getint(cfg, "cost", "differential_max")
-    step, n_boot = _at_least(cfg, "cost", "differential_step", 1), _at_least(cfg, "cost", "bootstrap", 2)
+    cost = partial(_setting, cfg, "cost")
+    lo, hi, step = cost("differential_min"), cost("differential_max"), cost("differential_step")
     if hi < lo:
         raise InputError(f"config [cost] differential_max: {hi} is below differential_min {lo}, so the sweep is empty")
-    decision_differential = _getfloat(cfg, "cost", "decision_differential")
-    if not decision_differential > 0:
-        raise InputError(f"config [cost] decision_differential: must be positive, got {decision_differential}")
+    # every float key of [cost] is the `CostSettings` field of that name
+    floats = {key: cost(key) for key, (kind, _, _) in CONFIG_KEYS["cost"].items() if kind is float}
+    if not floats["decision_differential"] > 0:
+        raise InputError(f"config [cost] decision_differential: must be positive, got {floats['decision_differential']}")
     return CostSettings(
-        peak_price=_getfloat(cfg, "cost", "peak_price"),
+        **floats,
         differentials=tuple(range(lo, hi + 1, step)),
-        decision_differential=decision_differential,
-        free_up_frac=_getfloat(cfg, "cost", "free_up_frac"),
-        free_down_frac=_getfloat(cfg, "cost", "free_down_frac"),
-        stage2_up_frac=_getfloat(cfg, "cost", "stage2_up_frac"),
-        stage2_down_frac=_getfloat(cfg, "cost", "stage2_down_frac"),
-        max_capacity_frac=_getfloat(cfg, "cost", "max_capacity_frac"),
-        energy_per_inflow_day=_getfloat(cfg, "cost", "energy_per_inflow_day"),
-        n_boot=n_boot,
+        n_boot=cost("bootstrap"),
         seed=seed,
     )
 
@@ -413,20 +383,15 @@ def cmd_cost_eval(args, cfg) -> int:
     from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
     from .pipeline import build_case_tables, build_cost_cases, predict_params
 
-    out = _out_dir(args)
     seed = _seed(args, cfg)
     settings = _cost_settings(cfg, seed)
+    min_clim_years = _setting(cfg, "verification", "min_climatology_years")
+    out = _out_dir(args)
     models = _load_models(args.models)
     inflow, issues, _, _ = _load_dataset(args)
     tables = build_case_tables(issues, inflow, models.horizons)
     predictions = predict_params(models, tables)
-    cases = build_cost_cases(
-        models,
-        tables,
-        predictions,
-        settings,
-        min_clim_years=_getint(cfg, "verification", "min_climatology_years"),
-    )
+    cases = build_cost_cases(models, tables, predictions, settings, min_clim_years=min_clim_years)
     if not cases:
         raise InputError("no cost cases could be built (missing observations or climatology)")
     adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
@@ -458,14 +423,7 @@ def cmd_cost_eval(args, cfg) -> int:
         ["issue_date", "horizon", "type", "A", "stage1", "stage2", "total"],
         decision_rows,
     )
-    write_manifest(
-        out,
-        "cost-eval",
-        cfg,
-        seed,
-        {"models": args.models, "inflow": args.inflow, "ensemble": args.ensemble},
-        ["value_report.csv", "decisions.csv"],
-    )
+    write_manifest(args, cfg, seed, ["value_report.csv", "decisions.csv"])
     return 0
 
 
@@ -511,14 +469,7 @@ def cmd_report(args, cfg) -> int:
             )
         payload["value_gains"] = gains
     write_json(out / "report.json", payload)
-    write_manifest(
-        out,
-        "report",
-        cfg,
-        _seed(args, cfg),
-        {k: v for k, v in (("skill", args.skill), ("values", args.values)) if v},
-        ["report.json"],
-    )
+    write_manifest(args, cfg, _seed(args, cfg), ["report.json"])
     return 0
 
 

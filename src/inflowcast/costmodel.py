@@ -50,7 +50,9 @@ class PriceConfig:
     differential: float = 30.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.differential) <= 0):
+        if not np.all(np.isfinite(self.peak)):
+            raise InputError("peak price must be finite")
+        if not np.all(np.asarray(self.differential) > 0):  # NaN fails too
             raise InputError("price differential must be positive")
 
 
@@ -75,14 +77,15 @@ class OperatingEnvelope:
     energy_per_inflow: float = 100.0
 
     def __post_init__(self):
-        if np.any(self.clim_generation <= 0):
+        # each condition is written so that NaN fails it
+        if not np.all(self.clim_generation > 0):
             raise InputError("climatological generation must be positive")
         bands = (self.free_up_frac, self.free_down_frac, self.stage2_up_frac, self.stage2_down_frac)
-        if any(np.any(band <= 0) for band in bands):
+        if not all(np.all(band > 0) for band in bands):
             raise InputError("free-band fractions must be positive")
-        if np.any(self.max_capacity_frac <= 1.0 + self.free_up_frac):
+        if not np.all(self.max_capacity_frac > 1.0 + self.free_up_frac):
             raise InputError("max capacity must exceed the free stage-1 band")
-        if np.any(self.energy_per_inflow <= 0):
+        if not np.all(self.energy_per_inflow > 0):
             raise InputError("energy conversion must be positive")
 
     @property

@@ -64,9 +64,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_members < 2:
             raise InputError("scenario needs at least 2 ensemble members")
-        if self.skill_half_life is not None and self.skill_half_life <= 0:
+        if self.skill_half_life is not None and not self.skill_half_life > 0:  # NaN fails too
             raise InputError("skill half-life must be positive")
-        if self.noise_sd < 0 or self.precip_shape <= 0 or self.precip_mean <= 0:
+        if not (self.noise_sd >= 0 and self.precip_shape > 0 and self.precip_mean > 0):
             raise InputError("invalid scenario parameters")
         if not 0 <= self.seasonal_amplitude < 1:
             raise InputError("seasonal amplitude must lie in [0, 1)")

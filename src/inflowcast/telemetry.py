@@ -61,11 +61,12 @@ class CleaningLimits:
     max_power_step: float  # W per hour
 
     def __post_init__(self):
-        if self.level_bounds[0] >= self.level_bounds[1]:
+        # each condition is written so that NaN fails it
+        if not self.level_bounds[0] < self.level_bounds[1]:
             raise InputError("level bounds must be an increasing pair")
-        if self.power_bounds[0] >= self.power_bounds[1]:
+        if not self.power_bounds[0] < self.power_bounds[1]:
             raise InputError("power bounds must be an increasing pair")
-        if self.max_level_step <= 0 or self.max_power_step <= 0:
+        if not (self.max_level_step > 0 and self.max_power_step > 0):
             raise InputError("derivative thresholds must be positive")
 
 

@@ -70,13 +70,15 @@ class ZagaDistribution:
         """The cases ``idx`` selects."""
         return ZagaDistribution(*(p[idx] for p in np.broadcast_arrays(self.mu, self.sigma, self.nu, self.offset)))
 
+    # sigma * sigma, not sigma**2: a Python float's ** can differ from numpy's
+    # square in the last bit, and scalar and array cases must agree exactly
     @property
     def shape(self) -> float:
-        return 1.0 / self.sigma**2
+        return 1.0 / (self.sigma * self.sigma)
 
     @property
     def scale(self) -> float:
-        return self.sigma**2 * self.mu
+        return self.sigma * self.sigma * self.mu
 
     def pdf(self, v):
         """Density at v (shifted space); the zero atom is reported as mass nu at v == -offset."""

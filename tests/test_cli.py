@@ -1,4 +1,7 @@
+import argparse
+import configparser
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +11,8 @@ import pytest
 
 import inflowcast
 from inflowcast import costmodel
-from inflowcast.cli import main
+from inflowcast.cli import CONFIG_KEYS, INPUT_OPTIONS, _setting, build_parser, config_fingerprint, load_config, main
+from inflowcast.errors import InputError
 
 CONFIG = """
 [synth]
@@ -489,6 +493,58 @@ class TestErrorPaths:
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(["--config", str(tmp_path / "none.ini"), "synth", "--out", str(tmp_path)])
         assert rc == 2
+
+
+REFUSED = object()
+
+
+def _accepted(kind, least, text):
+    """What `_setting` must return for ``text``: its parsed value, or REFUSED."""
+    if kind is str:
+        return text
+    if kind is bool:
+        return configparser.ConfigParser.BOOLEAN_STATES.get(text.lower(), REFUSED)
+    try:
+        value = kind(text)
+    except ValueError:
+        return REFUSED
+    if kind is float and not math.isfinite(value):
+        return REFUSED
+    return REFUSED if least is not None and value < least else value
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in CONFIG_KEYS.items() for k in keys])
+def test_setting_accepts_only_finite_values_in_bounds(section, key):
+    kind, default, least = CONFIG_KEYS[section][key]
+    for text in (default, "nan", "inf", "-inf", "", "abc", "-1", "0", "1e400"):
+        cfg = load_config(None)
+        cfg.set(section, key, text)
+        expected = _accepted(kind, least, text)
+        if expected is REFUSED:
+            with pytest.raises(InputError, match=rf"^config \[{section}\] {key}: "):
+                _setting(cfg, section, key)
+        else:
+            value = _setting(cfg, section, key)
+            assert type(value) is kind and value == expected, text
+    assert _accepted(kind, least, default) is not REFUSED
+
+
+def test_input_options_are_the_file_options_of_every_command():
+    # a file option stores one string: it is not a flag, has no choices or type, and is not --out, a directory
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    file_options = {
+        action.dest
+        for parser in commands.values()
+        for action in parser._actions
+        if type(action) is argparse._StoreAction and action.choices is None and action.type is None and action.dest != "out"
+    }
+    assert len(set(INPUT_OPTIONS)) == len(INPUT_OPTIONS)
+    assert set(INPUT_OPTIONS) == file_options
+
+
+def test_default_config_hash_is_pinned():
+    # every manifest records this hash; the defaults derived from CONFIG_KEYS must keep it
+    assert config_fingerprint(load_config(None))[1] == "f5c0e1f214a3837db3fd8f961149bd7a07dc8ecccf42ba67af300b89a7139fc1"
 
 
 def _python(code, cwd=None) -> str:

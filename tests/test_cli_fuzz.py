@@ -1,7 +1,9 @@
-"""Hypothesis fuzz of the CLI: mutated inputs of `forecast`, `report` and `reconstruct-inflow` end in exit 0, 2 or 3.
+"""Hypothesis fuzz of the CLI: mutated inputs or settings end in exit 0, 2 or 3.
 
-`verify` is also run with `[verification] bootstrap` set below two draws and
-`min_cases` below one case.
+`forecast`, `report` and `reconstruct-inflow` get mutated input files;
+`synth`, `train`, `verify` and `cost-eval` get one config key of their
+sections set to an odd value.  `verify` is also run with `[verification]
+bootstrap` set below two draws and `min_cases` below one case.
 
 Each example copies the outputs of a tiny run (5 years, 3 members, four
 weeks of hourly telemetry), mutates one or two input files and calls
@@ -14,14 +16,17 @@ or an extra trailing column.  JSON files are truncated or have one value
 replaced by a value of another type.
 """
 
+import configparser
+import contextlib
+import io
 import json
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from inflowcast.cli import main
+from inflowcast.cli import CONFIG_KEYS, main
 
 PLANT_FILES = ("telemetry.csv", "efficiency.csv", "net_head.csv", "storage.csv", "compensation.csv")
 RAW_MUTATED = ("ensemble.csv", "inflow.csv", *PLANT_FILES)  # also get byte-level mutations
@@ -261,3 +266,74 @@ def test_verify_needs_one_case_per_stratum(tiny_run, tmp_path, capsys, min_cases
     else:
         strata = {r["stratum"] for r in json.loads((tmp_path / "out" / "skill.json").read_text())["skill"]}
         assert "all/nao_positive" in strata and not any("negative" in s for s in strata)
+
+
+COMMAND_SECTIONS = {
+    "synth": ("run", "synth"),
+    "train": ("run", "horizons", "emos"),
+    "verify": ("run", "verification"),
+    "cost-eval": ("run", "cost", "verification"),
+}
+SETTINGS = [(c, s, k) for c, sections in COMMAND_SECTIONS.items() for s in sections for k in CONFIG_KEYS[s]]
+SETTING_VALUES = (*ODD_VALUES, "0")
+
+
+def _run_with_setting(tiny_run, work, command, section, key, value):
+    """Exit code and standard error of ``command`` on the tiny run's inputs and config with ``[section] key = value``."""
+    cfg = configparser.ConfigParser()
+    cfg.read(tiny_run / "run.ini")
+    if not cfg.has_section(section):
+        cfg.add_section(section)
+    cfg.set(section, key, value)
+    with open(work / "odd.ini", "w") as fh:
+        cfg.write(fh)
+    data = ["--inflow", str(tiny_run / "inflow.csv"), "--ensemble", str(tiny_run / "ensemble.csv")]
+    models = ["--models", str(tiny_run / "models.json")]
+    args = {"synth": [], "train": data, "verify": [*models, *data], "cost-eval": [*models, *data]}[command]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a numpy warning is a failure the exit code hides
+        rc = main(["--config", str(work / "odd.ini"), command, *args, "--out", str(work / "out")])
+    return rc, err.getvalue()
+
+
+@FUZZ
+@given(setting=st.sampled_from(SETTINGS), value=st.sampled_from(SETTING_VALUES))
+@example(setting=("synth", "synth", "years"), value="0")
+@example(setting=("cost-eval", "cost", "peak_price"), value="nan")
+@example(setting=("train", "emos", "starts"), value="0")
+@example(setting=("train", "horizons", "names"), value="")
+def test_commands_survive_odd_settings(tiny_run, work, setting, value):
+    command, section, key = setting
+    rc, err = _run_with_setting(tiny_run, work, command, section, key, value)
+    assert rc in (0, 2, 3)
+    if "config [" in err:
+        assert f"config [{section}] {key}: " in err
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        ("synth", "synth", "years", "0", "must be at least 1, got 0"),
+        ("synth", "synth", "lead_days", "41", "must be at least 42, got 41"),
+        ("synth", "run", "seed", "-1", "must be at least 0, got -1"),
+        ("synth", "synth", "drift", "-inf", "must be finite, got '-inf'"),
+        ("cost-eval", "cost", "peak_price", "nan", "must be finite, got 'nan'"),
+        ("cost-eval", "cost", "energy_per_inflow_day", "nan", "must be finite, got 'nan'"),
+        ("cost-eval", "cost", "free_down_frac", "1e400", "must be finite, got '1e400'"),
+        ("cost-eval", "verification", "min_climatology_years", "1", "must be at least 2, got 1"),
+        ("train", "emos", "starts", "0", "must be at least 1, got 0"),
+        ("train", "emos", "knots", "3", "must be at least 4, got 3"),
+        ("train", "emos", "ridge", "-1", "must be at least 0, got -1.0"),
+        ("train", "emos", "min_cases", "0", "must be at least 1, got 0"),
+        ("train", "horizons", "names", "", "no horizon given"),
+        ("train", "horizons", "names", " , ", "no horizon given"),
+        ("train", "horizons", "names", "week1, Forecast Week 1", "'Forecast Week 1' is given twice"),
+        ("train", "horizons", "names", "Forecast Week 9", "unknown forecast horizon 'Forecast Week 9'"),
+    ],
+)
+def test_bad_setting_exits_2_naming_the_key(tiny_run, tmp_path, command, section, key, value, message):
+    rc, err = _run_with_setting(tiny_run, tmp_path, command, section, key, value)
+    assert rc == 2
+    assert f"config [{section}] {key}: {message}" in err
+    assert "Traceback" not in err

@@ -40,6 +40,35 @@ def grid_objective(forecast, env, prices, step=0.001):
     return grid, objs
 
 
+class TestConstructors:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("clim_generation", np.nan, "climatological generation"),
+            ("clim_generation", np.array([100.0, np.nan]), "climatological generation"),
+            ("free_up_frac", np.nan, "free-band fractions"),
+            ("stage2_down_frac", np.nan, "free-band fractions"),
+            ("max_capacity_frac", np.nan, "max capacity"),
+            ("energy_per_inflow", np.nan, "energy conversion"),
+            ("energy_per_inflow", np.array([1.0, np.nan]), "energy conversion"),
+        ],
+    )
+    def test_envelope_rejects_nan(self, field, value, message):
+        with pytest.raises(InputError, match=message):
+            OperatingEnvelope(**{"clim_generation": 100.0, field: value})
+
+    @pytest.mark.parametrize(
+        "peak, differential, message",
+        [(np.nan, 30.0, "peak price"), (np.inf, 30.0, "peak price"), (50.0, np.nan, "differential"), (50.0, np.array([[5.0], [np.nan]]), "differential")],
+    )
+    def test_prices_reject_nan(self, peak, differential, message):
+        with pytest.raises(InputError, match=message):
+            PriceConfig(peak=peak, differential=differential)
+
+    def test_empty_case_columns_accepted(self):
+        OperatingEnvelope(clim_generation=np.empty(0), energy_per_inflow=np.empty(0))
+
+
 class TestStage1:
     def test_zero_adjustment_free(self):
         assert stage1_cost(0.0, ENV, PRICES) == 0.0

@@ -21,6 +21,11 @@ class TestConfig:
         with pytest.raises(InputError):
             ScenarioConfig(seasonal_amplitude=1.2)
 
+    @pytest.mark.parametrize("field", ["skill_half_life", "noise_sd", "seasonal_amplitude"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(InputError):
+            ScenarioConfig(**{field: float("nan")})
+
     def test_member_weight_halves_at_half_life(self):
         assert member_weight(10, 10.0) == pytest.approx(0.5)
         assert member_weight(20, 10.0) == pytest.approx(0.25)

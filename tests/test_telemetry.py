@@ -83,6 +83,23 @@ class TestCleaning:
             TelemetrySeries(np.array([], dtype="datetime64[s]"), [], [])
 
 
+class TestCleaningLimits:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("level_bounds", (np.nan, 300.0), "level bounds"),
+            ("level_bounds", (100.0, np.nan), "level bounds"),
+            ("power_bounds", (np.nan, 1e7), "power bounds"),
+            ("max_level_step", np.nan, "derivative thresholds"),
+            ("max_power_step", np.nan, "derivative thresholds"),
+        ],
+    )
+    def test_nan_rejected(self, field, value, message):
+        # a NaN limit would compare false everywhere and silently stop the filter
+        with pytest.raises(InputError, match=message):
+            CleaningLimits(**{**vars(LIMITS), field: value})
+
+
 class TestDischarge:
     def test_constants_cancel(self):
         assert_allclose(compute_discharge(981000.0, 1.0, 100.0), 1.0, rtol=1e-12)

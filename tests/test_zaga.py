@@ -146,6 +146,13 @@ class TestArrayParameters:
             assert dist.quantile(levels[-1])[i] == one.quantile(levels[-1])  # a scalar level
             assert isinstance(one.quantile(levels[-1]), float)
 
+    def test_scalar_parameters_agree_with_arrays_bitwise(self):
+        # for this sigma a Python float's sigma**2 is one ulp off numpy's square
+        sigma = 1.5697256973016718
+        one, many = ZagaDistribution(1.0, sigma), ZagaDistribution(np.ones(1), np.full(1, sigma))
+        assert (one.shape, one.scale) == (many.shape[0], many.scale[0])
+        assert one.quantile(1e-6) == many.quantile(1e-6)[0]
+
     def test_quantile_levels_go_on_a_new_last_axis(self):
         dist = ZagaDistribution(np.full((2, 3), 1.5), 0.8, 0.1, np.zeros((2, 1)))
         assert dist.quantile([0.2, 0.5]).shape == (2, 3, 2)
