@@ -7,7 +7,7 @@ import importlib
 from .errors import InflowcastError, InputError, NumericalError
 
 # Every other name is imported on first use (PEP 562), so `import inflowcast`
-# loads neither numpy nor scipy and a command imports only what it computes with.
+# loads no numerical library and a command imports only what it computes with.
 _LAZY = {
     "CANONICAL_HORIZONS": "data",
     "EnsemblePrecipForecast": "data",

@@ -24,8 +24,10 @@ from .horizons import CANONICAL_WINDOWS
 from .textio import read_json, read_table_csv, write_json
 
 # Each command imports the modules it computes with: `report` reads and writes
-# only through `textio`, so it starts without numpy, and `synth` and
-# `reconstruct-inflow` start without scipy.special.
+# only through `textio`, so it starts without numpy; `synth`,
+# `reconstruct-inflow` and `train` load nothing beyond numpy; `forecast`,
+# `verify` and `cost-eval` load the incomplete gamma function on their first
+# ZAGA CDF or quantile.
 if TYPE_CHECKING:
     from .pipeline import CostSettings, TrainedModels
 
@@ -75,9 +77,9 @@ CONFIG_KEYS = {
         "members": (int, "11", 2),
         "lead_days": (int, "46", 42),  # the shortest ensemble `read_ensemble_csv` accepts
         "skill_half_life": (float, "10.0", None),  # or none / inf: perfect members
-        "seasonal_amplitude": (float, "0.5", None),
+        "seasonal_amplitude": (float, "0.5", 0),  # and below 1
         "drift": (float, "0.12", None),
-        "noise_sd": (float, "0.08", None),
+        "noise_sd": (float, "0.08", 0),
         "marginal": (str, "gamma", None),
     },
 }
@@ -122,6 +124,12 @@ def _setting(cfg, section, key):
     if least is not None and value < least:
         raise InputError(f"config [{section}] {key}: must be at least {least}, got {value}")
     return value
+
+
+def _must(ok: bool, section: str, key: str, rule: str, value) -> None:
+    """Refuse ``[section] key`` unless ``ok``: an input error naming the key, the ``rule`` and the value."""
+    if not ok:
+        raise InputError(f"config [{section}] {key}: must {rule}, got {value}")
 
 
 def _horizons(cfg):
@@ -188,16 +196,21 @@ def cmd_synth(args, cfg) -> int:
 
     seed = _seed(args, cfg)
     synth = partial(_setting, cfg, "synth")
+    half_life = None if cfg.get("synth", "skill_half_life").lower() in ("none", "inf") else synth("skill_half_life")
+    _must(half_life is None or half_life > 0, "synth", "skill_half_life", "be positive, or none", half_life)
+    amplitude, marginal = synth("seasonal_amplitude"), synth("marginal")
+    _must(amplitude < 1, "synth", "seasonal_amplitude", "be below 1", amplitude)
+    _must(marginal in ("gamma", "lognormal"), "synth", "marginal", "be gamma or lognormal", repr(marginal))
     scenario_cfg = ScenarioConfig(
         n_years=synth("years"),
         start_year=synth("start_year"),
         n_members=synth("members"),
         lead_days=synth("lead_days"),
-        seasonal_amplitude=synth("seasonal_amplitude"),
+        seasonal_amplitude=amplitude,
         drift=synth("drift"),
         noise_sd=synth("noise_sd"),
-        skill_half_life=None if cfg.get("synth", "skill_half_life").lower() in ("none", "inf") else synth("skill_half_life"),
-        marginal=synth("marginal"),
+        skill_half_life=half_life,
+        marginal=marginal,
         seed=seed,
     )
     out = _out_dir(args)
@@ -368,8 +381,12 @@ def _cost_settings(cfg, seed) -> CostSettings:
         raise InputError(f"config [cost] differential_max: {hi} is below differential_min {lo}, so the sweep is empty")
     # every float key of [cost] is the `CostSettings` field of that name
     floats = {key: cost(key) for key, (kind, _, _) in CONFIG_KEYS["cost"].items() if kind is float}
-    if not floats["decision_differential"] > 0:
-        raise InputError(f"config [cost] decision_differential: must be positive, got {floats['decision_differential']}")
+    # the price and `OperatingEnvelope` rules, checked here to name the key
+    positive = ("decision_differential", "free_up_frac", "free_down_frac", "stage2_up_frac", "stage2_down_frac", "energy_per_inflow_day")
+    for key in positive:
+        _must(floats[key] > 0, "cost", key, "be positive", floats[key])
+    capacity, least = floats["max_capacity_frac"], 1.0 + floats["free_up_frac"]
+    _must(capacity > least, "cost", "max_capacity_frac", f"exceed 1 + free_up_frac = {least}", capacity)
     return CostSettings(
         **floats,
         differentials=tuple(range(lo, hi + 1, step)),

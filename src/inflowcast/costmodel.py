@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import InputError
 from .verification import BootstrapResult, replicate_sums
@@ -200,6 +199,8 @@ def stage2_cost(adjustment, observed_energy, env: OperatingEnvelope, prices: Pri
 
 @lru_cache(maxsize=None)
 def _gl_nodes(n_nodes: int):
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n_nodes)
     u, w = 0.5 * (x + 1.0), 0.5 * w  # mapped to (0, 1)
     u.flags.writeable = w.flags.writeable = False  # shared by every caller

@@ -20,14 +20,14 @@ several starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import InputError, NumericalError
 from .splines import CyclicSplineBasis, seasonal_phase
-from .zaga import ZagaDistribution
+from .zaga import ZagaDistribution, digamma, gammaln, trigamma
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,15 @@ def compute_feature_matrix(members: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # design matrices and likelihood
 # ---------------------------------------------------------------------------
+
+
+def expit(x):
+    """The inverse logit 1 / (1 + exp(-x)), as exp(-log(1 + exp(-x))): the log nu the likelihood takes, exponentiated.
+
+    It raises no floating-point warning (numpy's logaddexp flags a NaN).
+    """
+    with np.errstate(all="ignore"):
+        return np.exp(-np.logaddexp(0.0, -np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
     eta3 = design.x_nu @ b3
     a = np.exp(-2.0 * eta2)  # gamma shape
     log_s = 2.0 * eta2 + eta1  # log gamma scale
-    nu = special.expit(eta3)
+    nu = expit(eta3)
 
     zero = y <= 0.0
     pos = ~zero
@@ -157,7 +166,7 @@ def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
         + (ap - 1.0) * np.log(yp)
         - ratio
         - ap * lsp
-        - special.gammaln(ap)
+        - gammaln(ap)
     )
     if not np.all(np.isfinite(ll)):
         return -np.inf, np.zeros_like(theta)
@@ -165,7 +174,7 @@ def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
     d_eta1 = np.zeros(len(y))
     d_eta2 = np.zeros(len(y))
     d_eta1[pos] = ratio - ap
-    d_eta2[pos] = -2.0 * ap * (np.log(yp) - lsp - special.digamma(ap)) + 2.0 * (ratio - ap)
+    d_eta2[pos] = -2.0 * ap * (np.log(yp) - lsp - digamma(ap)) + 2.0 * (ratio - ap)
     d_eta3 = np.where(zero, 1.0 - nu, -nu)
 
     g1 = design.x_mu.T @ d_eta1
@@ -205,15 +214,15 @@ def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: boo
     eta2 = x2 @ b2
     a = np.exp(-2.0 * eta2)
     log_s = 2.0 * eta2 + x1 @ b1
-    a_trigamma = a * special.polygamma(1, a)
+    a_trigamma = a * trigamma(a)
     if expected:
         w11, w12, w22 = a, None, 4.0 * a * (a_trigamma - 1.0)
     else:
         r = yp * np.exp(-log_s)
-        big_l = np.log(yp) - log_s - special.digamma(a)
+        big_l = np.log(yp) - log_s - digamma(a)
         w11, w12 = r, 2.0 * (r - a)
         w22 = 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * a_trigamma
-    nu = special.expit(design.x_nu @ b3)
+    nu = expit(design.x_nu @ b3)
 
     p1, p2 = x1.shape[1], x2.shape[1]
     info = np.zeros((design.n_params, design.n_params))
@@ -258,7 +267,7 @@ class EmosModel:
         design = build_design(np.atleast_2d(features), np.atleast_1d(phases), self.basis)
         mu = np.exp(design.x_mu @ self.beta_mu)
         sigma = np.exp(design.x_sigma @ self.beta_sigma)
-        nu = special.expit(design.x_nu @ self.beta_nu)
+        nu = expit(design.x_nu @ self.beta_nu)
         return mu, sigma, nu
 
     def to_dict(self) -> dict:
@@ -332,7 +341,7 @@ def _initial_theta(design: EmosDesign, y: np.ndarray) -> np.ndarray:
     b1, b2, b3 = design.split(theta)  # slices share theta's buffer
     b1[0] = np.log(mu0)
     b2[0] = np.log(cv0)
-    b3[0] = special.logit(nu0)
+    b3[0] = math.log(nu0 / (1.0 - nu0))
     return theta
 
 

@@ -114,32 +114,60 @@ def _to_timestamp(raw: str) -> np.datetime64:
     return np.datetime64(t.replace(tzinfo=None), "s") - np.timedelta64(offset // dt.timedelta(seconds=1), "s")
 
 
+# the instants a datetime.datetime can hold, to the second
+_DATETIME_RANGE = (np.datetime64("0001-01-01T00:00:00"), np.datetime64("9999-12-31T23:59:59"))
+
+
+def _to_timestamps(raw) -> np.ndarray:
+    """``_to_timestamp`` of every field of ``raw``, a column.
+
+    numpy's ISO parser reads the whole column; a field it reads back to the
+    same text (``YYYY-MM-DDTHH:MM:SS``, once stripped of blanks and a ``Z``),
+    in datetime's range, is one ``_to_timestamp`` reads the same.  Every other
+    field, such as one with a UTC offset, goes through ``_to_timestamp``.
+    """
+    text = np.array([f[:-1] if f.endswith("Z") else f for f in map(str.strip, raw)], dtype=str)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns of a UTC offset; such a field then reads back differently
+            ts = text.astype("datetime64[s]")
+    except ValueError:
+        ts = np.full(len(text), np.datetime64("NaT", "s"))
+    lo, hi = _DATETIME_RANGE
+    for i in np.flatnonzero((np.datetime_as_string(ts) != text) | ~((ts >= lo) & (ts <= hi))):
+        ts[i] = _to_timestamp(raw[i])
+    return ts
+
+
 # ---------------------------------------------------------------------------
 # telemetry and curves
 # ---------------------------------------------------------------------------
 
 
-def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], finite: bool, not_after: str):
+def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], finite: bool, not_after: str, keys_of=None):
     """Columns ``key`` (from ``to_key``, strictly increasing) and ``values`` (floats) of a CSV, by header name, as arrays.
 
     One ``np.loadtxt`` reads them into a structured array through the same
-    converters (the last of a repeated name wins, as in csv.DictReader); the
-    order and, if ``finite``, the finiteness are checked on whole columns.  A
-    file that fails to parse or a check is scanned row by row only to name the
-    first bad line, by the rules in row order: the key, its order against the
-    previous row (``not_after`` is the message), then each value.
+    converters (the last of a repeated name wins, as in csv.DictReader); given
+    ``keys_of``, it reads the key fields as text, which ``keys_of`` converts as
+    one column, as ``to_key`` would field by field.  The order and, if
+    ``finite``, the finiteness are checked on whole columns.  A file that
+    fails to parse or a check is scanned row by row only to name the first bad
+    line, by the rules in row order: the key, its order against the previous
+    row (``not_after`` is the message), then each value.
     """
     path = Path(path)
     header, skip = _header(path, (key, *values))
     where = {name: i for i, name in enumerate(header)}
     cols = [where[c] for c in (key, *values)]
-    dtype = [(key, unit)] + [(c, float) for c in values]
-    converters = {i: to_key if i == cols[0] else float for i in cols}
+    dtype = [(key, object if keys_of else unit)] + [(c, float) for c in values]
+    converters = {i: float for i in cols} | {cols[0]: str if keys_of else to_key}
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, converters=converters, ndmin=1)
-        if np.any(rows[key][1:] <= rows[key][:-1]) or finite and not all(np.isfinite(rows[c]).all() for c in values):
+        keys = keys_of(rows[key]) if keys_of else rows[key]
+        if np.any(keys[1:] <= keys[:-1]) or finite and not all(np.isfinite(rows[c]).all() for c in values):
             raise ValueError("a value out of order or range")
     except ValueError as exc:
         previous = []
@@ -156,13 +184,14 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
             return None
 
         raise _first_bad_row(path, problem) or InputError(f"{path}: {exc}") from None
-    return [np.ascontiguousarray(rows[c]) for c in (key, *values)]
+    return [np.ascontiguousarray(keys), *(np.ascontiguousarray(rows[c]) for c in values)]
 
 
 def read_telemetry_csv(path) -> TelemetrySeries:
     """`timestamp,water_level_m,power_w` with ISO-8601 UTC timestamps."""
     not_after = "telemetry timestamps must be strictly increasing: {} is not after {}"
-    ts, level, power = _read_series(path, "timestamp", _to_timestamp, "datetime64[s]", ("water_level_m", "power_w"), False, not_after)
+    columns = ("water_level_m", "power_w")
+    ts, level, power = _read_series(path, "timestamp", _to_timestamp, "datetime64[s]", columns, False, not_after, _to_timestamps)
     if not len(ts):
         raise InputError(f"{path}: no telemetry rows")
     return TelemetrySeries(ts, level, power)

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .data import HorizonSpec, NaoIndex
 from .errors import InputError, NumericalError
-from .zaga import ZagaDistribution, gamma_cdf
+from .zaga import ZagaDistribution, gamma_cdf, gammaln
 
 SKILL_FAIR = 0.15
 SKILL_GOOD = 0.30
@@ -85,7 +84,7 @@ def crps_zaga_batch(dist: ZagaDistribution, observations) -> np.ndarray:
     z = y + offset
     zp = np.maximum(z, 0.0)
     abs_x = zp * (2.0 * gamma_cdf(zp, shape, scale) - 1.0) - mu * (2.0 * gamma_cdf(zp, shape + 1.0, scale) - 1.0)
-    half_pair = scale * np.exp(special.gammaln(shape + 0.5) - special.gammaln(shape) - special.gammaln(0.5))
+    half_pair = scale * np.exp(gammaln(shape + 0.5) - gammaln(shape) - gammaln(0.5))
     w = 1.0 - nu
     return nu * np.abs(z) + w * (abs_x + zp - z) - w * nu * mu - w**2 * half_pair
 

@@ -568,24 +568,28 @@ def test_package_and_cli_import_leave_out_scipy():
 
 
 def test_only_numeric_commands_load_scipy_special(tmp_path, tiny_run):
-    # synth, reconstruct-inflow and report compute no special function
+    # synth, reconstruct-inflow and report compute no special function, and
+    # train's log-gamma and its derivatives are numpy's; forecast evaluates
+    # ZAGA quantiles, which need the incomplete gamma function
     (tmp_path / "run.ini").write_text("[synth]\nyears = 5\nmembers = 3\n\n[horizons]\nnames = Forecast Week 1\n")
     tables = ("telemetry", "efficiency", "net_head", "storage", "compensation")
+    data = ["--inflow", "inflow.csv", "--ensemble", "ensemble.csv"]
     commands = [
         ["synth", "--with-telemetry", "--out", "."],
         ["reconstruct-inflow", *(a for t in tables for a in (f"--{t.replace('_', '-')}", f"{t}.csv")), "--out", "rec"],
         ["report", "--skill", str(tiny_run / "skill.json"), "--values", str(tiny_run / "value_report.csv"), "--out", "rep"],
-        ["train", "--inflow", "inflow.csv", "--ensemble", "ensemble.csv", "--out", "."],
+        ["train", *data, "--out", "."],
+        ["forecast", "--models", "models.json", *data, "--out", "fc"],
     ]
     code = (
         "import sys; from inflowcast.cli import main; "
         f"commands = {commands!r}; "
-        "codes = [main(['--config', 'run.ini', '--seed', '3', *c]) for c in commands[:3]]; "
+        "codes = [main(['--config', 'run.ini', '--seed', '3', *c]) for c in commands[:4]]; "
         f"scipy = {SCIPY_LOADED}; "
-        "codes.append(main(['--config', 'run.ini', '--seed', '3', *commands[3]])); "
+        "codes.append(main(['--config', 'run.ini', '--seed', '3', *commands[4]])); "
         "print(codes, scipy, 'scipy.special' in sys.modules)"
     )
-    assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0] False True"
+    assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0, 0] False True"
 
 
 def test_package_import_and_report_leave_out_numpy(tmp_path, tiny_run):

@@ -322,6 +322,15 @@ def test_commands_survive_odd_settings(tiny_run, work, setting, value):
         ("cost-eval", "cost", "energy_per_inflow_day", "nan", "must be finite, got 'nan'"),
         ("cost-eval", "cost", "free_down_frac", "1e400", "must be finite, got '1e400'"),
         ("cost-eval", "verification", "min_climatology_years", "1", "must be at least 2, got 1"),
+        ("cost-eval", "cost", "free_up_frac", "0", "must be positive, got 0.0"),
+        ("cost-eval", "cost", "stage2_down_frac", "-1", "must be positive, got -1.0"),
+        ("cost-eval", "cost", "max_capacity_frac", "0", "must exceed 1 + free_up_frac = 1.2, got 0.0"),
+        ("cost-eval", "cost", "energy_per_inflow_day", "0", "must be positive, got 0.0"),
+        ("synth", "synth", "seasonal_amplitude", "-1", "must be at least 0, got -1.0"),
+        ("synth", "synth", "seasonal_amplitude", "1", "must be below 1, got 1.0"),
+        ("synth", "synth", "noise_sd", "-1", "must be at least 0, got -1.0"),
+        ("synth", "synth", "skill_half_life", "0", "must be positive, or none, got 0.0"),
+        ("synth", "synth", "marginal", "weibull", "must be gamma or lognormal, got 'weibull'"),
         ("train", "emos", "starts", "0", "must be at least 1, got 0"),
         ("train", "emos", "knots", "3", "must be at least 4, got 3"),
         ("train", "emos", "ridge", "-1", "must be at least 0, got -1.0"),

@@ -12,6 +12,7 @@ from inflowcast.emos import (
     build_design,
     compute_feature_matrix,
     compute_features,
+    expit,
     fit_emos,
     information,
     loglik_and_gradient,
@@ -67,6 +68,18 @@ def random_design(rng, n=80, basis=None):
     )
     phases = rng.uniform(0, basis.period, n)
     return build_design(feats, phases, basis)
+
+
+def test_expit_matches_scipy():
+    x = np.concatenate([np.linspace(-750.0, 750.0, 30001), [0.0, -np.inf, np.inf, np.nan]])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        ours = expit(x)
+    reference = special.expit(x)
+    assert np.array_equal(np.isnan(ours), np.isnan(reference))
+    assert np.array_equal(np.isinf(ours), np.isinf(reference))
+    ok = reference > 1e-300
+    assert_allclose(ours[ok], reference[ok], rtol=1e-14)
+    assert ours[x == -np.inf] == 0.0 and ours[x == np.inf] == 1.0
 
 
 class TestLikelihood:

@@ -68,6 +68,24 @@ class TestTelemetryCsv:
         path.write_text("timestamp,water_level_m,power_w\n0001-01-01T00:30:00+01:00,200.0,1e6\n")
         assert str(iomod.read_telemetry_csv(path).timestamps[0]) == "0000-12-31T23:30:00"
 
+    @pytest.mark.filterwarnings("error")
+    def test_column_parse_matches_the_field_parser(self):
+        # the column parse takes numpy's ISO reading only for fields that read back to themselves
+        fields = [
+            "2015-01-01T00:00:00", "2015-01-01T00:00:00Z", " 2015-01-01T01:00:00Z ", "2015-01-01 02:00:00",
+            "2015-01-01T03:00", "2015-01-02", "2015-01-01T04:00:00+01:00", "2015-01-01T00:00:00.5",
+            "20150103T000000", "0001-01-01T00:00:00", "9999-12-31T23:59:59", "2016-02-29T00:00:00",
+        ]
+        refused = ["NaT", "", "now", "2015", "2015-01", "2015-13-01T00:00:00", "0000-01-01T00:00:00",
+                   "10000-01-01T00:00:00", "2015-02-29T00:00:00", "2015-01-01T00:00:60", "2015-01-01T00:00:00 Z"]
+        column = np.array(fields, dtype=object)
+        assert iomod._to_timestamps(column).tolist() == [iomod._to_timestamp(f).tolist() for f in fields]
+        for field in refused:
+            with pytest.raises(ValueError):
+                iomod._to_timestamp(field)
+            with pytest.raises(ValueError):
+                iomod._to_timestamps(np.array([*fields[:2], field], dtype=object))
+
     @pytest.mark.parametrize("second", ["2015-01-01T00:00:00Z", "2014-12-31T23:00:00Z"])
     def test_repeated_or_reversed_timestamp_names_its_line(self, tmp_path, second):
         path = tmp_path / "telemetry.csv"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, special
 
-from inflowcast.zaga import ZagaDistribution
+from inflowcast.zaga import ZagaDistribution, digamma, gammaln, trigamma
 
 PARAM_GRID = [
     (mu, sigma, nu)
@@ -12,6 +12,54 @@ PARAM_GRID = [
     for sigma in (0.25, 0.5, 1.0, 1.8, 3.0)
     for nu in (0.0, 0.1, 0.3, 0.6, 0.9)
 ]
+
+
+# a log-uniform grid over the shapes the EMOS line search reaches, and the edges
+SPECIAL_GRID = np.concatenate(
+    [np.logspace(-46, 36, 20001), [0.0, 5e-324, 1e-300, 1.4616321449683622, 1.0, 2.0, 1e300, np.inf, np.nan]]
+)
+RAISE_FP = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
+def assert_same_inf_nan(ours, reference):
+    assert np.array_equal(np.isnan(ours), np.isnan(reference))
+    infinite = np.isinf(reference)
+    assert np.array_equal(np.isinf(ours), infinite)
+    assert np.array_equal(ours[infinite], reference[infinite])
+
+
+class TestSpecialFunctions:
+    """The numpy log-gamma, digamma and trigamma against scipy's."""
+
+    def test_gammaln(self):
+        with np.errstate(**RAISE_FP):
+            ours = gammaln(SPECIAL_GRID)
+        reference = special.gammaln(SPECIAL_GRID)
+        assert_same_inf_nan(ours, reference)
+        ok = np.isfinite(reference)
+        assert np.all(np.abs(ours[ok] - reference[ok]) <= 1e-13 * np.maximum(1.0, np.abs(reference[ok])))
+
+    def test_digamma(self):
+        with np.errstate(**RAISE_FP):
+            ours = digamma(SPECIAL_GRID)
+        reference = special.digamma(SPECIAL_GRID)
+        assert_same_inf_nan(ours, reference)
+        ok = np.isfinite(reference)
+        ulp = np.finfo(float).eps
+        assert np.all(np.abs(ours[ok] - reference[ok]) <= 4 * ulp * np.maximum(1.0, np.abs(reference[ok])))
+
+    def test_trigamma(self):
+        with np.errstate(**RAISE_FP):
+            ours = trigamma(SPECIAL_GRID)
+        reference = special.polygamma(1, SPECIAL_GRID)
+        assert_same_inf_nan(ours, reference)
+        ok = np.isfinite(reference) & (reference > 0)
+        assert np.all(np.abs(ours[ok] - reference[ok]) <= 1e-14 * reference[ok])
+        assert ours[SPECIAL_GRID == np.inf] == 0.0
+
+    def test_scalars_give_0d_results(self):
+        assert np.ndim(gammaln(0.5)) == np.ndim(digamma(1.0)) == np.ndim(trigamma(2.0)) == 0
+        assert gammaln(0.5) == pytest.approx(0.5 * np.log(np.pi), rel=1e-15)
 
 
 class TestDensity:
