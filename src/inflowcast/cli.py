@@ -2,8 +2,10 @@
 
 Every command reads CSV/JSON inputs, writes its outputs plus a ``*_manifest.json``
 (resolved config, config hash, seed, package version) into the run directory,
-and is byte-for-byte reproducible for a fixed seed and config.  Exit codes:
-0 success, 2 invalid input or configuration, 3 numerical failure.
+and is byte-for-byte reproducible for a fixed seed and config.  `main` checks
+the seed before any command runs and writes the manifest from the names the
+command returns.  Exit codes: 0 success, 2 invalid input or configuration,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -153,6 +155,8 @@ INPUT_OPTIONS = (
     "telemetry", "efficiency", "net_head", "storage", "compensation",
     "models", "inflow", "ensemble", "reanalysis", "nao", "skill", "values",
 )
+INFLOW_SIDECAR = "inflow_meta.json"  # written and read next to every inflow file
+VALUE_HEADER = ["forecast_type", "horizon", "differential", "water_value", "se", "n"]  # cost-eval writes, report reads
 
 
 def write_manifest(args, cfg, seed: int, outputs: list[str]):
@@ -171,12 +175,6 @@ def write_manifest(args, cfg, seed: int, outputs: list[str]):
     )
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _seed(args, cfg) -> int:
     if args.seed is None:
         return _setting(cfg, "run", "seed")
@@ -185,16 +183,30 @@ def _seed(args, cfg) -> int:
     return args.seed
 
 
+def _emit(out: Path, name: str, writer, *payload) -> str:
+    """Write ``out / name`` by ``writer(path, *payload)``; the name, for the manifest."""
+    writer(out / name, *payload)
+    return name
+
+
+def _emit_inflow(out: Path, series, report=None) -> list[str]:
+    """Write ``inflow.csv`` and the sidecar `_load_dataset` reads next to it; both names."""
+    from . import io as iomod
+
+    iomod.write_inflow_csv(out / "inflow.csv", series, out / INFLOW_SIDECAR, report)
+    return ["inflow.csv", INFLOW_SIDECAR]
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (args, cfg, seed, out), checks its config keys before
+# it writes, and returns the names of the files it wrote in ``out``
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, cfg) -> int:
+def cmd_synth(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
     from .synth import ScenarioConfig, generate_scenario, simulate_telemetry
 
-    seed = _seed(args, cfg)
     synth = partial(_setting, cfg, "synth")
     half_life = None if cfg.get("synth", "skill_half_life").lower() in ("none", "inf") else synth("skill_half_life")
     _must(half_life is None or half_life > 0, "synth", "skill_half_life", "be positive, or none", half_life)
@@ -213,40 +225,28 @@ def cmd_synth(args, cfg) -> int:
         marginal=marginal,
         seed=seed,
     )
-    out = _out_dir(args)
     scenario = generate_scenario(scenario_cfg)
-    outputs = []
-
-    def emit(name, writer, *payload):
-        path = out / name
-        writer(path, *payload)
-        outputs.append(name)
-
-    emit("inflow.csv", iomod.write_inflow_csv, scenario.inflow, out / "inflow_meta.json")
-    outputs.append("inflow_meta.json")
-    emit("reanalysis.csv", iomod.write_reanalysis_csv, scenario.precip)
-    emit("ensemble.csv", iomod.write_ensemble_csv, scenario.forecasts)
-    emit("nao.csv", iomod.write_nao_csv, scenario.nao)
-
+    written = [
+        *_emit_inflow(out, scenario.inflow),
+        _emit(out, "reanalysis.csv", iomod.write_reanalysis_csv, scenario.precip),
+        _emit(out, "ensemble.csv", iomod.write_ensemble_csv, scenario.forecasts),
+        _emit(out, "nao.csv", iomod.write_nao_csv, scenario.nao),
+    ]
     if args.with_telemetry:
         sim = simulate_telemetry(seed=seed)
-        emit("telemetry.csv", iomod.write_telemetry_csv, sim.telemetry)
-        emit("efficiency.csv", iomod.write_grid_table_csv, sim.curves.efficiency)
-        emit("net_head.csv", iomod.write_grid_table_csv, sim.curves.net_head)
-        emit("storage.csv", iomod.write_storage_csv, sim.curves.storage)
-        emit("compensation.csv", iomod.write_compensation_csv, sim.compensation)
-        iomod.write_table_csv(
-            out / "true_inflow.csv",
-            ["timestamp", "inflow_m3s"],
-            [[f"{t}Z", v] for t, v in zip(sim.telemetry.timestamps, sim.true_inflow)],
-        )
-        outputs.append("true_inflow.csv")
-
-    write_manifest(args, cfg, seed, outputs)
-    return 0
+        true_inflow = [[f"{t}Z", v] for t, v in zip(sim.telemetry.timestamps, sim.true_inflow)]
+        written += [
+            _emit(out, "telemetry.csv", iomod.write_telemetry_csv, sim.telemetry),
+            _emit(out, "efficiency.csv", iomod.write_grid_table_csv, sim.curves.efficiency),
+            _emit(out, "net_head.csv", iomod.write_grid_table_csv, sim.curves.net_head),
+            _emit(out, "storage.csv", iomod.write_storage_csv, sim.curves.storage),
+            _emit(out, "compensation.csv", iomod.write_compensation_csv, sim.compensation),
+            _emit(out, "true_inflow.csv", iomod.write_table_csv, ["timestamp", "inflow_m3s"], true_inflow),
+        ]
+    return written
 
 
-def cmd_reconstruct(args, cfg) -> int:
+def cmd_reconstruct(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
     from .telemetry import CleaningLimits, PlantCurves, aggregate_and_normalize, clean_telemetry, reconstruct_net_inflow
 
@@ -257,7 +257,6 @@ def cmd_reconstruct(args, cfg) -> int:
         max_level_step=cleaning("max_level_step"),
         max_power_step=cleaning("max_power_step"),
     )
-    out = _out_dir(args)
     telemetry = iomod.read_telemetry_csv(args.telemetry)
     curves = PlantCurves(
         efficiency=iomod.read_grid_table_csv(args.efficiency),
@@ -271,9 +270,7 @@ def cmd_reconstruct(args, cfg) -> int:
         reconstruction.timestamps, reconstruction.values, window=args.window
     )
     report = {"cleaning": cleaning_report.to_dict(), "reconstruction": reconstruction.to_report()}
-    iomod.write_inflow_csv(out / "inflow.csv", series, out / "inflow_meta.json", report)
-    write_manifest(args, cfg, _seed(args, cfg), ["inflow.csv", "inflow_meta.json"])
-    return 0
+    return _emit_inflow(out, series, report)
 
 
 def _load_models(path) -> TrainedModels:
@@ -292,18 +289,31 @@ def _load_models(path) -> TrainedModels:
 def _load_dataset(args):
     from . import io as iomod
 
-    inflow = iomod.read_inflow_csv(args.inflow, Path(args.inflow).with_name("inflow_meta.json"))
+    inflow = iomod.read_inflow_csv(args.inflow, Path(args.inflow).with_name(INFLOW_SIDECAR))
     issues = iomod.read_ensemble_csv(args.ensemble)
     reanalysis = iomod.read_reanalysis_csv(args.reanalysis) if getattr(args, "reanalysis", None) else None
     nao = iomod.read_nao_csv(args.nao) if getattr(args, "nao", None) else None
     return inflow, issues, reanalysis, nao
 
 
-def cmd_train(args, cfg) -> int:
+def _scored_inputs(args):
+    """The read-and-predict stage of `forecast`, `verify` and `cost-eval`.
+
+    Returns the models, the case tables, their out-of-sample predictions, and
+    the reanalysis and NAO index (None unless given).
+    """
+    from .pipeline import build_case_tables, predict_params
+
+    models = _load_models(args.models)
+    inflow, issues, reanalysis, nao = _load_dataset(args)
+    tables = build_case_tables(issues, inflow, models.horizons, reanalysis=reanalysis)
+    return models, tables, predict_params(models, tables), reanalysis, nao
+
+
+def cmd_train(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
     from .pipeline import train_models
 
-    seed = _seed(args, cfg)
     horizons = _horizons(cfg)
     emos = partial(_setting, cfg, "emos")
     settings = dict(
@@ -313,63 +323,45 @@ def cmd_train(args, cfg) -> int:
         n_starts=emos("starts"),
         min_cases=emos("min_cases"),
     )
-    out = _out_dir(args)
     inflow, issues, _, _ = _load_dataset(args)
     models = train_models(issues, inflow, horizons, **settings, seed=seed)
-    iomod.write_json(out / "models.json", models.to_dict())
-    write_manifest(args, cfg, seed, ["models.json"])
-    return 0
+    return [_emit(out, "models.json", iomod.write_json, models.to_dict())]
 
 
-def cmd_forecast(args, cfg) -> int:
+def cmd_forecast(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
-    from .pipeline import FORECAST_HEADER, build_case_tables, forecast_rows, predict_params
+    from .pipeline import FORECAST_HEADER, forecast_rows
 
-    out = _out_dir(args)
-    models = _load_models(args.models)
-    inflow, issues, _, _ = _load_dataset(args)
-    tables = build_case_tables(issues, inflow, models.horizons)
-    predictions = predict_params(models, tables)
+    models, tables, predictions, _, _ = _scored_inputs(args)
     rows = forecast_rows(models, tables, predictions)
-    iomod.write_table_csv(out / "forecasts.csv", FORECAST_HEADER, rows)
-    write_manifest(args, cfg, _seed(args, cfg), ["forecasts.csv"])
-    return 0
+    return [_emit(out, "forecasts.csv", iomod.write_table_csv, FORECAST_HEADER, rows)]
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
-    from .pipeline import build_case_tables, predict_params, verify_skill
+    from .pipeline import verify_skill
 
-    seed = _seed(args, cfg)
     verification = partial(_setting, cfg, "verification")
     settings = dict(
         n_boot=verification("bootstrap"),
         min_cases=verification("min_cases"),
         min_clim_years=verification("min_climatology_years"),
     )
-    out = _out_dir(args)
-    models = _load_models(args.models)
-    inflow, issues, reanalysis, nao = _load_dataset(args)
-    tables = build_case_tables(issues, inflow, models.horizons, reanalysis=reanalysis)
-    predictions = predict_params(models, tables)
+    models, tables, predictions, reanalysis, nao = _scored_inputs(args)
     report = verify_skill(models, tables, predictions, nao=nao, reanalysis=reanalysis, seed=seed, **settings)
-    iomod.write_json(out / "skill.json", report.to_dict())
     skill_rows = [
         [var, r.horizon, r.stratum, r.fcrpss, r.se, r.spread, r.skill_class, r.n_cases]
         for var, r in report.skill
     ]
-    iomod.write_table_csv(
-        out / "skill_by_horizon.csv",
-        ["variable", "horizon", "stratum", "fcrpss", "se", "spread", "skill_class", "n"],
-        skill_rows,
-    )
-    rel_rows = []
-    for h, d in report.reliability.items():
-        for level, cov in zip(d.levels, d.coverage):
-            rel_rows.append([h, level, cov, d.n_cases])
-    iomod.write_table_csv(out / "reliability.csv", ["horizon", "level", "coverage", "n"], rel_rows)
-    write_manifest(args, cfg, seed, ["skill.json", "skill_by_horizon.csv", "reliability.csv"])
-    return 0
+    rel_rows = [
+        [h, level, cov, d.n_cases] for h, d in report.reliability.items() for level, cov in zip(d.levels, d.coverage)
+    ]
+    skill_header = ["variable", "horizon", "stratum", "fcrpss", "se", "spread", "skill_class", "n"]
+    return [
+        _emit(out, "skill.json", iomod.write_json, report.to_dict()),
+        _emit(out, "skill_by_horizon.csv", iomod.write_table_csv, skill_header, skill_rows),
+        _emit(out, "reliability.csv", iomod.write_table_csv, ["horizon", "level", "coverage", "n"], rel_rows),
+    ]
 
 
 def _cost_settings(cfg, seed) -> CostSettings:
@@ -395,19 +387,14 @@ def _cost_settings(cfg, seed) -> CostSettings:
     )
 
 
-def cmd_cost_eval(args, cfg) -> int:
+def cmd_cost_eval(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
     from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
-    from .pipeline import build_case_tables, build_cost_cases, predict_params
+    from .pipeline import build_cost_cases
 
-    seed = _seed(args, cfg)
     settings = _cost_settings(cfg, seed)
     min_clim_years = _setting(cfg, "verification", "min_climatology_years")
-    out = _out_dir(args)
-    models = _load_models(args.models)
-    inflow, issues, _, _ = _load_dataset(args)
-    tables = build_case_tables(issues, inflow, models.horizons)
-    predictions = predict_params(models, tables)
+    models, tables, predictions, _, _ = _scored_inputs(args)
     cases = build_cost_cases(models, tables, predictions, settings, min_clim_years=min_clim_years)
     if not cases:
         raise InputError("no cost cases could be built (missing observations or climatology)")
@@ -420,11 +407,7 @@ def cmd_cost_eval(args, cfg) -> int:
         seed=seed,
         adjustments=adjustments,
     )
-    iomod.write_table_csv(
-        out / "value_report.csv",
-        ["forecast_type", "horizon", "differential", "water_value", "se", "n"],
-        [[r.forecast_type, r.horizon, r.differential, r.water_value, r.se, r.n_cases] for r in rows],
-    )
+    value_rows = [[r.forecast_type, r.horizon, r.differential, r.water_value, r.se, r.n_cases] for r in rows]
     prices = PriceConfig(peak=settings.peak_price, differential=settings.decision_differential)
     columns = {
         ftype: [c.tolist() for c in (a, costs.stage1, costs.stage2, costs.total)]
@@ -435,27 +418,16 @@ def cmd_cost_eval(args, cfg) -> int:
         for i, (date, horizon) in enumerate(zip(cases.issue_dates.astype(str).tolist(), cases.horizons.tolist()))
         for ftype, cols in columns.items()
     ]
-    iomod.write_table_csv(
-        out / "decisions.csv",
-        ["issue_date", "horizon", "type", "A", "stage1", "stage2", "total"],
-        decision_rows,
-    )
-    write_manifest(args, cfg, seed, ["value_report.csv", "decisions.csv"])
-    return 0
+    decision_header = ["issue_date", "horizon", "type", "A", "stage1", "stage2", "total"]
+    return [
+        _emit(out, "value_report.csv", iomod.write_table_csv, VALUE_HEADER, value_rows),
+        _emit(out, "decisions.csv", iomod.write_table_csv, decision_header, decision_rows),
+    ]
 
 
-def cmd_report(args, cfg) -> int:
-    out = _out_dir(args)
+def cmd_report(args, cfg, seed: int, out: Path) -> list[str]:
     skill = read_json(args.skill) if args.skill else None
-    value_rows = (
-        read_table_csv(
-            args.values,
-            ["forecast_type", "horizon", "differential", "water_value", "se", "n"],
-            finite=("differential", "water_value"),
-        )
-        if args.values
-        else None
-    )
+    value_rows = read_table_csv(args.values, VALUE_HEADER, finite=("differential", "water_value")) if args.values else None
     if skill is None and value_rows is None:
         raise InputError("report needs at least one of --skill / --values")
     payload = {}
@@ -485,9 +457,7 @@ def cmd_report(args, cfg) -> int:
                 }
             )
         payload["value_gains"] = gains
-    write_json(out / "report.json", payload)
-    write_manifest(args, cfg, _seed(args, cfg), ["report.json"])
-    return 0
+    return [_emit(out, "report.json", write_json, payload)]
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +520,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return args.func(args, cfg)
+        seed = _seed(args, cfg)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_manifest(args, cfg, seed, args.func(args, cfg, seed, out))
+        return 0
     except InputError as exc:
         print(f"inflowcast: input error: {exc}", file=sys.stderr)
         return 2

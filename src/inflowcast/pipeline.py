@@ -194,7 +194,7 @@ def train_models(
                     f"horizon '{h.name}' fold {fold_year}: {int(train_mask.sum())} training "
                     f"cases is below the minimum of {min_cases}"
                 )
-            bench = reg.slope * table.member_matrix[train_mask] + reg.intercept
+            bench = reg.predict(table.member_matrix[train_mask])
             fit_seed = int(np.random.SeedSequence([seed, fold_year, h_index]).generate_state(1)[0])
             emos[(h.name, fold_year)] = fit_emos(
                 features=compute_feature_matrix(bench),
@@ -249,7 +249,7 @@ def predict_params(
             emos = models.emos.get((h.name, fold_year))
             if emos is None:
                 raise InputError(f"no EMOS model for horizon '{h.name}' fold {fold_year}")
-            bench = reg.slope * table.member_matrix[mask] + reg.intercept
+            bench = reg.predict(table.member_matrix[mask])
             feats = compute_feature_matrix(bench)
             with np.errstate(over="ignore", invalid="ignore"):
                 m, s, v = emos.params_for(feats, phases[mask])

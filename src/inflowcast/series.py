@@ -52,10 +52,6 @@ class DailySeries:
             return None
         return float(self.values[lo:hi].mean())
 
-    def years(self) -> np.ndarray:
-        """Distinct calendar years present in the series."""
-        return np.unique(self.dates.astype("datetime64[Y]").astype(int) + 1970)
-
 
 @dataclass(frozen=True)
 class InflowSeries(DailySeries):

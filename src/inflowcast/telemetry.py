@@ -19,8 +19,6 @@ from .series import DailySeries, InflowSeries
 WATER_DENSITY = 1000.0  # kg/m3
 GRAVITY = 9.81  # m/s2
 
-HOUR = np.timedelta64(3600, "s")
-
 
 # ---------------------------------------------------------------------------
 # telemetry containers and cleaning

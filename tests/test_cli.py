@@ -229,6 +229,60 @@ class TestReconstructCommand:
         assert abs(sum(values) / len(values) - 1.0) < 1e-9
 
 
+COMMANDS = ("synth", "reconstruct-inflow", "train", "forecast", "verify", "cost-eval", "report")
+
+
+def _command_args(tiny_run, plant):
+    """The arguments of each command but `--out`, on the tiny run's inputs; ``plant`` holds synthetic telemetry."""
+    tables = ("telemetry", "efficiency", "net_head", "storage", "compensation")
+    data = ["--inflow", str(tiny_run / "inflow.csv"), "--ensemble", str(tiny_run / "ensemble.csv")]
+    scored = ["--models", str(tiny_run / "models.json"), *data]
+    return {
+        "synth": ["--with-telemetry"],
+        "reconstruct-inflow": [a for t in tables for a in (f"--{t.replace('_', '-')}", str(plant / f"{t}.csv"))],
+        "train": data,
+        "forecast": scored,
+        "verify": [*scored, "--reanalysis", str(tiny_run / "reanalysis.csv"), "--nao", str(tiny_run / "nao.csv")],
+        "cost-eval": scored,
+        "report": ["--skill", str(tiny_run / "skill.json"), "--values", str(tiny_run / "value_report.csv")],
+    }
+
+
+def _files(out):
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
+@pytest.fixture(scope="module")
+def command_dirs(tmp_path_factory, tiny_run):
+    """Each command run on the tiny run's inputs into an empty directory of its own."""
+    root = tmp_path_factory.mktemp("each")
+    dirs = {command: root / command for command in COMMANDS}
+    # synth runs first: reconstruct-inflow reads its telemetry
+    for command, args in _command_args(tiny_run, dirs["synth"]).items():
+        rc = main(["--config", str(tiny_run / "run.ini"), "--seed", "3", command, *args, "--out", str(dirs[command])])
+        assert rc == 0, command
+    return dirs
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_leaves_its_manifest_and_the_listed_outputs(command_dirs, command):
+    out = command_dirs[command]
+    manifest = f"{command.replace('-', '_')}_manifest.json"
+    outputs = json.loads((out / manifest).read_text())["outputs"]
+    assert outputs
+    assert _files(out) == sorted([manifest, *outputs])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_seed_exits_2_before_writing(tiny_run, command_dirs, tmp_path, capsys, command):
+    args = _command_args(tiny_run, command_dirs["synth"])[command]
+    out = tmp_path / "out"
+    rc = main(["--config", str(tiny_run / "run.ini"), "--seed", "-1", command, *args, "--out", str(out)])
+    assert rc == 2
+    assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+    assert _files(out) == []
+
+
 class TestErrorPaths:
     def test_missing_model_artifact_exits_2(self, run_dir, tmp_path, capsys):
         rc = main(

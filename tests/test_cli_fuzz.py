@@ -3,7 +3,8 @@
 `forecast`, `report` and `reconstruct-inflow` get mutated input files;
 `synth`, `train`, `verify` and `cost-eval` get one config key of their
 sections set to an odd value.  `verify` is also run with `[verification]
-bootstrap` set below two draws and `min_cases` below one case.
+bootstrap` set below two draws and `min_cases` below one case, and `verify`
+and `cost-eval` with an inflow file too short for any case to be scored.
 
 Each example copies the outputs of a tiny run (5 years, 3 members, four
 weeks of hourly telemetry), mutates one or two input files and calls
@@ -346,3 +347,46 @@ def test_bad_setting_exits_2_naming_the_key(tiny_run, tmp_path, command, section
     assert rc == 2
     assert f"config [{section}] {key}: {message}" in err
     assert "Traceback" not in err
+    out = tmp_path / "out"
+    assert not (out.exists() and any(out.iterdir()))  # the key is checked before any file is written
+
+
+@pytest.fixture(scope="module")
+def short_inflow(tmp_path_factory):
+    """A 6-year, 5-member run trained on the full inflow, and that inflow cut to its first 399 days."""
+    out = tmp_path_factory.mktemp("short")
+    (out / "run.ini").write_text(
+        "[synth]\nyears = 6\nmembers = 5\n\n[horizons]\nnames = Forecast Week 1\n\n"
+        "[verification]\nbootstrap = 20\n\n[cost]\nbootstrap = 20\n"
+    )
+    base = ["--config", str(out / "run.ini"), "--seed", "3"]
+    assert main([*base, "synth", "--out", str(out)]) == 0
+    assert main([*base, "train", "--inflow", str(out / "inflow.csv"), "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 0
+    cut = out / "short"
+    cut.mkdir()
+    (cut / "inflow.csv").write_text("".join((out / "inflow.csv").read_text().splitlines(keepends=True)[:400]))
+    (cut / "inflow_meta.json").write_text((out / "inflow_meta.json").read_text())
+    return out
+
+
+@pytest.mark.parametrize("command, code", [("verify", 0), ("cost-eval", 2)])
+def test_inflow_too_short_for_any_case(short_inflow, tmp_path, capsys, command, code):
+    # 399 days leave no case the three years of climatology it needs: no group is scored, no cost case built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            [
+                "--config", str(short_inflow / "run.ini"), "--seed", "3", command,
+                "--models", str(short_inflow / "models.json"),
+                "--inflow", str(short_inflow / "short" / "inflow.csv"),
+                "--ensemble", str(short_inflow / "ensemble.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err
+    if code:
+        assert "no cost cases could be built" in err
+    else:
+        assert json.loads((tmp_path / "out" / "skill.json").read_text())["skill"] == []
