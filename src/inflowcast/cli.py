@@ -4,8 +4,9 @@ Every command reads CSV/JSON inputs, writes its outputs plus a ``*_manifest.json
 (resolved config, config hash, seed, package version) into the run directory,
 and is byte-for-byte reproducible for a fixed seed and config.  `main` checks
 the seed before any command runs and writes the manifest from the names the
-command returns.  Exit codes: 0 success, 2 invalid input or configuration,
-3 numerical failure.
+command returns.  The run directory is made at the first write, so a command
+that fails before it leaves none behind.  Exit codes: 0 success, 2 invalid
+input or configuration (an unusable ``--out`` too), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -184,7 +185,11 @@ def _seed(args, cfg) -> int:
 
 
 def _emit(out: Path, name: str, writer, *payload) -> str:
-    """Write ``out / name`` by ``writer(path, *payload)``; the name, for the manifest."""
+    """Write ``out / name`` by ``writer(path, *payload)``, making ``out`` first; the name, for the manifest."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at ``out`` or above it, say
+        raise InputError(f"--out {out}: cannot make the output directory: {exc.strerror}") from None
     writer(out / name, *payload)
     return name
 
@@ -193,8 +198,7 @@ def _emit_inflow(out: Path, series, report=None) -> list[str]:
     """Write ``inflow.csv`` and the sidecar `_load_dataset` reads next to it; both names."""
     from . import io as iomod
 
-    iomod.write_inflow_csv(out / "inflow.csv", series, out / INFLOW_SIDECAR, report)
-    return ["inflow.csv", INFLOW_SIDECAR]
+    return [_emit(out, "inflow.csv", iomod.write_inflow_csv, series, out / INFLOW_SIDECAR, report), INFLOW_SIDECAR]
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +525,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = _seed(args, cfg)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_manifest(args, cfg, seed, args.func(args, cfg, seed, out))
+        write_manifest(args, cfg, seed, args.func(args, cfg, seed, Path(args.out)))
         return 0
     except InputError as exc:
         print(f"inflowcast: input error: {exc}", file=sys.stderr)

@@ -3,9 +3,12 @@
 Readers give line-numbered diagnostics on malformed rows.  The ensemble,
 telemetry and daily-series readers parse their columns with one
 ``np.loadtxt`` and scan row by row only to name the first bad line.  The
-JSON and string-table helpers (``read_json``, ``write_json``,
-``read_table_csv``) live in ``textio``, which needs no numpy, and are
-imported here with the header and row checks the readers share.
+telemetry and daily-series readers share ``_read_series``: it reads the
+timestamp or date column as text, which ``_to_datetimes`` parses as one
+column, field by field only where numpy's reading is not the standard
+library's.  The JSON and string-table helpers (``read_json``,
+``write_json``, ``read_table_csv``) live in ``textio``, which needs no numpy,
+and are imported here with the header and row checks the readers share.
 
 Writers write the bytes of the ``csv`` module's default dialect: ``,``
 between fields, CRLF line ends and minimal quoting (a field holding a
@@ -118,24 +121,25 @@ def _to_timestamp(raw: str) -> np.datetime64:
 _DATETIME_RANGE = (np.datetime64("0001-01-01T00:00:00"), np.datetime64("9999-12-31T23:59:59"))
 
 
-def _to_timestamps(raw) -> np.ndarray:
-    """``_to_timestamp`` of every field of ``raw``, a column.
+def _to_datetimes(raw, unit: str, one) -> np.ndarray:
+    """``one`` of every field of ``raw``, a column, as a ``unit`` array (``_to_date`` for days, ``_to_timestamp`` for seconds).
 
     numpy's ISO parser reads the whole column; a field it reads back to the
-    same text (``YYYY-MM-DDTHH:MM:SS``, once stripped of blanks and a ``Z``),
-    in datetime's range, is one ``_to_timestamp`` reads the same.  Every other
-    field, such as one with a UTC offset, goes through ``_to_timestamp``.
+    same text (``YYYY-MM-DD`` or ``YYYY-MM-DDTHH:MM:SS``, once stripped of
+    blanks and of a ``Z`` after a time), in datetime's range, is one ``one``
+    reads the same.  Every other field, such as one with a UTC offset, goes
+    through ``one``.
     """
-    text = np.array([f[:-1] if f.endswith("Z") else f for f in map(str.strip, raw)], dtype=str)
+    text = np.array([f[:-1] if f.endswith("Z") and "T" in f else f for f in map(str.strip, raw)], dtype=str)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy warns of a UTC offset; such a field then reads back differently
-            ts = text.astype("datetime64[s]")
+            ts = text.astype(unit)
     except ValueError:
-        ts = np.full(len(text), np.datetime64("NaT", "s"))
+        ts = np.full(len(text), np.datetime64("NaT"), dtype=unit)
     lo, hi = _DATETIME_RANGE
     for i in np.flatnonzero((np.datetime_as_string(ts) != text) | ~((ts >= lo) & (ts <= hi))):
-        ts[i] = _to_timestamp(raw[i])
+        ts[i] = one(raw[i])
     return ts
 
 
@@ -144,29 +148,28 @@ def _to_timestamps(raw) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], finite: bool, not_after: str, keys_of=None):
-    """Columns ``key`` (from ``to_key``, strictly increasing) and ``values`` (floats) of a CSV, by header name, as arrays.
+def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], finite: bool, not_after: str):
+    """Columns ``key`` (``unit`` dates from ``to_key``, strictly increasing) and ``values`` (floats) of a CSV, by header name, as arrays.
 
-    One ``np.loadtxt`` reads them into a structured array through the same
-    converters (the last of a repeated name wins, as in csv.DictReader); given
-    ``keys_of``, it reads the key fields as text, which ``keys_of`` converts as
-    one column, as ``to_key`` would field by field.  The order and, if
-    ``finite``, the finiteness are checked on whole columns.  A file that
-    fails to parse or a check is scanned row by row only to name the first bad
-    line, by the rules in row order: the key, its order against the previous
-    row (``not_after`` is the message), then each value.
+    One ``np.loadtxt`` reads them into a structured array, the key as text
+    (the last of a repeated name wins, as in csv.DictReader), and
+    ``_to_datetimes`` parses the key column as ``to_key`` would field by field.
+    The order and, if ``finite``, the finiteness are checked on whole columns.
+    A file that fails to parse or a check is scanned row by row only to name
+    the first bad line, by the rules in row order: the key, its order against
+    the previous row (``not_after`` is the message), then each value.
     """
     path = Path(path)
     header, skip = _header(path, (key, *values))
     where = {name: i for i, name in enumerate(header)}
     cols = [where[c] for c in (key, *values)]
-    dtype = [(key, object if keys_of else unit)] + [(c, float) for c in values]
-    converters = {i: float for i in cols} | {cols[0]: str if keys_of else to_key}
+    dtype = [(key, object)] + [(c, float) for c in values]
+    converters = {i: float for i in cols} | {cols[0]: str}
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, converters=converters, ndmin=1)
-        keys = keys_of(rows[key]) if keys_of else rows[key]
+        keys = _to_datetimes(rows[key], unit, to_key)
         if np.any(keys[1:] <= keys[:-1]) or finite and not all(np.isfinite(rows[c]).all() for c in values):
             raise ValueError("a value out of order or range")
     except ValueError as exc:
@@ -191,7 +194,7 @@ def read_telemetry_csv(path) -> TelemetrySeries:
     """`timestamp,water_level_m,power_w` with ISO-8601 UTC timestamps."""
     not_after = "telemetry timestamps must be strictly increasing: {} is not after {}"
     columns = ("water_level_m", "power_w")
-    ts, level, power = _read_series(path, "timestamp", _to_timestamp, "datetime64[s]", columns, False, not_after, _to_timestamps)
+    ts, level, power = _read_series(path, "timestamp", _to_timestamp, "datetime64[s]", columns, False, not_after)
     if not len(ts):
         raise InputError(f"{path}: no telemetry rows")
     return TelemetrySeries(ts, level, power)

@@ -270,15 +270,10 @@ def forecast_rows(models: TrainedModels, tables, predictions) -> list[list]:
     """Rows for the forecast CSV: quantiles plus distribution parameters."""
     rows = []
     for h in models.horizons:
-        table = tables[h.name]
         dist = predictions[h.name].dist
         q = dist.quantile(QUANTILE_COLUMNS)
-        for i in range(len(table)):
-            rows.append(
-                [str(table.issue_dates[i]), h.name]
-                + [float(q[i, j]) for j in range(len(QUANTILE_COLUMNS))]
-                + [float(dist.nu[i]), float(dist.mu[i]), float(dist.sigma[i]), float(dist.offset[i])]
-            )
+        columns = (tables[h.name].issue_dates.astype(str), *q.T, dist.nu, dist.mu, dist.sigma, dist.offset)
+        rows += [[date, h.name, *values] for date, *values in zip(*(c.tolist() for c in columns))]
     return rows
 
 

@@ -144,49 +144,40 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     # marginal, member-truth correlation exactly w); lognormal members blend
     # log-anomalies instead.  Per-year child seeds keep years independently
     # reproducible.
-    weights = member_weight(np.arange(1, cfg.lead_days + 1), cfg.skill_half_life)
+    leads = np.arange(1, cfg.lead_days + 1)
+    weights = member_weight(leads, cfg.skill_half_life)
     a_shared = np.maximum(weights * shape, 1e-12)
     a_idio = np.maximum((1.0 - weights) * shape, 1e-12)
-    year_seeds = {cfg.start_year + i: s for i, s in enumerate(seeds[1].spawn(cfg.n_years))}
-    day0 = dates[0]
+    issue_days = np.array(issues)
+    issue_years = issue_days.astype("datetime64[Y]").astype(int) + 1970
+    offsets = (issue_days - dates[0]).astype(int)
+    size = (cfg.n_members, cfg.lead_days)
     forecasts = []
-    for year, seed in year_seeds.items():
+    for year, seed in enumerate(seeds[1].spawn(cfg.n_years), start=cfg.start_year):
         rng = np.random.default_rng(seed)
-        for issue in issues:
-            if int(issue.astype("datetime64[Y]").astype(int)) + 1970 != year:
-                continue
-            idx = int((issue - day0) / np.timedelta64(1, "D")) + np.arange(1, cfg.lead_days + 1)
+        for i in np.flatnonzero(issue_years == year):
+            idx = offsets[i] + leads
             truth = precip[idx]
-            members = np.empty((cfg.n_members, cfg.lead_days))
             if cfg.marginal == "gamma":
                 slice_frac = rng.beta(a_shared, a_idio)
                 shared = np.where(
                     weights >= 1.0, truth, np.where(weights <= 0.0, 0.0, slice_frac * truth)
                 )
-                sc = scale[idx]
-                for k in range(cfg.n_members):
-                    idio = rng.gamma(a_idio, sc)
-                    members[k] = shared + np.where(weights >= 1.0, 0.0, idio)
+                members = shared + np.where(weights >= 1.0, 0.0, rng.gamma(a_idio, scale[idx], size=size))
             else:
                 s = np.sqrt(s2)
                 z_truth = (np.log(truth) - mu_ln[idx]) / s
                 blend = np.sqrt(np.maximum(0.0, 1.0 - weights**2))
-                for k in range(cfg.n_members):
-                    z = weights * z_truth + blend * rng.normal(size=cfg.lead_days)
-                    members[k] = np.exp(mu_ln[idx] + s * z)
-            forecasts.append(EnsemblePrecipForecast(issue.astype(dt.date), members))
-    forecasts.sort(key=lambda f: f.issue_date)
+                members = np.exp(mu_ln[idx] + s * (weights * z_truth + blend * rng.normal(size=size)))
+            forecasts.append(EnsemblePrecipForecast(issue_days[i].astype(dt.date), members))
 
     # AR(1) monthly circulation index, roughly unit variance
-    months = []
-    for year in range(cfg.start_year, cfg.start_year + cfg.n_years + 1):
-        for month in range(1, 13):
-            months.append((year, month))
     entries = {}
     x = 0.0
-    for ym in months:
-        x = 0.5 * x + rng_nao.normal(0.0, np.sqrt(0.75))
-        entries[ym] = x
+    for year in range(cfg.start_year, cfg.start_year + cfg.n_years + 1):
+        for month in range(1, 13):
+            x = 0.5 * x + rng_nao.normal(0.0, np.sqrt(0.75))
+            entries[(year, month)] = x
     nao = NaoIndex(entries)
 
     return Scenario(

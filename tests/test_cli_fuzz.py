@@ -4,7 +4,8 @@
 `synth`, `train`, `verify` and `cost-eval` get one config key of their
 sections set to an odd value.  `verify` is also run with `[verification]
 bootstrap` set below two draws and `min_cases` below one case, and `verify`
-and `cost-eval` with an inflow file too short for any case to be scored.
+and `cost-eval` with an inflow file too short for any case to be scored,
+and `report` with a file, or a path under one, as `--out`.
 
 Each example copies the outputs of a tiny run (5 years, 3 members, four
 weeks of hourly telemetry), mutates one or two input files and calls
@@ -347,8 +348,19 @@ def test_bad_setting_exits_2_naming_the_key(tiny_run, tmp_path, command, section
     assert rc == 2
     assert f"config [{section}] {key}: {message}" in err
     assert "Traceback" not in err
-    out = tmp_path / "out"
-    assert not (out.exists() and any(out.iterdir()))  # the key is checked before any file is written
+    assert not (tmp_path / "out").exists()  # the key is checked before the first write makes the directory
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/run"])
+def test_out_that_is_a_file_exits_2_naming_it(tiny_run, tmp_path, capsys, out):
+    # a file as --out, or a directory under one, cannot hold the outputs
+    (tmp_path / "taken").write_text("a file\n")
+    rc = main(["report", "--skill", str(tiny_run / "skill.json"), "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"input error: --out {tmp_path / out}: cannot make the output directory" in err
+    assert "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 @pytest.fixture(scope="module")

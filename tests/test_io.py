@@ -17,6 +17,17 @@ from inflowcast.synth import demo_plant_curves, simulate_telemetry
 from inflowcast.verification import NaoIndex
 
 
+def assert_column_parse_matches(unit, one, fields, refused):
+    """The column parse takes numpy's ISO reading only for fields that read back to themselves."""
+    column = np.array(fields, dtype=object)
+    assert iomod._to_datetimes(column, unit, one).tolist() == [one(f).tolist() for f in fields]
+    for field in refused:
+        with pytest.raises(ValueError):
+            one(field)
+        with pytest.raises(ValueError):
+            iomod._to_datetimes(np.array([*fields[:2], field], dtype=object), unit, one)
+
+
 class TestTelemetryCsv:
     def test_round_trip(self, tmp_path):
         sim = simulate_telemetry(n_hours=30, seed=1)
@@ -70,7 +81,6 @@ class TestTelemetryCsv:
 
     @pytest.mark.filterwarnings("error")
     def test_column_parse_matches_the_field_parser(self):
-        # the column parse takes numpy's ISO reading only for fields that read back to themselves
         fields = [
             "2015-01-01T00:00:00", "2015-01-01T00:00:00Z", " 2015-01-01T01:00:00Z ", "2015-01-01 02:00:00",
             "2015-01-01T03:00", "2015-01-02", "2015-01-01T04:00:00+01:00", "2015-01-01T00:00:00.5",
@@ -78,13 +88,7 @@ class TestTelemetryCsv:
         ]
         refused = ["NaT", "", "now", "2015", "2015-01", "2015-13-01T00:00:00", "0000-01-01T00:00:00",
                    "10000-01-01T00:00:00", "2015-02-29T00:00:00", "2015-01-01T00:00:60", "2015-01-01T00:00:00 Z"]
-        column = np.array(fields, dtype=object)
-        assert iomod._to_timestamps(column).tolist() == [iomod._to_timestamp(f).tolist() for f in fields]
-        for field in refused:
-            with pytest.raises(ValueError):
-                iomod._to_timestamp(field)
-            with pytest.raises(ValueError):
-                iomod._to_timestamps(np.array([*fields[:2], field], dtype=object))
+        assert_column_parse_matches("datetime64[s]", iomod._to_timestamp, fields, refused)
 
     @pytest.mark.parametrize("second", ["2015-01-01T00:00:00Z", "2014-12-31T23:00:00Z"])
     def test_repeated_or_reversed_timestamp_names_its_line(self, tmp_path, second):
@@ -218,6 +222,16 @@ class TestInflowCsv:
         assert back.normalization_constant == 3.7
         meta = json.loads((tmp_path / "inflow_meta.json").read_text())
         assert meta["cleaning_report"] == {"n_removed": 3}
+
+    def test_weekly_window_round_trips_through_the_sidecar(self, tmp_path):
+        dates = np.datetime64("2015-01-05") + 7 * np.arange(6)
+        series = InflowSeries(dates, np.linspace(0.5, 1.5, 6), normalization_constant=2.5, window="weekly")
+        iomod.write_inflow_csv(tmp_path / "inflow.csv", series, tmp_path / "inflow_meta.json")
+        back = iomod.read_inflow_csv(tmp_path / "inflow.csv", tmp_path / "inflow_meta.json")
+        assert back.window == "weekly"
+        assert np.array_equal(back.dates, dates)
+        assert np.array_equal(back.values, series.values)
+        assert back.normalization_constant == 2.5
 
 
 class TestEnsembleCsv:
@@ -497,6 +511,13 @@ class TestUndecodableInput:
 
 
 class TestDailySeriesCsv:
+    @pytest.mark.filterwarnings("error")
+    def test_date_column_parse_matches_the_field_parser(self):
+        fields = ["2015-01-05", " 2015-01-05 ", "20150105", "2016-02-29", "0001-01-01", "9999-12-31"]
+        refused = ["NaT", "", "0000-01-01", "10000-01-01", "2015-02-29", "today", "2015-01-05Z",
+                   "2015-01-05T00:00:00", "2015-01-05T00:00:00Z"]
+        assert_column_parse_matches("datetime64[D]", iomod._to_date, fields, refused)
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_names_its_line(self, tmp_path, raw):
         path = tmp_path / "inflow.csv"

@@ -51,6 +51,17 @@ class TestScenario:
             assert fa.issue_date == fb.issue_date
             assert np.array_equal(fa.members, fb.members)
 
+    @pytest.mark.parametrize("marginal", ["gamma", "lognormal"])
+    def test_earlier_years_unchanged_by_a_later_year(self, marginal):
+        # each year draws its members from its own child seed
+        two = generate_scenario(ScenarioConfig(n_years=2, n_members=3, marginal=marginal, seed=8))
+        three = generate_scenario(ScenarioConfig(n_years=3, n_members=3, marginal=marginal, seed=8))
+        n = len(two.forecasts)
+        assert {f.issue_date.year for f in three.forecasts[n:]} == {2011}
+        for fa, fb in zip(two.forecasts, three.forecasts[:n], strict=True):
+            assert fa.issue_date == fb.issue_date
+            assert np.array_equal(fa.members, fb.members)
+
     def test_different_seed_differs(self):
         a = generate_scenario(ScenarioConfig(n_years=2, seed=5))
         b = generate_scenario(ScenarioConfig(n_years=2, seed=6))

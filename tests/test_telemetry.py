@@ -1,3 +1,5 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -217,6 +219,21 @@ class TestAggregation:
         ts = np.datetime64("2015-01-01T00:00:00", "s") + np.arange(n) * np.timedelta64(3600, "s")
         series = aggregate_and_normalize(ts, np.full(n, 3.0), "daily")
         assert len(series) == 1
+
+    def test_weekly_windows_start_on_mondays_and_need_80_percent_of_168_hours(self):
+        # Thu 2015-01-01 starts a 96-hour stub of the week of Mon 2014-12-29; the
+        # weeks of Mon 01-05, 01-12 and 01-19 then hold 168, 135 and 134 hours
+        hour = np.timedelta64(3600, "s")
+        starts = ["2015-01-01", "2015-01-05", "2015-01-12", "2015-01-19"]
+        lengths, levels = [96, 168, 135, 134], [100.0, 2.0, 4.0, 9.0]
+        ts = np.concatenate([np.datetime64(s, "s") + np.arange(n) * hour for s, n in zip(starts, lengths)])
+        vals = np.repeat(levels, lengths)
+        series = aggregate_and_normalize(ts, vals, "weekly")
+        # 0.8 * 168 = 134.4 hours: 135 are enough, 134 are not
+        assert series.dates.tolist() == [dt.date(2015, 1, 5), dt.date(2015, 1, 12)]
+        assert series.window == "weekly"
+        assert series.normalization_constant == 3.0
+        assert_allclose(series.values, [2.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
 
     def test_record_mean_of_normalised_is_one(self, rng):
         n = 24 * 40
