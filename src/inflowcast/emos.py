@@ -15,7 +15,8 @@ predicted distribution and subtracted again at evaluation time.
 
 The coefficients maximise the ridge-penalised log-likelihood by a damped,
 projected Newton ascent on its exact (closed-form) information matrix, from
-several starts.
+several starts.  Each Newton point is evaluated once: one pass gives the
+log-likelihood, its gradient and the per-case terms the information is built from.
 """
 
 from __future__ import annotations
@@ -107,11 +108,9 @@ class EmosDesign:
 
     def spline_mask(self) -> np.ndarray:
         """Boolean mask over the packed parameter vector marking spline coefficients."""
-        p1 = self.x_mu.shape[1]
-        p2 = self.x_sigma.shape[1]
         mask = np.zeros(self.n_params, dtype=bool)
-        mask[p1 - self.n_spline : p1] = True
-        mask[p1 + p2 - self.n_spline : p1 + p2] = True
+        for beta in self.split(mask)[:2]:  # views into mask
+            beta[-self.n_spline :] = True
         return mask
 
 
@@ -130,6 +129,80 @@ def build_design(features: np.ndarray, phases: np.ndarray, basis: CyclicSplineBa
     return EmosDesign(x_mu=x_mu, x_sigma=x_sigma, x_nu=x_nu, n_spline=basis.n_knots)
 
 
+def _shifted_observations(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if len(y) == 0:
+        raise InputError("empty likelihood batch")
+    if not np.all(np.isfinite(y)) or np.any(y < 0):
+        raise InputError("shifted observations must be finite and >= 0")
+    return y
+
+
+def _evaluate(theta: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
+    """(penalised log-likelihood, gradient, per-case terms) at ``theta``; (-inf, 0, terms) where not finite.
+
+    The terms are ``pos`` = y > 0, nu on every case and, on the positive cases,
+    a = sigma^-2, r = y / scale and L = log(y) - log(scale) - digamma(a).
+    """
+    b1, b2, b3 = design.split(theta)
+    eta2 = design.x_sigma @ b2
+    log_s = 2.0 * eta2 + design.x_mu @ b1  # log gamma scale
+    eta3 = design.x_nu @ b3
+
+    pos = y > 0.0
+    yp = y[pos]
+    lsp = log_s[pos]
+    a = np.exp(-2.0 * eta2[pos])
+    log_y = np.log(yp)
+    r = yp * np.exp(-lsp)
+    nu = expit(eta3)
+    big_l = log_y - lsp - digamma(a)
+
+    ll = np.empty(len(y))
+    # stable log(nu) / log(1 - nu)
+    ll[~pos] = -np.logaddexp(0.0, -eta3[~pos])
+    ll[pos] = -np.logaddexp(0.0, eta3[pos]) + (a - 1.0) * log_y - r - a * lsp - gammaln(a)
+    if not np.all(np.isfinite(ll)):
+        return -np.inf, np.zeros_like(theta), (pos, nu, a, r, big_l)
+
+    d_eta1 = np.zeros(len(y))
+    d_eta2 = np.zeros(len(y))
+    d_eta1[pos] = r - a
+    d_eta2[pos] = -2.0 * a * big_l + 2.0 * (r - a)
+    d_eta3 = np.where(pos, -nu, 1.0 - nu)
+    grad = np.concatenate([design.x_mu.T @ d_eta1, design.x_sigma.T @ d_eta2, design.x_nu.T @ d_eta3])
+
+    mask = design.spline_mask()
+    penalty = ridge * float(np.dot(theta[mask], theta[mask]))
+    grad[mask] -= 2.0 * ridge * theta[mask]
+    return float(ll.sum()) - penalty, grad, (pos, nu, a, r, big_l)
+
+
+def _information(terms: tuple, design: EmosDesign, ridge: float, expected: bool = False) -> np.ndarray:
+    """The observed (or, with ``expected``, the Fisher) information from the per-case terms."""
+    pos, nu, a, r, big_l = terms
+    x1 = design.x_mu[pos]
+    x2 = design.x_sigma[pos]
+    a_trigamma = a * trigamma(a)
+    if expected:
+        w11, w12, w22 = a, None, 4.0 * a * (a_trigamma - 1.0)
+    else:
+        w11, w12 = r, 2.0 * (r - a)
+        w22 = 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * a_trigamma
+
+    p1, p2 = x1.shape[1], x2.shape[1]
+    info = np.zeros((design.n_params, design.n_params))
+    info[:p1, :p1] = x1.T @ (w11[:, None] * x1)
+    info[p1 : p1 + p2, p1 : p1 + p2] = x2.T @ (w22[:, None] * x2)
+    if w12 is not None:
+        info[:p1, p1 : p1 + p2] = x1.T @ (w12[:, None] * x2)
+        info[p1 : p1 + p2, :p1] = info[:p1, p1 : p1 + p2].T
+    info[p1 + p2 :, p1 + p2 :] = design.x_nu.T @ ((nu * (1.0 - nu))[:, None] * design.x_nu)
+    mask = design.spline_mask()
+    info[mask, mask] += 2.0 * ridge
+    return info
+
+
 def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
     """Penalised log-likelihood of shifted observations and its exact gradient.
 
@@ -137,55 +210,8 @@ def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
     otherwise unidentified split between intercepts and a constant seasonal
     shift (the cyclic basis sums to one).
     """
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(y) == 0:
-        raise InputError("empty likelihood batch")
-    if np.any(y < 0):
-        raise InputError("shifted observations must be >= 0")
-    b1, b2, b3 = design.split(theta)
-
-    eta1 = design.x_mu @ b1
-    eta2 = design.x_sigma @ b2
-    eta3 = design.x_nu @ b3
-    a = np.exp(-2.0 * eta2)  # gamma shape
-    log_s = 2.0 * eta2 + eta1  # log gamma scale
-    nu = expit(eta3)
-
-    zero = y <= 0.0
-    pos = ~zero
-    ll = np.empty(len(y))
-    # stable log(nu) / log(1 - nu)
-    ll[zero] = -np.logaddexp(0.0, -eta3[zero])
-    yp = y[pos]
-    ap = a[pos]
-    lsp = log_s[pos]
-    ratio = yp * np.exp(-lsp)  # y / scale
-    ll[pos] = (
-        -np.logaddexp(0.0, eta3[pos])
-        + (ap - 1.0) * np.log(yp)
-        - ratio
-        - ap * lsp
-        - gammaln(ap)
-    )
-    if not np.all(np.isfinite(ll)):
-        return -np.inf, np.zeros_like(theta)
-
-    d_eta1 = np.zeros(len(y))
-    d_eta2 = np.zeros(len(y))
-    d_eta1[pos] = ratio - ap
-    d_eta2[pos] = -2.0 * ap * (np.log(yp) - lsp - digamma(ap)) + 2.0 * (ratio - ap)
-    d_eta3 = np.where(zero, 1.0 - nu, -nu)
-
-    g1 = design.x_mu.T @ d_eta1
-    g2 = design.x_sigma.T @ d_eta2
-    g3 = design.x_nu.T @ d_eta3
-    grad = np.concatenate([g1, g2, g3])
-
-    mask = design.spline_mask()
-    penalty = ridge * float(np.dot(theta[mask], theta[mask]))
-    grad[mask] -= 2.0 * ridge * theta[mask]
-    return float(ll.sum()) - penalty, grad
+    ll, grad, _ = _evaluate(np.asarray(theta, dtype=float), design, _shifted_observations(y), ridge)
+    return ll, grad
 
 
 def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: bool = False) -> np.ndarray:
@@ -204,37 +230,8 @@ def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: boo
     for sigma, no mu-sigma block.  It is positive definite wherever the
     design is of full rank.
     """
-    theta = np.asarray(theta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b1, b2, b3 = design.split(theta)
-    pos = y > 0.0
-    x1 = design.x_mu[pos]
-    x2 = design.x_sigma[pos]
-    yp = y[pos]
-    eta2 = x2 @ b2
-    a = np.exp(-2.0 * eta2)
-    log_s = 2.0 * eta2 + x1 @ b1
-    a_trigamma = a * trigamma(a)
-    if expected:
-        w11, w12, w22 = a, None, 4.0 * a * (a_trigamma - 1.0)
-    else:
-        r = yp * np.exp(-log_s)
-        big_l = np.log(yp) - log_s - digamma(a)
-        w11, w12 = r, 2.0 * (r - a)
-        w22 = 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * a_trigamma
-    nu = expit(design.x_nu @ b3)
-
-    p1, p2 = x1.shape[1], x2.shape[1]
-    info = np.zeros((design.n_params, design.n_params))
-    info[:p1, :p1] = x1.T @ (w11[:, None] * x1)
-    info[p1 : p1 + p2, p1 : p1 + p2] = x2.T @ (w22[:, None] * x2)
-    if w12 is not None:
-        info[:p1, p1 : p1 + p2] = x1.T @ (w12[:, None] * x2)
-        info[p1 : p1 + p2, :p1] = info[:p1, p1 : p1 + p2].T
-    info[p1 + p2 :, p1 + p2 :] = design.x_nu.T @ ((nu * (1.0 - nu))[:, None] * design.x_nu)
-    mask = design.spline_mask()
-    info[mask, mask] += 2.0 * ridge
-    return info
+    _, _, terms = _evaluate(np.asarray(theta, dtype=float), design, _shifted_observations(y), ridge)
+    return _information(terms, design, ridge, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +328,9 @@ def _initial_theta(design: EmosDesign, y: np.ndarray) -> np.ndarray:
     n = len(y)
     frac_zero = float((y <= 0).mean())
     nu0 = min(max(frac_zero, 0.5 / n), 1 - 0.5 / n)
-    yp = y[y > 0]
-    if len(yp) == 0:
-        mu0, cv0 = 1.0, 1.0
-    else:
-        mu0 = float(yp.mean())
-        cv0 = float(np.clip(yp.std() / mu0 if mu0 > 0 else 1.0, 0.1, 5.0))
+    yp = y[y > 0]  # fit_emos has checked that there is one
+    mu0 = float(yp.mean())
+    cv0 = float(np.clip(yp.std() / mu0 if mu0 > 0 else 1.0, 0.1, 5.0))
     theta = np.zeros(design.n_params)
     b1, b2, b3 = design.split(theta)  # slices share theta's buffer
     b1[0] = np.log(mu0)
@@ -354,20 +348,20 @@ _MAX_HALVINGS = 60
 _DECREMENT_TOL = 1e-11
 
 
-def _newton_direction(theta, grad, move, design, y, ridge) -> np.ndarray:
-    """Newton step over the ``move`` coordinates, zero elsewhere.
+def _newton_direction(terms, grad, move, design, ridge) -> np.ndarray:
+    """Newton step over the ``move`` coordinates, zero elsewhere, at the point with per-case ``terms``.
 
     Uses the observed information where it is positive definite, and the
     block-diagonal Fisher information otherwise; its pseudo-inverse leaves
     out the directions a collinear design does not identify.
     """
     sub = np.ix_(move, move)
-    step = np.zeros_like(theta)
+    step = np.zeros_like(grad)
     try:
-        chol = np.linalg.cholesky(information(theta, design, y, ridge)[sub])
+        chol = np.linalg.cholesky(_information(terms, design, ridge)[sub])
         step[move] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[move]))
     except np.linalg.LinAlgError:
-        fisher = information(theta, design, y, ridge, expected=True)[sub]
+        fisher = _information(terms, design, ridge, expected=True)[sub]
         step[move] = np.linalg.pinv(fisher, hermitian=True) @ grad[move]
     return step
 
@@ -380,14 +374,14 @@ def _newton_ascent(theta, free, design, y, ridge):
     the log-likelihood does not fall.  Returns the final coefficients, or
     None when the start does not converge.
     """
-    ll, grad = loglik_and_gradient(theta, design, y, ridge=ridge)
+    ll, grad, terms = _evaluate(theta, design, y, ridge)
     if not np.isfinite(ll):
         return None
     for _ in range(_MAX_STEPS):
         lower, upper = theta <= -_BOUND, theta >= _BOUND
         move = free & ~(lower & (grad < 0)) & ~(upper & (grad > 0))
         while True:
-            step = _newton_direction(theta, grad, move, design, y, ridge)
+            step = _newton_direction(terms, grad, move, design, ridge)
             outward = (lower & (step < 0)) | (upper & (step > 0))
             if not outward.any():
                 break
@@ -397,13 +391,13 @@ def _newton_ascent(theta, free, design, y, ridge):
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = np.clip(theta + t * step, -_BOUND, _BOUND)
-            ll_trial, grad_trial = loglik_and_gradient(trial, design, y, ridge=ridge)
+            ll_trial, grad_trial, terms_trial = _evaluate(trial, design, y, ridge)
             if ll_trial >= ll:
                 break
             t *= 0.5
         else:
             return None
-        theta, ll, grad = trial, ll_trial, grad_trial
+        theta, ll, grad, terms = trial, ll_trial, grad_trial, terms_trial
     return None
 
 
@@ -424,19 +418,28 @@ def fit_emos(
 
     ``inflow_obs`` are raw (possibly negative) observed inflows; the offset
     that makes the training minimum exactly zero is applied internally.
-    Every coefficient is kept in [-40, 40].
+    ``features`` is (N, 3) and ``dates`` and ``inflow_obs`` have N entries,
+    all finite.  Every coefficient is kept in [-40, 40].
     """
     basis = basis or CyclicSplineBasis()
     features = np.asarray(features, dtype=float)
     y_raw = np.asarray(inflow_obs, dtype=float)
+    phases = seasonal_phase(np.asarray(dates, dtype="datetime64[D]"), basis.period)
+    design = build_design(features, phases, basis)  # checks the (N, 3) shape and the N dates
+    if y_raw.shape != (len(features),):
+        raise InputError(f"{len(features)} feature rows but inflow_obs has shape {y_raw.shape}")
+    for name, values in (("features", features), ("dates", phases), ("inflow_obs", y_raw)):
+        if not np.isfinite(values).all():
+            bad = int((~np.isfinite(values)).sum())
+            raise InputError(f"{name} must be finite: {bad} of {values.size} entries are NaN, NaT or infinite")
+    if n_starts < 1:
+        raise InputError(f"n_starts must be at least 1, got {n_starts}")
     if len(y_raw) < min_cases:
         raise InputError(f"{len(y_raw)} training cases is below the minimum of {min_cases}")
     offset = max(0.0, -float(y_raw.min()))
     y = y_raw + offset
     if not (y > 0).any():
         raise InputError("every shifted training inflow is zero; the gamma part cannot be fitted")
-    phases = seasonal_phase(np.asarray(dates, dtype="datetime64[D]"), basis.period)
-    design = build_design(features, phases, basis)
 
     # without any zero observations the zero-mass submodel sits on its boundary
     # (nu -> 0); pin it there instead of letting the optimiser crawl to -inf
@@ -471,12 +474,10 @@ def fit_emos(
         the ridge penalty exactly.
         """
         out = theta_full.copy()
-        p1 = design.x_mu.shape[1]
-        p2 = design.x_sigma.shape[1]
-        for intercept, lo, hi in ((0, p1 - design.n_spline, p1), (p1, p1 + p2 - design.n_spline, p1 + p2)):
-            shift = out[lo:hi].mean()
-            out[lo:hi] -= shift
-            out[intercept] += shift
+        for beta in design.split(out)[:2]:  # views into out
+            shift = beta[-design.n_spline :].mean()
+            beta[-design.n_spline :] -= shift
+            beta[0] += shift
         return out
 
     candidates = []
@@ -484,17 +485,15 @@ def fit_emos(
         fitted = _newton_ascent(start, free, design, y, ridge)
         if fitted is not None:
             theta_full = polish(fitted)
-            ll, _ = loglik_and_gradient(theta_full, design, y, ridge=ridge)
-            candidates.append((ll, theta_full))
+            ll, _, terms = _evaluate(theta_full, design, y, ridge)
+            candidates.append((ll, theta_full, terms))
     if not candidates:
         raise NumericalError(
             f"EMOS fit did not converge for horizon {horizon!r} (fold {fold_year!r}) after {n_starts} starts"
         )
-    best_ll, theta_hat = max(candidates, key=lambda c: c[0])
+    best_ll, theta_hat, terms_hat = max(candidates, key=lambda c: c[0])
 
-    se = None
-    if compute_se:
-        se = _standard_errors(theta_hat, free, design, y, ridge)
+    se = _standard_errors(terms_hat, free, design, ridge) if compute_se else None
 
     b1, b2, b3 = design.split(theta_hat)
     return EmosModel(
@@ -512,11 +511,11 @@ def fit_emos(
     )
 
 
-def _standard_errors(theta: np.ndarray, free: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
+def _standard_errors(terms: tuple, free: np.ndarray, design: EmosDesign, ridge: float):
     """Standard errors from the observed information over the free coefficients; NaN for pinned ones."""
-    se = np.full(len(theta), np.nan)
+    se = np.full(design.n_params, np.nan)
     try:
-        cov = np.linalg.pinv(information(theta, design, y, ridge)[np.ix_(free, free)])
+        cov = np.linalg.pinv(_information(terms, design, ridge)[np.ix_(free, free)])
     except np.linalg.LinAlgError:
         return se
     diag = np.diag(cov)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
+from inflowcast import emos
 from inflowcast.cli import main
 from inflowcast.emos import (
     EmosModel,
@@ -152,6 +153,17 @@ class TestLikelihood:
         with pytest.raises(InputError):
             loglik_and_gradient(np.zeros(design.n_params), design, np.array([-1.0] + [1.0] * 9))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observations_rejected(self, rng, bad):
+        # a NaN used to count as a positive case in the likelihood (-inf) and as a zero in the information
+        design = random_design(rng, n=10)
+        y = np.array([bad] + [1.0] * 9)
+        theta = np.zeros(design.n_params)
+        with pytest.raises(InputError, match="must be finite and >= 0"):
+            loglik_and_gradient(theta, design, y)
+        with pytest.raises(InputError, match="must be finite and >= 0"):
+            information(theta, design, y)
+
 
 def simulate_training(rng, n=1500, zero_frac=0.15, with_negatives=False):
     basis = CyclicSplineBasis(6)
@@ -215,6 +227,61 @@ class TestFit:
         feats, dates, y, _, _, basis = simulate_training(rng, n=50)
         with pytest.raises(InputError):
             fit_emos(feats, dates, y, basis=basis, min_cases=100)
+
+    def test_observations_must_align_with_features(self, rng):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=400)
+        with pytest.raises(InputError, match="400 feature rows but inflow_obs has shape"):
+            fit_emos(feats, dates, np.concatenate([y, y[:4]]), basis=basis, compute_se=False)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            pytest.param("inflow_obs", np.nan, id="inflow_obs-nan"),
+            pytest.param("inflow_obs", np.inf, id="inflow_obs-inf"),
+            pytest.param("features", np.nan, id="features-nan"),
+            pytest.param("dates", np.datetime64("NaT"), id="dates-nat"),
+        ],
+    )
+    def test_non_finite_input_rejected(self, rng, name, bad):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=400)
+        inputs = {"features": feats, "dates": dates, "inflow_obs": y}
+        np.put(inputs[name], 7, bad)
+        with pytest.raises(InputError, match=f"{name} must be finite: 1 of {inputs[name].size} entries"):
+            fit_emos(**inputs, basis=basis, compute_se=False)
+
+    @pytest.mark.parametrize("n_starts", [0, -2])
+    def test_no_start_rejected(self, rng, n_starts):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=400)
+        with pytest.raises(InputError, match=f"n_starts must be at least 1, got {n_starts}"):
+            fit_emos(feats, dates, y, basis=basis, n_starts=n_starts, compute_se=False)
+
+    def test_accepted_points_give_the_public_likelihood_and_information(self, rng, monkeypatch):
+        # every Newton step solves with the information built from the terms of
+        # the point it accepted; the public functions recompute both from theta
+        evaluations, directions = {}, []
+        evaluate, direction = emos._evaluate, emos._newton_direction
+
+        def recording_evaluate(theta, design, y, ridge):
+            out = evaluate(theta, design, y, ridge)
+            evaluations[id(out[2])] = (theta.copy(), design, y, ridge, out)
+            return out
+
+        def recording_direction(terms, grad, move, design, ridge):
+            directions.append(evaluations[id(terms)])
+            return direction(terms, grad, move, design, ridge)
+
+        monkeypatch.setattr(emos, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(emos, "_newton_direction", recording_direction)
+        feats, dates, y, _, _, basis = simulate_training(rng, n=600)
+        fit_emos(feats, dates, y, basis=basis, compute_se=False)
+        assert len(directions) > 10
+        for theta, design, y_fit, ridge, (ll, grad, terms) in directions:
+            ll_public, grad_public = loglik_and_gradient(theta, design, y_fit, ridge)
+            assert ll == ll_public and np.array_equal(grad, grad_public)
+            for expected in (False, True):
+                built = emos._information(terms, design, ridge, expected)
+                assert np.array_equal(built, information(theta, design, y_fit, ridge, expected))
 
     def test_no_zero_cases_pins_atom_probability(self, rng):
         feats, dates, y, _, _, basis = simulate_training(rng, n=400, zero_frac=1e-9)
