@@ -127,10 +127,12 @@ def _to_datetimes(raw, unit: str, one) -> np.ndarray:
     numpy's ISO parser reads the whole column; a field it reads back to the
     same text (``YYYY-MM-DD`` or ``YYYY-MM-DDTHH:MM:SS``, once stripped of
     blanks and of a ``Z`` after a time), in datetime's range, is one ``one``
-    reads the same.  Every other field, such as one with a UTC offset, goes
-    through ``one``.
+    reads the same.  Every other field, such as one with a UTC offset or one
+    that numpy's ``str`` array cuts short at a trailing NUL, goes through ``one``.
     """
-    text = np.array([f[:-1] if f.endswith("Z") and "T" in f else f for f in map(str.strip, raw)], dtype=str)
+    fields = [f[:-1] if f.endswith("Z") and "T" in f else f for f in map(str.strip, raw)]
+    text = np.array(fields, dtype=str)
+    cut = np.char.str_len(text) != np.fromiter(map(len, fields), int, len(fields))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # numpy warns of a UTC offset; such a field then reads back differently
@@ -138,7 +140,7 @@ def _to_datetimes(raw, unit: str, one) -> np.ndarray:
     except ValueError:
         ts = np.full(len(text), np.datetime64("NaT"), dtype=unit)
     lo, hi = _DATETIME_RANGE
-    for i in np.flatnonzero((np.datetime_as_string(ts) != text) | ~((ts >= lo) & (ts <= hi))):
+    for i in np.flatnonzero(cut | (np.datetime_as_string(ts) != text) | ~((ts >= lo) & (ts <= hi))):
         ts[i] = one(raw[i])
     return ts
 

@@ -198,3 +198,12 @@ class TestSeriesReadersMatchRowReaders:
         else:
             with pytest.raises(InputError, match=f"^{path}{message}$"):
                 iomod.read_inflow_csv(path)
+
+    @pytest.mark.parametrize("kind", ["inflow", "reanalysis"])
+    def test_date_cut_at_nul_is_refused(self, tmp_path, kind):
+        # a numpy str array drops a trailing NUL, so the column parse alone would read this date
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(f"date,{SCHEMAS[kind][1][0]}\n2015-01-02,0.5\n2015-01-03\x00,0.5\n".encode())
+        name, parts = READERS[kind]
+        expected = f"{path}:3: bad value '2015-01-03\\x00' in column 'date'"
+        assert _outcome(getattr(iomod, name), parts, path) == _outcome(getattr(oracle, name), parts, path) == expected
