@@ -156,7 +156,7 @@ INPUT_OPTIONS = (
     "telemetry", "efficiency", "net_head", "storage", "compensation",
     "models", "inflow", "ensemble", "reanalysis", "nao", "skill", "values",
 )
-INFLOW_SIDECAR = "inflow_meta.json"  # written and read next to every inflow file
+INFLOW_SIDECAR = "inflow_meta.json"  # a record written next to every inflow file; no command reads it
 VALUE_HEADER = ["forecast_type", "horizon", "differential", "water_value", "se", "n"]  # cost-eval writes, report reads
 
 
@@ -195,7 +195,7 @@ def _emit(out: Path, name: str, writer, *payload) -> str:
 
 
 def _emit_inflow(out: Path, series, report=None) -> list[str]:
-    """Write ``inflow.csv`` and the sidecar `_load_dataset` reads next to it; both names."""
+    """Write ``inflow.csv`` and its sidecar record next to it; both names."""
     from . import io as iomod
 
     return [_emit(out, "inflow.csv", iomod.write_inflow_csv, series, out / INFLOW_SIDECAR, report), INFLOW_SIDECAR]
@@ -270,9 +270,7 @@ def cmd_reconstruct(args, cfg, seed: int, out: Path) -> list[str]:
     compensation = iomod.read_compensation_csv(args.compensation)
     cleaned, cleaning_report = clean_telemetry(telemetry, limits)
     reconstruction = reconstruct_net_inflow(cleaned, curves, compensation)
-    series = aggregate_and_normalize(
-        reconstruction.timestamps, reconstruction.values, window=args.window
-    )
+    series = aggregate_and_normalize(reconstruction.timestamps, reconstruction.values)
     report = {"cleaning": cleaning_report.to_dict(), "reconstruction": reconstruction.to_report()}
     return _emit_inflow(out, series, report)
 
@@ -293,7 +291,7 @@ def _load_models(path) -> TrainedModels:
 def _load_dataset(args):
     from . import io as iomod
 
-    inflow = iomod.read_inflow_csv(args.inflow, Path(args.inflow).with_name(INFLOW_SIDECAR))
+    inflow = iomod.read_inflow_csv(args.inflow)
     issues = iomod.read_ensemble_csv(args.ensemble)
     reanalysis = iomod.read_reanalysis_csv(args.reanalysis) if getattr(args, "reanalysis", None) else None
     nao = iomod.read_nao_csv(args.nao) if getattr(args, "nao", None) else None
@@ -353,6 +351,9 @@ def cmd_verify(args, cfg, seed: int, out: Path) -> list[str]:
     )
     models, tables, predictions, reanalysis, nao = _scored_inputs(args)
     report = verify_skill(models, tables, predictions, nao=nao, reanalysis=reanalysis, seed=seed, **settings)
+    if not report.skill:
+        least, years = settings["min_cases"], settings["min_clim_years"]
+        raise InputError(f"nothing to score: no horizon has [verification] min_cases = {least} cases with min_climatology_years = {years} years of climatology")
     skill_rows = [
         [var, r.horizon, r.stratum, r.fcrpss, r.se, r.spread, r.skill_class, r.n_cases]
         for var, r in report.skill
@@ -368,7 +369,7 @@ def cmd_verify(args, cfg, seed: int, out: Path) -> list[str]:
     ]
 
 
-def _cost_settings(cfg, seed) -> CostSettings:
+def _cost_settings(cfg) -> CostSettings:
     from .pipeline import CostSettings
 
     cost = partial(_setting, cfg, "cost")
@@ -387,7 +388,6 @@ def _cost_settings(cfg, seed) -> CostSettings:
         **floats,
         differentials=tuple(range(lo, hi + 1, step)),
         n_boot=cost("bootstrap"),
-        seed=seed,
     )
 
 
@@ -396,7 +396,7 @@ def cmd_cost_eval(args, cfg, seed: int, out: Path) -> list[str]:
     from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
     from .pipeline import build_cost_cases
 
-    settings = _cost_settings(cfg, seed)
+    settings = _cost_settings(cfg)
     min_clim_years = _setting(cfg, "verification", "min_climatology_years")
     models, tables, predictions, _, _ = _scored_inputs(args)
     cases = build_cost_cases(models, tables, predictions, settings, min_clim_years=min_clim_years)
@@ -489,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net-head", required=True)
     p.add_argument("--storage", required=True)
     p.add_argument("--compensation", required=True)
-    p.add_argument("--window", choices=["daily", "weekly"], default="daily")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -197,17 +197,20 @@ def stage2_cost(adjustment, observed_energy, env: OperatingEnvelope, prices: Pri
 # ---------------------------------------------------------------------------
 
 
+_GL_NODES = 256  # Gauss-Legendre nodes of a ZAGA forecast's continuous part
+
+
 @lru_cache(maxsize=None)
-def _gl_nodes(n_nodes: int):
+def _gl_nodes():
     from scipy.special import roots_legendre
 
-    x, w = roots_legendre(n_nodes)
+    x, w = roots_legendre(_GL_NODES)
     u, w = 0.5 * (x + 1.0), 0.5 * w  # mapped to (0, 1)
     u.flags.writeable = w.flags.writeable = False  # shared by every caller
     return u, w
 
 
-def forecast_atoms(forecast, env: OperatingEnvelope, n_nodes: int = 256):
+def forecast_atoms(forecast, env: OperatingEnvelope):
     """Represent a forecast as weighted inflow-energy outcomes.
 
     Point forecasts give one atom; discrete forecasts keep their atoms; a
@@ -216,7 +219,7 @@ def forecast_atoms(forecast, env: OperatingEnvelope, n_nodes: int = 256):
     at -offset in inflow units) as an explicit atom.
     """
     if isinstance(forecast, ZagaDistribution):
-        u, w = _gl_nodes(n_nodes)
+        u, w = _gl_nodes()
         cont = gamma_ppf(u, forecast.shape, forecast.scale) - forecast.offset
         values = env.inflow_energy(cont)
         weights = (1.0 - forecast.nu) * w
@@ -230,9 +233,9 @@ def forecast_atoms(forecast, env: OperatingEnvelope, n_nodes: int = 256):
     return np.array([env.inflow_energy(value)]), np.array([1.0])
 
 
-def expected_stage2(adjustment, forecast, env: OperatingEnvelope, prices: PriceConfig, n_nodes: int = 256) -> float:
+def expected_stage2(adjustment, forecast, env: OperatingEnvelope, prices: PriceConfig) -> float:
     """Expected stage-2 cost of an adjustment under a (possibly distributional) forecast."""
-    values, weights = forecast_atoms(forecast, env, n_nodes)
+    values, weights = forecast_atoms(forecast, env)
     a = np.asarray(adjustment, dtype=float)
     costs = stage2_cost(a[..., None], values, env, prices)
     out = costs @ weights
@@ -298,7 +301,6 @@ def optimal_adjustment(
     env: OperatingEnvelope,
     prices: PriceConfig,
     forecast_type: str = "probabilistic",
-    n_nodes: int = 256,
 ) -> AdjustmentDecision:
     """Minimise stage-1 plus expected stage-2 cost over the adjustment range.
 
@@ -308,7 +310,7 @@ def optimal_adjustment(
     within 1e-9 (1 + |F|) of the best F tie, so the decision does not depend
     on the prices.
     """
-    values, weights = forecast_atoms(forecast, env, n_nodes)
+    values, weights = forecast_atoms(forecast, env)
     cand = _breakpoints(values, env)
     obj = _expected_objective(cand, values, weights, env, prices)
     best = obj.min()
@@ -375,7 +377,7 @@ class CostCases:
         return getattr(self, forecast_type)
 
 
-def evaluate_case(forecasts, observed_inflow: float, env: OperatingEnvelope, prices: PriceConfig, n_nodes=256):
+def evaluate_case(forecasts, observed_inflow: float, env: OperatingEnvelope, prices: PriceConfig):
     """Per-case reference: decision and realised cost breakdown for each forecast.
 
     ``forecasts`` maps forecast types to the case's forecasts.
@@ -383,7 +385,7 @@ def evaluate_case(forecasts, observed_inflow: float, env: OperatingEnvelope, pri
     observed = env.inflow_energy(observed_inflow)
     out = {}
     for ftype, forecast in forecasts.items():
-        decision = optimal_adjustment(forecast, env, prices, ftype, n_nodes)
+        decision = optimal_adjustment(forecast, env, prices, ftype)
         out[ftype] = (decision, realized_cost(decision, observed, env, prices))
     return out
 

@@ -121,24 +121,34 @@ def _to_timestamp(raw: str) -> np.datetime64:
 _DATETIME_RANGE = (np.datetime64("0001-01-01T00:00:00"), np.datetime64("9999-12-31T23:59:59"))
 
 
+def _numpy_or_nat(field: str, unit: str) -> np.datetime64:
+    """numpy's ISO reading of one field in ``unit`` (``s`` or ``D``), or NaT where numpy refuses it."""
+    try:
+        return np.datetime64(field, unit)
+    except ValueError:
+        return np.datetime64("NaT", unit)
+
+
 def _to_datetimes(raw, unit: str, one) -> np.ndarray:
     """``one`` of every field of ``raw``, a column, as a ``unit`` array (``_to_date`` for days, ``_to_timestamp`` for seconds).
 
     numpy's ISO parser reads the whole column; a field it reads back to the
     same text (``YYYY-MM-DD`` or ``YYYY-MM-DDTHH:MM:SS``, once stripped of
     blanks and of a ``Z`` after a time), in datetime's range, is one ``one``
-    reads the same.  Every other field, such as one with a UTC offset or one
+    reads the same.  Every other field, such as one with a UTC offset, one
+    numpy refuses (then numpy reads the column again field by field) or one
     that numpy's ``str`` array cuts short at a trailing NUL, goes through ``one``.
     """
     fields = [f[:-1] if f.endswith("Z") and "T" in f else f for f in map(str.strip, raw)]
     text = np.array(fields, dtype=str)
     cut = np.char.str_len(text) != np.fromiter(map(len, fields), int, len(fields))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns of a UTC offset; such a field then reads back differently
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns of a UTC offset; such a field then reads back differently
+        try:
             ts = text.astype(unit)
-    except ValueError:
-        ts = np.full(len(text), np.datetime64("NaT"), dtype=unit)
+        except ValueError:
+            code = np.datetime_data(unit)[0]
+            ts = np.array([_numpy_or_nat(f, code) for f in text.tolist()], dtype=unit)
     lo, hi = _DATETIME_RANGE
     for i in np.flatnonzero(cut | (np.datetime_as_string(ts) != text) | ~((ts >= lo) & (ts <= hi))):
         ts[i] = one(raw[i])
@@ -300,37 +310,16 @@ def read_daily_series_csv(path, value_column: str, date_column: str = "date") ->
     return DailySeries(dates, values)
 
 
-def read_inflow_csv(path, sidecar=None) -> InflowSeries:
-    """`date,inflow_norm`; the JSON sidecar restores the normalisation constant.
-
-    The sidecar, if present, is a JSON object whose `normalization_constant`
-    is a finite positive number and whose `window` is `daily` or `weekly`.
-    """
-    base = read_daily_series_csv(path, "inflow_norm")
-    if sidecar is None or not Path(sidecar).exists():
-        return InflowSeries(base.dates, base.values)
-    meta = read_json(sidecar)
-    if not isinstance(meta, dict):
-        raise InputError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")
-    raw = meta.get("normalization_constant", 1.0)
-    try:
-        norm = float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{sidecar}: normalization_constant: not a number: {raw!r}") from None
-    try:
-        return InflowSeries(base.dates, base.values, normalization_constant=norm, window=meta.get("window", "daily"))
-    except InputError as exc:
-        raise InputError(f"{sidecar}: {exc}") from None
+def read_inflow_csv(path) -> DailySeries:
+    """`date,inflow_norm`: the normalised daily inflow that `reconstruct-inflow` and `synth` write."""
+    return read_daily_series_csv(path, "inflow_norm")
 
 
 def write_inflow_csv(path, series: InflowSeries, sidecar=None, cleaning_report: dict | None = None) -> None:
+    """Write `date,inflow_norm`, and at ``sidecar`` a JSON record of the normalisation constant and cleaning report."""
     _write_csv(path, ["date", "inflow_norm"], _column_lines(series.dates, series.values))
     if sidecar is not None:
-        meta = {
-            "normalization_constant": series.normalization_constant,
-            "window": series.window,
-            "n_values": int(len(series)),
-        }
+        meta = {"normalization_constant": series.normalization_constant, "n_values": int(len(series))}
         if cleaning_report is not None:
             meta["cleaning_report"] = cleaning_report
         write_json(sidecar, meta)

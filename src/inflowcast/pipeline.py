@@ -412,7 +412,6 @@ class CostSettings:
     max_capacity_frac: float = 2.4
     energy_per_inflow_day: float = 10.0  # MWh per unit normalised inflow per day
     n_boot: int = 1000
-    seed: int = 0
 
 
 def build_cost_cases(

@@ -55,22 +55,18 @@ class DailySeries:
 
 @dataclass(frozen=True)
 class InflowSeries(DailySeries):
-    """Aggregated net-inflow series, normalised by its record-wide mean rate.
+    """Daily net-inflow series, normalised by its record-wide mean rate.
 
     ``normalization_constant`` is the mean rate (m3/s) that the stored values
-    were divided by; values are dimensionless and may be negative.  For weekly
-    aggregates the dates are the window start days.
+    were divided by; values are dimensionless and may be negative.
     """
 
     normalization_constant: float = 1.0
-    window: str = "daily"
 
     def __post_init__(self):
         super().__post_init__()
         if not (np.isfinite(self.normalization_constant) and self.normalization_constant > 0):
             raise InputError(f"normalization constant must be finite and positive, got {self.normalization_constant}")
-        if self.window not in ("daily", "weekly"):
-            raise InputError(f"unknown window {self.window!r}")
 
 
 def year_of(day) -> int:

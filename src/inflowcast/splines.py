@@ -27,20 +27,11 @@ def seasonal_phase(dates, period: float = DEFAULT_PERIOD) -> np.ndarray:
     return np.mod(days, period)
 
 
-def _cardinal_b3(u: np.ndarray, deriv: int) -> np.ndarray:
-    """Cardinal cubic B-spline (support |u| < 2) or one of its first two derivatives."""
+def _cardinal_b3(u: np.ndarray) -> np.ndarray:
+    """Cardinal cubic B-spline, supported on |u| < 2."""
     au = np.abs(u)
-    if deriv == 0:
-        inner = 2.0 / 3.0 - au**2 + 0.5 * au**3
-        outer = (2.0 - au) ** 3 / 6.0
-    elif deriv == 1:
-        inner = np.sign(u) * (1.5 * au**2 - 2.0 * au)
-        outer = np.sign(u) * (-0.5) * (2.0 - au) ** 2
-    elif deriv == 2:
-        inner = 3.0 * au - 2.0
-        outer = 2.0 - au
-    else:
-        raise InputError("only derivatives 0..2 are supported")
+    inner = 2.0 / 3.0 - au**2 + 0.5 * au**3
+    outer = (2.0 - au) ** 3 / 6.0
     return np.where(au < 1.0, inner, np.where(au < 2.0, outer, 0.0))
 
 
@@ -61,11 +52,11 @@ class CyclicSplineBasis:
     def knots(self) -> np.ndarray:
         return np.arange(self.n_knots) * self.period / self.n_knots
 
-    def design(self, phase, deriv: int = 0) -> np.ndarray:
-        """Evaluate the basis (or a derivative) at phases; returns (n, n_knots)."""
+    def design(self, phase) -> np.ndarray:
+        """Evaluate the basis at phases; returns (n, n_knots)."""
         phase = np.atleast_1d(np.asarray(phase, dtype=float))
         h = self.period / self.n_knots
         delta = phase[:, None] - self.knots[None, :]
         # wrap signed distances into [-period/2, period/2)
         delta = np.mod(delta + 0.5 * self.period, self.period) - 0.5 * self.period
-        return _cardinal_b3(delta / h, deriv) / h**deriv
+        return _cardinal_b3(delta / h)

@@ -18,6 +18,7 @@ from .series import DailySeries, InflowSeries
 
 WATER_DENSITY = 1000.0  # kg/m3
 GRAVITY = 9.81  # m/s2
+MIN_COVERAGE = 0.8  # share of a day's hourly samples its daily mean needs
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +391,21 @@ def reconstruct_net_inflow(
     )
 
 
-def aggregate_and_normalize(
-    timestamps,
-    values,
-    window: str = "daily",
-    min_coverage: float = 0.8,
-) -> InflowSeries:
-    """Window means of an hourly inflow series, normalised by the record mean.
+def aggregate_and_normalize(timestamps, values) -> InflowSeries:
+    """Daily means of an hourly inflow series, normalised by the record mean.
 
-    Windows with less than ``min_coverage`` of their expected hourly samples
-    are dropped rather than averaged from partial data.  Weekly windows are
-    anchored on Mondays.
+    Days with less than ``MIN_COVERAGE`` of their 24 hourly samples are
+    dropped rather than averaged from partial data.
     """
     timestamps = np.asarray(timestamps, dtype="datetime64[s]")
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise InputError("empty inflow series")
     days = timestamps.astype("datetime64[D]")
-    if window == "daily":
-        labels = days
-        expected = 24
-    elif window == "weekly":
-        # datetime64 day 0 (1970-01-01) was a Thursday; shift so Mondays anchor
-        day_index = days.astype("int64")
-        labels = ((day_index - 4) // 7 * 7 + 4).astype("datetime64[D]")
-        expected = 7 * 24
-    else:
-        raise InputError(f"unknown aggregation window {window!r}")
-
-    uniq, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    uniq, inverse, counts = np.unique(days, return_inverse=True, return_counts=True)
     sums = np.bincount(inverse, weights=values)
     means = sums / counts
-    full = counts >= min_coverage * expected
+    full = counts >= MIN_COVERAGE * 24
     if not full.any():
         raise InputError("no aggregation window reaches the required coverage")
     dates = uniq[full]
@@ -429,7 +413,7 @@ def aggregate_and_normalize(
     norm = float(means.mean())
     if norm <= 0:
         raise InputError("record-mean inflow is not positive; cannot normalise")
-    return InflowSeries(dates, means / norm, normalization_constant=norm, window=window)
+    return InflowSeries(dates, means / norm, normalization_constant=norm)
 
 
 # ---------------------------------------------------------------------------

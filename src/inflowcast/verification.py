@@ -167,6 +167,7 @@ def randomized_pit(mu, sigma, nu, offset, observations, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 EXTENDED_SUMMER = (4, 5, 6, 7, 8, 9)  # April..September; winter is the complement
+NAO_THRESHOLD = 0.4  # a month's NAO phase is positive above it, negative below its negative
 
 
 def majority_month(issue_date, horizon: HorizonSpec) -> tuple[int, int]:
@@ -200,7 +201,6 @@ def stratum_mask(
     season: str = "all",
     nao_condition: str = "any",
     nao: NaoIndex | None = None,
-    nao_threshold: float = 0.4,
 ) -> np.ndarray:
     """Boolean case filter by extended season and/or monthly NAO phase.
 
@@ -222,7 +222,7 @@ def stratum_mask(
         uniq, inverse = np.unique(months, return_inverse=True)
         values = [nao.value(int(m) // 12 + 1970, int(m) % 12 + 1) for m in uniq]
         value = np.array([np.nan if v is None else v for v in values], dtype=float)[inverse]
-        mask &= value > nao_threshold if nao_condition == "positive" else value < -nao_threshold
+        mask &= value > NAO_THRESHOLD if nao_condition == "positive" else value < -NAO_THRESHOLD
     return mask
 
 

@@ -228,6 +228,15 @@ class TestReconstructCommand:
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert abs(sum(values) / len(values) - 1.0) < 1e-9
 
+    def test_weekly_window_is_refused(self, tmp_path, capsys):
+        # the inflow series is daily: --window is no option of reconstruct-inflow
+        tables = [a for t in ("telemetry", "efficiency", "net-head", "storage", "compensation") for a in (f"--{t}", f"{t}.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct-inflow", *tables, "--window", "weekly", "--out", str(tmp_path / "rec")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window weekly" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
+
 
 COMMANDS = ("synth", "reconstruct-inflow", "train", "forecast", "verify", "cost-eval", "report")
 
@@ -459,26 +468,11 @@ class TestErrorPaths:
                 _edit_emos(lambda m: {**m, "beta_mu": m["beta_mu"][:-1]}),
                 "models.json: malformed models file: beta_mu: expected 9 coefficients for 6 knots, got shape (8,)",
             ),
-            ("inflow_meta.json", lambda text: "{bad", "inflow_meta.json: not valid JSON"),
-            ("inflow_meta.json", lambda text: "[1]", "inflow_meta.json: expected a JSON object, got list"),
-            (
-                "inflow_meta.json",
-                lambda text: '{"normalization_constant": "abc"}',
-                "inflow_meta.json: normalization_constant: not a number: 'abc'",
-            ),
-            (
-                "inflow_meta.json",
-                lambda text: '{"normalization_constant": NaN}',
-                "inflow_meta.json: normalization constant must be finite and positive, got nan",
-            ),
         ],
-        ids=[
-            "models_not_json", "models_without_beta_mu", "beta_mu_one_short",
-            "sidecar_not_json", "sidecar_list", "sidecar_norm_abc", "sidecar_norm_nan",
-        ],
+        ids=["models_not_json", "models_without_beta_mu", "beta_mu_one_short"],
     )
     def test_malformed_models_or_sidecar_exits_2(self, run_dir, tmp_path, capsys, command, name, mutate, expected):
-        for copied in ("models.json", "inflow_meta.json", "inflow.csv"):
+        for copied in ("models.json", "inflow.csv"):
             (tmp_path / copied).write_text((run_dir / copied).read_text())
         (tmp_path / name).write_text(mutate((run_dir / name).read_text()))
         rc = main(
@@ -495,6 +489,31 @@ class TestErrorPaths:
         assert f"{tmp_path / name}: " in err
         assert expected in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["forecast", "verify", "cost-eval"])
+    def test_garbled_sidecar_is_not_read(self, config_file, run_dir, tmp_path, command):
+        # inflow_meta.json is a record that synth and reconstruct-inflow write; no command reads it
+        data = tmp_path / "data"
+        data.mkdir()
+        for copied in ("inflow.csv", "inflow_meta.json"):
+            (data / copied).write_bytes((run_dir / copied).read_bytes())
+        outputs = []
+        for out, sidecar in ((tmp_path / "intact", None), (tmp_path / "garbled", "{bad")):
+            if sidecar is not None:
+                (data / "inflow_meta.json").write_text(sidecar)
+            rc = main(
+                [
+                    "--config", config_file, "--seed", "5", command,
+                    "--models", str(run_dir / "models.json"),
+                    "--inflow", str(data / "inflow.csv"),
+                    "--ensemble", str(run_dir / "ensemble.csv"),
+                    "--out", str(out),
+                ]
+            )
+            assert rc == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) >= 2  # the command's outputs and its manifest
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize(
         "name, text, expected",

@@ -627,3 +627,58 @@ class TestBatchedDecisions:
             for ftype, (decision, costs) in reference.items():
                 if ftype != "probabilistic":
                     assert batched[ftype][0][i] == decision.adjustment
+
+
+def random_envelope_cases(rng, n, observed_ratio, climatological, probabilistic) -> CostCases:
+    """``n`` cases with random envelopes; the observation is ``observed_ratio(env)`` times the climatological median.
+
+    ``climatological`` and ``probabilistic`` build those forecasts from the
+    (observed, median) columns.
+    """
+    median = rng.uniform(0.5, 1.5, n)
+    epi = rng.uniform(50.0, 150.0, n)
+    up, down, up2, down2 = rng.uniform(0.05, 0.5, (4, n))
+    env = OperatingEnvelope(
+        clim_generation=median * epi, free_up_frac=up, free_down_frac=down, stage2_up_frac=up2,
+        stage2_down_frac=down2, max_capacity_frac=1.0 + up + rng.uniform(0.1, 2.0, n), energy_per_inflow=epi,
+    )
+    observed = observed_ratio(env) * median
+    return CostCases(
+        issue_dates=np.full(n, np.datetime64("2015-01-05", "D")),
+        horizons=np.full(n, "Forecast Week 1"),
+        observed_inflow=observed,
+        envelope=env,
+        climatological=climatological(observed, median),
+        deterministic=observed,  # perfect information
+        probabilistic=probabilistic(observed, median),
+    )
+
+
+class TestCostPathOnRandomCases:
+    """The acceptance test's fixed-point and dominance checks through the batched path of `cost-eval`."""
+
+    def test_forecasts_at_the_observation_cost_nothing(self, rng):
+        # an observation the free stage-1 band can meet within the stage-2 bands, without spill
+        def reachable(env):
+            lo = np.maximum(1.0 - env.free_down_frac - env.stage2_down_frac, 0.0) + 1e-3
+            hi = np.minimum(1.0 + env.free_up_frac + env.stage2_up_frac, env.max_capacity_frac) - 1e-3
+            return rng.uniform(lo, hi)
+
+        n = 1000
+        sharp = lambda observed, _: ZagaDistribution(observed, np.full(n, 1e-4), np.zeros(n), np.zeros(n))
+        cases = random_envelope_cases(rng, n, reachable, lambda observed, _: observed, sharp)
+        prices = PriceConfig(peak=50.0, differential=rng.uniform(5.0, 100.0, n))
+        for ftype, (_, costs) in evaluate_cases(cases, prices).items():
+            # 0 up to the rounding of a decision at a stage-2 kink
+            assert np.all(costs.total <= 1e-9 * prices.differential), ftype
+            assert np.mean(costs.total == 0.0) > 0.5, ftype
+
+    def test_perfect_information_dominates_climatology_case_wise(self, rng):
+        n = 2000
+        spread = lambda observed, median: ZagaDistribution(median, np.full(n, 0.5), np.full(n, 0.1), np.full(n, 0.1))
+        cases = random_envelope_cases(rng, n, lambda env: rng.uniform(-0.2, env.max_capacity_frac + 0.5), lambda _, median: median, spread)
+        prices = PriceConfig(peak=50.0, differential=rng.uniform(5.0, 100.0, n))
+        costs = {ftype: c.total for ftype, (_, c) in evaluate_cases(cases, prices).items()}
+        clim = costs["climatological"]
+        assert np.all(costs["deterministic"] <= clim + 1e-9 * (prices.differential + np.abs(clim)))
+        assert np.any(costs["deterministic"] < clim)  # the observations leave the climatological band

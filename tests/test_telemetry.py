@@ -193,14 +193,14 @@ class TestCurves:
 class TestAggregation:
     def test_constant_series_normalises_to_one(self):
         ts = np.datetime64("2015-01-01T00:00:00", "s") + np.arange(96) * np.timedelta64(3600, "s")
-        series = aggregate_and_normalize(ts, np.full(96, 7.3), "daily")
+        series = aggregate_and_normalize(ts, np.full(96, 7.3))
         assert_allclose(series.values, 1.0, atol=1e-12)
         assert_allclose(series.normalization_constant, 7.3)
 
     def test_alternating_values(self):
         ts = np.datetime64("2015-01-01T00:00:00", "s") + np.arange(48) * np.timedelta64(3600, "s")
         vals = np.tile([0.0, 2.0], 24)
-        series = aggregate_and_normalize(ts, vals, "daily")
+        series = aggregate_and_normalize(ts, vals)
         assert_allclose(series.values, [1.0, 1.0])
         assert_allclose(series.normalization_constant, 1.0)
 
@@ -208,7 +208,7 @@ class TestAggregation:
         n = 24 * 11
         ts = np.datetime64("2015-03-01T00:00:00", "s") + np.arange(n) * np.timedelta64(3600, "s")
         vals = rng.normal(5.0, 1.0, n)
-        series = aggregate_and_normalize(ts, vals, "daily")
+        series = aggregate_and_normalize(ts, vals)
         # naive loop oracle
         expected = [vals[d * 24 : (d + 1) * 24].mean() for d in range(11)]
         norm = np.mean(expected)
@@ -217,28 +217,23 @@ class TestAggregation:
     def test_incomplete_window_dropped(self):
         n = 24 + 6  # one full day plus a partial one
         ts = np.datetime64("2015-01-01T00:00:00", "s") + np.arange(n) * np.timedelta64(3600, "s")
-        series = aggregate_and_normalize(ts, np.full(n, 3.0), "daily")
+        series = aggregate_and_normalize(ts, np.full(n, 3.0))
         assert len(series) == 1
 
-    def test_weekly_windows_start_on_mondays_and_need_80_percent_of_168_hours(self):
-        # Thu 2015-01-01 starts a 96-hour stub of the week of Mon 2014-12-29; the
-        # weeks of Mon 01-05, 01-12 and 01-19 then hold 168, 135 and 134 hours
+    def test_days_need_80_percent_of_24_hours(self):
+        # 0.8 * 24 = 19.2 hours: 20 are enough, 19 are not
         hour = np.timedelta64(3600, "s")
-        starts = ["2015-01-01", "2015-01-05", "2015-01-12", "2015-01-19"]
-        lengths, levels = [96, 168, 135, 134], [100.0, 2.0, 4.0, 9.0]
+        starts, lengths, levels = ["2015-01-01", "2015-01-02", "2015-01-03"], [24, 20, 19], [1.0, 3.0, 50.0]
         ts = np.concatenate([np.datetime64(s, "s") + np.arange(n) * hour for s, n in zip(starts, lengths)])
-        vals = np.repeat(levels, lengths)
-        series = aggregate_and_normalize(ts, vals, "weekly")
-        # 0.8 * 168 = 134.4 hours: 135 are enough, 134 are not
-        assert series.dates.tolist() == [dt.date(2015, 1, 5), dt.date(2015, 1, 12)]
-        assert series.window == "weekly"
-        assert series.normalization_constant == 3.0
-        assert_allclose(series.values, [2.0 / 3.0, 4.0 / 3.0], rtol=1e-15)
+        series = aggregate_and_normalize(ts, np.repeat(levels, lengths))
+        assert series.dates.tolist() == [dt.date(2015, 1, 1), dt.date(2015, 1, 2)]
+        assert series.normalization_constant == 2.0
+        assert_allclose(series.values, [0.5, 1.5], rtol=1e-15)
 
     def test_record_mean_of_normalised_is_one(self, rng):
         n = 24 * 40
         ts = np.datetime64("2015-01-01T00:00:00", "s") + np.arange(n) * np.timedelta64(3600, "s")
-        series = aggregate_and_normalize(ts, rng.gamma(2.0, 3.0, n), "daily")
+        series = aggregate_and_normalize(ts, rng.gamma(2.0, 3.0, n))
         assert abs(series.values.mean() - 1.0) < 1e-9
 
 
