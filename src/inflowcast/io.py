@@ -3,12 +3,12 @@
 Readers give line-numbered diagnostics on malformed rows.  The ensemble,
 telemetry and daily-series readers parse their columns with one
 ``np.loadtxt`` and scan row by row only to name the first bad line.  The
-telemetry and daily-series readers share ``_read_series``: it reads the
-timestamp or date column as text, which ``_to_datetimes`` parses as one
-column, field by field only where numpy's reading is not the standard
-library's.  The JSON and string-table helpers (``read_json``,
-``write_json``, ``read_table_csv``) live in ``textio``, which needs no numpy,
-and are imported here with the header and row checks the readers share.
+telemetry and daily-series readers share ``_read_series``.  Every date is
+parsed by ``date.fromisoformat`` (``_to_date``) and every timestamp by
+``datetime.fromisoformat`` (``_to_timestamp``), one field at a time.  The
+JSON and string-table helpers (``read_json``, ``write_json``,
+``read_table_csv``) live in ``textio``, which needs no numpy, and are
+imported here with the header and row checks the readers share.
 
 Writers write the bytes of the ``csv`` module's default dialect: ``,``
 between fields, CRLF line ends and minimal quoting (a field holding a
@@ -25,19 +25,17 @@ import math
 import warnings
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import EnsemblePrecipForecast, NaoIndex
 from .errors import InputError
 from .series import DailySeries, InflowSeries
-from .telemetry import (
-    CompensationSchedule,
-    GridTable,
-    StorageCurve,
-    TelemetrySeries,
-)
 from .textio import _check_bytes, _converted, _header, _parse, _parse_finite, _require, _rows, read_json, read_table_csv, write_json
+
+if TYPE_CHECKING:
+    from .telemetry import CompensationSchedule, GridTable, StorageCurve, TelemetrySeries
 
 
 _BLOCK_ROWS = 256  # rows a writer formats and writes at a time, so its memory stays flat
@@ -117,44 +115,6 @@ def _to_timestamp(raw: str) -> np.datetime64:
     return np.datetime64(t.replace(tzinfo=None), "s") - np.timedelta64(offset // dt.timedelta(seconds=1), "s")
 
 
-# the instants a datetime.datetime can hold, to the second
-_DATETIME_RANGE = (np.datetime64("0001-01-01T00:00:00"), np.datetime64("9999-12-31T23:59:59"))
-
-
-def _numpy_or_nat(field: str, unit: str) -> np.datetime64:
-    """numpy's ISO reading of one field in ``unit`` (``s`` or ``D``), or NaT where numpy refuses it."""
-    try:
-        return np.datetime64(field, unit)
-    except ValueError:
-        return np.datetime64("NaT", unit)
-
-
-def _to_datetimes(raw, unit: str, one) -> np.ndarray:
-    """``one`` of every field of ``raw``, a column, as a ``unit`` array (``_to_date`` for days, ``_to_timestamp`` for seconds).
-
-    numpy's ISO parser reads the whole column; a field it reads back to the
-    same text (``YYYY-MM-DD`` or ``YYYY-MM-DDTHH:MM:SS``, once stripped of
-    blanks and of a ``Z`` after a time), in datetime's range, is one ``one``
-    reads the same.  Every other field, such as one with a UTC offset, one
-    numpy refuses (then numpy reads the column again field by field) or one
-    that numpy's ``str`` array cuts short at a trailing NUL, goes through ``one``.
-    """
-    fields = [f[:-1] if f.endswith("Z") and "T" in f else f for f in map(str.strip, raw)]
-    text = np.array(fields, dtype=str)
-    cut = np.char.str_len(text) != np.fromiter(map(len, fields), int, len(fields))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns of a UTC offset; such a field then reads back differently
-        try:
-            ts = text.astype(unit)
-        except ValueError:
-            code = np.datetime_data(unit)[0]
-            ts = np.array([_numpy_or_nat(f, code) for f in text.tolist()], dtype=unit)
-    lo, hi = _DATETIME_RANGE
-    for i in np.flatnonzero(cut | (np.datetime_as_string(ts) != text) | ~((ts >= lo) & (ts <= hi))):
-        ts[i] = one(raw[i])
-    return ts
-
-
 # ---------------------------------------------------------------------------
 # telemetry and curves
 # ---------------------------------------------------------------------------
@@ -163,25 +123,25 @@ def _to_datetimes(raw, unit: str, one) -> np.ndarray:
 def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], finite: bool, not_after: str):
     """Columns ``key`` (``unit`` dates from ``to_key``, strictly increasing) and ``values`` (floats) of a CSV, by header name, as arrays.
 
-    One ``np.loadtxt`` reads them into a structured array, the key as text
-    (the last of a repeated name wins, as in csv.DictReader), and
-    ``_to_datetimes`` parses the key column as ``to_key`` would field by field.
-    The order and, if ``finite``, the finiteness are checked on whole columns.
-    A file that fails to parse or a check is scanned row by row only to name
-    the first bad line, by the rules in row order: the key, its order against
-    the previous row (``not_after`` is the message), then each value.
+    One ``np.loadtxt`` reads them into a structured array (the last of a
+    repeated name wins, as in csv.DictReader), with ``to_key`` as the key
+    column's converter.  The order and, if ``finite``, the finiteness are
+    checked on whole columns.  A file that fails to parse or a check is
+    scanned row by row only to name the first bad line, by the rules in row
+    order: the key, its order against the previous row (``not_after`` is the
+    message), then each value.
     """
     path = Path(path)
     header, skip = _header(path, (key, *values))
     where = {name: i for i, name in enumerate(header)}
     cols = [where[c] for c in (key, *values)]
-    dtype = [(key, object)] + [(c, float) for c in values]
-    converters = {i: float for i in cols} | {cols[0]: str}
+    dtype = [(key, unit)] + [(c, float) for c in values]
+    converters = {i: float for i in cols} | {cols[0]: to_key}
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, converters=converters, ndmin=1)
-        keys = _to_datetimes(rows[key], unit, to_key)
+        keys = rows[key]
         if np.any(keys[1:] <= keys[:-1]) or finite and not all(np.isfinite(rows[c]).all() for c in values):
             raise ValueError("a value out of order or range")
     except ValueError as exc:
@@ -204,6 +164,8 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
 
 def read_telemetry_csv(path) -> TelemetrySeries:
     """`timestamp,water_level_m,power_w` with ISO-8601 UTC timestamps."""
+    from .telemetry import TelemetrySeries
+
     not_after = "telemetry timestamps must be strictly increasing: {} is not after {}"
     columns = ("water_level_m", "power_w")
     ts, level, power = _read_series(path, "timestamp", _to_timestamp, "datetime64[s]", columns, False, not_after)
@@ -227,6 +189,8 @@ def _construct(path, cls, *arrays):
 
 def read_grid_table_csv(path) -> GridTable:
     """Rectangular grid: header `power_w,<level>,...`, one row per power value; both axes strictly increasing."""
+    from .telemetry import GridTable
+
     path = _require(Path(path))
     _check_bytes(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -267,6 +231,8 @@ def write_grid_table_csv(path, table: GridTable) -> None:
 
 def read_storage_csv(path) -> StorageCurve:
     """`level_m,volume_m3`, finite and strictly increasing, at least 2 rows."""
+    from .telemetry import StorageCurve
+
     levels, volumes = [], []
     for lineno, row in _rows(Path(path), ("level_m", "volume_m3")):
         levels.append(_parse_finite(path, lineno, row, "level_m"))
@@ -282,6 +248,8 @@ def write_storage_csv(path, curve: StorageCurve) -> None:
 
 def read_compensation_csv(path) -> CompensationSchedule:
     """`start_date,end_date,flow_m3s`, non-overlapping date ranges, finite flows."""
+    from .telemetry import CompensationSchedule
+
     starts, ends, rates = [], [], []
     for lineno, row in _rows(Path(path), ("start_date", "end_date", "flow_m3s")):
         starts.append(_parse(path, lineno, row, "start_date", _to_date))
@@ -302,9 +270,9 @@ def write_compensation_csv(path, schedule: CompensationSchedule) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_daily_series_csv(path, value_column: str, date_column: str = "date") -> DailySeries:
-    """`<date_column>,<value_column>`; dates must increase, values must be finite (they may be negative)."""
-    dates, values = _read_series(path, date_column, _to_date, "datetime64[D]", (value_column,), True, "date {} is not after {}")
+def read_daily_series_csv(path, value_column: str) -> DailySeries:
+    """`date,<value_column>`; dates must increase, values must be finite (they may be negative)."""
+    dates, values = _read_series(path, "date", _to_date, "datetime64[D]", (value_column,), True, "date {} is not after {}")
     if not len(dates):
         raise InputError(f"{path}: no rows")
     return DailySeries(dates, values)

@@ -141,15 +141,15 @@ class ReliabilityDiagram:
     n_cases: int
 
 
-def reliability_diagram(observations, quantiles, levels=DEFAULT_LEVELS, min_cases: int = RELIABILITY_MIN_CASES) -> ReliabilityDiagram:
+def reliability_diagram(observations, quantiles, levels=DEFAULT_LEVELS) -> ReliabilityDiagram:
     """Empirical coverage of predictive quantiles: share of observations <= Q(level)."""
     y = np.asarray(observations, dtype=float)
     q = np.asarray(quantiles, dtype=float)
     levels = np.asarray(levels, dtype=float)
     if q.shape != (len(y), len(levels)):
         raise InputError("quantiles must have shape (n_cases, n_levels)")
-    if len(y) < min_cases:
-        raise InputError(f"{len(y)} cases is below the minimum of {min_cases}")
+    if len(y) < RELIABILITY_MIN_CASES:
+        raise InputError(f"{len(y)} cases is below the minimum of {RELIABILITY_MIN_CASES}")
     coverage = (y[:, None] <= q).mean(axis=0)
     return ReliabilityDiagram(levels=levels, coverage=coverage, n_cases=len(y))
 

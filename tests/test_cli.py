@@ -698,3 +698,16 @@ def test_train_leaves_out_scipy_optimize(tmp_path):
         "print('scipy.optimize' in sys.modules)"
     )
     assert _python(code, cwd=tmp_path) == "False"
+
+
+def test_scoring_commands_leave_out_telemetry(tmp_path, tiny_run):
+    # io imports the telemetry types only in the readers of plant files and telemetry
+    args = _command_args(tiny_run, tmp_path)
+    commands = [[c, *args[c], "--out", c] for c in ("train", "forecast", "verify", "cost-eval")]
+    config = ["--config", str(tiny_run / "run.ini"), "--seed", "3"]
+    code = (
+        "import sys; from inflowcast.cli import main; "
+        f"codes = [main([*{config!r}, *c]) for c in {commands!r}]; "
+        "print(codes, 'inflowcast.telemetry' in sys.modules)"
+    )
+    assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0] False"

@@ -467,6 +467,17 @@ def exact_objective(adjustment, dist: ZagaDistribution, env: OperatingEnvelope) 
     return stage1 + over + 0.5 * under
 
 
+UNIT_DIFFERENTIAL = PriceConfig(peak=0.0, differential=1.0)  # prices at which the cost is F(A)
+
+
+def exact_objectives(adjustments, forecast, env: OperatingEnvelope) -> np.ndarray:
+    """F(A) at each of ``adjustments``: ``exact_objective`` for a ZAGA forecast, the cost at the point for a point forecast."""
+    if isinstance(forecast, ZagaDistribution):
+        return np.array([exact_objective(a, forecast, env) for a in adjustments])
+    at_point = env.inflow_energy(forecast)
+    return stage1_cost(adjustments, env, UNIT_DIFFERENTIAL) + stage2_cost(adjustments, at_point, env, UNIT_DIFFERENTIAL)
+
+
 def gathered_sweep(cases, totals, peak, n_boot, seed, min_cases):
     """The sweep's bootstrap by gathers: every group's (n_boot, n) draw matrix at once, one gather per column.
 
@@ -574,14 +585,15 @@ class TestBatchedDecisions:
     @settings(max_examples=40, deadline=None)
     @given(batch_cases())
     def test_zaga_decisions_minimise_the_exact_objective(self, cases):
-        adjustments = optimal_adjustments(stack(cases), "probabilistic")
-        for case, a in zip(cases, adjustments):
-            env, dist = case.envelope, case.probabilistic
-            assert env.a_min <= a <= env.a_max
-            reference = optimal_adjustment(dist, env, PRICES).adjustment
-            grid = np.linspace(env.a_min, env.a_max, 2001)
-            best = min(exact_objective(x, dist, env) for x in (reference, *grid))
-            assert exact_objective(a, dist, env) <= best + 1e-9 * (1.0 + abs(best)), (a, reference)
+        # the point forecasts' decisions too, each against its own exact objective
+        table = stack(cases)
+        for ftype in FORECAST_TYPES:
+            for case, a in zip(cases, optimal_adjustments(table, ftype)):
+                env, forecast = case.envelope, case.forecast(ftype)
+                assert env.a_min <= a <= env.a_max
+                reference = optimal_adjustment(forecast, env, PRICES).adjustment
+                best = exact_objectives([reference, *np.linspace(env.a_min, env.a_max, 2001)], forecast, env).min()
+                assert exact_objectives([a], forecast, env)[0] <= best + 1e-9 * (1.0 + abs(best)), (ftype, a, reference)
 
     def test_clipped_optimum_at_a_min(self):
         # every outcome lies below the stage-2 down band even at A = -1, and the

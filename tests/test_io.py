@@ -17,17 +17,6 @@ from inflowcast.synth import demo_plant_curves, simulate_telemetry
 from inflowcast.verification import NaoIndex
 
 
-def assert_column_parse_matches(unit, one, fields, refused):
-    """The column parse takes numpy's ISO reading only for fields that read back to themselves."""
-    column = np.array(fields, dtype=object)
-    assert iomod._to_datetimes(column, unit, one).tolist() == [one(f).tolist() for f in fields]
-    for field in refused:
-        with pytest.raises(ValueError):
-            one(field)
-        with pytest.raises(ValueError):
-            iomod._to_datetimes(np.array([*fields[:2], field], dtype=object), unit, one)
-
-
 class TestTelemetryCsv:
     def test_round_trip(self, tmp_path):
         sim = simulate_telemetry(n_hours=30, seed=1)
@@ -80,31 +69,32 @@ class TestTelemetryCsv:
         assert str(iomod.read_telemetry_csv(path).timestamps[0]) == "0000-12-31T23:30:00"
 
     @pytest.mark.filterwarnings("error")
-    def test_column_parse_matches_the_field_parser(self):
-        fields = [
+    @pytest.mark.parametrize(
+        "field",
+        [
             "2015-01-01T00:00:00", "2015-01-01T00:00:00Z", " 2015-01-01T01:00:00Z ", "2015-01-01 02:00:00",
             "2015-01-01T03:00", "2015-01-02", "2015-01-01T04:00:00+01:00", "2015-01-01T00:00:00.5",
             "20150103T000000", "0001-01-01T00:00:00", "9999-12-31T23:59:59", "2016-02-29T00:00:00",
-        ]
-        refused = ["NaT", "", "now", "2015", "2015-01", "2015-13-01T00:00:00", "0000-01-01T00:00:00",
-                   "10000-01-01T00:00:00", "2015-02-29T00:00:00", "2015-01-01T00:00:60", "2015-01-01T00:00:00 Z"]
-        assert_column_parse_matches("datetime64[s]", iomod._to_timestamp, fields, refused)
+        ],
+    )
+    def test_accepted_timestamp_reads_as_the_field_parser(self, tmp_path, field):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(f"timestamp,water_level_m,power_w\n{field},200.0,1e6\n")
+        stamps = iomod.read_telemetry_csv(path).timestamps
+        assert stamps.dtype == np.dtype("datetime64[s]")
+        assert stamps.tolist() == [iomod._to_timestamp(field).tolist()]
 
     @pytest.mark.filterwarnings("error")
-    def test_a_field_numpy_refuses_is_the_only_one_parsed_alone(self):
-        # numpy's column cast refuses the compact form; the 8,736 canonical fields keep numpy's reading
-        hours = np.datetime64("2015-01-01T00:00:00") + np.arange(8736) * np.timedelta64(3600, "s")
-        fields = [f"{t}Z" for t in hours.astype(str)] + ["20150105T040000"]
-        calls = []
-
-        def one(raw):
-            calls.append(raw)
-            return iomod._to_timestamp(raw)
-
-        parsed = iomod._to_datetimes(np.array(fields, dtype=object), "datetime64[s]", one)
-        assert calls == ["20150105T040000"]
-        assert parsed.dtype == np.dtype("datetime64[s]")
-        assert parsed.tolist() == [iomod._to_timestamp(f).tolist() for f in fields]
+    @pytest.mark.parametrize(
+        "field",
+        ["NaT", "", "now", "2015", "2015-01", "2015-13-01T00:00:00", "0000-01-01T00:00:00",
+         "10000-01-01T00:00:00", "2015-02-29T00:00:00", "2015-01-01T00:00:60", "2015-01-01T00:00:00 Z"],
+    )
+    def test_refused_timestamp_names_its_line(self, tmp_path, field):
+        path = tmp_path / "telemetry.csv"
+        path.write_text(f"timestamp,water_level_m,power_w\n{field},200.0,1e6\n")
+        with pytest.raises(InputError, match=rf"^{path}:2: bad value {re.escape(repr(field))} in column 'timestamp'"):
+            iomod.read_telemetry_csv(path)
 
     @pytest.mark.parametrize("second", ["2015-01-01T00:00:00Z", "2014-12-31T23:00:00Z"])
     def test_repeated_or_reversed_timestamp_names_its_line(self, tmp_path, second):
@@ -518,11 +508,25 @@ class TestUndecodableInput:
 
 class TestDailySeriesCsv:
     @pytest.mark.filterwarnings("error")
-    def test_date_column_parse_matches_the_field_parser(self):
-        fields = ["2015-01-05", " 2015-01-05 ", "20150105", "2016-02-29", "0001-01-01", "9999-12-31"]
-        refused = ["NaT", "", "0000-01-01", "10000-01-01", "2015-02-29", "today", "2015-01-05Z",
-                   "2015-01-05T00:00:00", "2015-01-05T00:00:00Z"]
-        assert_column_parse_matches("datetime64[D]", iomod._to_date, fields, refused)
+    @pytest.mark.parametrize("field", ["2015-01-05", " 2015-01-05 ", "20150105", "2016-02-29", "0001-01-01", "9999-12-31"])
+    def test_accepted_date_reads_as_the_field_parser(self, tmp_path, field):
+        path = tmp_path / "inflow.csv"
+        path.write_text(f"date,inflow_norm\n{field},0.5\n")
+        dates = iomod.read_inflow_csv(path).dates
+        assert dates.dtype == np.dtype("datetime64[D]")
+        assert dates.tolist() == [iomod._to_date(field).tolist()]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field",
+        ["NaT", "", "0000-01-01", "10000-01-01", "2015-02-29", "today", "2015-01-05Z",
+         "2015-01-05T00:00:00", "2015-01-05T00:00:00Z"],
+    )
+    def test_refused_date_names_its_line(self, tmp_path, field):
+        path = tmp_path / "inflow.csv"
+        path.write_text(f"date,inflow_norm\n{field},0.5\n")
+        with pytest.raises(InputError, match=rf"^{path}:2: bad value {re.escape(repr(field))} in column 'date'"):
+            iomod.read_inflow_csv(path)
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_names_its_line(self, tmp_path, raw):
