@@ -25,7 +25,7 @@ forecast, a ZAGA forecast being cut into Gauss-Legendre atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -202,9 +202,7 @@ _GL_NODES = 256  # Gauss-Legendre nodes of a ZAGA forecast's continuous part
 
 @lru_cache(maxsize=None)
 def _gl_nodes():
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(_GL_NODES)
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
     u, w = 0.5 * (x + 1.0), 0.5 * w  # mapped to (0, 1)
     u.flags.writeable = w.flags.writeable = False  # shared by every caller
     return u, w
@@ -394,21 +392,31 @@ def evaluate_case(forecasts, observed_inflow: float, env: OperatingEnvelope, pri
 # batched decisions: one optimal adjustment per (case, forecast type)
 # ---------------------------------------------------------------------------
 
-_HALVINGS = 60  # bisection steps: a bracket of width w closes to w * 2**-60
+_DECISION_TOL = 1e-14  # a decision is final once its bracket, or its Newton step, is this narrow
+_MAX_STEPS = 100  # more than the 47 halvings that close a bracket of width 1.4 to the tolerance
+_GAP_ROUNDING = 4.0 * np.finfo(float).eps  # h is a difference of probabilities, each rounded
 
 
-def _fractile_gap(adjustment, dist: ZagaDistribution, env: OperatingEnvelope) -> np.ndarray:
-    """h(A): the slope of the expected stage-2 cost per unit differential, over clim generation.
+def _fractile_gap(adjustment, dist: ZagaDistribution, env: OperatingEnvelope):
+    """h(A) and its derivative: h is the slope of the expected stage-2 cost per unit differential, over clim generation.
 
     ``h(A) = P(I <= (1 + A - down) c) / 2 - P(I > (1 + A + up) c) [(1 + A + up) c < cap]``,
     the right derivative of the expected underage (half rate) and off-peak
-    overage; ``dist`` and ``env`` hold one entry per case.
+    overage; ``dist`` and ``env`` hold one entry per case.  The derivative
+    takes the forecast density at both points (the indicator's jump aside).
     """
     c = env.clim_generation
-    under = dist.cdf((1.0 + adjustment - env.stage2_down_frac) * c / env.energy_per_inflow)
+    bottom = (1.0 + adjustment - env.stage2_down_frac) * c / env.energy_per_inflow
     top = (1.0 + adjustment + env.stage2_up_frac) * c
-    over = np.where(top < env.capacity_energy, 1.0 - dist.cdf(top / env.energy_per_inflow), 0.0)
-    return 0.5 * under - over
+    below_cap = top < env.capacity_energy
+    over = np.where(below_cap, 1.0 - dist.cdf(top / env.energy_per_inflow), 0.0)
+    slope = 0.5 * dist.pdf(bottom) + np.where(below_cap, dist.pdf(top / env.energy_per_inflow), 0.0)
+    return 0.5 * dist.cdf(bottom) - over, slope * c / env.energy_per_inflow
+
+
+def _envelope_at(env: OperatingEnvelope, idx, n: int) -> OperatingEnvelope:
+    """The envelope of the cases ``idx`` of ``n``."""
+    return OperatingEnvelope(**{f.name: np.broadcast_to(getattr(env, f.name), n)[idx] for f in fields(env)})
 
 
 def optimal_adjustments(cases: CostCases, forecast_type: str) -> np.ndarray:
@@ -425,9 +433,12 @@ def optimal_adjustments(cases: CostCases, forecast_type: str) -> np.ndarray:
     For a point forecast h is -1 below the over kink A1, 0 up to the under
     kink A2 and 1/2 beyond, so the decision is ``clip(clip(0, A1, A2), lo,
     hi)``, with the kinks of ``_breakpoints``, or 0 where F(0) is within
-    1e-9 (1 + F) of it (a kink that rounding moved off 0).  For ZAGA forecasts a
-    vectorised bisection finds ``inf{A > 0: h >= 0}`` when ``h(0) < 0`` and
-    ``sup{A < 0: h <= 0}`` otherwise.
+    1e-9 (1 + F) of it (a kink that rounding moved off 0).  For ZAGA forecasts
+    the decision is ``inf{A > 0: h >= 0}`` when ``h(0) < 0`` and ``sup{A < 0:
+    h <= 0}`` otherwise.  Each case keeps a bracket that holds it and steps by
+    Newton's method inside the bracket, halving it where the step leaves it
+    (where h is flat or jumps); it stops when the bracket or the Newton step
+    is narrower than ``_DECISION_TOL``, or where h is within its rounding.
     """
     env = cases.envelope
     lo = np.maximum(-env.free_down_frac, env.a_min)
@@ -445,21 +456,38 @@ def optimal_adjustments(cases: CostCases, forecast_type: str) -> np.ndarray:
         f_a, f_0 = (stage1_cost(x, env, unit) + stage2_cost(x, values, env, unit) for x in (a, np.zeros_like(a)))
         return np.where(f_0 <= f_a + 1e-9 * (1.0 + f_a), 0.0, a)
 
-    rising = _fractile_gap(0.0, forecast, env) < 0  # F falls to the right of 0
-
-    def below(a):  # A lies below the decision
-        h = _fractile_gap(a, forecast, env)
-        return np.where(rising, h < 0, h <= 0)
-
-    # bracket [a, b] with the decision in (a, b]; a range end that h does not
-    # cross is the decision itself
-    a = np.where(rising, 0.0, lo)
-    b = np.where(rising, hi, np.where(below(lo), 0.0, lo))
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (a + b)
-        low = below(mid)
-        a, b = np.where(low, mid, a), np.where(low, b, mid)
-    return b
+    n = len(cases)
+    h, slope = _fractile_gap(0.0, forecast, env)
+    rising = h < 0  # F falls to the right of 0
+    end = np.broadcast_to(np.where(rising, hi, lo), n)
+    # a range end that h does not cross is the decision itself
+    h_end = _fractile_gap(end, forecast, env)[0]
+    out = end.copy()
+    idx = np.flatnonzero(np.where(rising, h_end >= 0, h_end <= 0))
+    # bracket [a, b] with the decision in (a, b], and the first step from 0
+    rising, h, slope = rising[idx], h[idx], slope[idx]
+    a, b = np.where(rising, 0.0, end[idx]), np.where(rising, end[idx], 0.0)
+    x = np.zeros(idx.size)
+    for _ in range(_MAX_STEPS):
+        with np.errstate(all="ignore"):  # a flat h gives an infinite or undefined step, which leaves the bracket
+            step = h / slope
+        new = x - step
+        # converged where the step is below the tolerance, or h below its own rounding on a slope
+        converged = (np.abs(step) <= _DECISION_TOL) | ((np.abs(h) <= _GAP_ROUNDING) & (slope > 0))  # NaN fails
+        done = converged | (b - a <= _DECISION_TOL)
+        out[idx[done]] = np.where(converged, np.clip(new, a, b), b)[done]
+        keep = ~done
+        if not keep.any():
+            break
+        inside = (new > a) & (new < b)  # NaN fails
+        x = np.where(inside, new, 0.5 * (a + b))[keep]
+        idx, rising, a, b = idx[keep], rising[keep], a[keep], b[keep]
+        h, slope = _fractile_gap(x, forecast[idx], _envelope_at(env, idx, n))
+        low = np.where(rising, h < 0, h <= 0)  # x lies below the decision
+        a, b = np.where(low, x, a), np.where(low, b, x)
+    else:
+        out[idx] = b
+    return out
 
 
 def evaluate_cases(cases: CostCases, prices: PriceConfig, adjustments=None):

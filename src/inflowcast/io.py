@@ -4,8 +4,10 @@ Readers give line-numbered diagnostics on malformed rows.  The ensemble,
 telemetry and daily-series readers parse their columns with one
 ``np.loadtxt`` and scan row by row only to name the first bad line.  The
 telemetry and daily-series readers share ``_read_series``.  Every date is
-parsed by ``date.fromisoformat`` (``_to_date``) and every timestamp by
-``datetime.fromisoformat`` (``_to_timestamp``), one field at a time.  The
+parsed by ``date.fromisoformat`` and every timestamp by
+``datetime.fromisoformat``, one field at a time; the series readers take
+them as integer days (``_date_days``) or seconds (``_timestamp_seconds``)
+since 1970.  The
 JSON and string-table helpers (``read_json``, ``write_json``,
 ``read_table_csv``) live in ``textio``, which needs no numpy, and are
 imported here with the header and row checks the readers share.
@@ -98,21 +100,38 @@ def _first_bad_row(path: Path, problem) -> InputError | None:
     return None
 
 
-def _to_date(raw: str) -> np.datetime64:
-    return np.datetime64(dt.date.fromisoformat(raw.strip()), "D")
+_EPOCH = dt.datetime(1970, 1, 1)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
+_SECOND = dt.timedelta(seconds=1)
 
 
-def _to_timestamp(raw: str) -> np.datetime64:
+def _date_days(raw: str) -> int:
+    """Days since 1970-01-01 of an ISO-8601 date."""
+    return dt.date.fromisoformat(raw.strip()).toordinal() - _EPOCH_ORDINAL
+
+
+def _timestamp_seconds(raw: str) -> int:
+    """Seconds since 1970-01-01T00:00 of an ISO-8601 timestamp; one with an offset is shifted to UTC.
+
+    Integer arithmetic on the parsed fields reaches the instants before year 1
+    that ``datetime.astimezone`` cannot, and builds no numpy scalar per field.
+    """
     s = raw.strip()
     if s.endswith("Z"):
         s = s[:-1]
     t = dt.datetime.fromisoformat(s)
     offset = t.utcoffset()
     if offset is None:
-        return np.datetime64(t, "s")
-    # numpy warns on an aware datetime: shift its wall time to UTC instead (in numpy, which
-    # also reaches the instants before year 1 that datetime.astimezone cannot)
-    return np.datetime64(t.replace(tzinfo=None), "s") - np.timedelta64(offset // dt.timedelta(seconds=1), "s")
+        return (t - _EPOCH) // _SECOND
+    return (t.replace(tzinfo=None) - _EPOCH) // _SECOND - offset // _SECOND
+
+
+def _to_date(raw: str) -> np.datetime64:
+    return np.datetime64(_date_days(raw), "D")
+
+
+def _to_timestamp(raw: str) -> np.datetime64:
+    return np.datetime64(_timestamp_seconds(raw), "s")
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +140,12 @@ def _to_timestamp(raw: str) -> np.datetime64:
 
 
 def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], finite: bool, not_after: str):
-    """Columns ``key`` (``unit`` dates from ``to_key``, strictly increasing) and ``values`` (floats) of a CSV, by header name, as arrays.
+    """Columns ``key`` (``unit`` dates, strictly increasing) and ``values`` (floats) of a CSV, by header name, as arrays.
 
     One ``np.loadtxt`` reads them into a structured array (the last of a
     repeated name wins, as in csv.DictReader), with ``to_key`` as the key
-    column's converter.  The order and, if ``finite``, the finiteness are
+    column's converter: it gives the integer count of ``unit``'s steps since
+    1970, which the int64 column is then viewed as.  The order and, if ``finite``, the finiteness are
     checked on whole columns.  A file that fails to parse or a check is
     scanned row by row only to name the first bad line, by the rules in row
     order: the key, its order against the previous row (``not_after`` is the
@@ -135,7 +155,7 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
     header, skip = _header(path, (key, *values))
     where = {name: i for i, name in enumerate(header)}
     cols = [where[c] for c in (key, *values)]
-    dtype = [(key, unit)] + [(c, float) for c in values]
+    dtype = [(key, np.int64)] + [(c, float) for c in values]
     converters = {i: float for i in cols} | {cols[0]: to_key}
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
@@ -150,7 +170,7 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
         def problem(row):
             k, message = _converted(row, key, to_key)
             if message or (previous and k <= previous[0]):
-                return message or not_after.format(k, previous[0])
+                return message or not_after.format(*np.array([k, previous[0]]).view(unit))
             previous[:] = [k]
             for c in values:
                 v, message = _converted(row, c, float)
@@ -159,7 +179,7 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
             return None
 
         raise _first_bad_row(path, problem) or InputError(f"{path}: {exc}") from None
-    return [np.ascontiguousarray(keys), *(np.ascontiguousarray(rows[c]) for c in values)]
+    return [np.ascontiguousarray(keys).view(unit), *(np.ascontiguousarray(rows[c]) for c in values)]
 
 
 def read_telemetry_csv(path) -> TelemetrySeries:
@@ -168,7 +188,7 @@ def read_telemetry_csv(path) -> TelemetrySeries:
 
     not_after = "telemetry timestamps must be strictly increasing: {} is not after {}"
     columns = ("water_level_m", "power_w")
-    ts, level, power = _read_series(path, "timestamp", _to_timestamp, "datetime64[s]", columns, False, not_after)
+    ts, level, power = _read_series(path, "timestamp", _timestamp_seconds, "datetime64[s]", columns, False, not_after)
     if not len(ts):
         raise InputError(f"{path}: no telemetry rows")
     return TelemetrySeries(ts, level, power)
@@ -272,7 +292,7 @@ def write_compensation_csv(path, schedule: CompensationSchedule) -> None:
 
 def read_daily_series_csv(path, value_column: str) -> DailySeries:
     """`date,<value_column>`; dates must increase, values must be finite (they may be negative)."""
-    dates, values = _read_series(path, "date", _to_date, "datetime64[D]", (value_column,), True, "date {} is not after {}")
+    dates, values = _read_series(path, "date", _date_days, "datetime64[D]", (value_column,), True, "date {} is not after {}")
     if not len(dates):
         raise InputError(f"{path}: no rows")
     return DailySeries(dates, values)

@@ -640,29 +640,19 @@ def test_package_and_cli_import_leave_out_scipy():
     assert _python(code) == "False False"
 
 
-def test_only_numeric_commands_load_scipy_special(tmp_path, tiny_run):
-    # synth, reconstruct-inflow and report compute no special function, and
-    # train's log-gamma and its derivatives are numpy's; forecast evaluates
-    # ZAGA quantiles, which need the incomplete gamma function
-    (tmp_path / "run.ini").write_text("[synth]\nyears = 5\nmembers = 3\n\n[horizons]\nnames = Forecast Week 1\n")
-    tables = ("telemetry", "efficiency", "net_head", "storage", "compensation")
-    data = ["--inflow", "inflow.csv", "--ensemble", "ensemble.csv"]
-    commands = [
-        ["synth", "--with-telemetry", "--out", "."],
-        ["reconstruct-inflow", *(a for t in tables for a in (f"--{t.replace('_', '-')}", f"{t}.csv")), "--out", "rec"],
-        ["report", "--skill", str(tiny_run / "skill.json"), "--values", str(tiny_run / "value_report.csv"), "--out", "rep"],
-        ["train", *data, "--out", "."],
-        ["forecast", "--models", "models.json", *data, "--out", "fc"],
-    ]
+def test_no_command_loads_scipy(tmp_path, tiny_run):
+    # the incomplete gamma function and its inverse are zaga's own, as are
+    # log-gamma and its derivatives: scipy is only the tests' oracle
+    args = _command_args(tiny_run, tmp_path)
+    commands = [[c, *args[c], "--out", "." if c == "synth" else c] for c in args]
+    config = ["--config", str(tiny_run / "run.ini"), "--seed", "3"]
     code = (
         "import sys; from inflowcast.cli import main; "
-        f"commands = {commands!r}; "
-        "codes = [main(['--config', 'run.ini', '--seed', '3', *c]) for c in commands[:4]]; "
-        f"scipy = {SCIPY_LOADED}; "
-        "codes.append(main(['--config', 'run.ini', '--seed', '3', *commands[4]])); "
-        "print(codes, scipy, 'scipy.special' in sys.modules)"
+        f"codes = [main([*{config!r}, *c]) for c in {commands!r}]; "
+        f"print(codes, {SCIPY_LOADED})"
     )
-    assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0, 0] False True"
+    assert [c[0] for c in commands] == ["synth", "reconstruct-inflow", "train", "forecast", "verify", "cost-eval", "report"]
+    assert _python(code, cwd=tmp_path) == f"{[0] * len(commands)} False"
 
 
 def test_package_import_and_report_leave_out_numpy(tmp_path, tiny_run):

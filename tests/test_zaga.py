@@ -1,10 +1,23 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from inflowcast.zaga import ZagaDistribution, digamma, gammaln, trigamma
+from inflowcast import zaga
+from inflowcast.zaga import (
+    ZagaDistribution,
+    digamma,
+    gamma_cdf,
+    gamma_ppf,
+    gammainc,
+    gammaincinv,
+    gammaln,
+    trigamma,
+)
 
 PARAM_GRID = [
     (mu, sigma, nu)
@@ -60,6 +73,177 @@ class TestSpecialFunctions:
     def test_scalars_give_0d_results(self):
         assert np.ndim(gammaln(0.5)) == np.ndim(digamma(1.0)) == np.ndim(trigamma(2.0)) == 0
         assert gammaln(0.5) == pytest.approx(0.5 * np.log(np.pi), rel=1e-15)
+
+
+# shapes from 0.05 to 1e4, densely over the 4.1 to 250 that EMOS forecasts reach;
+# x / a from 1e-3 to 1e2, densely near 1; levels from 1e-14 to 1 - 1e-14
+SHAPES = np.concatenate([np.logspace(np.log10(0.05), 4, 61), np.linspace(4.1, 250, 101)])
+RATIOS = np.concatenate([np.logspace(-3, 2, 81), np.linspace(0.5, 1.5, 101)])
+LEVELS = np.concatenate([np.logspace(-14, -1, 40), np.linspace(0.05, 0.95, 19), 1.0 - np.logspace(-14, -1, 40)])
+
+
+def gammaincc(a, x):
+    """Q(a, x), which zaga computes directly where it is the smaller of P and Q."""
+    return zaga._regularized(a, x)[1]
+
+
+def smaller_tail(a, x):
+    """min(P, Q) by scipy, and ours of the same tail."""
+    ps, qs = special.gammainc(a, x), special.gammaincc(a, x)
+    return np.minimum(ps, qs), np.where(ps <= qs, gammainc(a, x), gammaincc(a, x))
+
+
+def tail_bound(a, x):
+    """The relative bound on min(P, Q): 1e-13, or the rounding of the prefactor's exponent where that is larger."""
+    return np.maximum(1e-13, 2.0 * np.finfo(float).eps * (np.abs(x - a) + a * np.abs(np.log(x / a))))
+
+
+def temme_coefficients(rows: int, columns: int):
+    """The Taylor coefficients in eta of Temme's C_0 .. C_{rows-1}, as exact rationals (DLMF 8.12).
+
+    With mu = lambda - 1, eta^2 / 2 = mu - log(1 + mu); mu(eta) comes by
+    Lagrange inversion, C_0 = 1 / mu - 1 / eta, and C_k = C'_{k-1} / eta +
+    g_k / mu, with the constant g_k the one that cancels the pole at 0.
+    """
+    order = columns + 2 * rows + 2
+
+    def reciprocal(c):
+        r = [1 / c[0]] + [Fraction(0)] * (len(c) - 1)
+        for n in range(1, len(c)):
+            r[n] = -sum(c[k] * r[n - k] for k in range(1, n + 1)) / c[0]
+        return r
+
+    # eta = mu f(mu), f^2 = 2 sum_j (-1)^j mu^j / (j + 2)
+    f2 = [Fraction(2 * (-1) ** j, j + 2) for j in range(order + 1)]
+    f = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        f[n] = (f2[n] - sum(f[k] * f[n - k] for k in range(1, n))) / 2
+    g, power, mu = reciprocal(f), [Fraction(1)] + [Fraction(0)] * order, [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):  # [eta^n] mu = [mu^(n-1)] g^n / n
+        power = [sum(power[k] * g[j - k] for k in range(j + 1)) for j in range(order + 1)]
+        mu[n] = power[n - 1] / n
+    inverse = reciprocal(mu[1:])  # 1 / mu = inverse(eta) / eta
+    c = inverse[1:]
+    table = [c[:columns]]
+    for _ in range(1, rows):
+        pole = -c[1]
+        c = [(j + 2) * c[j + 2] + pole * inverse[j + 1] for j in range(len(c) - 2)]
+        table.append(c[:columns])
+    return table
+
+
+class TestIncompleteGamma:
+    """P, Q and the inverse of P against scipy's, and against mpmath's at 50 digits where scipy loses digits.
+
+    The bound is 1e-13 relative in the smaller m of P and Q, and 1e-12
+    relative in the quantile.  Far in the tails the bound is 2 eps (|x - a| +
+    a |log(x / a)|) instead, where that is larger: m is exp(-a phi) times a
+    factor of moderate size, and the exponent a phi = x - a - a log(x / a)
+    sums terms of those sizes, each known to its rounding, so no
+    double-precision evaluation knows m better.  For a > 20 outside scipy's
+    own asymptotic region (|x - a| < 0.3 a up to a = 200, 4.5 sqrt(a) above),
+    scipy's prefactor loses up to 2e-11 (measured against mpmath); there ours
+    is checked against mpmath.
+    """
+
+    grid = np.meshgrid(SHAPES, RATIOS, indexing="ij")
+
+    def test_cdf_against_scipy(self):
+        a, ratio = self.grid
+        m, ours = smaller_tail(a, a * ratio)
+        normal = m >= 1e-300  # relative error means nothing for subnormal values
+        rel = np.where(normal, np.abs(ours - m) / np.where(normal, m, 1.0), 0.0)
+        bound = tail_bound(a, a * ratio)
+        scipy_asymptotic = np.abs(ratio - 1.0) < np.where(a < 200, 0.3, 4.5 / np.sqrt(a))
+        checked = (a <= 20) | scipy_asymptotic
+        assert np.all(rel[checked] <= bound[checked])
+        assert np.all(rel[~checked] <= 3e-11)  # scipy's error, not ours: see the mpmath test
+        assert np.all(ours[m == 0] < 1e-300) and np.all(m[ours == 0] < 1e-300)  # underflow alike
+
+    @pytest.mark.parametrize("a", [30.0, 113.5, 526.0, 2000.0, 8845.5])
+    def test_cdf_against_mpmath_where_scipy_loses(self, a):
+        mpmath.mp.dps = 50
+        for ratio in (0.03, 0.2, 0.5, 0.58, 0.75, 1.25, 1.42, 1.45, 3.0, 9.0):
+            x = a * ratio
+            exact = float(min(mpmath.gammainc(a, 0, x, regularized=True), mpmath.gammainc(a, x, mpmath.inf, regularized=True)))
+            if exact < 1e-300:
+                continue
+            ours = gammainc(a, x) if ratio < 1 else gammaincc(a, x)
+            assert abs(ours - exact) <= tail_bound(a, x) * exact, (a, ratio)
+
+    def test_p_and_q_are_complements(self):
+        a, ratio = self.grid
+        assert np.array_equal(gammainc(a, a * ratio) + gammaincc(a, a * ratio), np.ones_like(a))
+
+    def test_quantile_against_scipy(self):
+        a, p = np.meshgrid(SHAPES, LEVELS, indexing="ij")
+        x = gammaincinv(a, p)
+        assert np.all(np.abs(x - special.gammaincinv(a, p)) <= 1e-12 * x)
+        # and it inverts our own P: the smaller tail at x is the level's, to the CDF's bound
+        m = np.minimum(p, 1.0 - p)
+        back = np.where(p <= 0.5, gammainc(a, x), gammaincc(a, x))
+        assert np.all(np.abs(back - m) <= 2e-13 * m)
+
+    def test_edges(self):
+        a = np.array([0.05, 1.0, 4.1, 250.0, 1e4])
+        assert np.all(gammainc(a, 0.0) == 0.0) and np.all(gammaincc(a, 0.0) == 1.0)
+        assert np.all(gammainc(a, np.inf) == 1.0) and np.all(gammaincc(a, np.inf) == 0.0)
+        assert np.all(gammaincinv(a, 0.0) == 0.0) and np.all(gammaincinv(a, 1.0) == np.inf)
+        for bad in ((0.0, 1.0), (-1.0, 1.0), (np.inf, 1.0), (np.nan, 1.0), (1.0, -1e-300), (1.0, np.nan)):
+            assert np.isnan(gammainc(*bad)) and np.isnan(gammaincc(*bad))
+        for bad in ((0.0, 0.5), (1.0, -0.1), (1.0, 1.5), (1.0, np.nan)):
+            assert np.isnan(gammaincinv(*bad))
+        # levels at the ends of the doubles: an x that underflows is 0
+        for level in (1e-300, 1.0 - 2.0**-53):
+            assert_allclose(gammaincinv(a, level), special.gammaincinv(a, level), rtol=1e-12, atol=0.0)
+        x = gammaincinv(a, 5e-324)  # a subnormal level has no relative accuracy to meet
+        assert np.all(np.isfinite(x)) and np.all(gammainc(a, x) <= 1e-322)
+        assert isinstance(gammainc(2.0, 1.0), float) and np.shape(gammaincinv([[1.0]], [0.5, 0.6])) == (1, 2)
+
+    def test_no_floating_point_warning_escapes(self):
+        a, ratio = self.grid
+        with np.errstate(all="raise"):
+            assert np.all(np.isfinite(gammainc(a, a * ratio)))
+            assert np.all(np.isfinite(gammaincinv(*np.meshgrid(SHAPES, LEVELS))))
+
+    def test_temme_coefficients_are_the_exact_rationals_rounded(self):
+        exact = temme_coefficients(len(zaga._TEMME), len(zaga._TEMME[0]))
+        for row, exact_row in zip(zaga._TEMME, exact):
+            assert list(row) == [float(c) for c in exact_row[: len(row)]]
+
+    def test_temme_terms_left_out_are_below_the_rounding(self):
+        # every coefficient left out, weighted at a = 20 and |eta| = 0.48, the corner of the region
+        rows, columns = len(zaga._TEMME) + 3, len(zaga._TEMME[0]) + 6
+        exact = temme_coefficients(rows, columns)
+        left_out = sum(
+            abs(float(c)) * 0.48**n * 20.0**-k
+            for k, row in enumerate(exact)
+            for n, c in enumerate(row)
+            if k >= len(zaga._TEMME) or n >= len(zaga._TEMME[k])
+        )
+        assert left_out < 1e-16
+
+    @given(
+        cases=st.lists(
+            st.tuples(
+                st.floats(0.01, 4.5),  # sigma: shapes 0.05 to 1e4
+                st.floats(0.05, 20.0),  # mu
+                st.one_of(st.just(0.0), st.floats(0.0, 100.0)),  # x over mu
+                st.one_of(st.sampled_from([0.0, 1.0, 1e-14, 0.5]), st.floats(0.0, 1.0)),  # level
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_element_is_its_scalar_call(self, cases):
+        sigma, mu, ratio, level = (np.array(column) for column in zip(*cases))
+        shape, scale = 1.0 / (sigma * sigma), sigma * sigma * mu
+        x = ratio * mu
+        cdf, ppf = gamma_cdf(x, shape, scale), gamma_ppf(level, shape, scale)
+        for i in range(len(cases)):
+            assert cdf[i] == gamma_cdf(x[i], shape[i], scale[i])
+            assert ppf[i] == gamma_ppf(level[i], shape[i], scale[i])
 
 
 class TestDensity:
