@@ -15,20 +15,24 @@ predicted distribution and subtracted again at evaluation time.
 
 The coefficients maximise the ridge-penalised log-likelihood by a damped,
 projected Newton ascent on its exact (closed-form) information matrix, from
-several starts.  Each Newton point is evaluated once: one pass gives the
-log-likelihood, its gradient and the per-case terms the information is built from.
+several starts run in lockstep.  Each round makes one stacked evaluation of
+every point the starts wait to try (log-likelihood and per-case terms) and
+one stacked pass over the points they accepted (gradient and information).
+Every product is a matmul stacked over the points and every sum a row sum,
+so a start's results do not depend on which other starts share its round.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .splines import CyclicSplineBasis, seasonal_phase
-from .zaga import ZagaDistribution, digamma, gammaln, trigamma
+from .zaga import ZagaDistribution, digamma_trigamma, gammaln
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +110,7 @@ class EmosDesign:
         p2 = self.x_sigma.shape[1]
         return theta[:p1], theta[p1 : p1 + p2], theta[p1 + p2 :]
 
+    @cached_property
     def spline_mask(self) -> np.ndarray:
         """Boolean mask over the packed parameter vector marking spline coefficients."""
         mask = np.zeros(self.n_params, dtype=bool)
@@ -138,80 +143,114 @@ def _shifted_observations(y) -> np.ndarray:
     return y
 
 
-def _evaluate(theta: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
-    """(penalised log-likelihood, gradient, per-case terms) at ``theta``; (-inf, 0, terms) where not finite.
+def _stacked(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x @ row`` for each row of ``rows``, one matmul stacked over the rows.
 
-    The terms are ``pos`` = y > 0, nu on every case and, on the positive cases,
-    a = sigma^-2, r = y / scale and L = log(y) - log(scale) - digamma(a).
+    Each row's product is the BLAS call ``x @ row`` makes, so it does not
+    depend on the other rows (a plain ``rows @ x.T`` would be one GEMM).
     """
-    b1, b2, b3 = design.split(theta)
-    eta2 = design.x_sigma @ b2
-    log_s = 2.0 * eta2 + design.x_mu @ b1  # log gamma scale
-    eta3 = design.x_nu @ b3
+    return np.matmul(x[None], rows[:, :, None])[:, :, 0]
+
+
+def _gram(x: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``x.T @ (w[:, None] * z)`` for each row w of ``weights``, stacked like ``_stacked``."""
+    return np.matmul(x.T[None], weights[:, :, None] * z[None])
+
+
+def _evaluate(thetas: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
+    """(penalised log-likelihoods, per-case terms) at each row of ``thetas``; -inf where not finite.
+
+    The terms of each point are eta_nu on every case and, on the positive
+    cases, a = sigma^-2, r = y / scale and log(scale); ``_derivatives``
+    takes them.  Every operation is elementwise, a row sum or a stacked
+    product, so a row's results do not depend on the other rows.
+    """
+    p1, p2 = design.x_mu.shape[1], design.x_sigma.shape[1]
+    eta2 = _stacked(design.x_sigma, thetas[:, p1 : p1 + p2])
+    log_s = 2.0 * eta2 + _stacked(design.x_mu, thetas[:, :p1])  # log gamma scale
+    eta3 = _stacked(design.x_nu, thetas[:, p1 + p2 :])
 
     pos = y > 0.0
     yp = y[pos]
-    lsp = log_s[pos]
-    a = np.exp(-2.0 * eta2[pos])
+    lsp = log_s[:, pos]
+    a = np.exp(-2.0 * eta2[:, pos])
     log_y = np.log(yp)
     r = yp * np.exp(-lsp)
-    nu = expit(eta3)
-    big_l = log_y - lsp - digamma(a)
 
-    ll = np.empty(len(y))
+    ll = np.empty(eta3.shape)
     # stable log(nu) / log(1 - nu)
-    ll[~pos] = -np.logaddexp(0.0, -eta3[~pos])
-    ll[pos] = -np.logaddexp(0.0, eta3[pos]) + (a - 1.0) * log_y - r - a * lsp - gammaln(a)
-    if not np.all(np.isfinite(ll)):
-        return -np.inf, np.zeros_like(theta), (pos, nu, a, r, big_l)
+    ll[:, ~pos] = -np.logaddexp(0.0, -eta3[:, ~pos])
+    ll[:, pos] = -np.logaddexp(0.0, eta3[:, pos]) + (a - 1.0) * log_y - r - a * lsp - gammaln(a)
+    finite = np.isfinite(ll).all(axis=1)
+    spline = thetas[finite][:, design.spline_mask]
+    lls = np.full(len(thetas), -np.inf)
+    lls[finite] = ll[finite].sum(axis=1) - ridge * np.matmul(spline[:, None, :], spline[:, :, None])[:, 0, 0]
+    return lls, (eta3, a, r, lsp)
 
-    d_eta1 = np.zeros(len(y))
-    d_eta2 = np.zeros(len(y))
-    d_eta1[pos] = r - a
-    d_eta2[pos] = -2.0 * a * big_l + 2.0 * (r - a)
+
+def _rows(terms: tuple, rows) -> tuple:
+    """The per-case terms of the points ``rows`` of an evaluation."""
+    return tuple(t[rows] for t in terms)
+
+
+def _derivatives(thetas: np.ndarray, terms: tuple, design: EmosDesign, y: np.ndarray, ridge: float):
+    """The gradient, the observed information and the Fisher information at each point of ``thetas``.
+
+    ``terms`` are those ``_evaluate`` gave at ``thetas``.  The shapes are
+    (S, P), (S, P, P) and (S, P, P); as in ``_evaluate``, a row's results do
+    not depend on the other rows.
+    """
+    eta3, a, r, lsp = terms
+    pos = y > 0.0
+    nu = expit(eta3)
+    psi, psi1 = digamma_trigamma(a)
+    big_l = np.log(y[pos]) - lsp - psi
+    r_a = r - a
+    w12 = 2.0 * r_a
+    d_eta1 = np.zeros(eta3.shape)
+    d_eta2 = np.zeros(eta3.shape)
+    d_eta1[:, pos] = r_a
+    d_eta2[:, pos] = -2.0 * a * big_l + w12
     d_eta3 = np.where(pos, -nu, 1.0 - nu)
-    grad = np.concatenate([design.x_mu.T @ d_eta1, design.x_sigma.T @ d_eta2, design.x_nu.T @ d_eta3])
+    grad = np.concatenate(
+        [_stacked(design.x_mu.T, d_eta1), _stacked(design.x_sigma.T, d_eta2), _stacked(design.x_nu.T, d_eta3)], axis=1
+    )
+    grad[:, design.spline_mask] -= 2.0 * ridge * thetas[:, design.spline_mask]
 
-    mask = design.spline_mask()
-    penalty = ridge * float(np.dot(theta[mask], theta[mask]))
-    grad[mask] -= 2.0 * ridge * theta[mask]
-    return float(ll.sum()) - penalty, grad, (pos, nu, a, r, big_l)
-
-
-def _information(terms: tuple, design: EmosDesign, ridge: float, expected: bool = False) -> np.ndarray:
-    """The observed (or, with ``expected``, the Fisher) information from the per-case terms."""
-    pos, nu, a, r, big_l = terms
     x1 = design.x_mu[pos]
     x2 = design.x_sigma[pos]
-    a_trigamma = a * trigamma(a)
-    if expected:
-        w11, w12, w22 = a, None, 4.0 * a * (a_trigamma - 1.0)
-    else:
-        w11, w12 = r, 2.0 * (r - a)
-        w22 = 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * a_trigamma
-
+    a_trigamma = a * psi1
     p1, p2 = x1.shape[1], x2.shape[1]
-    info = np.zeros((design.n_params, design.n_params))
-    info[:p1, :p1] = x1.T @ (w11[:, None] * x1)
-    info[p1 : p1 + p2, p1 : p1 + p2] = x2.T @ (w22[:, None] * x2)
-    if w12 is not None:
-        info[:p1, p1 : p1 + p2] = x1.T @ (w12[:, None] * x2)
-        info[p1 : p1 + p2, :p1] = info[:p1, p1 : p1 + p2].T
-    info[p1 + p2 :, p1 + p2 :] = design.x_nu.T @ ((nu * (1.0 - nu))[:, None] * design.x_nu)
-    mask = design.spline_mask()
-    info[mask, mask] += 2.0 * ridge
-    return info
+    mu, sigma, zero = slice(None, p1), slice(p1, p1 + p2), slice(p1 + p2, None)
+    observed = np.zeros((len(a), design.n_params, design.n_params))
+    observed[:, mu, mu] = _gram(x1, r, x1)
+    observed[:, mu, sigma] = _gram(x1, w12, x2)
+    observed[:, sigma, mu] = observed[:, mu, sigma].transpose(0, 2, 1)
+    observed[:, sigma, sigma] = _gram(x2, 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * a_trigamma, x2)
+    observed[:, zero, zero] = _gram(design.x_nu, nu * (1.0 - nu), design.x_nu)
+    # the Fisher information: given a positive observation, r -> a and L -> 0
+    fisher = np.zeros_like(observed)
+    fisher[:, mu, mu] = _gram(x1, a, x1)
+    fisher[:, sigma, sigma] = _gram(x2, 4.0 * a * (a_trigamma - 1.0), x2)
+    fisher[:, zero, zero] = observed[:, zero, zero]
+    for info in (observed, fisher):
+        info[:, design.spline_mask, design.spline_mask] += 2.0 * ridge
+    return grad, observed, fisher
 
 
 def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
-    """Penalised log-likelihood of shifted observations and its exact gradient.
+    """Penalised log-likelihood of shifted observations and its exact gradient; (-inf, 0) where not finite.
 
     The ridge term penalises only the spline coefficients; it pins down the
     otherwise unidentified split between intercepts and a constant seasonal
     shift (the cyclic basis sums to one).
     """
-    ll, grad, _ = _evaluate(np.asarray(theta, dtype=float), design, _shifted_observations(y), ridge)
-    return ll, grad
+    thetas, y = np.asarray(theta, dtype=float)[None], _shifted_observations(y)
+    ll, terms = _evaluate(thetas, design, y, ridge)
+    if not np.isfinite(ll[0]):
+        return -np.inf, np.zeros_like(thetas[0])
+    grad, _, _ = _derivatives(thetas, terms, design, y, ridge)
+    return float(ll[0]), grad[0]
 
 
 def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: bool = False) -> np.ndarray:
@@ -230,8 +269,10 @@ def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: boo
     for sigma, no mu-sigma block.  It is positive definite wherever the
     design is of full rank.
     """
-    _, _, terms = _evaluate(np.asarray(theta, dtype=float), design, _shifted_observations(y), ridge)
-    return _information(terms, design, ridge, expected)
+    thetas, y = np.asarray(theta, dtype=float)[None], _shifted_observations(y)
+    _, terms = _evaluate(thetas, design, y, ridge)
+    _, observed, fisher = _derivatives(thetas, terms, design, y, ridge)
+    return (fisher if expected else observed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,57 +389,100 @@ _MAX_HALVINGS = 60
 _DECREMENT_TOL = 1e-11
 
 
-def _newton_direction(terms, grad, move, design, ridge) -> np.ndarray:
-    """Newton step over the ``move`` coordinates, zero elsewhere, at the point with per-case ``terms``.
+def _newton_direction(grad, move, info, fisher) -> np.ndarray:
+    """Newton steps over the ``move`` coordinates, zero elsewhere, one per row of ``grad``.
 
-    Uses the observed information where it is positive definite, and the
-    block-diagonal Fisher information otherwise; its pseudo-inverse leaves
-    out the directions a collinear design does not identify.
+    Uses the observed information ``info`` where it is positive definite on
+    those coordinates, and the block-diagonal Fisher information ``fisher``
+    otherwise; its pseudo-inverse leaves out the directions a collinear
+    design does not identify.  Each row gets the LAPACK calls it would get
+    alone.
     """
-    sub = np.ix_(move, move)
+    cols = np.flatnonzero(move)
+    sub = (slice(None), cols[:, None], cols)
+    g = grad[:, cols, None]
     step = np.zeros_like(grad)
     try:
-        chol = np.linalg.cholesky(_information(terms, design, ridge)[sub])
-        step[move] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[move]))
+        chol = np.linalg.cholesky(info[sub])
+        step[:, cols] = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, g))[:, :, 0]
     except np.linalg.LinAlgError:
-        fisher = _information(terms, design, ridge, expected=True)[sub]
-        step[move] = np.linalg.pinv(fisher, hermitian=True) @ grad[move]
+        if len(grad) > 1:  # one row at a time, to find those that are not positive definite
+            rows = [slice(i, i + 1) for i in range(len(grad))]
+            return np.concatenate([_newton_direction(grad[r], move, info[r], fisher[r]) for r in rows])
+        step[:, cols] = np.matmul(np.linalg.pinv(fisher[sub], hermitian=True), g)[:, :, 0]
     return step
 
 
-def _newton_ascent(theta, free, design, y, ridge):
-    """Damped, projected Newton ascent over the ``free`` coordinates in the box.
+def _projected_directions(theta, grad, free, info, fisher) -> np.ndarray:
+    """The Newton step of each row over the ``free`` coordinates in the box.
 
     A coordinate on a bound whose gradient, or whose Newton step, points out
-    of the box stays on the bound for that step.  Each step is halved until
-    the log-likelihood does not fall.  Returns the final coefficients, or
-    None when the start does not converge.
+    of the box stays on the bound for that step.
     """
-    ll, grad, terms = _evaluate(theta, design, y, ridge)
-    if not np.isfinite(ll):
-        return None
-    for _ in range(_MAX_STEPS):
-        lower, upper = theta <= -_BOUND, theta >= _BOUND
-        move = free & ~(lower & (grad < 0)) & ~(upper & (grad > 0))
+    lower, upper = theta <= -_BOUND, theta >= _BOUND
+    if not (lower | upper).any():
+        return _newton_direction(grad, free, info, fisher)
+    step = np.zeros_like(grad)
+    for i in range(len(grad)):  # each row shrinks its own set of moving coordinates
+        move = free & ~(lower[i] & (grad[i] < 0)) & ~(upper[i] & (grad[i] > 0))
         while True:
-            step = _newton_direction(terms, grad, move, design, ridge)
-            outward = (lower & (step < 0)) | (upper & (step > 0))
+            row = slice(i, i + 1)
+            step[row] = _newton_direction(grad[row], move, info[row], fisher[row])
+            outward = (lower[i] & (step[i] < 0)) | (upper[i] & (step[i] > 0))
             if not outward.any():
                 break
             move &= ~outward
-        if float(grad @ step) <= _DECREMENT_TOL * (1.0 + abs(ll)):
-            return theta
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = np.clip(theta + t * step, -_BOUND, _BOUND)
-            ll_trial, grad_trial, terms_trial = _evaluate(trial, design, y, ridge)
-            if ll_trial >= ll:
-                break
-            t *= 0.5
-        else:
-            return None
-        theta, ll, grad, terms = trial, ll_trial, grad_trial, terms_trial
-    return None
+    return step
+
+
+def _ascend(starts, free, design, y, ridge) -> list:
+    """Damped, projected Newton ascent over the ``free`` coordinates in the box, from each row of ``starts``.
+
+    Each start takes its own Newton steps and halves each until the
+    log-likelihood does not fall, but the starts run in lockstep: in each
+    round one ``_evaluate`` call takes every point waiting to be tried and
+    one ``_derivatives`` call works at every point accepted in it.  A
+    start's arithmetic does not depend on the other starts.  Returns, per
+    start, the final coefficients, or None when it does not converge.
+    """
+    n = len(starts)
+    fitted = [None] * n
+    theta, trial, direction = list(starts), list(starts), [None] * n
+    ll = [-np.inf] * n
+    t = [1.0] * n
+    tries = [0] * n  # evaluations in the current line search
+    taken = [0] * n  # Newton steps taken
+    waiting = list(range(n))  # starts with a point to evaluate; at first the start itself
+    while waiting:
+        ll_try, terms = _evaluate(np.array([trial[s] for s in waiting]), design, y, ridge)
+        accepted, rows, again = [], [], []
+        for row, s in enumerate(waiting):
+            # a start point must be finite; a trial point must not fall below the point it steps from
+            accept = np.isfinite(ll_try[row]) if taken[s] == 0 else ll_try[row] >= ll[s]
+            if accept:
+                theta[s], ll[s] = trial[s], ll_try[row]
+                if taken[s] < _MAX_STEPS:
+                    accepted.append(s)
+                    rows.append(row)
+            elif taken[s] > 0 and tries[s] + 1 < _MAX_HALVINGS:
+                tries[s] += 1
+                t[s] *= 0.5
+                again.append(s)
+        if accepted:
+            points = np.array([theta[s] for s in accepted])
+            grad, observed, fisher = _derivatives(points, _rows(terms, rows), design, y, ridge)
+            steps = _projected_directions(points, grad, free, observed, fisher)
+            for s, g, d in zip(accepted, grad, steps):
+                taken[s] += 1
+                if float(g @ d) <= _DECREMENT_TOL * (1.0 + abs(ll[s])):
+                    fitted[s] = theta[s]
+                else:
+                    direction[s], t[s], tries[s] = d, 1.0, 0
+                    again.append(s)
+        waiting = sorted(again)
+        for s in waiting:
+            trial[s] = np.clip(theta[s] + t[s] * direction[s], -_BOUND, _BOUND)
+    return fitted
 
 
 def fit_emos(
@@ -480,20 +564,17 @@ def fit_emos(
             beta[0] += shift
         return out
 
-    candidates = []
-    for start in starts:
-        fitted = _newton_ascent(start, free, design, y, ridge)
-        if fitted is not None:
-            theta_full = polish(fitted)
-            ll, _, terms = _evaluate(theta_full, design, y, ridge)
-            candidates.append((ll, theta_full, terms))
-    if not candidates:
+    fitted = [theta for theta in _ascend(np.array(starts), free, design, y, ridge) if theta is not None]
+    if not fitted:
         raise NumericalError(
             f"EMOS fit did not converge for horizon {horizon!r} (fold {fold_year!r}) after {n_starts} starts"
         )
-    best_ll, theta_hat, terms_hat = max(candidates, key=lambda c: c[0])
+    polished = np.array([polish(theta) for theta in fitted])
+    start_logliks, terms = _evaluate(polished, design, y, ridge)
+    best = int(np.argmax(start_logliks))  # the first of equal bests
+    theta_hat = polished[best]
 
-    se = _standard_errors(terms_hat, free, design, ridge) if compute_se else None
+    se = _standard_errors(polished[[best]], _rows(terms, [best]), free, design, y, ridge) if compute_se else None
 
     b1, b2, b3 = design.split(theta_hat)
     return EmosModel(
@@ -505,17 +586,18 @@ def fit_emos(
         horizon=horizon,
         fold_year=fold_year,
         n_cases=len(y),
-        loglik=best_ll,
-        start_logliks=tuple(c[0] for c in candidates),
+        loglik=float(start_logliks[best]),
+        start_logliks=tuple(start_logliks.tolist()),
         standard_errors=se,
     )
 
 
-def _standard_errors(terms: tuple, free: np.ndarray, design: EmosDesign, ridge: float):
-    """Standard errors from the observed information over the free coefficients; NaN for pinned ones."""
+def _standard_errors(thetas, terms: tuple, free: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
+    """Standard errors of the free coefficients at the one point of ``thetas``; NaN for pinned ones."""
     se = np.full(design.n_params, np.nan)
     try:
-        cov = np.linalg.pinv(_information(terms, design, ridge)[np.ix_(free, free)])
+        _, observed, _ = _derivatives(thetas, terms, design, y, ridge)
+        cov = np.linalg.pinv(observed[0][np.ix_(free, free)])
     except np.linalg.LinAlgError:
         return se
     diag = np.diag(cov)

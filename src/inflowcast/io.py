@@ -397,7 +397,8 @@ def _ensemble_columns(path: Path, header: list[str], skip: int, mode: str):
     """Columns (issue day number, member, lead day, amount) of every body row, or a ValueError.
 
     One ``np.loadtxt`` reads the schema's columns by header name (the last one
-    wins, as in csv.DictReader); each distinct issue_date is parsed once.
+    wins, as in csv.DictReader); each distinct issue_date is parsed once, and
+    only the rows that start a run of equal issue_date fields are sorted.
     """
     columns = _ENSEMBLE_SCHEMAS[mode]
     where = {name: i for i, name in enumerate(header)}
@@ -409,7 +410,13 @@ def _ensemble_columns(path: Path, header: list[str], skip: int, mode: str):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         cols = [where[c] for c in columns]
         rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, ndmin=1)
-    dates, issue_idx = np.unique(rows["issue_date"], return_inverse=True)
+    # a file lists each issue's rows together, so only the first row of each run
+    # of equal issue_date fields goes to np.unique, not every row
+    raw = rows["issue_date"]
+    head = np.ones(len(raw), dtype=bool)
+    head[1:] = raw[1:] != raw[:-1]
+    dates, head_idx = np.unique(raw[head], return_inverse=True)
+    issue_idx = head_idx[np.cumsum(head) - 1]
     day_of = np.array([_to_issue_date(d.decode()) for d in dates.tolist()], dtype="datetime64[D]").astype(np.int64)
     lead = rows[columns[2]]
     values = [rows[c] for c in columns[3:]]

@@ -111,18 +111,33 @@ def climatology_scores(table: HorizonCaseTable, values: np.ndarray, score, min_y
     group with the observations of that group's cases and returns one value
     per observation, or one for all.
     A group whose sample spans fewer than ``min_years`` years stays NaN.
+
+    The observed cases are sorted once by month and year, so that a month's
+    cases, and each of its (m, Y) groups, are slices of one column.  The sort
+    is stable and tables list issues by date, so every sample keeps the
+    table's order.
     """
-    observed = ~np.isnan(values)
-    months = table.issue_dates.astype("datetime64[M]").astype(np.int64) % 12
-    years = table.issue_years
     out = np.full(len(values), np.nan)
-    for month in np.unique(months[observed]):
-        in_month = observed & (months == month)
-        for year in np.unique(years[in_month]):
-            sample = in_month & ~withheld(years, year)
-            if len(np.unique(years[sample])) >= min_years:
-                cases = in_month & (years == year)
-                out[cases] = score(values[sample], values[cases])
+    observed = np.flatnonzero(~np.isnan(values))
+    if not len(observed):
+        return out
+    months = table.issue_dates[observed].astype("datetime64[M]").astype(np.int64) % 12
+    years = table.issue_years[observed]
+    order = np.lexsort((years, months))
+    cases, months, years = observed[order], months[order], years[order]
+    column = values[cases]
+    groups = np.flatnonzero(np.r_[True, (months[1:] != months[:-1]) | (years[1:] != years[:-1])])
+    ends = np.r_[groups[1:], len(cases)]
+    month_groups = np.r_[np.flatnonzero(np.diff(months[groups])) + 1, len(groups)]
+    first = 0
+    for last in month_groups.tolist():  # the groups first .. last - 1 make up one month, a year each
+        block = slice(groups[first], ends[last - 1])
+        group_years = years[groups[first:last]]
+        for g, year in enumerate(group_years.tolist(), start=first):
+            if np.count_nonzero(~withheld(group_years, year)) >= min_years:
+                sample = column[block][~withheld(years[block], year)]
+                out[cases[groups[g] : ends[g]]] = score(sample, column[groups[g] : ends[g]])
+        first = last
     return out
 
 

@@ -81,29 +81,32 @@ def gammaln(x):
 
 def digamma(x):
     """d/dx log Gamma(x)."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        z = x + 8.0
-        t = 1.0 / z
-        recip = 1.0 / (x + 7.0)
-        for k in range(6, 0, -1):
-            recip = recip + 1.0 / (x + k)
-        # 1/x comes off last: near the root at 1.46 log z and the rest of the
-        # sum are within a factor of two, so their difference is exact
-        return (np.log(z) - (recip + t * (0.5 + t * _series(_DIGAMMA_SERIES, t * t)))) - 1.0 / x
+    return digamma_trigamma(x)[0]
 
 
 def trigamma(x):
     """d^2/dx^2 log Gamma(x)."""
+    return digamma_trigamma(x)[1]
+
+
+def digamma_trigamma(x):
+    """(digamma(x), trigamma(x)), sharing the recurrence's reciprocals 1 / (x + k)."""
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         z = x + 8.0
         t = 1.0 / z
-        acc = 0.0
-        for k in range(7, -1, -1):
-            r = 1.0 / (x + k)
-            acc = acc + r * r
-        return acc + t * (1.0 + t * (0.5 + t * _series(_TRIGAMMA_SERIES, t * t)))
+        t2 = t * t
+        recip = [1.0 / (x + k) for k in range(7, -1, -1)]
+        total = recip[0]
+        for r in recip[1:7]:
+            total = total + r
+        squares = 0.0
+        for r in recip:
+            squares = squares + r * r
+        # 1/x comes off last: near the root at 1.46 log z and the rest of the
+        # sum are within a factor of two, so their difference is exact
+        psi = (np.log(z) - (total + t * (0.5 + t * _series(_DIGAMMA_SERIES, t2)))) - 1.0 / x
+        return psi, squares + t * (1.0 + t * (0.5 + t * _series(_TRIGAMMA_SERIES, t2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+import emos_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from inflowcast.emos import (
     loglik_and_gradient,
     predict_distribution,
 )
-from inflowcast.errors import InputError
+from inflowcast.errors import InputError, NumericalError
 from inflowcast.splines import CyclicSplineBasis, seasonal_phase
 
 
@@ -257,31 +258,47 @@ class TestFit:
             fit_emos(feats, dates, y, basis=basis, n_starts=n_starts, compute_se=False)
 
     def test_accepted_points_give_the_public_likelihood_and_information(self, rng, monkeypatch):
-        # every Newton step solves with the information built from the terms of
-        # the point it accepted; the public functions recompute both from theta
-        evaluations, directions = {}, []
-        evaluate, direction = emos._evaluate, emos._newton_direction
+        # every Newton step solves with the gradient and information built from
+        # the terms of the point it accepted; the public one-point functions
+        # recompute all of them from theta, bit for bit
+        evaluated, derived, solved = {}, [], []
+        evaluate, derivatives, direction = emos._evaluate, emos._derivatives, emos._newton_direction
 
-        def recording_evaluate(theta, design, y, ridge):
-            out = evaluate(theta, design, y, ridge)
-            evaluations[id(out[2])] = (theta.copy(), design, y, ridge, out)
+        def recording_evaluate(thetas, design, y, ridge):
+            lls, terms = evaluate(thetas, design, y, ridge)
+            for i, theta in enumerate(thetas):
+                evaluated[theta.tobytes()] = (lls[i], emos._rows(terms, [i]))
+            return lls, terms
+
+        def recording_derivatives(thetas, terms, design, y, ridge):
+            out = derivatives(thetas, terms, design, y, ridge)
+            derived.append((thetas.copy(), terms, design, y, ridge, out))
             return out
 
-        def recording_direction(terms, grad, move, design, ridge):
-            directions.append(evaluations[id(terms)])
-            return direction(terms, grad, move, design, ridge)
+        def recording_direction(grad, move, info, fisher):
+            solved.append((grad.copy(), info.copy(), fisher.copy()))
+            return direction(grad, move, info, fisher)
 
         monkeypatch.setattr(emos, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(emos, "_derivatives", recording_derivatives)
         monkeypatch.setattr(emos, "_newton_direction", recording_direction)
         feats, dates, y, _, _, basis = simulate_training(rng, n=600)
         fit_emos(feats, dates, y, basis=basis, compute_se=False)
-        assert len(directions) > 10
-        for theta, design, y_fit, ridge, (ll, grad, terms) in directions:
-            ll_public, grad_public = loglik_and_gradient(theta, design, y_fit, ridge)
-            assert ll == ll_public and np.array_equal(grad, grad_public)
-            for expected in (False, True):
-                built = emos._information(terms, design, ridge, expected)
-                assert np.array_equal(built, information(theta, design, y_fit, ridge, expected))
+        monkeypatch.undo()
+        assert sum(len(grad) for grad, _, _ in solved) > 10
+        built = {}
+        for thetas, terms, design, y_fit, ridge, (grad, observed, fisher) in derived:
+            for i, theta in enumerate(thetas):
+                ll, point_terms = evaluated[theta.tobytes()]
+                assert all(np.array_equal(t[0], u[i]) for t, u in zip(point_terms, terms))
+                ll_public, grad_public = loglik_and_gradient(theta, design, y_fit, ridge)
+                assert ll == ll_public and np.array_equal(grad[i], grad_public)
+                assert np.array_equal(observed[i], information(theta, design, y_fit, ridge))
+                assert np.array_equal(fisher[i], information(theta, design, y_fit, ridge, expected=True))
+                built[grad[i].tobytes()] = (observed[i], fisher[i])
+        for grad, info, fisher in solved:
+            for g, o, f in zip(grad, info, fisher):
+                assert np.array_equal(o, built[g.tobytes()][0]) and np.array_equal(f, built[g.tobytes()][1])
 
     def test_no_zero_cases_pins_atom_probability(self, rng):
         feats, dates, y, _, _, basis = simulate_training(rng, n=400, zero_frac=1e-9)
@@ -352,6 +369,96 @@ class TestFit:
         m1, s1, n1 = model.params_for(feats[:7], seasonal_phase(dates[:7]))
         m2, s2, n2 = clone.params_for(feats[:7], seasonal_phase(dates[:7]))
         assert_allclose(m1, m2, rtol=1e-15)
+
+
+def quasi_separated_training(rng, n=300):
+    """Gamma inflows with one zero, at the largest ensemble mean: the nu intercept runs to its bound."""
+    feats = np.column_stack([rng.normal(1.0, 0.6, n), rng.uniform(0, 0.4, n), rng.uniform(0.05, 0.8, n)])
+    dates = np.datetime64("2009-01-01") + rng.integers(0, 3650, n).astype("timedelta64[D]")
+    mu = np.exp(0.2 + 0.5 * feats[:, 0])
+    sigma = np.exp(-0.6 + 0.3 * feats[:, 2])
+    y = rng.gamma(1 / sigma**2, sigma**2 * mu)
+    y[np.argmax(feats[:, 0])] = 0.0
+    return feats, dates, y, CyclicSplineBasis(6)
+
+
+class TestLockstep:
+    """``_ascend`` runs the starts of a fit in lockstep; each start must match the per-start oracle bit for bit."""
+
+    @staticmethod
+    def polished(theta, design):
+        """``fit_emos``'s shift of the spline-coefficient means into the intercepts."""
+        out = theta.copy()
+        for beta in design.split(out)[:2]:
+            shift = beta[-design.n_spline :].mean()
+            beta[-design.n_spline :] -= shift
+            beta[0] += shift
+        return out
+
+    def fit_with_oracle(self, monkeypatch, feats, dates, y, basis, **limits):
+        """Fit with 5 starts, recording what ``_ascend`` was given and gave, and compare each start with the oracle."""
+        for name, value in limits.items():
+            monkeypatch.setattr(emos, name, value)
+        runs = []
+        ascend = emos._ascend
+
+        def recording_ascend(starts, free, design, y_fit, ridge):
+            fitted = ascend(starts, free, design, y_fit, ridge)
+            runs.append((starts, free, design, y_fit, ridge, fitted))
+            return fitted
+
+        monkeypatch.setattr(emos, "_ascend", recording_ascend)
+        oracle.calls.clear()
+        try:
+            model = fit_emos(feats, dates, y, basis=basis, n_starts=5, min_cases=100, compute_se=False)
+        except NumericalError:
+            model = None  # every start failed; the runs are still compared
+        ((starts, free, design, y_fit, ridge, fitted),) = runs
+        expected = [oracle.newton_ascent(start, free, design, y_fit, ridge) for start in starts]
+        for got, want in zip(fitted, expected):
+            assert (got is None) == (want is None)
+            assert want is None or got.tobytes() == want.tobytes()
+        # the fit evaluates its converged starts in one stack; each equals the one-point log-likelihood
+        converged = [self.polished(w, design) for w in expected if w is not None]
+        one_point = [loglik_and_gradient(theta, design, y_fit, ridge)[0] for theta in converged]
+        assert np.array(model.start_logliks if model else ()).tobytes() == np.array(one_point).tobytes()
+        return free, fitted
+
+    def test_fisher_fallback(self, rng, monkeypatch):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=600)
+        _, fitted = self.fit_with_oracle(monkeypatch, feats, dates, y, basis)
+        assert oracle.calls["fisher"] > 0
+        assert all(theta is not None for theta in fitted)
+
+    @pytest.mark.parametrize("limits", [{"_MAX_HALVINGS": 1}, {"_MAX_STEPS": 6}], ids=["halvings", "steps"])
+    def test_a_start_fails_while_others_converge(self, monkeypatch, limits):
+        feats, dates, y, _, _, basis = simulate_training(np.random.default_rng(12345), n=600)
+        _, fitted = self.fit_with_oracle(monkeypatch, feats, dates, y, basis, **limits)
+        assert any(theta is None for theta in fitted) and any(theta is not None for theta in fitted)
+
+    def test_coefficient_held_on_a_bound(self, rng, monkeypatch):
+        feats, dates, y, basis = quasi_separated_training(rng)
+        _, fitted = self.fit_with_oracle(monkeypatch, feats, dates, y, basis)
+        assert any(theta is not None and (np.abs(theta) == emos._BOUND).any() for theta in fitted)
+
+    def test_pinned_nu(self, rng, monkeypatch):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=400, zero_frac=1e-9)
+        free, fitted = self.fit_with_oracle(monkeypatch, feats, dates, y, basis)
+        assert not free[-2:].any()
+        assert all(theta is not None and theta[-2] == -30.0 for theta in fitted)
+
+    def test_all_zero_design_column(self, rng, monkeypatch):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=400)
+        feats[:, 1] = 0.0
+        free, fitted = self.fit_with_oracle(monkeypatch, feats, dates, y, basis)
+        assert not free[2]
+        assert all(theta is not None and theta[2] == 0.0 for theta in fitted)
+
+    def test_fewer_starts_give_a_prefix(self, rng):
+        feats, dates, y, _, _, basis = simulate_training(rng, n=600)
+        two, three = (fit_emos(feats, dates, y, basis=basis, n_starts=n, compute_se=False) for n in (2, 3))
+        assert len(two.start_logliks) == 2
+        assert np.array(two.start_logliks).tobytes() == np.array(three.start_logliks[:2]).tobytes()
 
 
 class TestPredict:

@@ -339,6 +339,23 @@ class TestColumnarEnsembleReader:
             expected = np.array([[totals[f.issue_date, m, d] for d in range(1, n_days + 1)] for m in members])
             assert f.members.tobytes() == expected.tobytes()
 
+    def test_an_issue_in_two_runs_and_two_spellings(self, tmp_path):
+        # the reader decodes issue dates per run of equal rows: an issue whose rows
+        # come in two runs, one of them spelled 20150105, is still one issue
+        amounts = {(issue, m, d): 0.5 * d + m + (issue == "B") for issue in "AB" for m in (0, 1) for d in (1, 2, 3)}
+        spelled = {"A": ["2015-01-05", "20150105"], "B": ["2015-01-12", "2015-01-12"]}
+        order = [("A", 0), ("B", 0), ("A", 1), ("B", 1)]
+        lines = [ENSEMBLE_HEADERS["daily"]] + [
+            f"{spelled[issue][m]},{m},{d},{amounts[issue, m, d]!r}" for issue, m in order for d in (1, 2, 3)
+        ]
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        back = iomod.read_ensemble_csv(path, min_lead_days=3)
+        assert [f.issue_date for f in back] == [dt.date(2015, 1, 5), dt.date(2015, 1, 12)]
+        for issue, f in zip("AB", back):
+            expected = np.array([[amounts[issue, m, d] for d in (1, 2, 3)] for m in (0, 1)])
+            assert f.members.tobytes() == expected.tobytes()
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ensemble_files(), st.data())
     def test_bad_value_names_its_line(self, tmp_path, spec, data):
