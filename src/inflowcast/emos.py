@@ -193,12 +193,18 @@ def _rows(terms: tuple, rows) -> tuple:
     return tuple(t[rows] for t in terms)
 
 
+def _blocks(design: EmosDesign) -> tuple[slice, slice, slice]:
+    """The mu, sigma and logit(nu) coordinates of the packed parameter vector."""
+    p1, p2 = design.x_mu.shape[1], design.x_sigma.shape[1]
+    return slice(None, p1), slice(p1, p1 + p2), slice(p1 + p2, None)
+
+
 def _derivatives(thetas: np.ndarray, terms: tuple, design: EmosDesign, y: np.ndarray, ridge: float):
-    """The gradient, the observed information and the Fisher information at each point of ``thetas``.
+    """The gradient and the observed information at each point of ``thetas``.
 
     ``terms`` are those ``_evaluate`` gave at ``thetas``.  The shapes are
-    (S, P), (S, P, P) and (S, P, P); as in ``_evaluate``, a row's results do
-    not depend on the other rows.
+    (S, P) and (S, P, P); as in ``_evaluate``, a row's results do not depend
+    on the other rows.
     """
     eta3, a, r, lsp = terms
     pos = y > 0.0
@@ -219,23 +225,36 @@ def _derivatives(thetas: np.ndarray, terms: tuple, design: EmosDesign, y: np.nda
 
     x1 = design.x_mu[pos]
     x2 = design.x_sigma[pos]
-    a_trigamma = a * psi1
-    p1, p2 = x1.shape[1], x2.shape[1]
-    mu, sigma, zero = slice(None, p1), slice(p1, p1 + p2), slice(p1 + p2, None)
+    mu, sigma, zero = _blocks(design)
     observed = np.zeros((len(a), design.n_params, design.n_params))
     observed[:, mu, mu] = _gram(x1, r, x1)
     observed[:, mu, sigma] = _gram(x1, w12, x2)
     observed[:, sigma, mu] = observed[:, mu, sigma].transpose(0, 2, 1)
-    observed[:, sigma, sigma] = _gram(x2, 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * a_trigamma, x2)
+    observed[:, sigma, sigma] = _gram(x2, 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * (a * psi1), x2)
     observed[:, zero, zero] = _gram(design.x_nu, nu * (1.0 - nu), design.x_nu)
-    # the Fisher information: given a positive observation, r -> a and L -> 0
-    fisher = np.zeros_like(observed)
+    observed[:, design.spline_mask, design.spline_mask] += 2.0 * ridge
+    return grad, observed
+
+
+def _fisher(terms: tuple, design: EmosDesign, y: np.ndarray, ridge: float) -> np.ndarray:
+    """The Fisher information, (S, P, P), at each point whose ``_evaluate`` terms are ``terms``.
+
+    Given a positive observation r -> a and L -> 0, so the mu-sigma block
+    vanishes; the logit(nu) block is the observed one.
+    """
+    eta3, a, _, _ = terms
+    pos = y > 0.0
+    nu = expit(eta3)
+    _, psi1 = digamma_trigamma(a)
+    x1 = design.x_mu[pos]
+    x2 = design.x_sigma[pos]
+    mu, sigma, zero = _blocks(design)
+    fisher = np.zeros((len(a), design.n_params, design.n_params))
     fisher[:, mu, mu] = _gram(x1, a, x1)
-    fisher[:, sigma, sigma] = _gram(x2, 4.0 * a * (a_trigamma - 1.0), x2)
-    fisher[:, zero, zero] = observed[:, zero, zero]
-    for info in (observed, fisher):
-        info[:, design.spline_mask, design.spline_mask] += 2.0 * ridge
-    return grad, observed, fisher
+    fisher[:, sigma, sigma] = _gram(x2, 4.0 * a * (a * psi1 - 1.0), x2)
+    fisher[:, zero, zero] = _gram(design.x_nu, nu * (1.0 - nu), design.x_nu)
+    fisher[:, design.spline_mask, design.spline_mask] += 2.0 * ridge
+    return fisher
 
 
 def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
@@ -249,7 +268,7 @@ def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
     ll, terms = _evaluate(thetas, design, y, ridge)
     if not np.isfinite(ll[0]):
         return -np.inf, np.zeros_like(thetas[0])
-    grad, _, _ = _derivatives(thetas, terms, design, y, ridge)
+    grad, _ = _derivatives(thetas, terms, design, y, ridge)
     return float(ll[0]), grad[0]
 
 
@@ -271,8 +290,9 @@ def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: boo
     """
     thetas, y = np.asarray(theta, dtype=float)[None], _shifted_observations(y)
     _, terms = _evaluate(thetas, design, y, ridge)
-    _, observed, fisher = _derivatives(thetas, terms, design, y, ridge)
-    return (fisher if expected else observed)[0]
+    if expected:
+        return _fisher(terms, design, y, ridge)[0]
+    return _derivatives(thetas, terms, design, y, ridge)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,49 +410,51 @@ _DECREMENT_TOL = 1e-11
 
 
 def _newton_direction(grad, move, info, fisher) -> np.ndarray:
-    """Newton steps over the ``move`` coordinates, zero elsewhere, one per row of ``grad``.
+    """Newton step over the ``move`` coordinates, zero elsewhere, at one point.
 
-    Uses the observed information ``info`` where it is positive definite on
-    those coordinates, and the block-diagonal Fisher information ``fisher``
-    otherwise; its pseudo-inverse leaves out the directions a collinear
-    design does not identify.  Each row gets the LAPACK calls it would get
-    alone.
+    Uses the observed information ``info`` where it is positive definite, and
+    the block-diagonal Fisher information ``fisher()`` builds otherwise; its
+    pseudo-inverse leaves out the directions a collinear design does not
+    identify.
     """
-    cols = np.flatnonzero(move)
-    sub = (slice(None), cols[:, None], cols)
-    g = grad[:, cols, None]
+    sub = np.ix_(move, move)
     step = np.zeros_like(grad)
     try:
         chol = np.linalg.cholesky(info[sub])
-        step[:, cols] = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, g))[:, :, 0]
+        step[move] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[move]))
     except np.linalg.LinAlgError:
-        if len(grad) > 1:  # one row at a time, to find those that are not positive definite
-            rows = [slice(i, i + 1) for i in range(len(grad))]
-            return np.concatenate([_newton_direction(grad[r], move, info[r], fisher[r]) for r in rows])
-        step[:, cols] = np.matmul(np.linalg.pinv(fisher[sub], hermitian=True), g)[:, :, 0]
+        step[move] = np.linalg.pinv(fisher()[sub], hermitian=True) @ grad[move]
     return step
 
 
-def _projected_directions(theta, grad, free, info, fisher) -> np.ndarray:
-    """The Newton step of each row over the ``free`` coordinates in the box.
+def _projected_direction(theta, grad, free, info, fisher) -> np.ndarray:
+    """The Newton step over the ``free`` coordinates in the box, at one point.
 
     A coordinate on a bound whose gradient, or whose Newton step, points out
     of the box stays on the bound for that step.
     """
     lower, upper = theta <= -_BOUND, theta >= _BOUND
-    if not (lower | upper).any():
-        return _newton_direction(grad, free, info, fisher)
-    step = np.zeros_like(grad)
-    for i in range(len(grad)):  # each row shrinks its own set of moving coordinates
-        move = free & ~(lower[i] & (grad[i] < 0)) & ~(upper[i] & (grad[i] > 0))
-        while True:
-            row = slice(i, i + 1)
-            step[row] = _newton_direction(grad[row], move, info[row], fisher[row])
-            outward = (lower[i] & (step[i] < 0)) | (upper[i] & (step[i] > 0))
-            if not outward.any():
-                break
-            move &= ~outward
-    return step
+    move = free & ~(lower & (grad < 0)) & ~(upper & (grad > 0))
+    while True:
+        step = _newton_direction(grad, move, info, fisher)
+        outward = (lower & (step < 0)) | (upper & (step > 0))
+        if not outward.any():
+            return step
+        move &= ~outward
+
+
+@dataclass
+class _Start:
+    """One start of ``_ascend``: its last accepted point and its line search."""
+
+    theta: np.ndarray  # the last accepted point; the start itself until one is
+    trial: np.ndarray  # the point waiting to be evaluated
+    ll: float = -np.inf
+    direction: np.ndarray | None = None
+    t: float = 1.0  # step length
+    tries: int = 0  # evaluations in the current line search
+    taken: int = 0  # Newton steps taken
+    fitted: np.ndarray | None = None
 
 
 def _ascend(starts, free, design, y, ridge) -> list:
@@ -445,44 +467,41 @@ def _ascend(starts, free, design, y, ridge) -> list:
     start's arithmetic does not depend on the other starts.  Returns, per
     start, the final coefficients, or None when it does not converge.
     """
-    n = len(starts)
-    fitted = [None] * n
-    theta, trial, direction = list(starts), list(starts), [None] * n
-    ll = [-np.inf] * n
-    t = [1.0] * n
-    tries = [0] * n  # evaluations in the current line search
-    taken = [0] * n  # Newton steps taken
-    waiting = list(range(n))  # starts with a point to evaluate; at first the start itself
+    everyone = [_Start(start, start) for start in starts]
+    waiting = everyone
     while waiting:
-        ll_try, terms = _evaluate(np.array([trial[s] for s in waiting]), design, y, ridge)
+        ll_try, terms = _evaluate(np.array([s.trial for s in waiting]), design, y, ridge)
         accepted, rows, again = [], [], []
         for row, s in enumerate(waiting):
             # a start point must be finite; a trial point must not fall below the point it steps from
-            accept = np.isfinite(ll_try[row]) if taken[s] == 0 else ll_try[row] >= ll[s]
+            accept = np.isfinite(ll_try[row]) if s.taken == 0 else ll_try[row] >= s.ll
             if accept:
-                theta[s], ll[s] = trial[s], ll_try[row]
-                if taken[s] < _MAX_STEPS:
+                s.theta, s.ll = s.trial, ll_try[row]
+                if s.taken < _MAX_STEPS:
                     accepted.append(s)
                     rows.append(row)
-            elif taken[s] > 0 and tries[s] + 1 < _MAX_HALVINGS:
-                tries[s] += 1
-                t[s] *= 0.5
+            elif s.taken > 0 and s.tries + 1 < _MAX_HALVINGS:
+                s.tries += 1
+                s.t *= 0.5
                 again.append(s)
         if accepted:
-            points = np.array([theta[s] for s in accepted])
-            grad, observed, fisher = _derivatives(points, _rows(terms, rows), design, y, ridge)
-            steps = _projected_directions(points, grad, free, observed, fisher)
-            for s, g, d in zip(accepted, grad, steps):
-                taken[s] += 1
-                if float(g @ d) <= _DECREMENT_TOL * (1.0 + abs(ll[s])):
-                    fitted[s] = theta[s]
+            grad, observed = _derivatives(np.array([s.theta for s in accepted]), _rows(terms, rows), design, y, ridge)
+            for s, row, g, info in zip(accepted, rows, grad, observed):
+
+                def fisher(terms=terms, row=row):  # built only where the observed information is not positive definite
+                    return _fisher(_rows(terms, [row]), design, y, ridge)[0]
+
+                d = _projected_direction(s.theta, g, free, info, fisher)
+                s.taken += 1
+                if float(g @ d) <= _DECREMENT_TOL * (1.0 + abs(s.ll)):
+                    s.fitted = s.theta
                 else:
-                    direction[s], t[s], tries[s] = d, 1.0, 0
+                    s.direction, s.t, s.tries = d, 1.0, 0
                     again.append(s)
-        waiting = sorted(again)
+        waiting = again
         for s in waiting:
-            trial[s] = np.clip(theta[s] + t[s] * direction[s], -_BOUND, _BOUND)
-    return fitted
+            s.trial = np.clip(s.theta + s.t * s.direction, -_BOUND, _BOUND)
+    return [s.fitted for s in everyone]
 
 
 def fit_emos(
@@ -596,7 +615,7 @@ def _standard_errors(thetas, terms: tuple, free: np.ndarray, design: EmosDesign,
     """Standard errors of the free coefficients at the one point of ``thetas``; NaN for pinned ones."""
     se = np.full(design.n_params, np.nan)
     try:
-        _, observed, _ = _derivatives(thetas, terms, design, y, ridge)
+        _, observed = _derivatives(thetas, terms, design, y, ridge)
         cov = np.linalg.pinv(observed[0][np.ix_(free, free)])
     except np.linalg.LinAlgError:
         return se

@@ -9,29 +9,21 @@ Y and Y+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .costmodel import CostCases, OperatingEnvelope
 from .data import CANONICAL_HORIZONS, HorizonSpec, NaoIndex, horizon_average
 from .emos import EmosModel, compute_feature_matrix, fit_emos
 from .errors import InputError, LeakageError, NumericalError
 from .regression import WEEK1, LinearInflowModel, run_cross_validation, withheld
 from .series import DailySeries
 from .splines import CyclicSplineBasis, seasonal_phase
-from .verification import (
-    DEFAULT_LEVELS,
-    RELIABILITY_MIN_CASES,
-    ReliabilityDiagram,
-    SkillReport,
-    crps_zaga_batch,
-    fair_crps_many,
-    fair_crps_sample,
-    reliability_diagram,
-    skill_report,
-    stratum_mask,
-)
 from .zaga import ZagaDistribution
+
+if TYPE_CHECKING:
+    from .costmodel import CostCases
+    from .verification import ReliabilityDiagram, SkillReport
 
 QUANTILE_COLUMNS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
@@ -356,6 +348,18 @@ def verify_skill(
     calibrated forecasts.  The observations come from ``tables``;
     ``reanalysis`` only switches the precipitation scores on.
     """
+    # train and forecast do not score, so they do not import the verification module
+    from .verification import (
+        DEFAULT_LEVELS,
+        RELIABILITY_MIN_CASES,
+        crps_zaga_batch,
+        fair_crps_many,
+        fair_crps_sample,
+        reliability_diagram,
+        skill_report,
+        stratum_mask,
+    )
+
     report = VerificationReport()
     for h in models.horizons:
         table = tables[h.name]
@@ -443,6 +447,8 @@ def build_cost_cases(
     generation to adjust against), are left out.  The cases of every horizon
     are concatenated in the order of ``models.horizons``.
     """
+    from .costmodel import CostCases, OperatingEnvelope
+
     parts = [(np.empty(0, "datetime64[D]"), np.empty(0, str), *[np.empty(0)] * 8)]  # typed even with no horizons
     for h in models.horizons:
         table = tables[h.name]

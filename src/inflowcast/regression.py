@@ -142,7 +142,8 @@ def run_cross_validation(
     table without the issues of the years its fold withholds (``withheld``).
     """
     years = week1.issue_years
-    fold_years = np.unique(years).tolist()
+    # a set, not np.unique: numpy's unique imports numpy.ma, which nothing here uses
+    fold_years = sorted(set(years.tolist()))
     if len(fold_years) < min_years:
         raise InputError(f"cross-validation needs at least {min_years} years, got {len(fold_years)}")
 
@@ -154,5 +155,5 @@ def run_cross_validation(
             raise InputError(
                 f"fold {fold_year}: only {len(x)} training pairs (minimum {min_pairs})"
             )
-        models[fold_year] = fit_week1_regression(x, y, np.unique(years[train]).tolist(), min_pairs=min_pairs)
+        models[fold_year] = fit_week1_regression(x, y, sorted(set(years[train].tolist())), min_pairs=min_pairs)
     return models

@@ -79,18 +79,8 @@ def gammaln(x):
     return np.where(x == np.inf, np.inf, out)
 
 
-def digamma(x):
-    """d/dx log Gamma(x)."""
-    return digamma_trigamma(x)[0]
-
-
-def trigamma(x):
-    """d^2/dx^2 log Gamma(x)."""
-    return digamma_trigamma(x)[1]
-
-
 def digamma_trigamma(x):
-    """(digamma(x), trigamma(x)), sharing the recurrence's reciprocals 1 / (x + k)."""
+    """(digamma(x), trigamma(x)), the first two derivatives of log Gamma(x), sharing the recurrence's reciprocals 1 / (x + k)."""
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         z = x + 8.0

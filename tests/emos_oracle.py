@@ -3,8 +3,8 @@
 ``newton_ascent`` and ``newton_direction`` are the per-start damped,
 projected Newton ascent and its direction solve as they were before the
 starts ran in lockstep.  The one change: a point is evaluated by the stacked
-``emos._evaluate`` and ``emos._derivatives`` with one row, where it used to
-be evaluated by one-point functions.  Tests compare every start of
+``emos._evaluate``, ``emos._derivatives`` and ``emos._fisher`` with one row,
+where it used to be evaluated by one-point functions.  Tests compare every start of
 ``_ascend`` with this oracle bit for bit.
 
 ``calls`` counts the oracle's work: ``"fisher"`` the direction solves that
@@ -27,8 +27,8 @@ def evaluate(theta, design, y, ridge):
     lls, terms = emos._evaluate(theta[None], design, y, ridge)
     if not np.isfinite(lls[0]):
         return -np.inf, np.zeros_like(theta), None
-    grad, observed, fisher = emos._derivatives(theta[None], terms, design, y, ridge)
-    return lls[0], grad[0], (observed[0], fisher[0])
+    grad, observed = emos._derivatives(theta[None], terms, design, y, ridge)
+    return lls[0], grad[0], (observed[0], emos._fisher(terms, design, y, ridge)[0])
 
 
 def newton_direction(terms, grad, move, design, ridge) -> np.ndarray:

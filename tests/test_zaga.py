@@ -10,13 +10,12 @@ from scipy import integrate, special
 from inflowcast import zaga
 from inflowcast.zaga import (
     ZagaDistribution,
-    digamma,
+    digamma_trigamma,
     gamma_cdf,
     gamma_ppf,
     gammainc,
     gammaincinv,
     gammaln,
-    trigamma,
 )
 
 PARAM_GRID = [
@@ -54,7 +53,7 @@ class TestSpecialFunctions:
 
     def test_digamma(self):
         with np.errstate(**RAISE_FP):
-            ours = digamma(SPECIAL_GRID)
+            ours = digamma_trigamma(SPECIAL_GRID)[0]
         reference = special.digamma(SPECIAL_GRID)
         assert_same_inf_nan(ours, reference)
         ok = np.isfinite(reference)
@@ -63,7 +62,7 @@ class TestSpecialFunctions:
 
     def test_trigamma(self):
         with np.errstate(**RAISE_FP):
-            ours = trigamma(SPECIAL_GRID)
+            ours = digamma_trigamma(SPECIAL_GRID)[1]
         reference = special.polygamma(1, SPECIAL_GRID)
         assert_same_inf_nan(ours, reference)
         ok = np.isfinite(reference) & (reference > 0)
@@ -71,7 +70,7 @@ class TestSpecialFunctions:
         assert ours[SPECIAL_GRID == np.inf] == 0.0
 
     def test_scalars_give_0d_results(self):
-        assert np.ndim(gammaln(0.5)) == np.ndim(digamma(1.0)) == np.ndim(trigamma(2.0)) == 0
+        assert np.ndim(gammaln(0.5)) == np.ndim(digamma_trigamma(1.0)[0]) == np.ndim(digamma_trigamma(2.0)[1]) == 0
         assert gammaln(0.5) == pytest.approx(0.5 * np.log(np.pi), rel=1e-15)
 
 
