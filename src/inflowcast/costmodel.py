@@ -555,7 +555,7 @@ def price_sweep(
 
     rng = np.random.default_rng(seed)
     groups = {"all": np.arange(n)}
-    for h in np.unique(cases.horizons).tolist():
+    for h in sorted(set(cases.horizons.tolist())):  # np.unique would import numpy.ma
         groups[h] = np.flatnonzero(cases.horizons == h)
     d_col = np.array(diffs)[:, None]
     rows = []

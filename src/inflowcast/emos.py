@@ -15,11 +15,12 @@ predicted distribution and subtracted again at evaluation time.
 
 The coefficients maximise the ridge-penalised log-likelihood by a damped,
 projected Newton ascent on its exact (closed-form) information matrix, from
-several starts run in lockstep.  Each round makes one stacked evaluation of
-every point the starts wait to try (log-likelihood and per-case terms) and
-one stacked pass over the points they accepted (gradient and information).
-Every product is a matmul stacked over the points and every sum a row sum,
-so a start's results do not depend on which other starts share its round.
+several starts run in lockstep.  One ``_Likelihood`` per fit keeps the
+positive cases, their log inflows and their design rows; each round it makes
+one stacked evaluation of every point the starts wait to try and one stacked
+pass over the points they accepted (gradient and information).  Every
+product is a matmul stacked over the points and every sum a row sum, so a
+start's results do not depend on which other starts share its round.
 """
 
 from __future__ import annotations
@@ -105,10 +106,14 @@ class EmosDesign:
     def n_params(self) -> int:
         return self.x_mu.shape[1] + self.x_sigma.shape[1] + self.x_nu.shape[1]
 
+    @cached_property
+    def blocks(self) -> tuple[slice, slice, slice]:
+        """The mu, sigma and logit(nu) coordinates of the packed parameter vector."""
+        p1, p2 = self.x_mu.shape[1], self.x_sigma.shape[1]
+        return slice(None, p1), slice(p1, p1 + p2), slice(p1 + p2, None)
+
     def split(self, theta: np.ndarray):
-        p1 = self.x_mu.shape[1]
-        p2 = self.x_sigma.shape[1]
-        return theta[:p1], theta[p1 : p1 + p2], theta[p1 + p2 :]
+        return tuple(theta[block] for block in self.blocks)
 
     @cached_property
     def spline_mask(self) -> np.ndarray:
@@ -134,15 +139,6 @@ def build_design(features: np.ndarray, phases: np.ndarray, basis: CyclicSplineBa
     return EmosDesign(x_mu=x_mu, x_sigma=x_sigma, x_nu=x_nu, n_spline=basis.n_knots)
 
 
-def _shifted_observations(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if len(y) == 0:
-        raise InputError("empty likelihood batch")
-    if not np.all(np.isfinite(y)) or np.any(y < 0):
-        raise InputError("shifted observations must be finite and >= 0")
-    return y
-
-
 def _stacked(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``x @ row`` for each row of ``rows``, one matmul stacked over the rows.
 
@@ -157,104 +153,115 @@ def _gram(x: np.ndarray, weights: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.matmul(x.T[None], weights[:, :, None] * z[None])
 
 
-def _evaluate(thetas: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
-    """(penalised log-likelihoods, per-case terms) at each row of ``thetas``; -inf where not finite.
-
-    The terms of each point are eta_nu on every case and, on the positive
-    cases, a = sigma^-2, r = y / scale and log(scale); ``_derivatives``
-    takes them.  Every operation is elementwise, a row sum or a stacked
-    product, so a row's results do not depend on the other rows.
-    """
-    p1, p2 = design.x_mu.shape[1], design.x_sigma.shape[1]
-    eta2 = _stacked(design.x_sigma, thetas[:, p1 : p1 + p2])
-    log_s = 2.0 * eta2 + _stacked(design.x_mu, thetas[:, :p1])  # log gamma scale
-    eta3 = _stacked(design.x_nu, thetas[:, p1 + p2 :])
-
-    pos = y > 0.0
-    yp = y[pos]
-    lsp = log_s[:, pos]
-    a = np.exp(-2.0 * eta2[:, pos])
-    log_y = np.log(yp)
-    r = yp * np.exp(-lsp)
-
-    ll = np.empty(eta3.shape)
-    # stable log(nu) / log(1 - nu)
-    ll[:, ~pos] = -np.logaddexp(0.0, -eta3[:, ~pos])
-    ll[:, pos] = -np.logaddexp(0.0, eta3[:, pos]) + (a - 1.0) * log_y - r - a * lsp - gammaln(a)
-    finite = np.isfinite(ll).all(axis=1)
-    spline = thetas[finite][:, design.spline_mask]
-    lls = np.full(len(thetas), -np.inf)
-    lls[finite] = ll[finite].sum(axis=1) - ridge * np.matmul(spline[:, None, :], spline[:, :, None])[:, 0, 0]
-    return lls, (eta3, a, r, lsp)
-
-
 def _rows(terms: tuple, rows) -> tuple:
     """The per-case terms of the points ``rows`` of an evaluation."""
     return tuple(t[rows] for t in terms)
 
 
-def _blocks(design: EmosDesign) -> tuple[slice, slice, slice]:
-    """The mu, sigma and logit(nu) coordinates of the packed parameter vector."""
-    p1, p2 = design.x_mu.shape[1], design.x_sigma.shape[1]
-    return slice(None, p1), slice(p1, p1 + p2), slice(p1 + p2, None)
+class _Likelihood:
+    """The penalised log-likelihood of shifted observations ``y`` on ``design``, at stacks of points.
 
-
-def _derivatives(thetas: np.ndarray, terms: tuple, design: EmosDesign, y: np.ndarray, ridge: float):
-    """The gradient and the observed information at each point of ``thetas``.
-
-    ``terms`` are those ``_evaluate`` gave at ``thetas``.  The shapes are
-    (S, P) and (S, P, P); as in ``_evaluate``, a row's results do not depend
-    on the other rows.
+    Built once per fit, it keeps what does not change during the fit: the
+    positive cases, their y and log y, and their rows of the mu and sigma
+    designs.  Every operation of its methods is elementwise, a row sum or a
+    stacked product, so a point's results do not depend on the other points.
     """
-    eta3, a, r, lsp = terms
-    pos = y > 0.0
-    nu = expit(eta3)
-    psi, psi1 = digamma_trigamma(a)
-    big_l = np.log(y[pos]) - lsp - psi
-    r_a = r - a
-    w12 = 2.0 * r_a
-    d_eta1 = np.zeros(eta3.shape)
-    d_eta2 = np.zeros(eta3.shape)
-    d_eta1[:, pos] = r_a
-    d_eta2[:, pos] = -2.0 * a * big_l + w12
-    d_eta3 = np.where(pos, -nu, 1.0 - nu)
-    grad = np.concatenate(
-        [_stacked(design.x_mu.T, d_eta1), _stacked(design.x_sigma.T, d_eta2), _stacked(design.x_nu.T, d_eta3)], axis=1
-    )
-    grad[:, design.spline_mask] -= 2.0 * ridge * thetas[:, design.spline_mask]
 
-    x1 = design.x_mu[pos]
-    x2 = design.x_sigma[pos]
-    mu, sigma, zero = _blocks(design)
-    observed = np.zeros((len(a), design.n_params, design.n_params))
-    observed[:, mu, mu] = _gram(x1, r, x1)
-    observed[:, mu, sigma] = _gram(x1, w12, x2)
-    observed[:, sigma, mu] = observed[:, mu, sigma].transpose(0, 2, 1)
-    observed[:, sigma, sigma] = _gram(x2, 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * (a * psi1), x2)
-    observed[:, zero, zero] = _gram(design.x_nu, nu * (1.0 - nu), design.x_nu)
-    observed[:, design.spline_mask, design.spline_mask] += 2.0 * ridge
-    return grad, observed
+    def __init__(self, design: EmosDesign, y, ridge: float):
+        y = np.asarray(y, dtype=float)
+        if y.size == 0:
+            raise InputError("empty likelihood batch")
+        if y.shape != (len(design.x_mu),):
+            raise InputError(f"{len(design.x_mu)} design rows but the observations have shape {y.shape}")
+        if not np.all(np.isfinite(y)) or np.any(y < 0):
+            raise InputError("shifted observations must be finite and >= 0")
+        self.design, self.ridge = design, ridge
+        self.pos = y > 0.0
+        self.y = y[self.pos]
+        self.log_y = np.log(self.y)
+        self.x_mu, self.x_sigma = design.x_mu[self.pos], design.x_sigma[self.pos]
+
+    def evaluate(self, thetas: np.ndarray):
+        """(penalised log-likelihoods, per-case terms) at each row of ``thetas``; -inf where not finite.
+
+        The terms of each point are eta_nu on every case and, on the positive
+        cases, a = sigma^-2, r = y / scale and log(scale); ``derivatives``
+        and ``fisher`` take them.
+        """
+        design, pos = self.design, self.pos
+        mu, sigma, zero = design.blocks
+        eta2 = _stacked(design.x_sigma, thetas[:, sigma])
+        log_s = 2.0 * eta2 + _stacked(design.x_mu, thetas[:, mu])  # log gamma scale
+        eta3 = _stacked(design.x_nu, thetas[:, zero])
+
+        lsp = log_s[:, pos]
+        a = np.exp(-2.0 * eta2[:, pos])
+        r = self.y * np.exp(-lsp)
+
+        ll = np.empty(eta3.shape)
+        # stable log(nu) / log(1 - nu)
+        ll[:, ~pos] = -np.logaddexp(0.0, -eta3[:, ~pos])
+        ll[:, pos] = -np.logaddexp(0.0, eta3[:, pos]) + (a - 1.0) * self.log_y - r - a * lsp - gammaln(a)
+        finite = np.isfinite(ll).all(axis=1)
+        spline = thetas[finite][:, design.spline_mask]
+        lls = np.full(len(thetas), -np.inf)
+        lls[finite] = ll[finite].sum(axis=1) - self.ridge * np.matmul(spline[:, None, :], spline[:, :, None])[:, 0, 0]
+        return lls, (eta3, a, r, lsp)
+
+    def derivatives(self, thetas: np.ndarray, terms: tuple):
+        """The gradient and the observed information, (S, P) and (S, P, P), at the points ``evaluate`` gave ``terms``."""
+        design, pos = self.design, self.pos
+        eta3, a, r, lsp = terms
+        nu = expit(eta3)
+        psi, psi1 = digamma_trigamma(a)
+        big_l = self.log_y - lsp - psi
+        r_a = r - a
+        w12 = 2.0 * r_a
+        d_eta1 = np.zeros(eta3.shape)
+        d_eta2 = np.zeros(eta3.shape)
+        d_eta1[:, pos] = r_a
+        d_eta2[:, pos] = -2.0 * a * big_l + w12
+        d_eta3 = np.where(pos, -nu, 1.0 - nu)
+        grad = np.concatenate(
+            [_stacked(design.x_mu.T, d_eta1), _stacked(design.x_sigma.T, d_eta2), _stacked(design.x_nu.T, d_eta3)], axis=1
+        )
+        grad[:, design.spline_mask] -= 2.0 * self.ridge * thetas[:, design.spline_mask]
+        return grad, self._information(nu, r, 4.0 * r - 4.0 * a * big_l - 8.0 * a + 4.0 * a * (a * psi1), w12)
+
+    def fisher(self, terms: tuple) -> np.ndarray:
+        """The Fisher information, (S, P, P), at the points ``evaluate`` gave ``terms``.
+
+        Given a positive observation r -> a and L -> 0, so the mu-sigma block
+        vanishes; the logit(nu) block is the observed one.
+        """
+        eta3, a, _, _ = terms
+        _, psi1 = digamma_trigamma(a)
+        return self._information(expit(eta3), a, 4.0 * a * (a * psi1 - 1.0))
+
+    def _information(self, nu, w_mu, w_sigma, w_mu_sigma=None) -> np.ndarray:
+        """The (S, P, P) information whose mu, sigma and mu-sigma blocks have the Gram weights ``w_*``.
+
+        Its logit(nu) block, nu (1 - nu), and the ridge are those of both informations.
+        """
+        design = self.design
+        mu, sigma, zero = design.blocks
+        info = np.zeros((len(nu), design.n_params, design.n_params))
+        info[:, mu, mu] = _gram(self.x_mu, w_mu, self.x_mu)
+        if w_mu_sigma is not None:
+            info[:, mu, sigma] = _gram(self.x_mu, w_mu_sigma, self.x_sigma)
+            info[:, sigma, mu] = info[:, mu, sigma].transpose(0, 2, 1)
+        info[:, sigma, sigma] = _gram(self.x_sigma, w_sigma, self.x_sigma)
+        info[:, zero, zero] = _gram(design.x_nu, nu * (1.0 - nu), design.x_nu)
+        info[:, design.spline_mask, design.spline_mask] += 2.0 * self.ridge
+        return info
 
 
-def _fisher(terms: tuple, design: EmosDesign, y: np.ndarray, ridge: float) -> np.ndarray:
-    """The Fisher information, (S, P, P), at each point whose ``_evaluate`` terms are ``terms``.
-
-    Given a positive observation r -> a and L -> 0, so the mu-sigma block
-    vanishes; the logit(nu) block is the observed one.
-    """
-    eta3, a, _, _ = terms
-    pos = y > 0.0
-    nu = expit(eta3)
-    _, psi1 = digamma_trigamma(a)
-    x1 = design.x_mu[pos]
-    x2 = design.x_sigma[pos]
-    mu, sigma, zero = _blocks(design)
-    fisher = np.zeros((len(a), design.n_params, design.n_params))
-    fisher[:, mu, mu] = _gram(x1, a, x1)
-    fisher[:, sigma, sigma] = _gram(x2, 4.0 * a * (a * psi1 - 1.0), x2)
-    fisher[:, zero, zero] = _gram(design.x_nu, nu * (1.0 - nu), design.x_nu)
-    fisher[:, design.spline_mask, design.spline_mask] += 2.0 * ridge
-    return fisher
+def _at_point(theta, design: EmosDesign, y, ridge: float):
+    """The likelihood, ``theta`` as a stack of one point, and its evaluation there; ``theta`` has ``n_params`` entries."""
+    lik, thetas = _Likelihood(design, y, ridge), np.asarray(theta, dtype=float)[None]
+    if thetas.shape != (1, design.n_params):
+        raise InputError(f"theta must have the design's {design.n_params} coefficients, got shape {thetas.shape[1:]}")
+    return (lik, thetas, *lik.evaluate(thetas))
 
 
 def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
@@ -264,12 +271,10 @@ def loglik_and_gradient(theta, design: EmosDesign, y, ridge: float = 1e-6):
     otherwise unidentified split between intercepts and a constant seasonal
     shift (the cyclic basis sums to one).
     """
-    thetas, y = np.asarray(theta, dtype=float)[None], _shifted_observations(y)
-    ll, terms = _evaluate(thetas, design, y, ridge)
+    lik, thetas, ll, terms = _at_point(theta, design, y, ridge)
     if not np.isfinite(ll[0]):
         return -np.inf, np.zeros_like(thetas[0])
-    grad, _ = _derivatives(thetas, terms, design, y, ridge)
-    return float(ll[0]), grad[0]
+    return float(ll[0]), lik.derivatives(thetas, terms)[0][0]
 
 
 def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: bool = False) -> np.ndarray:
@@ -288,11 +293,10 @@ def information(theta, design: EmosDesign, y, ridge: float = 1e-6, expected: boo
     for sigma, no mu-sigma block.  It is positive definite wherever the
     design is of full rank.
     """
-    thetas, y = np.asarray(theta, dtype=float)[None], _shifted_observations(y)
-    _, terms = _evaluate(thetas, design, y, ridge)
+    lik, thetas, _, terms = _at_point(theta, design, y, ridge)
     if expected:
-        return _fisher(terms, design, y, ridge)[0]
-    return _derivatives(thetas, terms, design, y, ridge)[1][0]
+        return lik.fisher(terms)[0]
+    return lik.derivatives(thetas, terms)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +389,14 @@ def predict_distribution(model: EmosModel, features: EmosFeatures, date) -> Zaga
 # ---------------------------------------------------------------------------
 
 
-def _initial_theta(design: EmosDesign, y: np.ndarray) -> np.ndarray:
-    n = len(y)
-    frac_zero = float((y <= 0).mean())
+def _initial_theta(lik: _Likelihood) -> np.ndarray:
+    n = len(lik.pos)
+    frac_zero = float((~lik.pos).mean())
     nu0 = min(max(frac_zero, 0.5 / n), 1 - 0.5 / n)
-    yp = y[y > 0]  # fit_emos has checked that there is one
-    mu0 = float(yp.mean())
-    cv0 = float(np.clip(yp.std() / mu0 if mu0 > 0 else 1.0, 0.1, 5.0))
-    theta = np.zeros(design.n_params)
-    b1, b2, b3 = design.split(theta)  # slices share theta's buffer
+    mu0 = float(lik.y.mean())  # fit_emos has checked that there is a positive case
+    cv0 = float(np.clip(lik.y.std() / mu0 if mu0 > 0 else 1.0, 0.1, 5.0))
+    theta = np.zeros(lik.design.n_params)
+    b1, b2, b3 = lik.design.split(theta)  # slices share theta's buffer
     b1[0] = np.log(mu0)
     b2[0] = np.log(cv0)
     b3[0] = math.log(nu0 / (1.0 - nu0))
@@ -409,34 +412,25 @@ _MAX_HALVINGS = 60
 _DECREMENT_TOL = 1e-11
 
 
-def _newton_direction(grad, move, info, fisher) -> np.ndarray:
-    """Newton step over the ``move`` coordinates, zero elsewhere, at one point.
-
-    Uses the observed information ``info`` where it is positive definite, and
-    the block-diagonal Fisher information ``fisher()`` builds otherwise; its
-    pseudo-inverse leaves out the directions a collinear design does not
-    identify.
-    """
-    sub = np.ix_(move, move)
-    step = np.zeros_like(grad)
-    try:
-        chol = np.linalg.cholesky(info[sub])
-        step[move] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[move]))
-    except np.linalg.LinAlgError:
-        step[move] = np.linalg.pinv(fisher()[sub], hermitian=True) @ grad[move]
-    return step
-
-
-def _projected_direction(theta, grad, free, info, fisher) -> np.ndarray:
-    """The Newton step over the ``free`` coordinates in the box, at one point.
+def _direction(theta, grad, free, info, fisher) -> np.ndarray:
+    """The Newton step over the ``free`` coordinates in the box, zero elsewhere, at one point.
 
     A coordinate on a bound whose gradient, or whose Newton step, points out
-    of the box stays on the bound for that step.
+    of the box stays on the bound for that step.  The step uses the observed
+    information ``info`` where it is positive definite, and the block-diagonal
+    Fisher information ``fisher()`` builds otherwise; its pseudo-inverse
+    leaves out the directions a collinear design does not identify.
     """
     lower, upper = theta <= -_BOUND, theta >= _BOUND
     move = free & ~(lower & (grad < 0)) & ~(upper & (grad > 0))
     while True:
-        step = _newton_direction(grad, move, info, fisher)
+        sub = np.ix_(move, move)
+        step = np.zeros_like(grad)
+        try:
+            chol = np.linalg.cholesky(info[sub])
+            step[move] = np.linalg.solve(chol.T, np.linalg.solve(chol, grad[move]))
+        except np.linalg.LinAlgError:
+            step[move] = np.linalg.pinv(fisher()[sub], hermitian=True) @ grad[move]
         outward = (lower & (step < 0)) | (upper & (step > 0))
         if not outward.any():
             return step
@@ -457,20 +451,20 @@ class _Start:
     fitted: np.ndarray | None = None
 
 
-def _ascend(starts, free, design, y, ridge) -> list:
+def _ascend(starts, free, lik: _Likelihood) -> list:
     """Damped, projected Newton ascent over the ``free`` coordinates in the box, from each row of ``starts``.
 
     Each start takes its own Newton steps and halves each until the
     log-likelihood does not fall, but the starts run in lockstep: in each
-    round one ``_evaluate`` call takes every point waiting to be tried and
-    one ``_derivatives`` call works at every point accepted in it.  A
+    round one ``lik.evaluate`` call takes every point waiting to be tried and
+    one ``lik.derivatives`` call works at every point accepted in it.  A
     start's arithmetic does not depend on the other starts.  Returns, per
     start, the final coefficients, or None when it does not converge.
     """
     everyone = [_Start(start, start) for start in starts]
     waiting = everyone
     while waiting:
-        ll_try, terms = _evaluate(np.array([s.trial for s in waiting]), design, y, ridge)
+        ll_try, terms = lik.evaluate(np.array([s.trial for s in waiting]))
         accepted, rows, again = [], [], []
         for row, s in enumerate(waiting):
             # a start point must be finite; a trial point must not fall below the point it steps from
@@ -485,13 +479,10 @@ def _ascend(starts, free, design, y, ridge) -> list:
                 s.t *= 0.5
                 again.append(s)
         if accepted:
-            grad, observed = _derivatives(np.array([s.theta for s in accepted]), _rows(terms, rows), design, y, ridge)
+            grad, observed = lik.derivatives(np.array([s.theta for s in accepted]), _rows(terms, rows))
             for s, row, g, info in zip(accepted, rows, grad, observed):
-
-                def fisher(terms=terms, row=row):  # built only where the observed information is not positive definite
-                    return _fisher(_rows(terms, [row]), design, y, ridge)[0]
-
-                d = _projected_direction(s.theta, g, free, info, fisher)
+                # the Fisher information is built only where the observed information is not positive definite
+                d = _direction(s.theta, g, free, info, lambda row=row: lik.fisher(_rows(terms, [row]))[0])
                 s.taken += 1
                 if float(g @ d) <= _DECREMENT_TOL * (1.0 + abs(s.ll)):
                     s.fitted = s.theta
@@ -535,34 +526,33 @@ def fit_emos(
         if not np.isfinite(values).all():
             bad = int((~np.isfinite(values)).sum())
             raise InputError(f"{name} must be finite: {bad} of {values.size} entries are NaN, NaT or infinite")
-    if n_starts < 1:
-        raise InputError(f"n_starts must be at least 1, got {n_starts}")
+    for name, value in (("n_starts", n_starts), ("min_cases", min_cases)):
+        if value < 1:
+            raise InputError(f"{name} must be at least 1, got {value}")
     if len(y_raw) < min_cases:
         raise InputError(f"{len(y_raw)} training cases is below the minimum of {min_cases}")
     offset = max(0.0, -float(y_raw.min()))
-    y = y_raw + offset
-    if not (y > 0).any():
+    lik = _Likelihood(design, y_raw + offset, ridge)
+    if not lik.pos.any():
         raise InputError("every shifted training inflow is zero; the gamma part cannot be fitted")
 
     # without any zero observations the zero-mass submodel sits on its boundary
     # (nu -> 0); pin it there instead of letting the optimiser crawl to -inf
-    pos = y > 0.0
-    n_nu = design.x_nu.shape[1]
     pinned = np.zeros(design.n_params)
     varied = np.ones(design.n_params, dtype=bool)  # the coordinates the starts perturb
-    if pos.all():
-        varied[-n_nu:] = False
-        pinned[-n_nu:] = (-30.0, 0.0)
+    if lik.pos.all():
+        varied[design.blocks[2]] = False
+        pinned[design.blocks[2]] = (-30.0, 0.0)
     # a coefficient whose design column is zero on every case that informs it
     # (the positive observations for mu and sigma, all cases for nu) leaves the
     # likelihood flat; pin it at 0 rather than keep whatever the start gave it
     informed = np.concatenate(
-        [(design.x_mu[pos] != 0).any(axis=0), (design.x_sigma[pos] != 0).any(axis=0), (design.x_nu != 0).any(axis=0)]
+        [(lik.x_mu != 0).any(axis=0), (lik.x_sigma != 0).any(axis=0), (design.x_nu != 0).any(axis=0)]
     )
     free = informed & varied
 
     rng = np.random.default_rng(seed)
-    theta0 = np.where(free, _initial_theta(design, y), pinned)
+    theta0 = np.where(free, _initial_theta(lik), pinned)
     starts = [theta0]
     for _ in range(n_starts - 1):
         start = theta0.copy()
@@ -583,17 +573,17 @@ def fit_emos(
             beta[0] += shift
         return out
 
-    fitted = [theta for theta in _ascend(np.array(starts), free, design, y, ridge) if theta is not None]
+    fitted = [theta for theta in _ascend(np.array(starts), free, lik) if theta is not None]
     if not fitted:
         raise NumericalError(
             f"EMOS fit did not converge for horizon {horizon!r} (fold {fold_year!r}) after {n_starts} starts"
         )
     polished = np.array([polish(theta) for theta in fitted])
-    start_logliks, terms = _evaluate(polished, design, y, ridge)
+    start_logliks, terms = lik.evaluate(polished)
     best = int(np.argmax(start_logliks))  # the first of equal bests
     theta_hat = polished[best]
 
-    se = _standard_errors(polished[[best]], _rows(terms, [best]), free, design, y, ridge) if compute_se else None
+    se = _standard_errors(lik, polished[[best]], _rows(terms, [best]), free) if compute_se else None
 
     b1, b2, b3 = design.split(theta_hat)
     return EmosModel(
@@ -604,18 +594,18 @@ def fit_emos(
         basis=basis,
         horizon=horizon,
         fold_year=fold_year,
-        n_cases=len(y),
+        n_cases=len(y_raw),
         loglik=float(start_logliks[best]),
         start_logliks=tuple(start_logliks.tolist()),
         standard_errors=se,
     )
 
 
-def _standard_errors(thetas, terms: tuple, free: np.ndarray, design: EmosDesign, y: np.ndarray, ridge: float):
+def _standard_errors(lik: _Likelihood, thetas, terms: tuple, free: np.ndarray):
     """Standard errors of the free coefficients at the one point of ``thetas``; NaN for pinned ones."""
-    se = np.full(design.n_params, np.nan)
+    se = np.full(lik.design.n_params, np.nan)
     try:
-        _, observed = _derivatives(thetas, terms, design, y, ridge)
+        _, observed = lik.derivatives(thetas, terms)
         cov = np.linalg.pinv(observed[0][np.ix_(free, free)])
     except np.linalg.LinAlgError:
         return se

@@ -433,6 +433,12 @@ class CostSettings:
     n_boot: int = 1000
 
 
+def _sample_median(sample, _):
+    """np.median of a climatology sample (never empty, never NaN), without the numpy.ma import of its NaN check."""
+    ordered = np.sort(sample)
+    return (ordered[(len(ordered) - 1) // 2] + ordered[len(ordered) // 2]) / 2
+
+
 def build_cost_cases(
     models: TrainedModels,
     tables: dict[str, HorizonCaseTable],
@@ -452,7 +458,7 @@ def build_cost_cases(
     parts = [(np.empty(0, "datetime64[D]"), np.empty(0, str), *[np.empty(0)] * 8)]  # typed even with no horizons
     for h in models.horizons:
         table = tables[h.name]
-        medians = climatology_scores(table, table.obs_inflow, lambda sample, _: np.median(sample), min_clim_years)
+        medians = climatology_scores(table, table.obs_inflow, _sample_median, min_clim_years)
         keep = np.flatnonzero(medians > 0)
         dist = predictions[h.name].dist[keep]
         parts.append(

@@ -363,12 +363,9 @@ def reconstruct_net_inflow(
     # volume derivative on the sub-series with valid volumes
     dvdt = np.full(len(telemetry), np.nan)
     idx_vol = np.flatnonzero(vol_ok)
-    if len(idx_vol) >= 3:
+    if len(idx_vol) >= 2:  # a lone volume has no derivative
         t_sec = telemetry.timestamps[idx_vol].astype("int64").astype(float)
-        dvdt[idx_vol] = np.gradient(vol[idx_vol], t_sec, edge_order=2)
-    elif len(idx_vol) == 2:
-        t_sec = telemetry.timestamps[idx_vol].astype("int64").astype(float)
-        dvdt[idx_vol] = np.gradient(vol[idx_vol], t_sec)
+        dvdt[idx_vol] = np.gradient(vol[idx_vol], t_sec, edge_order=min(len(idx_vol) - 1, 2))
     comp = compensation.rate_at(telemetry.timestamps)
 
     good = vol_ok & curve_ok & np.isfinite(dvdt)

@@ -3,9 +3,9 @@
 ``newton_ascent`` and ``newton_direction`` are the per-start damped,
 projected Newton ascent and its direction solve as they were before the
 starts ran in lockstep.  The one change: a point is evaluated by the stacked
-``emos._evaluate``, ``emos._derivatives`` and ``emos._fisher`` with one row,
-where it used to be evaluated by one-point functions.  Tests compare every start of
-``_ascend`` with this oracle bit for bit.
+``evaluate``, ``derivatives`` and ``fisher`` of the fit's ``emos._Likelihood``
+with one row, where it used to be evaluated by one-point functions.  Tests
+compare every start of ``_ascend`` with this oracle bit for bit.
 
 ``calls`` counts the oracle's work: ``"fisher"`` the direction solves that
 fell back to the Fisher information.
@@ -22,16 +22,16 @@ from inflowcast import emos
 calls: Counter = Counter()
 
 
-def evaluate(theta, design, y, ridge):
+def evaluate(theta, lik):
     """(log-likelihood, gradient, (observed, Fisher) information) at one point; (-inf, 0, None) where not finite."""
-    lls, terms = emos._evaluate(theta[None], design, y, ridge)
+    lls, terms = lik.evaluate(theta[None])
     if not np.isfinite(lls[0]):
         return -np.inf, np.zeros_like(theta), None
-    grad, observed = emos._derivatives(theta[None], terms, design, y, ridge)
-    return lls[0], grad[0], (observed[0], emos._fisher(terms, design, y, ridge)[0])
+    grad, observed = lik.derivatives(theta[None], terms)
+    return lls[0], grad[0], (observed[0], lik.fisher(terms)[0])
 
 
-def newton_direction(terms, grad, move, design, ridge) -> np.ndarray:
+def newton_direction(terms, grad, move) -> np.ndarray:
     """Newton step over the ``move`` coordinates, zero elsewhere, at the point with information ``terms``."""
     observed, fisher = terms
     sub = np.ix_(move, move)
@@ -45,7 +45,7 @@ def newton_direction(terms, grad, move, design, ridge) -> np.ndarray:
     return step
 
 
-def newton_ascent(theta, free, design, y, ridge):
+def newton_ascent(theta, free, lik):
     """Damped, projected Newton ascent over the ``free`` coordinates in the box.
 
     A coordinate on a bound whose gradient, or whose Newton step, points out
@@ -53,14 +53,14 @@ def newton_ascent(theta, free, design, y, ridge):
     the log-likelihood does not fall.  Returns the final coefficients, or
     None when the start does not converge.
     """
-    ll, grad, terms = evaluate(theta, design, y, ridge)
+    ll, grad, terms = evaluate(theta, lik)
     if not np.isfinite(ll):
         return None
     for _ in range(emos._MAX_STEPS):
         lower, upper = theta <= -emos._BOUND, theta >= emos._BOUND
         move = free & ~(lower & (grad < 0)) & ~(upper & (grad > 0))
         while True:
-            step = newton_direction(terms, grad, move, design, ridge)
+            step = newton_direction(terms, grad, move)
             outward = (lower & (step < 0)) | (upper & (step > 0))
             if not outward.any():
                 break
@@ -70,7 +70,7 @@ def newton_ascent(theta, free, design, y, ridge):
         t = 1.0
         for _ in range(emos._MAX_HALVINGS):
             trial = np.clip(theta + t * step, -emos._BOUND, emos._BOUND)
-            ll_trial, grad_trial, terms_trial = evaluate(trial, design, y, ridge)
+            ll_trial, grad_trial, terms_trial = evaluate(trial, lik)
             if ll_trial >= ll:
                 break
             t *= 0.5

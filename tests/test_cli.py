@@ -642,17 +642,18 @@ def test_package_and_cli_import_leave_out_scipy():
 
 def test_no_command_loads_scipy(tmp_path, tiny_run):
     # the incomplete gamma function and its inverse are zaga's own, as are
-    # log-gamma and its derivatives: scipy is only the tests' oracle
+    # log-gamma and its derivatives: scipy is only the tests' oracle; nor does
+    # any command use a masked array, so none may leave numpy.ma loaded
     args = _command_args(tiny_run, tmp_path)
     commands = [[c, *args[c], "--out", "." if c == "synth" else c] for c in args]
     config = ["--config", str(tiny_run / "run.ini"), "--seed", "3"]
     code = (
         "import sys; from inflowcast.cli import main; "
         f"codes = [main([*{config!r}, *c]) for c in {commands!r}]; "
-        f"print(codes, {SCIPY_LOADED})"
+        f"print(codes, {SCIPY_LOADED}, 'numpy.ma' in sys.modules)"
     )
     assert [c[0] for c in commands] == ["synth", "reconstruct-inflow", "train", "forecast", "verify", "cost-eval", "report"]
-    assert _python(code, cwd=tmp_path) == f"{[0] * len(commands)} False"
+    assert _python(code, cwd=tmp_path) == f"{[0] * len(commands)} False False"
 
 
 def test_package_import_and_report_leave_out_numpy(tmp_path, tiny_run):

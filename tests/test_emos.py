@@ -165,6 +165,18 @@ class TestLikelihood:
         with pytest.raises(InputError, match="must be finite and >= 0"):
             information(theta, design, y)
 
+    @pytest.mark.parametrize("function", [loglik_and_gradient, information])
+    @pytest.mark.parametrize(
+        "n_y, extra, match",
+        [(9, 0, "10 design rows but the observations have shape \\(9,\\)"), (10, 1, "theta must have the design's")],
+        ids=["y_one_short", "theta_one_long"],
+    )
+    def test_misaligned_input_rejected(self, rng, function, n_y, extra, match):
+        # refused before numpy's boolean indexing or matmul meets the mismatch
+        design = random_design(rng, n=10)
+        with pytest.raises(InputError, match=match):
+            function(np.zeros(design.n_params + extra), design, np.ones(n_y))
+
 
 def simulate_training(rng, n=1500, zero_frac=0.15, with_negatives=False):
     basis = CyclicSplineBasis(6)
@@ -257,37 +269,42 @@ class TestFit:
         with pytest.raises(InputError, match=f"n_starts must be at least 1, got {n_starts}"):
             fit_emos(feats, dates, y, basis=basis, n_starts=n_starts, compute_se=False)
 
+    def test_empty_batch_rejected(self):
+        # an empty batch has no minimum to take the offset from
+        with pytest.raises(InputError, match="min_cases must be at least 1, got 0"):
+            fit_emos(np.zeros((0, 3)), [], [], min_cases=0)
+
     def test_accepted_points_give_the_public_likelihood_and_information(self, rng, monkeypatch):
         # every Newton step solves with the gradient and information built from
         # the terms of the point it accepted; the public one-point functions
         # recompute all of them from theta, bit for bit
         evaluated, derived, solved = {}, [], []
-        evaluate, derivatives, direction = emos._evaluate, emos._derivatives, emos._newton_direction
+        evaluate, derivatives, direction = emos._Likelihood.evaluate, emos._Likelihood.derivatives, emos._direction
 
-        def recording_evaluate(thetas, design, y, ridge):
-            lls, terms = evaluate(thetas, design, y, ridge)
+        def recording_evaluate(lik, thetas):
+            lls, terms = evaluate(lik, thetas)
             for i, theta in enumerate(thetas):
                 evaluated[theta.tobytes()] = (lls[i], emos._rows(terms, [i]))
             return lls, terms
 
-        def recording_derivatives(thetas, terms, design, y, ridge):
-            out = derivatives(thetas, terms, design, y, ridge)
-            derived.append((thetas.copy(), terms, design, y, ridge, out))
+        def recording_derivatives(lik, thetas, terms):
+            out = derivatives(lik, thetas, terms)
+            derived.append((thetas.copy(), terms, lik.design, lik.ridge, out))
             return out
 
-        def recording_direction(grad, move, info, fisher):
+        def recording_direction(theta, grad, free, info, fisher):
             solved.append((grad.copy(), info.copy(), fisher()))
-            return direction(grad, move, info, fisher)
+            return direction(theta, grad, free, info, fisher)
 
-        monkeypatch.setattr(emos, "_evaluate", recording_evaluate)
-        monkeypatch.setattr(emos, "_derivatives", recording_derivatives)
-        monkeypatch.setattr(emos, "_newton_direction", recording_direction)
+        monkeypatch.setattr(emos._Likelihood, "evaluate", recording_evaluate)
+        monkeypatch.setattr(emos._Likelihood, "derivatives", recording_derivatives)
+        monkeypatch.setattr(emos, "_direction", recording_direction)
         feats, dates, y, _, _, basis = simulate_training(rng, n=600)
-        fit_emos(feats, dates, y, basis=basis, compute_se=False)
+        y_fit = y + fit_emos(feats, dates, y, basis=basis, compute_se=False).offset  # the observations the fit shifted
         monkeypatch.undo()
         assert len(solved) > 10
         built = {}
-        for thetas, terms, design, y_fit, ridge, (grad, observed) in derived:
+        for thetas, terms, design, ridge, (grad, observed) in derived:
             for i, theta in enumerate(thetas):
                 ll, point_terms = evaluated[theta.tobytes()]
                 assert all(np.array_equal(t[0], u[i]) for t, u in zip(point_terms, terms))
@@ -401,9 +418,9 @@ class TestLockstep:
         runs = []
         ascend = emos._ascend
 
-        def recording_ascend(starts, free, design, y_fit, ridge):
-            fitted = ascend(starts, free, design, y_fit, ridge)
-            runs.append((starts, free, design, y_fit, ridge, fitted))
+        def recording_ascend(starts, free, lik):
+            fitted = ascend(starts, free, lik)
+            runs.append((starts, free, lik, fitted))
             return fitted
 
         monkeypatch.setattr(emos, "_ascend", recording_ascend)
@@ -412,14 +429,15 @@ class TestLockstep:
             model = fit_emos(feats, dates, y, basis=basis, n_starts=5, min_cases=100, compute_se=False)
         except NumericalError:
             model = None  # every start failed; the runs are still compared
-        ((starts, free, design, y_fit, ridge, fitted),) = runs
-        expected = [oracle.newton_ascent(start, free, design, y_fit, ridge) for start in starts]
+        ((starts, free, lik, fitted),) = runs
+        expected = [oracle.newton_ascent(start, free, lik) for start in starts]
         for got, want in zip(fitted, expected):
             assert (got is None) == (want is None)
             assert want is None or got.tobytes() == want.tobytes()
         # the fit evaluates its converged starts in one stack; each equals the one-point log-likelihood
-        converged = [self.polished(w, design) for w in expected if w is not None]
-        one_point = [loglik_and_gradient(theta, design, y_fit, ridge)[0] for theta in converged]
+        # at the observations shifted by the model's offset (without a model no start converged)
+        converged = [self.polished(w, lik.design) for w in expected if w is not None]
+        one_point = [loglik_and_gradient(theta, lik.design, y + model.offset, lik.ridge)[0] for theta in converged]
         assert np.array(model.start_logliks if model else ()).tobytes() == np.array(one_point).tobytes()
         return free, fitted
 

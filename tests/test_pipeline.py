@@ -322,6 +322,14 @@ class TestSkillLimits:
 
 
 class TestCostCases:
+    def test_sample_median_is_numpys_bit_for_bit(self, rng):
+        from inflowcast.pipeline import _sample_median
+
+        for n in range(1, 41):
+            for scale in (1e-3, 1.0, 1e3):
+                sample = rng.normal(0.5, 1.0, n) * scale
+                assert _sample_median(sample, None).tobytes() == np.median(sample).tobytes()
+
     def test_envelopes_scaled_by_horizon_length(self, trained):
         scenario, tables, models, predictions = trained
         settings = CostSettings(energy_per_inflow_day=10.0)

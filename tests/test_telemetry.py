@@ -161,6 +161,26 @@ class TestReconstruction:
         assert rec.skipped_reasons == ["curve_domain"]
         assert len(rec.values) == 29
 
+    @pytest.mark.parametrize(
+        "n_inside, expected",
+        [(1, []), (2, [1.0, 1.0]), (3, [0.0, 2.0, 6.0])],
+        ids=["one", "two", "three"],
+    )
+    def test_few_records_inside_the_storage_curve(self, n_inside, expected):
+        # the records of hours 0, 1 and 3 (the first n_inside of them) hold volume
+        # vol0 + 3600 h^2 m3, whose derivative is 2 h m3/s; the rest lie above the
+        # curve.  Two records give the one slope, three a second-order derivative
+        # that is exact on a quadratic; one has no derivative at all
+        curves = demo_plant_curves()
+        inside = [0, 1, 3][:n_inside]
+        level = np.full(5, 220.0)
+        level[inside] = curves.storage.level_at_volume(4.0e7 + 3600.0 * np.array(inside, dtype=float) ** 2)
+        comp = constant_compensation("2015-01-01", "2015-03-01", 0.0)
+        rec = reconstruct_net_inflow(make_telemetry(level, np.zeros(5)), curves, comp)
+        assert_allclose(rec.values, expected, rtol=1e-9, atol=1e-9)
+        assert rec.skipped_indices == [i for i in range(5) if i not in inside or n_inside == 1]
+        assert rec.skipped_reasons == ["isolated_volume" if i in inside else "storage_domain" for i in rec.skipped_indices]
+
 
 class TestCurves:
     def test_bilinear_matches_manual(self, rng):
