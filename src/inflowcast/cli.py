@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import InflowcastError, InputError, NumericalError
-from .horizons import CANONICAL_WINDOWS
+from .horizons import CANONICAL_WINDOWS, LAST_LEAD_DAY
 from .textio import read_json, read_table_csv, write_json
 
 # Each command imports the modules it computes with: `report` reads and writes
@@ -78,7 +78,7 @@ CONFIG_KEYS = {
         "years": (int, "10", 1),
         "start_year": (int, "2009", 1),
         "members": (int, "11", 2),
-        "lead_days": (int, "46", 42),  # the shortest ensemble `read_ensemble_csv` accepts
+        "lead_days": (int, "46", LAST_LEAD_DAY),  # the shortest ensemble `read_ensemble_csv` accepts
         "skill_half_life": (float, "10.0", None),  # or none / inf: perfect members
         "seasonal_amplitude": (float, "0.5", 0),  # and below 1
         "drift": (float, "0.12", None),
@@ -194,11 +194,12 @@ def _emit(out: Path, name: str, writer, *payload) -> str:
     return name
 
 
-def _emit_inflow(out: Path, series, report=None) -> list[str]:
-    """Write ``inflow.csv`` and its sidecar record next to it; both names."""
+def _emit_inflow(out: Path, series, **record) -> list[str]:
+    """Write ``inflow.csv`` and, next to it, a record of its normalisation constant, length and ``record``; both names."""
     from . import io as iomod
 
-    return [_emit(out, "inflow.csv", iomod.write_inflow_csv, series, out / INFLOW_SIDECAR, report), INFLOW_SIDECAR]
+    meta = {"normalization_constant": series.normalization_constant, "n_values": len(series), **record}
+    return [_emit(out, "inflow.csv", iomod.write_inflow_csv, series), _emit(out, INFLOW_SIDECAR, write_json, meta)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +255,16 @@ def cmd_reconstruct(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
     from .telemetry import CleaningLimits, PlantCurves, aggregate_and_normalize, clean_telemetry, reconstruct_net_inflow
 
-    cleaning = partial(_setting, cfg, "cleaning")
+    cleaning = {key: _setting(cfg, "cleaning", key) for key in CONFIG_KEYS["cleaning"]}
+    for low, high in (("level_min", "level_max"), ("power_min", "power_max")):
+        _must(cleaning[high] > cleaning[low], "cleaning", high, f"exceed {low} = {cleaning[low]}", cleaning[high])
+    for key in ("max_level_step", "max_power_step"):
+        _must(cleaning[key] > 0, "cleaning", key, "be positive", cleaning[key])
     limits = CleaningLimits(
-        level_bounds=(cleaning("level_min"), cleaning("level_max")),
-        power_bounds=(cleaning("power_min"), cleaning("power_max")),
-        max_level_step=cleaning("max_level_step"),
-        max_power_step=cleaning("max_power_step"),
+        level_bounds=(cleaning["level_min"], cleaning["level_max"]),
+        power_bounds=(cleaning["power_min"], cleaning["power_max"]),
+        max_level_step=cleaning["max_level_step"],
+        max_power_step=cleaning["max_power_step"],
     )
     telemetry = iomod.read_telemetry_csv(args.telemetry)
     curves = PlantCurves(
@@ -272,7 +277,7 @@ def cmd_reconstruct(args, cfg, seed: int, out: Path) -> list[str]:
     reconstruction = reconstruct_net_inflow(cleaned, curves, compensation)
     series = aggregate_and_normalize(reconstruction.timestamps, reconstruction.values)
     report = {"cleaning": cleaning_report.to_dict(), "reconstruction": reconstruction.to_report()}
-    return _emit_inflow(out, series, report)
+    return _emit_inflow(out, series, cleaning_report=report)
 
 
 def _load_models(path) -> TrainedModels:
@@ -441,26 +446,21 @@ def cmd_report(args, cfg, seed: int, out: Path) -> list[str]:
         payload["skill"] = skill["skill"]
         payload["reliability"] = skill.get("reliability", {})
     if value_rows is not None:
-        baseline = {}
-        for row in value_rows:
-            if row["forecast_type"] == "climatological":
-                baseline[(row["horizon"], row["differential"])] = row["water_value"]
-        gains = []
-        for row in value_rows:
-            if row["forecast_type"] == "climatological":
-                continue
-            base = baseline.get((row["horizon"], row["differential"]))
-            if base is None:
-                continue
-            gains.append(
-                {
-                    "forecast_type": row["forecast_type"],
-                    "horizon": row["horizon"],
-                    "differential": row["differential"],
-                    "value_gain_over_climatology": row["water_value"] - base,
-                }
-            )
-        payload["value_gains"] = gains
+        baseline = {
+            (row["horizon"], row["differential"]): row["water_value"]
+            for row in value_rows
+            if row["forecast_type"] == "climatological"
+        }
+        payload["value_gains"] = [
+            {
+                "forecast_type": row["forecast_type"],
+                "horizon": row["horizon"],
+                "differential": row["differential"],
+                "value_gain_over_climatology": row["water_value"] - baseline[key],
+            }
+            for row in value_rows
+            if row["forecast_type"] != "climatological" and (key := (row["horizon"], row["differential"])) in baseline
+        ]
     return [_emit(out, "report.json", write_json, payload)]
 
 

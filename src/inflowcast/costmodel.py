@@ -35,6 +35,7 @@ from .verification import BootstrapResult, replicate_sums
 from .zaga import ZagaDistribution, gamma_ppf
 
 FORECAST_TYPES = ("climatological", "deterministic", "probabilistic")
+MIN_VALUE_CASES = 20  # `price_sweep` reports no group with fewer cases, and needs this many in all
 
 
 @dataclass(frozen=True)
@@ -522,7 +523,6 @@ def price_sweep(
     peak_price: float = 50.0,
     n_boot: int = 1000,
     seed: int = 0,
-    min_cases: int = 20,
     adjustments=None,
 ):
     """Water value per (forecast type, horizon, differential) with bootstrap bands.
@@ -538,8 +538,8 @@ def price_sweep(
     Returns (value rows, per-case total-cost table).
     """
     n = len(cases)
-    if n < min_cases:
-        raise InputError(f"{n} cost cases is below the minimum of {min_cases}")
+    if n < MIN_VALUE_CASES:
+        raise InputError(f"{n} cost cases is below the minimum of {MIN_VALUE_CASES}")
     gens = cases.envelope.clim_generation
     diffs = sorted({float(d) for d in differentials})
     priced = evaluate_cases(cases, PriceConfig(peak=peak_price, differential=np.array(diffs)[:, None]), adjustments)
@@ -561,7 +561,7 @@ def price_sweep(
     rows = []
     for name, idx in groups.items():
         sums = replicate_sums(columns[idx], n_boot, rng)  # a group too small to report still takes its draws
-        if len(idx) < min_cases:
+        if len(idx) < MIN_VALUE_CASES:
             continue
         g, g_boot = gens[idx], sums[:, 0]
         for k, ftype in enumerate(FORECAST_TYPES):

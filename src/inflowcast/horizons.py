@@ -17,3 +17,4 @@ CANONICAL_WINDOWS: tuple[tuple[str, int, int], ...] = (
     ("5 Week Forecast", 1, 35),
     ("6 Week Forecast", 1, 42),
 )
+LAST_LEAD_DAY = max(last for _, _, last in CANONICAL_WINDOWS)  # every ensemble must reach it

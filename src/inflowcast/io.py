@@ -33,6 +33,7 @@ import numpy as np
 
 from .data import EnsemblePrecipForecast, NaoIndex
 from .errors import InputError
+from .horizons import LAST_LEAD_DAY
 from .series import DailySeries, InflowSeries
 from .textio import _check_bytes, _converted, _header, _parse, _parse_finite, _require, _rows, read_json, read_table_csv, write_json
 
@@ -303,14 +304,9 @@ def read_inflow_csv(path) -> DailySeries:
     return read_daily_series_csv(path, "inflow_norm")
 
 
-def write_inflow_csv(path, series: InflowSeries, sidecar=None, cleaning_report: dict | None = None) -> None:
-    """Write `date,inflow_norm`, and at ``sidecar`` a JSON record of the normalisation constant and cleaning report."""
+def write_inflow_csv(path, series: InflowSeries) -> None:
+    """Write `date,inflow_norm`."""
     _write_csv(path, ["date", "inflow_norm"], _column_lines(series.dates, series.values))
-    if sidecar is not None:
-        meta = {"normalization_constant": series.normalization_constant, "n_values": int(len(series))}
-        if cleaning_report is not None:
-            meta["cleaning_report"] = cleaning_report
-        write_json(sidecar, meta)
 
 
 def read_reanalysis_csv(path) -> DailySeries:
@@ -429,7 +425,7 @@ def _ensemble_columns(path: Path, header: list[str], skip: int, mode: str):
     return day_of[issue_idx], rows["member"], day, values[0] + values[1] if mode == "split" else values[0]
 
 
-def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForecast]:
+def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
     """Long-form ensemble file, daily or 6-hourly.
 
     Daily rows: `issue_date,member,lead_day,precip_mm_day`.  Six-hourly rows
@@ -437,8 +433,8 @@ def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForec
     totals, i.e. mm/day rates, in row order.  When total precipitation is
     split into `largescale_mm_day` and `convective_mm_day` columns the two
     are summed.  Rows may come in any order; every issue must have the same
-    members and each member at least ``min_lead_days`` complete lead days
-    (the issue is cut to the shortest member).
+    members and each member the ``LAST_LEAD_DAY`` (42) complete lead days of
+    the longest canonical horizon (the issue is cut to the shortest member).
 
     The body is parsed column by column in one pass; a file that fails to
     parse or a check is scanned row by row only to name the first bad line.
@@ -483,10 +479,10 @@ def read_ensemble_csv(path, min_lead_days: int = 42) -> list[EnsemblePrecipForec
     last_day = np.zeros(n_issues * n_members, dtype=np.int64)
     np.maximum.at(last_day, pair, day)
     n_days = last_day.reshape(n_issues, n_members).min(axis=1)
-    short = n_days < min_lead_days
+    short = n_days < LAST_LEAD_DAY
     if short.any():
         i = int(np.argmax(short))
-        raise InputError(f"{path}: issue {issues[i]} has only {n_days[i]} lead days (need >= {min_lead_days})")
+        raise InputError(f"{path}: issue {issues[i]} has only {n_days[i]} lead days (need >= {LAST_LEAD_DAY})")
     width = int(min(n_days.max(), np.bincount(pair).max() // steps_per_day + 1))
     keep = day <= np.minimum(n_days, width)[issue_idx]
     cell = (pair * width + day - 1)[keep]

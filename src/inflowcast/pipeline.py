@@ -143,7 +143,11 @@ class TrainedModels:
     regressions: dict[int, LinearInflowModel]
     emos: dict[tuple[str, int], EmosModel]  # (horizon name, fold year)
     horizons: tuple[HorizonSpec, ...]
-    basis: CyclicSplineBasis
+
+    @property
+    def basis(self) -> CyclicSplineBasis:
+        """The spline basis that every EMOS model shares."""
+        return next(iter(self.emos.values())).basis
 
     def to_dict(self) -> dict:
         return {
@@ -159,16 +163,29 @@ class TrainedModels:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModels":
-        horizons = tuple(
-            HorizonSpec(h["name"], int(h["start_day"]), int(h["end_day"])) for h in d["horizons"]
-        )
+        """Inverse of ``to_dict``; an input error unless the models are finite and there is
+        one EMOS model per (horizon, fold), at least one, each on the file's basis."""
+        horizons = tuple(HorizonSpec(h["name"], int(h["start_day"]), int(h["end_day"])) for h in d["horizons"])
         basis = CyclicSplineBasis(int(d["n_knots"]), float(d["period"]))
         regressions = {int(y): LinearInflowModel.from_dict(m) for y, m in d["regressions"].items()}
+        for y, reg in regressions.items():
+            if not np.isfinite([reg.slope, reg.intercept]).all():
+                raise InputError(f"fold {y}: regression slope {reg.slope} and intercept {reg.intercept} must be finite")
         emos = {}
         for m in d["emos"]:
             model = EmosModel.from_dict(m)
-            emos[(model.horizon, int(model.fold_year))] = model
-        return cls(regressions=regressions, emos=emos, horizons=horizons, basis=basis)
+            key = (model.horizon, int(model.fold_year))
+            where = f"horizon {key[0]!r} fold {key[1]}"
+            if key in emos:
+                raise InputError(f"{where}: a second EMOS model")
+            if model.basis != basis:
+                raise InputError(f"{where}: EMOS basis {model.basis} differs from the file's {basis}")
+            if not (np.isfinite(model.theta).all() and 0 <= model.offset < np.inf):  # NaN fails too
+                raise InputError(f"{where}: EMOS coefficients must be finite and the offset finite and >= 0, got offset {model.offset}")
+            emos[key] = model
+        if not emos:
+            raise InputError("no EMOS model")
+        return cls(regressions=regressions, emos=emos, horizons=horizons)
 
 
 def train_models(
@@ -180,15 +197,12 @@ def train_models(
     ridge: float = 1e-6,
     n_starts: int = 3,
     min_cases: int = 100,
-    min_years: int = 4,
-    min_pairs: int = 30,
     seed: int = 0,
     tables: dict[str, HorizonCaseTable] | None = None,
 ) -> TrainedModels:
-    """Fit the fold regressions and one EMOS model per (horizon, fold)."""
-    tables = tables or build_case_tables(issues, inflow, horizons)
-    week1 = tables[WEEK1.name] if WEEK1.name in tables else build_case_tables(issues, inflow, (WEEK1,))[WEEK1.name]
-    regressions = run_cross_validation(week1, member_wise=member_wise, min_years=min_years, min_pairs=min_pairs)
+    """Fit the fold regressions on Forecast Week 1, whose table ``tables`` must hold too, and one EMOS model per (horizon, fold)."""
+    tables = tables or build_case_tables(issues, inflow, horizons if WEEK1 in horizons else (*horizons, WEEK1))
+    regressions = run_cross_validation(tables[WEEK1.name], member_wise=member_wise)
     basis = CyclicSplineBasis(n_knots)
 
     emos: dict[tuple[str, int], EmosModel] = {}
@@ -217,7 +231,7 @@ def train_models(
                 compute_se=False,
             )
 
-    return TrainedModels(regressions=regressions, emos=emos, horizons=tuple(horizons), basis=basis)
+    return TrainedModels(regressions=regressions, emos=emos, horizons=tuple(horizons))
 
 
 # ---------------------------------------------------------------------------

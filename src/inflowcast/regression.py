@@ -23,6 +23,8 @@ if TYPE_CHECKING:
     from .pipeline import HorizonCaseTable
 
 WEEK1 = CANONICAL_HORIZONS[0]
+MIN_YEARS = 4  # forecast years cross-validation needs
+MIN_PAIRS = 30  # training pairs each regression needs
 
 
 def withheld(years, fold_year: int):
@@ -75,19 +77,14 @@ class BenchmarkEnsembleForecast:
     members: np.ndarray  # (K,), normalised inflow; may be negative
 
 
-def fit_week1_regression(
-    precip,
-    inflow,
-    training_years,
-    min_pairs: int = 30,
-) -> LinearInflowModel:
+def fit_week1_regression(precip, inflow, training_years) -> LinearInflowModel:
     """Ordinary least squares of observed inflow on week-1 precipitation."""
     x = np.asarray(precip, dtype=float)
     y = np.asarray(inflow, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise InputError("precip and inflow must be 1-D arrays of equal length")
-    if len(x) < min_pairs:
-        raise InputError(f"{len(x)} training pairs is below the minimum of {min_pairs}")
+    if len(x) < MIN_PAIRS:
+        raise InputError(f"{len(x)} training pairs is below the minimum of {MIN_PAIRS}")
     xc = x - x.mean()
     sxx = float(np.dot(xc, xc))
     if sxx == 0.0:
@@ -130,12 +127,7 @@ def generate_benchmark(
     return BenchmarkEnsembleForecast(forecast.issue_date, horizon, members)
 
 
-def run_cross_validation(
-    week1: HorizonCaseTable,
-    member_wise: bool = True,
-    min_years: int = 4,
-    min_pairs: int = 30,
-) -> dict[int, LinearInflowModel]:
+def run_cross_validation(week1: HorizonCaseTable, member_wise: bool = True) -> dict[int, LinearInflowModel]:
     """One week-1 regression per forecast year, keyed by that year.
 
     For each forecast year Y the line is fitted on the Forecast Week 1 case
@@ -144,16 +136,14 @@ def run_cross_validation(
     years = week1.issue_years
     # a set, not np.unique: numpy's unique imports numpy.ma, which nothing here uses
     fold_years = sorted(set(years.tolist()))
-    if len(fold_years) < min_years:
-        raise InputError(f"cross-validation needs at least {min_years} years, got {len(fold_years)}")
+    if len(fold_years) < MIN_YEARS:
+        raise InputError(f"cross-validation needs at least {MIN_YEARS} years, got {len(fold_years)}")
 
     models: dict[int, LinearInflowModel] = {}
     for fold_year in fold_years:
         train = ~withheld(years, fold_year)
         x, y = build_training_pairs(week1, train, member_wise=member_wise)
-        if len(x) < min_pairs:
-            raise InputError(
-                f"fold {fold_year}: only {len(x)} training pairs (minimum {min_pairs})"
-            )
-        models[fold_year] = fit_week1_regression(x, y, sorted(set(years[train].tolist())), min_pairs=min_pairs)
+        if len(x) < MIN_PAIRS:
+            raise InputError(f"fold {fold_year}: only {len(x)} training pairs (minimum {MIN_PAIRS})")
+        models[fold_year] = fit_week1_regression(x, y, sorted(set(years[train].tolist())))
     return models

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -298,7 +299,7 @@ class SkillReport:
     spread: float  # 2 SE
     skill_class: str
     n_cases: int
-    spread_method: str = "bootstrap_2se"
+    spread_method: ClassVar[str] = "bootstrap_2se"
 
     def to_dict(self) -> dict:
         return {

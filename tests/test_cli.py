@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,21 @@ def _edit_emos(edit):
         return json.dumps(models)
 
     return mutate
+
+
+def _edit_models(edit):
+    """A models.json mutation that applies ``edit`` in place to the whole parsed file."""
+
+    def mutate(text):
+        models = json.loads(text)
+        edit(models)
+        return json.dumps(models)
+
+    return mutate
+
+
+def _first_regression(models):
+    return models["regressions"][min(models["regressions"], key=int)]
 
 
 class TestPipelineCommands:
@@ -385,16 +401,12 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["forecast", "verify", "cost-eval"])
-    @pytest.mark.parametrize("fault", ["mu_overflow", "negative_offset"])
+    @pytest.mark.parametrize("fault", ["mu_overflow"])
     def test_bad_model_exits_3_with_location(self, run_dir, tmp_path, capsys, fault, command):
         models = json.loads((run_dir / "models.json").read_text())
         bad = models["emos"][0]
-        if fault == "mu_overflow":
-            bad["beta_mu"][0] += 1000.0  # the intercept: exp overflows on every case
-            expected = "mu = inf"
-        else:
-            bad["offset"] = -0.5
-            expected = "offset = -0.5"
+        bad["beta_mu"][0] += 1000.0  # the intercept: exp overflows on every case
+        expected = "mu = inf"
         (tmp_path / "models.json").write_text(json.dumps(models))
         rc = main(
             [
@@ -468,27 +480,43 @@ class TestErrorPaths:
                 _edit_emos(lambda m: {**m, "beta_mu": m["beta_mu"][:-1]}),
                 "models.json: malformed models file: beta_mu: expected 9 coefficients for 6 knots, got shape (8,)",
             ),
+            ("models.json", _edit_models(lambda m: m.update(emos=[])), "no EMOS model"),
+            ("models.json", _edit_models(lambda m: m.update(period=50)), "differs from the file's CyclicSplineBasis(n_knots=6, period=50.0)"),
+            ("models.json", _edit_models(lambda m: m.update(n_knots=5)), "differs from the file's CyclicSplineBasis(n_knots=5, period=365.25)"),
+            ("models.json", _edit_models(lambda m: m["emos"][0].update(period=50)), "EMOS basis CyclicSplineBasis(n_knots=6, period=50.0) differs"),
+            ("models.json", _edit_models(lambda m: m["emos"].append(m["emos"][0])), "a second EMOS model"),
+            ("models.json", _edit_models(lambda m: m["emos"][0]["beta_sigma"].__setitem__(1, math.nan)), "coefficients must be finite"),
+            ("models.json", _edit_models(lambda m: m["emos"][0].update(offset=math.inf)), "got offset inf"),
+            ("models.json", _edit_models(lambda m: m["emos"][0].update(offset=-0.5)), "got offset -0.5"),
+            ("models.json", _edit_models(lambda m: _first_regression(m).update(slope=math.inf)), "regression slope inf"),
+            ("models.json", _edit_models(lambda m: _first_regression(m).update(intercept=math.nan)), "intercept nan must be finite"),
         ],
-        ids=["models_not_json", "models_without_beta_mu", "beta_mu_one_short"],
+        ids=[
+            "models_not_json", "models_without_beta_mu", "beta_mu_one_short", "no_emos_model", "file_period_50", "file_knots_5",
+            "emos_period_50", "repeated_emos_model", "nan_coefficient", "infinite_offset", "negative_offset", "infinite_slope",
+            "nan_intercept",
+        ],
     )
     def test_malformed_models_or_sidecar_exits_2(self, run_dir, tmp_path, capsys, command, name, mutate, expected):
         for copied in ("models.json", "inflow.csv"):
             (tmp_path / copied).write_text((run_dir / copied).read_text())
         (tmp_path / name).write_text(mutate((run_dir / name).read_text()))
-        rc = main(
-            [
-                command,
-                "--models", str(tmp_path / "models.json"),
-                "--inflow", str(tmp_path / "inflow.csv"),
-                "--ensemble", str(run_dir / "ensemble.csv"),
-                "--out", str(tmp_path / "out"),
-            ]
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning on the way to the exit code fails too
+            rc = main(
+                [
+                    command,
+                    "--models", str(tmp_path / "models.json"),
+                    "--inflow", str(tmp_path / "inflow.csv"),
+                    "--ensemble", str(run_dir / "ensemble.csv"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{tmp_path / name}: " in err
         assert expected in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize("command", ["forecast", "verify", "cost-eval"])
     def test_garbled_sidecar_is_not_read(self, config_file, run_dir, tmp_path, command):

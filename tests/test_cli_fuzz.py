@@ -1,8 +1,9 @@
 """Hypothesis fuzz of the CLI: mutated inputs or settings end in exit 0, 2 or 3.
 
 `forecast`, `report` and `reconstruct-inflow` get mutated input files;
-`synth`, `train`, `verify` and `cost-eval` get one config key of their
-sections set to an odd value.  `verify` is also run with `[verification]
+`synth`, `reconstruct-inflow`, `train`, `verify` and `cost-eval` get one
+config key of their sections set to an odd value, and every section of
+`CONFIG_KEYS` is one of theirs.  `verify` is also run with `[verification]
 bootstrap` set below two draws and `min_cases` below one case, and `verify`
 and `cost-eval` with an inflow file too short for any case to be scored,
 and `report` with a file, or a path under one, as `--out`.
@@ -187,16 +188,14 @@ def plant_sources(tmp_path_factory):
     return {name: (out / name).read_text() for name in PLANT_FILES}
 
 
+def _plant_args(folder):
+    return [a for name in PLANT_FILES for a in (f"--{name[:-4].replace('_', '-')}", str(folder / name))]
+
+
 def _reconstruct(work):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning is a failure the exit code hides
-        return main(
-            [
-                "reconstruct-inflow",
-                *(a for name in PLANT_FILES for a in (f"--{name[:-4].replace('_', '-')}", str(work / name))),
-                "--out", str(work / "out"),
-            ]
-        )
+        return main(["reconstruct-inflow", *_plant_args(work), "--out", str(work / "out")])
 
 
 @FUZZ
@@ -272,6 +271,7 @@ def test_verify_needs_one_case_per_stratum(tiny_run, tmp_path, capsys, min_cases
 
 COMMAND_SECTIONS = {
     "synth": ("run", "synth"),
+    "reconstruct-inflow": ("run", "cleaning"),
     "train": ("run", "horizons", "emos"),
     "verify": ("run", "verification"),
     "cost-eval": ("run", "cost", "verification"),
@@ -280,8 +280,12 @@ SETTINGS = [(c, s, k) for c, sections in COMMAND_SECTIONS.items() for s in secti
 SETTING_VALUES = (*ODD_VALUES, "0")
 
 
-def _run_with_setting(tiny_run, work, command, section, key, value):
-    """Exit code and standard error of ``command`` on the tiny run's inputs and config with ``[section] key = value``."""
+def test_every_config_section_is_fuzzed():
+    assert {section for sections in COMMAND_SECTIONS.values() for section in sections} == set(CONFIG_KEYS)
+
+
+def _run_with_setting(tiny_run, plant_sources, work, command, section, key, value):
+    """Exit code and standard error of ``command`` on the tiny run's inputs, or the plant files, and config with ``[section] key = value``."""
     cfg = configparser.ConfigParser()
     cfg.read(tiny_run / "run.ini")
     if not cfg.has_section(section):
@@ -291,7 +295,9 @@ def _run_with_setting(tiny_run, work, command, section, key, value):
         cfg.write(fh)
     data = ["--inflow", str(tiny_run / "inflow.csv"), "--ensemble", str(tiny_run / "ensemble.csv")]
     models = ["--models", str(tiny_run / "models.json")]
-    args = {"synth": [], "train": data, "verify": [*models, *data], "cost-eval": [*models, *data]}[command]
+    if command == "reconstruct-inflow":
+        _write(work, plant_sources, {})
+    args = {"synth": [], "reconstruct-inflow": _plant_args(work), "train": data, "verify": [*models, *data], "cost-eval": [*models, *data]}[command]
     err = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")  # a numpy warning is a failure the exit code hides
@@ -305,9 +311,10 @@ def _run_with_setting(tiny_run, work, command, section, key, value):
 @example(setting=("cost-eval", "cost", "peak_price"), value="nan")
 @example(setting=("train", "emos", "starts"), value="0")
 @example(setting=("train", "horizons", "names"), value="")
-def test_commands_survive_odd_settings(tiny_run, work, setting, value):
+@example(setting=("reconstruct-inflow", "cleaning", "level_max"), value="0")
+def test_commands_survive_odd_settings(tiny_run, plant_sources, work, setting, value):
     command, section, key = setting
-    rc, err = _run_with_setting(tiny_run, work, command, section, key, value)
+    rc, err = _run_with_setting(tiny_run, plant_sources, work, command, section, key, value)
     assert rc in (0, 2, 3)
     if "config [" in err:
         assert f"config [{section}] {key}: " in err
@@ -341,10 +348,14 @@ def test_commands_survive_odd_settings(tiny_run, work, setting, value):
         ("train", "horizons", "names", " , ", "no horizon given"),
         ("train", "horizons", "names", "week1, Forecast Week 1", "'Forecast Week 1' is given twice"),
         ("train", "horizons", "names", "Forecast Week 9", "unknown forecast horizon 'Forecast Week 9'"),
+        ("reconstruct-inflow", "cleaning", "level_max", "150", "must exceed level_min = 150.0, got 150.0"),
+        ("reconstruct-inflow", "cleaning", "power_max", "-1", "must exceed power_min = 0.0, got -1.0"),
+        ("reconstruct-inflow", "cleaning", "max_level_step", "0", "must be positive, got 0.0"),
+        ("reconstruct-inflow", "cleaning", "max_power_step", "-5", "must be positive, got -5.0"),
     ],
 )
-def test_bad_setting_exits_2_naming_the_key(tiny_run, tmp_path, command, section, key, value, message):
-    rc, err = _run_with_setting(tiny_run, tmp_path, command, section, key, value)
+def test_bad_setting_exits_2_naming_the_key(tiny_run, plant_sources, tmp_path, command, section, key, value, message):
+    rc, err = _run_with_setting(tiny_run, plant_sources, tmp_path, command, section, key, value)
     assert rc == 2
     assert f"config [{section}] {key}: {message}" in err
     assert "Traceback" not in err

@@ -1,4 +1,5 @@
 from dataclasses import dataclass, fields
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaincc
 
+from inflowcast import costmodel
 from inflowcast.costmodel import (
     FORECAST_TYPES,
     CostCases,
@@ -531,7 +533,8 @@ class TestSweepBootstrap:
         # A water value that cannot vary has SE 0 here but a few ulp of the peak price from the
         # gathers (7e-15 at peak 50 in one example), hence the floor at 1e-12 of the peak.
         table = stack(cases)
-        rows, totals = price_sweep(table, diffs, n_boot=n_boot, seed=seed, min_cases=min_cases)
+        with patch.object(costmodel, "MIN_VALUE_CASES", min_cases):
+            rows, totals = price_sweep(table, diffs, n_boot=n_boot, seed=seed)
         reference = gathered_sweep(table, totals, 50.0, n_boot, seed, min_cases)
         assert [(r.forecast_type, r.horizon, r.differential) for r in rows] == list(reference)
         for r in rows:
@@ -571,7 +574,8 @@ class TestBatchedDecisions:
         diffs = tuple(range(5, 101, 5))
         table = stack(cases)
         adjustments = {ftype: optimal_adjustments(table, ftype) for ftype in FORECAST_TYPES}
-        _, totals = price_sweep(table, diffs, n_boot=2, min_cases=1, adjustments=adjustments)
+        with patch.object(costmodel, "MIN_VALUE_CASES", 1):
+            _, totals = price_sweep(table, diffs, n_boot=2, adjustments=adjustments)
         for ftype in ("climatological", "deterministic"):
             for i, case in enumerate(cases):
                 observed = case.envelope.inflow_energy(case.observed_inflow)

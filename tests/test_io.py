@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import re
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from inflowcast import io as iomod
+from inflowcast.cli import _emit_inflow
 from inflowcast.data import EnsemblePrecipForecast
 from inflowcast.errors import InputError
 from inflowcast.series import DailySeries, InflowSeries
@@ -219,9 +221,7 @@ class TestInflowCsv:
     def test_round_trip_with_sidecar(self, tmp_path):
         dates = np.datetime64("2015-01-01") + np.arange(40)
         series = InflowSeries(dates, np.linspace(-0.2, 2.0, 40) / 0.9, normalization_constant=3.7)
-        iomod.write_inflow_csv(
-            tmp_path / "inflow.csv", series, tmp_path / "inflow_meta.json", {"n_removed": 3}
-        )
+        assert _emit_inflow(tmp_path, series, cleaning_report={"n_removed": 3}) == ["inflow.csv", "inflow_meta.json"]
         back = iomod.read_inflow_csv(tmp_path / "inflow.csv")
         assert type(back) is DailySeries  # the sidecar is a record; no reader opens it
         assert np.array_equal(back.dates, series.dates)
@@ -333,13 +333,14 @@ class TestColumnarEnsembleReader:
         for issue, m, lead, amounts in rows:
             day = (lead + 23) // 24 if mode == "six_hourly" else lead
             totals[issue, m, day] = totals.get((issue, m, day), 0.0) + sum(amounts)
-        back = iomod.read_ensemble_csv(path, min_lead_days=n_days)
+        with patch.object(iomod, "LAST_LEAD_DAY", n_days):
+            back = iomod.read_ensemble_csv(path)
         assert [f.issue_date for f in back] == issues
         for f in back:
             expected = np.array([[totals[f.issue_date, m, d] for d in range(1, n_days + 1)] for m in members])
             assert f.members.tobytes() == expected.tobytes()
 
-    def test_an_issue_in_two_runs_and_two_spellings(self, tmp_path):
+    def test_an_issue_in_two_runs_and_two_spellings(self, tmp_path, monkeypatch):
         # the reader decodes issue dates per run of equal rows: an issue whose rows
         # come in two runs, one of them spelled 20150105, is still one issue
         amounts = {(issue, m, d): 0.5 * d + m + (issue == "B") for issue in "AB" for m in (0, 1) for d in (1, 2, 3)}
@@ -350,7 +351,8 @@ class TestColumnarEnsembleReader:
         ]
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
-        back = iomod.read_ensemble_csv(path, min_lead_days=3)
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 3)
+        back = iomod.read_ensemble_csv(path)
         assert [f.issue_date for f in back] == [dt.date(2015, 1, 5), dt.date(2015, 1, 12)]
         for issue, f in zip("AB", back):
             expected = np.array([[amounts[issue, m, d] for d in (1, 2, 3)] for m in (0, 1)])
@@ -373,29 +375,31 @@ class TestColumnarEnsembleReader:
         lines[k] = ",".join(fields)
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InputError) as err:
-            iomod.read_ensemble_csv(path, min_lead_days=n_days)
+        with patch.object(iomod, "LAST_LEAD_DAY", n_days), pytest.raises(InputError) as err:
+            iomod.read_ensemble_csv(path)
         assert str(err.value).startswith(f"{path}:{k + 1}:")
 
-    def test_six_hourly_step_off_the_grid_names_its_line(self, tmp_path):
+    def test_six_hourly_step_off_the_grid_names_its_line(self, tmp_path, monkeypatch):
         lines = ["issue_date,member,lead_step_hours,precip_mm"]
         lines += [f"2015-01-05,{m},{step},1.0" for m in (0, 1) for step in (6, 12, 18, 24)]
         lines[6] = "2015-01-05,1,9,1.0"
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 1)
         with pytest.raises(InputError, match=rf"^{path}:7: lead_step_hours must be a positive multiple of 6$"):
-            iomod.read_ensemble_csv(path, min_lead_days=1)
+            iomod.read_ensemble_csv(path)
 
-    def test_short_row_names_its_line(self, tmp_path):
+    def test_short_row_names_its_line(self, tmp_path, monkeypatch):
         lines = ["issue_date,member,lead_day,precip_mm_day"]
         lines += [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
         lines[3] = "2015-01-05,1,1"
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 2)
         with pytest.raises(InputError, match=r":4: bad value None in column 'precip_mm_day'"):
-            iomod.read_ensemble_csv(path, min_lead_days=2)
+            iomod.read_ensemble_csv(path)
 
-    def test_ragged_members_rejected(self, tmp_path):
+    def test_ragged_members_rejected(self, tmp_path, monkeypatch):
         lines = ["issue_date,member,lead_day,precip_mm_day"]
         for issue in ("2015-01-05", "2015-01-12", "2015-01-19"):
             for m in (0, 1, 2):
@@ -403,27 +407,31 @@ class TestColumnarEnsembleReader:
                     lines += [f"{issue},{m},{d},1.0" for d in (1, 2)]
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 2)
         with pytest.raises(InputError, match=r"issue 2015-01-12 has 2 members \[0, 1\] but 2 of the 3 issues have 3 \[0, 1, 2\]"):
-            iomod.read_ensemble_csv(path, min_lead_days=2)
+            iomod.read_ensemble_csv(path)
 
-    def test_issue_cut_to_shortest_member(self, tmp_path):
+    def test_issue_cut_to_shortest_member(self, tmp_path, monkeypatch):
         lines = ["issue_date,member,lead_day,precip_mm_day"]
         lines += [f"2015-01-05,{m},{d},{d}.0" for m in (0, 1) for d in range(1, 4 + m)]
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
-        back = iomod.read_ensemble_csv(path, min_lead_days=3)
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 3)
+        back = iomod.read_ensemble_csv(path)
         assert back[0].members.tolist() == [[1.0, 2.0, 3.0]] * 2
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 4)
         with pytest.raises(InputError, match="has only 3 lead days"):
-            iomod.read_ensemble_csv(path, min_lead_days=4)
+            iomod.read_ensemble_csv(path)
 
-    def test_duplicate_row_is_incomplete(self, tmp_path):
+    def test_duplicate_row_is_incomplete(self, tmp_path, monkeypatch):
         lines = ["issue_date,member,lead_day,precip_mm_day"]
         lines += [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
         lines.append(lines[2])
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 2)
         with pytest.raises(InputError, match="member 0 has incomplete data for lead day 2"):
-            iomod.read_ensemble_csv(path, min_lead_days=2)
+            iomod.read_ensemble_csv(path)
 
     def test_header_only_has_no_rows(self, tmp_path):
         path = tmp_path / "ensemble.csv"
@@ -447,21 +455,22 @@ class TestColumnarEnsembleReader:
             ("2015-01-05,1,2,\u0661.5", 3),  # an Arabic-Indic digit
         ],
     )
-    def test_parser_quirk_is_a_bad_row(self, tmp_path, line, column):
+    def test_parser_quirk_is_a_bad_row(self, tmp_path, monkeypatch, line, column):
         header = "issue_date,member,lead_day,precip_mm_day"
         lines = [header] + [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
         lines.insert(3, line)
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
         field, name = line.split(",")[column], header.split(",")[column]
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 2)
         with pytest.raises(InputError, match=re.escape(f"{path}:4: bad value {field!r} in column {name!r}") + "$"):
-            iomod.read_ensemble_csv(path, min_lead_days=2)
+            iomod.read_ensemble_csv(path)
 
     @pytest.mark.parametrize(
         "line, byte",
         [("2015-01-05\x00,1,2,1.0", "\x00"), ("2015-01-05,1,2,1.0\x1c", "\x1c"), ("2015-01-05,1,2,1.0,\x1f", "\x1f")],
     )
-    def test_character_numpy_misreads_names_its_line(self, tmp_path, line, byte):
+    def test_character_numpy_misreads_names_its_line(self, tmp_path, monkeypatch, line, byte):
         # numpy would drop a trailing NUL from the date and read the separators as blanks
         lines = ["issue_date,member,lead_day,precip_mm_day"]
         lines += [f"2015-01-05,{m},{d},1.0" for m in (0, 1) for d in (1, 2)]
@@ -469,10 +478,11 @@ class TestColumnarEnsembleReader:
         path = tmp_path / "ensemble.csv"
         path.write_text("\n".join(lines) + "\n")
         message = f"{path}:5: byte {byte.encode()!r} is not allowed"
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 2)
         with pytest.raises(InputError, match=re.escape(message) + "$"):
-            iomod.read_ensemble_csv(path, min_lead_days=2)
+            iomod.read_ensemble_csv(path)
 
-    def test_quoted_fields_and_extra_columns_read_as_csv_reads_them(self, tmp_path):
+    def test_quoted_fields_and_extra_columns_read_as_csv_reads_them(self, tmp_path, monkeypatch):
         rows = [(m, d, f"{m + d}.25") for m in (0, 1) for d in (1, 2)]
         plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
         body = "".join(f"2015-01-05,{m},{d},{v}\n" for m, d, v in rows)
@@ -482,7 +492,8 @@ class TestColumnarEnsembleReader:
             + "".join(f'"2015-01-05", {m},"{d}",{v} ,"a, ""b""",extra\n' for m, d, v in rows)
             + " 2015-01-05\t,1,3,9.0\n"  # a padded date, on a day past the issue's cut
         )
-        back, expected = (iomod.read_ensemble_csv(p, min_lead_days=2) for p in (odd, plain))
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 2)
+        back, expected = (iomod.read_ensemble_csv(p) for p in (odd, plain))
         assert [f.issue_date for f in back] == [f.issue_date for f in expected]
         assert back[0].members.tobytes() == expected[0].members.tobytes()
 

@@ -15,6 +15,7 @@ from inflowcast.data import (
     horizon_by_name,
     observed_horizon_mean,
 )
+from inflowcast import pipeline
 from inflowcast.costmodel import optimal_adjustments
 from inflowcast.errors import InputError
 from inflowcast.pipeline import (
@@ -110,16 +111,19 @@ class TestCaseTables:
 
 class TestFoldRegressions:
     @pytest.mark.parametrize("member_wise", [True, False])
-    def test_equal_to_fit_on_per_issue_pairs(self, scenario5, member_wise):
+    def test_equal_to_fit_on_per_issue_pairs(self, scenario5, monkeypatch, member_wise):
         dates = scenario5.inflow.dates
         # random gaps, and a year without one observed window, which still counts as a training year
         keep = np.random.default_rng(8).random(len(dates)) > 0.02
         keep &= dates.astype("datetime64[Y]") != np.datetime64("2011")
         inflow = DailySeries(dates[keep], scenario5.inflow.values[keep])
-        # trained on Forecast Week 2 only: the Week-1 table is built inside
+        # trained on Forecast Week 2 only: the Week-1 table is built inside, in the one call for both tables
+        built = []
+        monkeypatch.setattr(pipeline, "build_case_tables", lambda *a: built.append(a[2]) or build_case_tables(*a))
         models = train_models(
             scenario5.forecasts, inflow, (horizon_by_name("week2"),), member_wise=member_wise, n_starts=1
         )
+        assert built == [(horizon_by_name("week2"), WEEK1)]
         issues = sorted(scenario5.forecasts, key=lambda f: f.issue_date)
         years = [year_of(f.issue_date) for f in issues]
         assert sorted(models.regressions) == sorted(set(years))

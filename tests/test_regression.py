@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from inflowcast import regression
 from inflowcast.data import EnsemblePrecipForecast, horizon_by_name
 from inflowcast.errors import InputError, LeakageError
 from inflowcast.pipeline import build_case_tables
@@ -125,7 +126,7 @@ class TestCrossValidation:
         for f in scenario5.forecasts:  # the leakage guard accepts every issue's own fold model
             generate_benchmark(f, WEEK1, models[year_of(np.datetime64(f.issue_date))])
 
-    def test_identical_years_give_identical_models(self):
+    def test_identical_years_give_identical_models(self, monkeypatch):
         # replicate one synthetic year of data across five years
         rng = np.random.default_rng(0)
         base_members = rng.gamma(1.0, 3.0, (60, 3, 46))
@@ -146,7 +147,8 @@ class TestCrossValidation:
             inflow_dates.extend(days[keep])
             inflow_vals.extend(base_inflow[: keep.sum()])
         inflow = DailySeries(np.array(inflow_dates), inflow_vals)
-        models = run_cross_validation(week1_table(issues, inflow), min_pairs=20)
+        monkeypatch.setattr(regression, "MIN_PAIRS", 20)
+        models = run_cross_validation(week1_table(issues, inflow))
         # every fold sees the same pair multiset up to replication, and
         # replicating pairs leaves least squares unchanged
         slopes = [m.slope for m in models.values()]
