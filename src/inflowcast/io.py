@@ -1,13 +1,13 @@
 """CSV and JSON readers/writers for every file interface of the toolkit.
 
-Readers give line-numbered diagnostics on malformed rows.  The ensemble,
-telemetry and daily-series readers parse their columns with one
-``np.loadtxt`` and scan row by row only to name the first bad line.  The
-telemetry and daily-series readers share ``_read_series``.  Every date is
-parsed by ``date.fromisoformat`` and every timestamp by
-``datetime.fromisoformat``, one field at a time; the series readers take
-them as integer days (``_date_days``) or seconds (``_timestamp_seconds``)
-since 1970.  The
+Readers give line-numbered diagnostics on malformed rows.  The telemetry
+and daily-series readers parse their columns with one ``np.loadtxt``, the
+ensemble reader with one per block of ``_CHUNK_ROWS`` rows; each scans row
+by row only to name the first bad line.  The telemetry and daily-series
+readers share ``_read_series``.  Every date is parsed by
+``date.fromisoformat`` and every timestamp by ``datetime.fromisoformat``,
+one field at a time; the series readers take them as integer days
+(``_date_days``) or seconds (``_timestamp_seconds``) since 1970.  The
 JSON and string-table helpers (``read_json``, ``write_json``,
 ``read_table_csv``) live in ``textio``, which needs no numpy, and are
 imported here with the header and row checks the readers share.
@@ -354,6 +354,7 @@ _ENSEMBLE_SCHEMAS = {
 # numpy's parser cuts a string at NUL and reads the ASCII separators as blanks
 _NUMPY_BLANKS = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _ISSUE_DATE_BYTES = 16  # width an issue_date is read at; a field that fills it may have been cut
+_CHUNK_ROWS = 16384  # body rows the ensemble reader parses at a time, so its memory follows the cube, not the file
 
 
 def _to_issue_date(raw: str) -> np.datetime64:
@@ -389,40 +390,55 @@ def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
     return None
 
 
-def _ensemble_columns(path: Path, header: list[str], skip: int, mode: str):
-    """Columns (issue day number, member, lead day, amount) of every body row, or a ValueError.
+def _ensemble_runs(path: Path, header: list[str], skip: int, mode: str):
+    """The body rows of an ensemble file as runs of rows with equal issue_date and member fields, or a ValueError.
 
-    One ``np.loadtxt`` reads the schema's columns by header name (the last one
-    wins, as in csv.DictReader); each distinct issue_date is parsed once, and
-    only the rows that start a run of equal issue_date fields are sorted.
+    ``np.loadtxt`` reads the schema's columns by header name (the last one
+    wins, as in csv.DictReader) ``_CHUNK_ROWS`` rows at a time from one open
+    handle.  Of each block, each row's lead day and amount are kept, and of
+    each run of equal (issue_date, member) fields within the block its
+    issue_date, member, length and largest lead day; each distinct issue_date
+    is parsed once.  Gives each block's (day, amount, number of runs) and the
+    runs' (issue day number, member, length, last day) arrays.
     """
     columns = _ENSEMBLE_SCHEMAS[mode]
     where = {name: i for i, name in enumerate(header)}
     kinds = {"issue_date": f"S{_ISSUE_DATE_BYTES}", "member": np.int64, columns[2]: np.int64}
     dtype = [(c, kinds.get(c, float)) for c in columns]
+    cols = [where[c] for c in columns]
+    blocks, runs = [], []
     # A file object keeps numpy from decompressing by file name; latin-1 hands it the
     # undecoded bytes, since its integer parser takes some characters above U+00FF for digits.
     with open(path, encoding="latin-1") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        cols = [where[c] for c in columns]
-        rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, ndmin=1)
-    # a file lists each issue's rows together, so only the first row of each run
-    # of equal issue_date fields goes to np.unique, not every row
-    raw = rows["issue_date"]
-    head = np.ones(len(raw), dtype=bool)
-    head[1:] = raw[1:] != raw[:-1]
-    dates, head_idx = np.unique(raw[head], return_inverse=True)
-    issue_idx = head_idx[np.cumsum(head) - 1]
-    day_of = np.array([_to_issue_date(d.decode()) for d in dates.tolist()], dtype="datetime64[D]").astype(np.int64)
-    lead = rows[columns[2]]
-    values = [rows[c] for c in columns[3:]]
-    flagged = (lead <= 0) | (lead % 6 != 0) if mode == "six_hourly" else lead <= 0
-    for v in values:
-        flagged |= ~np.isfinite(v) | (v < 0)
-    if flagged.any():
-        raise ValueError("a value out of range")
-    day = (lead + 23) // 24 if mode == "six_hourly" else lead
-    return day_of[issue_idx], rows["member"], day, values[0] + values[1] if mode == "split" else values[0]
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)  # a blank line, with max_rows
+        while True:
+            rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, max_rows=_CHUNK_ROWS, ndmin=1)
+            skip = 0
+            if not len(rows):
+                break
+            lead = rows[columns[2]]
+            values = [rows[c] for c in columns[3:]]
+            flagged = (lead <= 0) | (lead % 6 != 0) if mode == "six_hourly" else lead <= 0
+            for v in values:
+                flagged |= ~np.isfinite(v) | (v < 0)
+            if flagged.any():
+                raise ValueError("a value out of range")
+            day = (lead + 23) // 24 if mode == "six_hourly" else lead.copy()
+            raw, member = rows["issue_date"], rows["member"]
+            head = np.ones(len(rows), dtype=bool)
+            head[1:] = (raw[1:] != raw[:-1]) | (member[1:] != member[:-1])
+            starts = np.flatnonzero(head)
+            runs.append((raw[starts], member[starts], np.diff(starts, append=len(rows)), np.maximum.reduceat(day, starts)))
+            blocks.append((day, values[0] + values[1] if mode == "split" else values[0].copy(), len(starts)))
+            if len(rows) < _CHUNK_ROWS:
+                break
+    if not blocks:
+        raise InputError(f"{path}: no forecast rows")
+    text, member, length, last = (np.concatenate(c) for c in zip(*runs))
+    texts, text_idx = np.unique(text, return_inverse=True)
+    day_of = np.array([_to_issue_date(t.decode()) for t in texts.tolist()], dtype="datetime64[D]").astype(np.int64)
+    return blocks, day_of[text_idx], member, length, last
 
 
 def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
@@ -436,8 +452,10 @@ def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
     members and each member the ``LAST_LEAD_DAY`` (42) complete lead days of
     the longest canonical horizon (the issue is cut to the shortest member).
 
-    The body is parsed column by column in one pass; a file that fails to
-    parse or a check is scanned row by row only to name the first bad line.
+    The body is parsed column by column, ``_CHUNK_ROWS`` rows at a time, and
+    only each row's lead day and amount are kept until the totals are summed;
+    a file that fails to parse or a check is scanned row by row only to name
+    the first bad line.
     """
     path = Path(path)
     header, skip = _header(path, forbidden=_NUMPY_BLANKS)  # also in the columns that are not read
@@ -448,18 +466,16 @@ def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
     else:
         raise InputError(f"{path}: unrecognised ensemble schema (header: {sorted(cols)})")
     try:
-        issue, member, day, amount = _ensemble_columns(path, header, skip, mode)
+        blocks, run_issue, run_member, run_length, run_last = _ensemble_runs(path, header, skip, mode)
     except ValueError as exc:
         bad_row = _first_bad_row(path, lambda fields: _ensemble_row_problem(fields, mode))
         raise bad_row or InputError(f"{path}: {exc}") from None
-    if not len(issue):
-        raise InputError(f"{path}: no forecast rows")
 
-    issues, issue_idx = np.unique(issue, return_inverse=True)
+    issues, issue_idx = np.unique(run_issue, return_inverse=True)
     issues = issues.astype("datetime64[D]")
-    members, member_idx = np.unique(member, return_inverse=True)
+    members, member_idx = np.unique(run_member, return_inverse=True)
     n_issues, n_members = len(issues), len(members)
-    pair = issue_idx * n_members + member_idx
+    pair = issue_idx * n_members + member_idx  # of each run
     present = np.zeros((n_issues, n_members), dtype=bool)
     present.flat[pair] = True
     member_sets, set_counts = np.unique(present, axis=0, return_counts=True)
@@ -477,23 +493,31 @@ def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
     # which bounds the grid however large a lead day is
     steps_per_day = 4 if mode == "six_hourly" else 1
     last_day = np.zeros(n_issues * n_members, dtype=np.int64)
-    np.maximum.at(last_day, pair, day)
+    np.maximum.at(last_day, pair, run_last)
     n_days = last_day.reshape(n_issues, n_members).min(axis=1)
     short = n_days < LAST_LEAD_DAY
     if short.any():
         i = int(np.argmax(short))
         raise InputError(f"{path}: issue {issues[i]} has only {n_days[i]} lead days (need >= {LAST_LEAD_DAY})")
-    width = int(min(n_days.max(), np.bincount(pair).max() // steps_per_day + 1))
-    keep = day <= np.minimum(n_days, width)[issue_idx]
-    cell = (pair * width + day - 1)[keep]
-    counts = np.bincount(cell, minlength=n_issues * n_members * width).reshape(n_issues, n_members, width)
+    width = int(min(n_days.max(), np.bincount(pair, run_length).max() // steps_per_day + 1))
+    run_cap = np.minimum(n_days, width)[issue_idx]
+    run_base = pair * width - 1  # a row's cell is its run's base plus its lead day
+    counts = np.zeros(n_issues * n_members * width, dtype=np.int64)
+    totals = np.zeros(n_issues * n_members * width)
+    first = 0
+    for day, amount, n_runs in blocks:  # in row order, so every total is the same sum
+        runs = slice(first, first + n_runs)
+        keep = day <= np.repeat(run_cap[runs], run_length[runs])
+        cell = np.repeat(run_base[runs], run_length[runs])[keep] + day[keep]
+        np.add.at(counts, cell, 1)
+        np.add.at(totals, cell, amount[keep])
+        first += n_runs
+    counts = counts.reshape(n_issues, n_members, width)
     incomplete = (counts != steps_per_day) & (np.arange(1, width + 1) <= n_days[:, None, None])
     if incomplete.any():
         i, m, d = np.unravel_index(np.argmax(incomplete), incomplete.shape)
         raise InputError(f"{path}: issue {issues[i]} member {members[m]} has incomplete data for lead day {d + 1}")
 
-    totals = np.zeros(n_issues * n_members * width)
-    np.add.at(totals, cell, amount[keep])
     totals = totals.reshape(n_issues, n_members, width)
     return [
         EnsemblePrecipForecast(issue_date, totals[i, :, :n])

@@ -164,13 +164,15 @@ class TrainedModels:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainedModels":
         """Inverse of ``to_dict``; an input error unless the models are finite and there is
-        one EMOS model per (horizon, fold), at least one, each on the file's basis."""
+        one EMOS model, on the file's basis, for each (horizon, fold) of ``horizons`` and
+        ``regressions``, and no other."""
         horizons = tuple(HorizonSpec(h["name"], int(h["start_day"]), int(h["end_day"])) for h in d["horizons"])
         basis = CyclicSplineBasis(int(d["n_knots"]), float(d["period"]))
         regressions = {int(y): LinearInflowModel.from_dict(m) for y, m in d["regressions"].items()}
         for y, reg in regressions.items():
             if not np.isfinite([reg.slope, reg.intercept]).all():
                 raise InputError(f"fold {y}: regression slope {reg.slope} and intercept {reg.intercept} must be finite")
+        names = {h.name for h in horizons}
         emos = {}
         for m in d["emos"]:
             model = EmosModel.from_dict(m)
@@ -178,6 +180,8 @@ class TrainedModels:
             where = f"horizon {key[0]!r} fold {key[1]}"
             if key in emos:
                 raise InputError(f"{where}: a second EMOS model")
+            if key[0] not in names or key[1] not in regressions:
+                raise InputError(f"{where}: an EMOS model for a horizon or fold that the file's horizons and regressions do not name")
             if model.basis != basis:
                 raise InputError(f"{where}: EMOS basis {model.basis} differs from the file's {basis}")
             if not (np.isfinite(model.theta).all() and 0 <= model.offset < np.inf):  # NaN fails too
@@ -185,6 +189,10 @@ class TrainedModels:
             emos[key] = model
         if not emos:
             raise InputError("no EMOS model")
+        for h in horizons:
+            for y in sorted(regressions):
+                if (h.name, y) not in emos:
+                    raise InputError(f"no EMOS model for horizon {h.name!r} fold {y}")
         return cls(regressions=regressions, emos=emos, horizons=horizons)
 
 
@@ -267,9 +275,7 @@ def predict_params(
             mask = table.issue_years == fold_year
             if not mask.any():
                 continue
-            emos = models.emos.get((h.name, fold_year))
-            if emos is None:
-                raise InputError(f"no EMOS model for horizon '{h.name}' fold {fold_year}")
+            emos = models.emos[(h.name, fold_year)]
             bench = reg.predict(table.member_matrix[mask])
             feats = compute_feature_matrix(bench)
             with np.errstate(over="ignore", invalid="ignore"):

@@ -6,12 +6,15 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
 from pathlib import Path
 
 from .errors import InputError
+
+_BLOCK_BYTES = 1 << 20  # bytes ``_check_bytes`` reads at a time
 
 
 def _require(path: Path) -> Path:
@@ -21,19 +24,45 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _line_at(path: Path, offset: int) -> int:
+    """The line of the byte at ``offset`` of ``path`` as ``bytes.splitlines`` counts lines (CR, LF, CRLF), read ``_BLOCK_BYTES`` at a time."""
+    line, tail = 1, b""
+    with open(path, "rb") as fh:
+        while offset > 0 and (block := fh.read(min(_BLOCK_BYTES, offset))):
+            # the LF of a CRLF cut by the block end was counted with its CR
+            line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n") - (tail == b"\r" and block[:1] == b"\n")
+            tail, offset = block[-1:], offset - len(block)
+    return line
+
+
 def _check_bytes(path: Path, forbidden: tuple[bytes, ...] = ()) -> None:
-    """Raise an InputError naming the line of the first byte of ``path`` that is not UTF-8 or is ``forbidden``."""
-    data = Path(path).read_bytes()
-    try:
-        if not data.isascii():
-            data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        at, problem = exc.start, "is not valid UTF-8"
-    else:
-        at, problem = min((i for i in map(data.find, forbidden) if i >= 0), default=-1), "is not allowed"
-    if at >= 0:
-        line = len((data[:at] + b"x").splitlines())  # b"x": a line break just before the byte starts its line
-        raise InputError(f"{path}:{line}: byte {data[at : at + 1]!r} {problem}")
+    """Raise an InputError naming the line of the first byte of ``path`` that is not UTF-8 or is ``forbidden``.
+
+    The file is read ``_BLOCK_BYTES`` at a time through an incremental UTF-8
+    decoder, and its lines are counted only to name a bad byte.  A byte that
+    is not UTF-8 is named even when a ``forbidden`` one (each a single byte)
+    comes earlier.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    start, found = 0, None  # the offset of the block in the file; the first forbidden byte and its offset
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_BLOCK_BYTES)
+            pending = decoder.getstate()[0]  # the start of a character that the last block cut
+            try:
+                if pending or not block.isascii():
+                    decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                byte = (pending + block)[exc.start : exc.start + 1]
+                raise InputError(f"{path}:{_line_at(path, start - len(pending) + exc.start)}: byte {byte!r} is not valid UTF-8") from None
+            if not block:
+                break
+            at = min((i for i in map(block.find, forbidden) if i >= 0), default=-1)
+            if found is None and at >= 0:
+                found = start + at, block[at : at + 1]
+            start += len(block)
+    if found:
+        raise InputError(f"{path}:{_line_at(path, found[0])}: byte {found[1]!r} is not allowed")
 
 
 def _header(path: Path, required: tuple[str, ...] = (), forbidden: tuple[bytes, ...] = ()) -> tuple[list[str], int]:

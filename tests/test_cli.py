@@ -577,6 +577,7 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
     def test_cost_eval_without_horizons_exits_2(self, run_dir, tmp_path, capsys):
+        # with no horizon named, each EMOS model is one the file does not ask for
         models = json.loads((run_dir / "models.json").read_text())
         (tmp_path / "models.json").write_text(json.dumps({**models, "horizons": []}))
         rc = main(
@@ -589,7 +590,28 @@ class TestErrorPaths:
             ]
         )
         assert rc == 2
-        assert "no cost cases could be built" in capsys.readouterr().err
+        assert f"{tmp_path / 'models.json'}: malformed models file: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda m: m["emos"].pop(0), "no EMOS model for horizon 'Forecast Week 1' fold {fold}"),
+            (lambda m: m["emos"][0].update(horizon="Forecast Week 9"), "horizon 'Forecast Week 9' fold {fold}: an EMOS model for a horizon or fold"),
+            (lambda m: m["emos"].append({**m["emos"][0], "fold_year": 1999}), "horizon 'Forecast Week 1' fold 1999: an EMOS model for a horizon or fold"),
+        ],
+        ids=["missing_model", "model_for_an_unnamed_horizon", "model_for_a_fold_without_regression"],
+    )
+    def test_models_file_names_every_emos_model_it_needs_and_no_other(self, tiny_run, tmp_path, capsys, edit, expected):
+        models = json.loads((tiny_run / "models.json").read_text())
+        fold = models["emos"][0]["fold_year"]
+        edit(models)
+        (tmp_path / "models.json").write_text(json.dumps(models))
+        data = ["--inflow", str(tiny_run / "inflow.csv"), "--ensemble", str(tiny_run / "ensemble.csv")]
+        rc = main(["forecast", "--models", str(tmp_path / "models.json"), *data, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{tmp_path / 'models.json'}: malformed models file: {expected.format(fold=fold)}" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         rc = main(["--config", str(tmp_path / "none.ini"), "synth", "--out", str(tmp_path)])
@@ -682,6 +704,24 @@ def test_no_command_loads_scipy(tmp_path, tiny_run):
     )
     assert [c[0] for c in commands] == ["synth", "reconstruct-inflow", "train", "forecast", "verify", "cost-eval", "report"]
     assert _python(code, cwd=tmp_path) == f"{[0] * len(commands)} False False"
+
+
+def test_forecast_on_an_ensemble_with_blank_lines_writes_nothing_to_stderr(tmp_path, tiny_run, command_dirs):
+    # blank lines after the header, at the end of the reader's first block of rows and at the end of the file
+    from inflowcast.io import _CHUNK_ROWS
+
+    lines = (tiny_run / "ensemble.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines) > _CHUNK_ROWS + 1
+    for at in (len(lines), _CHUNK_ROWS + 1, 1):
+        lines[at:at] = [b"\r\n", b"\n"]
+    (tmp_path / "ensemble.csv").write_bytes(b"".join(lines))
+    argv = ["--config", str(tiny_run / "run.ini"), "--seed", "3", "forecast", "--models", str(tiny_run / "models.json")]
+    argv += ["--inflow", str(tiny_run / "inflow.csv"), "--ensemble", str(tmp_path / "ensemble.csv"), "--out", "out"]
+    env = {**os.environ, "PYTHONPATH": str(Path(inflowcast.__file__).parents[1])}
+    code = f"import sys; from inflowcast.cli import main; sys.exit(main({argv!r}))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "out" / "forecasts.csv").read_bytes() == (command_dirs["forecast"] / "forecasts.csv").read_bytes()
 
 
 def test_package_import_and_report_leave_out_numpy(tmp_path, tiny_run):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from inflowcast import io as iomod
+from inflowcast import textio
 from inflowcast.cli import _emit_inflow
 from inflowcast.data import EnsemblePrecipForecast
 from inflowcast.errors import InputError
@@ -321,6 +322,18 @@ def _ensemble_lines(mode, rows, blanks):
     return [ENSEMBLE_HEADERS[mode]] + lines
 
 
+@pytest.fixture(params=[1, 2, 3, 7], ids=lambda n: f"blocks_of_{n}")
+def small_blocks(request, monkeypatch):
+    """The ensemble reader's rows and the byte check's bytes read ``n`` at a time."""
+    monkeypatch.setattr(iomod, "_CHUNK_ROWS", request.param)
+    monkeypatch.setattr(textio, "_BLOCK_BYTES", request.param)
+
+
+def _daily_lines(n_days):
+    """A daily file of two members, one issue, whose amounts are ``member + 0.25 * day``."""
+    return [ENSEMBLE_HEADERS["daily"]] + [f"2015-01-05,{m},{d},{m + 0.25 * d!r}" for m in (0, 1) for d in range(1, n_days + 1)]
+
+
 class TestColumnarEnsembleReader:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ensemble_files())
@@ -377,7 +390,8 @@ class TestColumnarEnsembleReader:
         path.write_text("\n".join(lines) + "\n")
         with patch.object(iomod, "LAST_LEAD_DAY", n_days), pytest.raises(InputError) as err:
             iomod.read_ensemble_csv(path)
-        assert str(err.value).startswith(f"{path}:{k + 1}:")
+        problem = iomod._ensemble_row_problem(dict(zip(ENSEMBLE_HEADERS[mode].split(","), fields)), mode)
+        assert str(err.value) == f"{path}:{k + 1}: {problem}"
 
     def test_six_hourly_step_off_the_grid_names_its_line(self, tmp_path, monkeypatch):
         lines = ["issue_date,member,lead_step_hours,precip_mm"]
@@ -497,6 +511,113 @@ class TestColumnarEnsembleReader:
         assert [f.issue_date for f in back] == [f.issue_date for f in expected]
         assert back[0].members.tobytes() == expected[0].members.tobytes()
 
+    def test_six_hourly_steps_across_block_ends_sum_as_in_one_block(self, tmp_path, monkeypatch):
+        # summed in another order, 1e16 + 1.0 + 1.0 would differ in its last bit
+        amounts = [1e16, 1.0, 1.0, 0.1, 0.3, 1e-17, 2.5]
+        rows = [(m, day, step) for m in (0, 1) for day in (1, 2, 3) for step in (6, 12, 18, 24)]
+        lines = [ENSEMBLE_HEADERS["six_hourly"]] + [
+            f"2015-01-05,{m},{(day - 1) * 24 + step},{amounts[i % len(amounts)]!r}" for i, (m, day, step) in enumerate(rows)
+        ]
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 3)
+        blocks = iomod.read_ensemble_csv(path)[0].members
+        monkeypatch.setattr(iomod, "_CHUNK_ROWS", len(rows))
+        whole = iomod.read_ensemble_csv(path)[0].members
+        assert blocks.tobytes() == whole.tobytes()
+        totals = {}
+        for i, (m, day, _) in enumerate(rows):
+            totals[m, day] = totals.get((m, day), 0.0) + amounts[i % len(amounts)]
+        assert whole.tolist() == [[totals[m, d] for d in (1, 2, 3)] for m in (0, 1)]
+
+    @pytest.mark.parametrize("trailing", ["", "\n\n"])
+    def test_rows_that_fill_whole_blocks(self, tmp_path, monkeypatch, trailing):
+        lines = _daily_lines(21)  # 42 rows: whole blocks of 1, 2, 3 and 7
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n" + trailing)
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 21)
+        back = iomod.read_ensemble_csv(path)
+        assert back[0].members.tolist() == [[m + 0.25 * d for d in range(1, 22)] for m in (0, 1)]
+
+    def test_bad_value_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        lines = _daily_lines(21)
+        lines[39] = "2015-01-05,1,19,x"
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 21)
+        with pytest.raises(InputError, match=rf"^{path}:40: bad value 'x' in column 'precip_mm_day'$"):
+            iomod.read_ensemble_csv(path)
+
+    def test_blank_lines_at_block_ends_warn_nothing(self, tmp_path, monkeypatch):
+        # with max_rows numpy warns of each blank line; the reader ignores them, as csv does
+        lines = _daily_lines(21)
+        for at in (43, 22, 15, 8, 7, 4, 3, 1):
+            lines.insert(at, "")
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = iomod.read_ensemble_csv(path)
+        assert back[0].members.tolist() == [[m + 0.25 * d for d in range(1, 22)] for m in (0, 1)]
+
+    @pytest.mark.parametrize(
+        "notes, message",
+        [
+            ({}, None),
+            ({2: b"\xe2\x82"}, "{path}:3: byte b'\\xe2' is not valid UTF-8"),  # a character cut short
+            ({5: b"\x00"}, "{path}:6: byte b'\\x00' is not allowed"),
+            ({2: b"\x00", 7: b"\xff\xc3\xa9"}, "{path}:8: byte b'\\xff' is not valid UTF-8"),  # UTF-8 first, wherever it is
+            ({8: b"\xe2\x82"}, "{path}:9: byte b'\\xe2' is not valid UTF-8"),  # at the end of the file
+        ],
+        ids=["valid", "cut_character", "nul_in_a_later_block", "not_utf8_after_a_nul", "cut_at_the_end"],
+    )
+    def test_characters_across_byte_blocks(self, tmp_path, monkeypatch, notes, message):
+        # every line carries characters of two, three and four bytes, which blocks of 1 to 7 bytes cut
+        lines = [(line + ",note").encode() for line in _daily_lines(4)[:1]] + [
+            f"{line},\u00e9\u20ac\U0001f600".encode() for line in _daily_lines(4)[1:]
+        ]
+        for k, extra in notes.items():
+            lines[k] += extra
+        path = tmp_path / "ensemble.csv"
+        path.write_bytes(b"\r\n".join(lines) + (b"" if 8 in notes else b"\r\n"))
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 4)
+        if message is None:
+            assert iomod.read_ensemble_csv(path)[0].members.tolist() == [[m + 0.25 * d for d in range(1, 5)] for m in (0, 1)]
+        else:
+            with pytest.raises(InputError, match=re.escape(message.format(path=path)) + "$"):
+                iomod.read_ensemble_csv(path)
+
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestColumnarEnsembleReaderInSmallBlocks(TestColumnarEnsembleReader):
+    """Every case above gives the same arrays, or the same error and line, with blocks cut at every few rows and bytes."""
+
+def test_reading_an_ensemble_takes_at_most_64_bytes_a_row(tmp_path):
+    """The reader keeps a row's lead day and amount, not the file or the parsed rows.
+
+    At a little over 100,000 rows the parsed blocks and the cube it returns are
+    a small share of the traced peak; the file, the undecoded text and the
+    per-row indices of a one-pass reader would each be more.
+    """
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    days = 46
+    forecasts = [EnsemblePrecipForecast(dt.date(2000, 1, 3) + dt.timedelta(days=7 * i), rng.gamma(0.8, 3.0, (11, days))) for i in range(200)]
+    path = tmp_path / "ensemble.csv"
+    iomod.write_ensemble_csv(path, forecasts)
+    iomod.read_ensemble_csv(path)  # numpy's parser sets itself up on a first call
+    tracemalloc.start()
+    try:
+        back = iomod.read_ensemble_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = 200 * 11 * days
+    assert [f.members.tobytes() for f in back] == [f.members.tobytes() for f in forecasts]
+    assert peak <= 64 * rows, f"{peak / rows:.1f} bytes a row"
 
 def _grid_file(path):
     iomod.write_grid_table_csv(path, demo_plant_curves().efficiency)
@@ -533,6 +654,11 @@ class TestUndecodableInput:
         with pytest.raises(InputError, match=rf"^{path}:{line}: byte b'\\xff' is not valid UTF-8$"):
             read(path)
 
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestUndecodableInputInSmallBlocks(TestUndecodableInput):
+    """The same bytes and lines named when the byte check reads a few bytes at a time."""
 
 class TestDailySeriesCsv:
     @pytest.mark.filterwarnings("error")
