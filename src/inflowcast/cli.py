@@ -317,6 +317,14 @@ def _scored_inputs(args):
     return models, tables, predict_params(models, tables), reanalysis, nao
 
 
+def _training_tables(args, horizons):
+    """The read stage of `train`: it hands on only the case tables, so the ensemble is freed before the fits."""
+    from .pipeline import training_tables
+
+    inflow, issues, _, _ = _load_dataset(args)
+    return training_tables(issues, inflow, horizons)
+
+
 def cmd_train(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
     from .pipeline import train_models
@@ -330,8 +338,7 @@ def cmd_train(args, cfg, seed: int, out: Path) -> list[str]:
         n_starts=emos("starts"),
         min_cases=emos("min_cases"),
     )
-    inflow, issues, _, _ = _load_dataset(args)
-    models = train_models(issues, inflow, horizons, **settings, seed=seed)
+    models = train_models(_training_tables(args, horizons), horizons, **settings, seed=seed)
     return [_emit(out, "models.json", iomod.write_json, models.to_dict())]
 
 

@@ -40,11 +40,7 @@ MIN_VALUE_CASES = 20  # `price_sweep` reports no group with fewer cases, and nee
 
 @dataclass(frozen=True)
 class PriceConfig:
-    """Constant peak price and the peak minus off-peak differential (GBP/MWh).
-
-    ``differential`` may also be a column array, which prices a whole sweep
-    of differentials at once.
-    """
+    """Constant peak price and the peak minus off-peak differential (GBP/MWh)."""
 
     peak: float = 50.0
     differential: float = 30.0
@@ -494,9 +490,8 @@ def optimal_adjustments(cases: CostCases, forecast_type: str) -> np.ndarray:
 def evaluate_cases(cases: CostCases, prices: PriceConfig, adjustments=None):
     """Batched ``evaluate_case``: per forecast type, the adjustments and their realised costs.
 
-    ``prices.differential`` may be a column of differentials, which gives one
-    row of costs per differential.  ``adjustments`` may carry
-    ``optimal_adjustments`` results by forecast type, to reuse them.
+    ``adjustments`` may carry ``optimal_adjustments`` results by forecast
+    type, to reuse them.
     """
     env = cases.envelope
     observed = env.inflow_energy(cases.observed_inflow)
@@ -527,14 +522,15 @@ def price_sweep(
 ):
     """Water value per (forecast type, horizon, differential) with bootstrap bands.
 
-    Each case is decided once per forecast type and priced at every
-    differential.  The bootstrap resamples cases per horizon and for the
-    pooled "all" stratum, with the same draws for every forecast type and
-    differential (paired).  A realised total is ``differential * D + peak *
-    P``, with D and P the case's costs at unit prices, so one set of replicate
-    sums of the generations, D and P prices every differential:
-    a replicate's water value is ``(peak G - d D - peak P) / G`` in those
-    sums.  ``adjustments`` is as in ``evaluate_cases``.
+    Each case is decided once per forecast type and priced at each
+    differential in turn, of whose costs only the totals are kept.  The
+    bootstrap resamples cases per horizon and for the pooled "all" stratum,
+    with the same draws for every forecast type and differential (paired).
+    A realised total is ``differential * D + peak * P``, with D and P the
+    case's costs at unit prices, so one set of replicate sums of the
+    generations, D and P prices every differential: a replicate's water value
+    is ``(peak G - d D - peak P) / G`` in those sums.  ``adjustments`` is as
+    in ``evaluate_cases``.
     Returns (value rows, per-case total-cost table).
     """
     n = len(cases)
@@ -542,9 +538,14 @@ def price_sweep(
         raise InputError(f"{n} cost cases is below the minimum of {MIN_VALUE_CASES}")
     gens = cases.envelope.clim_generation
     diffs = sorted({float(d) for d in differentials})
-    priced = evaluate_cases(cases, PriceConfig(peak=peak_price, differential=np.array(diffs)[:, None]), adjustments)
-    adjustments = {ftype: a for ftype, (a, _) in priced.items()}
-    totals = {(ftype, d): col for ftype, (_, costs) in priced.items() for d, col in zip(diffs, costs.total)}
+    sweep = [PriceConfig(peak=peak_price, differential=d) for d in diffs]
+    if adjustments is None:
+        adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
+    by_type = {ftype: {} for ftype in FORECAST_TYPES}
+    for prices in sweep:
+        for ftype, (_, costs) in evaluate_cases(cases, prices, adjustments).items():
+            by_type[ftype][prices.differential] = costs.total
+    totals = {(ftype, d): col for ftype, cols in by_type.items() for d, col in cols.items()}
     # the price-free parts of every total: D at (peak 0, differential 1), P from (1, 1) less D
     unit_d, unit_dp = (evaluate_cases(cases, PriceConfig(peak=p, differential=1.0), adjustments) for p in (0.0, 1.0))
     columns = [gens]

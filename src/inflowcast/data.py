@@ -88,7 +88,7 @@ class EnsemblePrecipForecast:
         object.__setattr__(self, "members", np.asarray(self.members, dtype=float))
         if self.members.ndim != 2 or self.members.shape[0] < 2:
             raise InputError("ensemble needs at least 2 members of equal lead length")
-        if np.any(self.members < 0) or not np.all(np.isfinite(self.members)):
+        if (self.members < 0).any() or not np.isfinite(self.members).all():
             raise InputError(f"negative or non-finite precipitation in issue {self.issue_date}")
 
     @property

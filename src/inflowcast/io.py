@@ -355,15 +355,16 @@ _ENSEMBLE_SCHEMAS = {
 _NUMPY_BLANKS = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _ISSUE_DATE_BYTES = 16  # width an issue_date is read at; a field that fills it may have been cut
 _CHUNK_ROWS = 16384  # body rows the ensemble reader parses at a time, so its memory follows the cube, not the file
+_SAMPLE_BYTES = 1 << 16  # head of an ensemble file whose line breaks size the cube up front
 
 
-def _to_issue_date(raw: str) -> np.datetime64:
+def _issue_days(raw: str) -> int:
     if len(raw.encode()) >= _ISSUE_DATE_BYTES:
         raise ValueError(raw)
-    return _to_date(raw)
+    return _date_days(raw)
 
 
-_ENSEMBLE_CONVERTERS = {"issue_date": _to_issue_date, "member": int, "lead_day": int, "lead_step_hours": int}
+_ENSEMBLE_CONVERTERS = {"issue_date": _issue_days, "member": int, "lead_day": int, "lead_step_hours": int}
 
 
 def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
@@ -390,23 +391,24 @@ def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
     return None
 
 
-def _ensemble_runs(path: Path, header: list[str], skip: int, mode: str):
-    """The body rows of an ensemble file as runs of rows with equal issue_date and member fields, or a ValueError.
+def _ensemble_blocks(path: Path, header: list[str], skip: int, mode: str):
+    """The body rows of an ensemble file a block at a time, or a ValueError.
 
     ``np.loadtxt`` reads the schema's columns by header name (the last one
     wins, as in csv.DictReader) ``_CHUNK_ROWS`` rows at a time from one open
-    handle.  Of each block, each row's lead day and amount are kept, and of
-    each run of equal (issue_date, member) fields within the block its
-    issue_date, member, length and largest lead day; each distinct issue_date
-    is parsed once.  Gives each block's (day, amount, number of runs) and the
-    runs' (issue day number, member, length, last day) arrays.
+    handle.  Gives, per block, the (issue day number, member) of each run of
+    rows with equal issue_date and member fields, each run's length and
+    largest lead day, and each row's lead day and amount.  Each distinct
+    issue_date field is parsed once.
     """
     columns = _ENSEMBLE_SCHEMAS[mode]
     where = {name: i for i, name in enumerate(header)}
     kinds = {"issue_date": f"S{_ISSUE_DATE_BYTES}", "member": np.int64, columns[2]: np.int64}
-    dtype = [(c, kinds.get(c, float)) for c in columns]
+    dtype = np.dtype([(c, kinds.get(c, float)) for c in columns])
+    # the issue_date field as two 8-byte words, which compare faster than the strings
+    words = np.dtype({"names": ["lo", "hi"], "formats": [np.uint64, np.uint64], "offsets": [0, 8], "itemsize": dtype.itemsize})
     cols = [where[c] for c in columns]
-    blocks, runs = [], []
+    days_of = {}  # issue_date field -> its day number
     # A file object keeps numpy from decompressing by file name; latin-1 hands it the
     # undecoded bytes, since its integer parser takes some characters above U+00FF for digits.
     with open(path, encoding="latin-1") as fh, warnings.catch_warnings():
@@ -416,7 +418,7 @@ def _ensemble_runs(path: Path, header: list[str], skip: int, mode: str):
             rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, max_rows=_CHUNK_ROWS, ndmin=1)
             skip = 0
             if not len(rows):
-                break
+                return
             lead = rows[columns[2]]
             values = [rows[c] for c in columns[3:]]
             flagged = (lead <= 0) | (lead % 6 != 0) if mode == "six_hourly" else lead <= 0
@@ -424,21 +426,101 @@ def _ensemble_runs(path: Path, header: list[str], skip: int, mode: str):
                 flagged |= ~np.isfinite(v) | (v < 0)
             if flagged.any():
                 raise ValueError("a value out of range")
-            day = (lead + 23) // 24 if mode == "six_hourly" else lead.copy()
-            raw, member = rows["issue_date"], rows["member"]
+            member = rows["member"]
             head = np.ones(len(rows), dtype=bool)
-            head[1:] = (raw[1:] != raw[:-1]) | (member[1:] != member[:-1])
+            head[1:] = member[1:] != member[:-1]
+            for word in (rows.view(words)[w] for w in words.names):
+                head[1:] |= word[1:] != word[:-1]
             starts = np.flatnonzero(head)
-            runs.append((raw[starts], member[starts], np.diff(starts, append=len(rows)), np.maximum.reduceat(day, starts)))
-            blocks.append((day, values[0] + values[1] if mode == "split" else values[0].copy(), len(starts)))
+            texts = rows["issue_date"][starts].tolist()
+            for text in set(texts).difference(days_of):
+                days_of[text] = _issue_days(text.decode())
+            day = (lead + 23) // 24 if mode == "six_hourly" else lead
+            yield (
+                list(zip(map(days_of.__getitem__, texts), member[starts].tolist())),
+                np.diff(starts, append=len(rows)),
+                np.maximum.reduceat(day, starts),
+                day,
+                values[0] + values[1] if mode == "split" else values[0],
+            )
             if len(rows) < _CHUNK_ROWS:
-                break
-    if not blocks:
-        raise InputError(f"{path}: no forecast rows")
-    text, member, length, last = (np.concatenate(c) for c in zip(*runs))
-    texts, text_idx = np.unique(text, return_inverse=True)
-    day_of = np.array([_to_issue_date(t.decode()) for t in texts.tolist()], dtype="datetime64[D]").astype(np.int64)
-    return blocks, day_of[text_idx], member, length, last
+                return
+
+
+class _EnsembleCube:
+    """Daily totals and row counts of an ensemble file's (issue, member) pairs, summed a block at a time in row order.
+
+    Pairs are numbered as first seen, and row p of ``totals`` and ``counts``
+    holds pair p's lead days 1 to ``width``.  The width is the most days any
+    pair can yet complete (its rows over the steps a day takes, plus one for a
+    day left incomplete), and no more than the largest lead day yet seen.  A
+    row beyond it waits, in row order, until the width reaches its day; a row
+    still waiting at the end lies past every day a pair could complete.  The
+    cells are allocated for ``expected_rows`` rows up front and grown only if
+    the file needs more, or if the width grows once cells hold sums.
+    """
+
+    def __init__(self, steps: int, expected_rows: int):
+        self.steps = steps
+        self.pairs: dict[tuple[int, int], int] = {}  # (issue day number, member) -> pair number
+        self.rows = np.zeros(0, dtype=np.int64)  # rows of each pair
+        self.last = np.zeros(0, dtype=np.int64)  # largest lead day of each pair
+        self.most_rows = self.latest_day = 0  # of any pair
+        self.width = self.laid_out = 0  # the days and the pairs the cells are laid out for
+        self._cells = (np.zeros(expected_rows // steps + 1, dtype=np.int32), np.zeros(expected_rows // steps + 1))
+        self._waiting = None  # (pair, day, amount) of the rows beyond the width, in row order
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._cells[0][: self.laid_out * self.width].reshape(self.laid_out, self.width)
+
+    @property
+    def totals(self) -> np.ndarray:
+        return self._cells[1][: self.laid_out * self.width].reshape(self.laid_out, self.width)
+
+    def add(self, keys, run_length, run_last, day, amount) -> None:
+        """Sum one block of rows, as ``_ensemble_blocks`` gives them, into the cells."""
+        run_pair = np.array([self.pairs.setdefault(k, len(self.pairs)) for k in keys], dtype=np.int64)
+        new = np.zeros(len(self.pairs) - len(self.rows), dtype=np.int64)
+        self.rows, self.last = np.concatenate([self.rows, new]), np.concatenate([self.last, new])
+        np.add.at(self.rows, run_pair, run_length)
+        np.maximum.at(self.last, run_pair, run_last)
+        self.most_rows = max(self.most_rows, int(self.rows[run_pair].max()))
+        self.latest_day = max(self.latest_day, int(run_last.max()))
+        width = min(self.latest_day, self.most_rows // self.steps + 1)
+        self._fit(len(self.pairs), width)
+
+        pair = np.repeat(run_pair, run_length)
+        if self._waiting is not None:  # rows that waited come first, in row order
+            pair, day, amount = (np.concatenate(c) for c in zip(self._waiting, (pair, day, amount)))
+            self._waiting = None
+        if day.max() > width:
+            beyond = day > width
+            self._waiting = (pair[beyond], day[beyond], amount[beyond])
+            pair, day, amount = pair[~beyond], day[~beyond], amount[~beyond]
+        cell = pair * width
+        cell += day - 1
+        np.add.at(self._cells[0], cell, np.int32(1))  # a Python 1 takes numpy's slow path for int32
+        np.add.at(self._cells[1], cell, amount)
+
+    def _fit(self, pairs: int, width: int) -> None:
+        """Lay the cells out for ``pairs`` pairs of ``width`` days, moving the sums so far."""
+        need, size = pairs * width, len(self._cells[0])
+        if need > size or (width != self.width and self.laid_out):
+            size = max(size, need + need // 8)
+            old = self.counts, self.totals
+            self._cells = (np.zeros(size, dtype=np.int32), np.zeros(size))
+            for cells, kept in zip(self._cells, old):
+                cells[: len(kept) * width].reshape(-1, width)[:, : self.width] = kept
+        self.width, self.laid_out = width, pairs
+
+
+def _estimated_rows(path: Path) -> int:
+    """The lines of ``path``: those of its first ``_SAMPLE_BYTES``, scaled to its size with 1/32 to spare."""
+    with open(path, "rb") as fh:
+        head = fh.read(_SAMPLE_BYTES)
+    breaks = head.count(b"\n") + 1
+    return breaks if len(head) < _SAMPLE_BYTES else path.stat().st_size * breaks // len(head) * 33 // 32
 
 
 def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
@@ -453,9 +535,11 @@ def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
     the longest canonical horizon (the issue is cut to the shortest member).
 
     The body is parsed column by column, ``_CHUNK_ROWS`` rows at a time, and
-    only each row's lead day and amount are kept until the totals are summed;
-    a file that fails to parse or a check is scanned row by row only to name
-    the first bad line.
+    each block is summed into the cube (``_EnsembleCube``) as it is parsed, so
+    no row is kept past its block unless its lead day lies beyond the cube.
+    A file not in (issue, member) order is reordered once at the end.  A file
+    that fails to parse or a check is scanned row by row only to name the
+    first bad line.
     """
     path = Path(path)
     header, skip = _header(path, forbidden=_NUMPY_BLANKS)  # also in the columns that are not read
@@ -465,19 +549,38 @@ def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
             break
     else:
         raise InputError(f"{path}: unrecognised ensemble schema (header: {sorted(cols)})")
+    # the cube, its pairs and its counts are freed before the forecasts are made
+    issues, n_days, totals = _issue_totals(path, _summed_cube(path, header, skip, mode))
+    return [
+        EnsemblePrecipForecast(issue_date, totals[i, :, :n])
+        for i, (issue_date, n) in enumerate(zip(issues.tolist(), n_days.tolist()))
+    ]
+
+
+def _summed_cube(path: Path, header: list[str], skip: int, mode: str) -> _EnsembleCube:
+    """Every body row of the file summed into its cube; a bad row is named by its line."""
+    cube = _EnsembleCube(4 if mode == "six_hourly" else 1, _estimated_rows(path))
     try:
-        blocks, run_issue, run_member, run_length, run_last = _ensemble_runs(path, header, skip, mode)
+        for block in _ensemble_blocks(path, header, skip, mode):
+            cube.add(*block)
     except ValueError as exc:
         bad_row = _first_bad_row(path, lambda fields: _ensemble_row_problem(fields, mode))
         raise bad_row or InputError(f"{path}: {exc}") from None
+    if not cube.pairs:
+        raise InputError(f"{path}: no forecast rows")
+    return cube
 
-    issues, issue_idx = np.unique(run_issue, return_inverse=True)
+
+def _issue_totals(path: Path, cube: _EnsembleCube):
+    """The issue dates, lead days and (issue, member, lead day) totals of a file's cube, which must pass the checks below."""
+    pair_issue, pair_member = np.array(list(cube.pairs), dtype=np.int64).T
+    issues, issue_idx = np.unique(pair_issue, return_inverse=True)
     issues = issues.astype("datetime64[D]")
-    members, member_idx = np.unique(run_member, return_inverse=True)
+    members, member_idx = np.unique(pair_member, return_inverse=True)
     n_issues, n_members = len(issues), len(members)
-    pair = issue_idx * n_members + member_idx  # of each run
+    place = issue_idx * n_members + member_idx  # of each pair, in (issue, member) order
     present = np.zeros((n_issues, n_members), dtype=bool)
-    present.flat[pair] = True
+    present.flat[place] = True
     member_sets, set_counts = np.unique(present, axis=0, return_counts=True)
     if len(member_sets) > 1:
         usual = member_sets[np.argmax(set_counts)]
@@ -489,40 +592,30 @@ def read_ensemble_csv(path) -> list[EnsemblePrecipForecast]:
         )
 
     # an issue is cut to its shortest member, and every lead day up to there
-    # needs all its steps; no pair has more complete days than rows / steps,
-    # which bounds the grid however large a lead day is
-    steps_per_day = 4 if mode == "six_hourly" else 1
-    last_day = np.zeros(n_issues * n_members, dtype=np.int64)
-    np.maximum.at(last_day, pair, run_last)
+    # needs all its steps; the cube is at least as wide as the most days a
+    # pair can complete, plus one, so an issue longer than it has a lead day
+    # left incomplete within it
+    last_day = np.empty(n_issues * n_members, dtype=np.int64)
+    last_day[place] = cube.last
     n_days = last_day.reshape(n_issues, n_members).min(axis=1)
     short = n_days < LAST_LEAD_DAY
     if short.any():
         i = int(np.argmax(short))
         raise InputError(f"{path}: issue {issues[i]} has only {n_days[i]} lead days (need >= {LAST_LEAD_DAY})")
-    width = int(min(n_days.max(), np.bincount(pair, run_length).max() // steps_per_day + 1))
-    run_cap = np.minimum(n_days, width)[issue_idx]
-    run_base = pair * width - 1  # a row's cell is its run's base plus its lead day
-    counts = np.zeros(n_issues * n_members * width, dtype=np.int64)
-    totals = np.zeros(n_issues * n_members * width)
-    first = 0
-    for day, amount, n_runs in blocks:  # in row order, so every total is the same sum
-        runs = slice(first, first + n_runs)
-        keep = day <= np.repeat(run_cap[runs], run_length[runs])
-        cell = np.repeat(run_base[runs], run_length[runs])[keep] + day[keep]
-        np.add.at(counts, cell, 1)
-        np.add.at(totals, cell, amount[keep])
-        first += n_runs
-    counts = counts.reshape(n_issues, n_members, width)
-    incomplete = (counts != steps_per_day) & (np.arange(1, width + 1) <= n_days[:, None, None])
-    if incomplete.any():
-        i, m, d = np.unravel_index(np.argmax(incomplete), incomplete.shape)
-        raise InputError(f"{path}: issue {issues[i]} member {members[m]} has incomplete data for lead day {d + 1}")
+    wrong = cube.counts != cube.steps
+    first = wrong.argmax(axis=1)  # each pair's first lead day without all its steps, if any
+    incomplete = np.flatnonzero(wrong[np.arange(len(first)), first] & (first < n_days[issue_idx]))
+    if len(incomplete):
+        p = incomplete[np.argmin(place[incomplete])]
+        raise InputError(
+            f"{path}: issue {issues[issue_idx[p]]} member {members[member_idx[p]]} has incomplete data for lead day {first[p] + 1}"
+        )
 
-    totals = totals.reshape(n_issues, n_members, width)
-    return [
-        EnsemblePrecipForecast(issue_date, totals[i, :, :n])
-        for i, (issue_date, n) in enumerate(zip(issues.tolist(), n_days.tolist()))
-    ]
+    totals = cube.totals
+    if (place != np.arange(len(place))).any():  # a file not in (issue, member) order
+        totals = np.empty_like(totals)
+        totals[place] = cube.totals
+    return issues, n_days, totals.reshape(n_issues, n_members, cube.width)
 
 
 def write_ensemble_csv(path, forecasts) -> None:

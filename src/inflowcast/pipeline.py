@@ -196,9 +196,13 @@ class TrainedModels:
         return cls(regressions=regressions, emos=emos, horizons=horizons)
 
 
+def training_tables(issues, inflow: DailySeries, horizons=CANONICAL_HORIZONS) -> dict[str, HorizonCaseTable]:
+    """The case tables `train_models` fits from: those of ``horizons`` and of Forecast Week 1, built in one call."""
+    return build_case_tables(issues, inflow, horizons if WEEK1 in horizons else (*horizons, WEEK1))
+
+
 def train_models(
-    issues,
-    inflow: DailySeries,
+    tables: dict[str, HorizonCaseTable],
     horizons=CANONICAL_HORIZONS,
     member_wise: bool = True,
     n_knots: int = 6,
@@ -206,10 +210,11 @@ def train_models(
     n_starts: int = 3,
     min_cases: int = 100,
     seed: int = 0,
-    tables: dict[str, HorizonCaseTable] | None = None,
 ) -> TrainedModels:
-    """Fit the fold regressions on Forecast Week 1, whose table ``tables`` must hold too, and one EMOS model per (horizon, fold)."""
-    tables = tables or build_case_tables(issues, inflow, horizons if WEEK1 in horizons else (*horizons, WEEK1))
+    """Fit the fold regressions on Forecast Week 1 and one EMOS model per (horizon, fold).
+
+    ``tables`` must hold Forecast Week 1 and every horizon, as ``training_tables`` builds them.
+    """
     regressions = run_cross_validation(tables[WEEK1.name], member_wise=member_wise)
     basis = CyclicSplineBasis(n_knots)
 

@@ -59,7 +59,7 @@ def pipeline10():
     cfg = ScenarioConfig(n_years=10, n_members=11, skill_half_life=10.0, seed=2024)
     scenario = generate_scenario(cfg)
     tables = build_case_tables(scenario.forecasts, scenario.inflow, CANONICAL_HORIZONS)
-    models = train_models(scenario.forecasts, scenario.inflow, CANONICAL_HORIZONS, tables=tables, seed=0)
+    models = train_models(tables, CANONICAL_HORIZONS, seed=0)
     predictions = predict_params(models, tables)
     return scenario, tables, models, predictions
 

@@ -770,3 +770,31 @@ def test_scoring_commands_leave_out_telemetry(tmp_path, tiny_run):
         "print(codes, 'inflowcast.telemetry' in sys.modules)"
     )
     assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0] False"
+
+
+def test_train_fits_with_the_ensemble_freed(tiny_run, tmp_path, monkeypatch):
+    # train hands only the case tables to the fits, so the cube the reader
+    # returned is gone when the first EMOS fit starts
+    import weakref
+
+    from inflowcast import io as iomod
+    from inflowcast import pipeline
+
+    cubes, alive = [], []
+    read, fit = iomod.read_ensemble_csv, pipeline.fit_emos
+
+    def reading(path):
+        issues = read(path)
+        cubes.append(weakref.ref(issues[0].members.base))
+        return issues
+
+    def fitting(*args, **kwargs):
+        alive.append(cubes[0]() is not None)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(iomod, "read_ensemble_csv", reading)
+    monkeypatch.setattr(pipeline, "fit_emos", fitting)
+    data = ["--inflow", str(tiny_run / "inflow.csv"), "--ensemble", str(tiny_run / "ensemble.csv")]
+    assert main(["--config", str(tiny_run / "run.ini"), "--seed", "3", "train", *data, "--out", str(tmp_path)]) == 0
+    assert len(cubes) == 1 and alive and not any(alive)
+    assert (tmp_path / "models.json").read_bytes() == (tiny_run / "models.json").read_bytes()

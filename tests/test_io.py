@@ -334,6 +334,39 @@ def _daily_lines(n_days):
     return [ENSEMBLE_HEADERS["daily"]] + [f"2015-01-05,{m},{d},{m + 0.25 * d!r}" for m in (0, 1) for d in range(1, n_days + 1)]
 
 
+def _six_hourly_lines(rows):
+    """A six-hourly file of (issue number, member, day, step) rows, or (member, day, step) rows of issue 0.
+
+    The amounts make the order of each day's sum show in its last bits.
+    """
+    amounts = [1e16, 1.0, 1.0, 0.1, 0.3, 1e-17, 2.5]
+    rows = [r if len(r) == 4 else (0, *r) for r in rows]
+    return [ENSEMBLE_HEADERS["six_hourly"]] + [
+        f"{dt.date(2015, 1, 5) + dt.timedelta(days=7 * issue)},{m},{(day - 1) * 24 + step},{amounts[i % len(amounts)]!r}"
+        for i, (issue, m, day, step) in enumerate(rows)
+    ]
+
+
+def _assert_running_sums(tmp_path, monkeypatch, mode, lines, n_days):
+    """Read ``lines`` and check every issue against running sums of its rows in file order, cut at ``n_days``."""
+    path = tmp_path / "ensemble.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(iomod, "LAST_LEAD_DAY", n_days)
+    back = iomod.read_ensemble_csv(path)
+    totals = {}
+    for line in lines[1:]:
+        issue, m, lead, *amounts = line.split(",")
+        key = (dt.date.fromisoformat(issue), int(m), (int(lead) + 23) // 24 if mode == "six_hourly" else int(lead))
+        totals[key] = totals.get(key, 0.0) + sum(float(a) for a in amounts[: 1 + (mode == "split")])
+    issues = sorted({issue for issue, _, _ in totals})
+    members = sorted({m for _, m, _ in totals})
+    assert [f.issue_date for f in back] == issues
+    for f in back:
+        expected = np.array([[totals[f.issue_date, m, d] for d in range(1, n_days + 1)] for m in members])
+        assert f.members.tobytes() == expected.tobytes()
+    return path
+
+
 class TestColumnarEnsembleReader:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(ensemble_files())
@@ -588,18 +621,66 @@ class TestColumnarEnsembleReader:
             with pytest.raises(InputError, match=re.escape(message.format(path=path)) + "$"):
                 iomod.read_ensemble_csv(path)
 
+    # Fixed row orders that take each path of the cube: a pair's rows waiting
+    # for the width, the reorder at the end, a dropped row and a regrown cube.
+    # Each reads as the running sums of its rows in file order.
+
+    def test_a_pair_in_reverse_lead_day_order(self, tmp_path, monkeypatch):
+        # member 0's steps come last day first, so its later days wait for the width
+        rows = [(0, day, step) for day in (3, 2, 1) for step in (24, 18, 12, 6)]
+        rows += [(1, day, step) for day in (1, 2, 3) for step in (6, 12, 18, 24)]
+        _assert_running_sums(tmp_path, monkeypatch, "six_hourly", _six_hourly_lines(rows), 3)
+
+    @pytest.mark.parametrize("order", ["member_major", "shuffled"])
+    def test_rows_out_of_issue_member_order(self, tmp_path, monkeypatch, order):
+        rows = [(issue, m, day, step) for issue in range(3) for m in (4, 0, 2) for day in (1, 2) for step in (6, 12, 18, 24)]
+        if order == "member_major":
+            rows.sort(key=lambda r: (r[1], r[0]))
+        else:
+            rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        _assert_running_sums(tmp_path, monkeypatch, "six_hourly", _six_hourly_lines(rows), 2)
+
+    def test_a_lead_day_past_every_pair_is_dropped(self, tmp_path, monkeypatch):
+        lines = _daily_lines(3)
+        lines.insert(1, "2015-01-05,0,50,7.5")  # no pair has 49 rows, so no day 50 can be complete
+        _assert_running_sums(tmp_path, monkeypatch, "daily", lines, 3)
+
+    def test_a_day_whose_steps_straddle_the_width(self, tmp_path, monkeypatch):
+        # one step of day 2 comes before member 0 has four rows, and the rest after
+        rows = [(0, 2, 6)] + [(0, 1, step) for step in (6, 12, 18, 24)] + [(0, 2, step) for step in (12, 18, 24)]
+        rows += [(0, 3, step) for step in (6, 12, 18, 24)] + [(1, day, step) for day in (1, 2, 3) for step in (6, 12, 18, 24)]
+        _assert_running_sums(tmp_path, monkeypatch, "six_hourly", _six_hourly_lines(rows), 3)
+
+    def test_a_last_day_short_of_a_step_in_every_member_is_incomplete(self, tmp_path, monkeypatch):
+        # no pair has all of day 3, so the cube is one day wider than any pair can complete
+        rows = [(m, day, step) for m in (0, 1) for day in (1, 2, 3) for step in (6, 12, 18, 24) if (day, step) != (3, 24)]
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(_six_hourly_lines(rows)) + "\n")
+        monkeypatch.setattr(iomod, "LAST_LEAD_DAY", 3)
+        with pytest.raises(InputError, match=rf"^{path}: issue 2015-01-05 member 0 has incomplete data for lead day 3$"):
+            iomod.read_ensemble_csv(path)
+
+    def test_a_file_longer_than_its_head_suggests(self, tmp_path, monkeypatch):
+        # long rows first, then short ones: the cube sized from the head must grow
+        n_days = 1200
+        lines = [ENSEMBLE_HEADERS["daily"] + ",note"] + [
+            f"2015-01-05,{m},{d},{m + 0.25 * d!r},{'x' * 300 if d <= 250 and m == 0 else ''}" for m in (0, 1) for d in range(1, n_days + 1)
+        ]
+        path = _assert_running_sums(tmp_path, monkeypatch, "daily", lines, n_days)
+        assert iomod._estimated_rows(path) < 2 * n_days
 
 
 @pytest.mark.usefixtures("small_blocks")
 class TestColumnarEnsembleReaderInSmallBlocks(TestColumnarEnsembleReader):
     """Every case above gives the same arrays, or the same error and line, with blocks cut at every few rows and bytes."""
 
-def test_reading_an_ensemble_takes_at_most_64_bytes_a_row(tmp_path):
-    """The reader keeps a row's lead day and amount, not the file or the parsed rows.
+def test_reading_an_ensemble_takes_at_most_16_bytes_a_row_and_one_block(tmp_path):
+    """The reader sums each block of rows into the cube as it parses it.
 
-    At a little over 100,000 rows the parsed blocks and the cube it returns are
-    a small share of the traced peak; the file, the undecoded text and the
-    per-row indices of a one-pass reader would each be more.
+    The cube takes 12 bytes a cell, a float total and a 32-bit row count, and
+    a daily file has one row a cell; the pairs' numbers and the parsed rows of
+    one block take the rest.  Rows kept to the end of the file, at 16 bytes
+    each for a lead day and an amount, would break the bound.
     """
     import tracemalloc
 
@@ -617,7 +698,8 @@ def test_reading_an_ensemble_takes_at_most_64_bytes_a_row(tmp_path):
         tracemalloc.stop()
     rows = 200 * 11 * days
     assert [f.members.tobytes() for f in back] == [f.members.tobytes() for f in forecasts]
-    assert peak <= 64 * rows, f"{peak / rows:.1f} bytes a row"
+    assert peak <= 16 * rows + 2 * 2**20, f"{peak / rows:.1f} bytes a row"
+
 
 def _grid_file(path):
     iomod.write_grid_table_csv(path, demo_plant_curves().efficiency)

@@ -28,6 +28,7 @@ from inflowcast.pipeline import (
     forecast_rows,
     predict_params,
     train_models,
+    training_tables,
     verify_skill,
 )
 from inflowcast.regression import WEEK1, fit_week1_regression
@@ -41,7 +42,7 @@ HORIZONS = (horizon_by_name("week1"), horizon_by_name("week2"), horizon_by_name(
 @pytest.fixture(scope="module")
 def trained(scenario5):
     tables = build_case_tables(scenario5.forecasts, scenario5.inflow, HORIZONS, reanalysis=scenario5.precip)
-    models = train_models(scenario5.forecasts, scenario5.inflow, HORIZONS, tables=tables, seed=3)
+    models = train_models(tables, HORIZONS, seed=3)
     predictions = predict_params(models, tables)
     return scenario5, tables, models, predictions
 
@@ -117,12 +118,11 @@ class TestFoldRegressions:
         keep = np.random.default_rng(8).random(len(dates)) > 0.02
         keep &= dates.astype("datetime64[Y]") != np.datetime64("2011")
         inflow = DailySeries(dates[keep], scenario5.inflow.values[keep])
-        # trained on Forecast Week 2 only: the Week-1 table is built inside, in the one call for both tables
+        # trained on Forecast Week 2 only: the Week-1 table is built too, in the one call for both tables
         built = []
         monkeypatch.setattr(pipeline, "build_case_tables", lambda *a: built.append(a[2]) or build_case_tables(*a))
-        models = train_models(
-            scenario5.forecasts, inflow, (horizon_by_name("week2"),), member_wise=member_wise, n_starts=1
-        )
+        week2 = (horizon_by_name("week2"),)
+        models = train_models(training_tables(scenario5.forecasts, inflow, week2), week2, member_wise=member_wise, n_starts=1)
         assert built == [(horizon_by_name("week2"), WEEK1)]
         issues = sorted(scenario5.forecasts, key=lambda f: f.issue_date)
         years = [year_of(f.issue_date) for f in issues]
@@ -307,7 +307,7 @@ class TestSkillLimits:
         scenario = generate_scenario(ScenarioConfig(n_years=5, seed=77, skill_half_life=half_life))
         horizons = (horizon_by_name("week1"), horizon_by_name("week2"))
         tables = build_case_tables(scenario.forecasts, scenario.inflow, horizons)
-        models = train_models(scenario.forecasts, scenario.inflow, horizons, tables=tables, seed=1)
+        models = train_models(tables, horizons, seed=1)
         predictions = predict_params(models, tables)
         rep = verify_skill(
             models, tables, predictions,
