@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .errors import InflowcastError, InputError, NumericalError
 from .horizons import CANONICAL_WINDOWS, LAST_LEAD_DAY
-from .textio import read_json, read_table_csv, write_json
+from .textio import MAX_MAGNITUDE, read_json, read_table_csv, write_json
 
 # Each command imports the modules it computes with: `report` reads and writes
 # only through `textio`, so it starts without numpy; `synth`,
@@ -34,9 +34,9 @@ from .textio import read_json, read_table_csv, write_json
 if TYPE_CHECKING:
     from .pipeline import CostSettings, TrainedModels
 
-# Every config key as [section] key: (type, default text, smallest accepted
-# value or None).  A float must also be finite.  Keys not listed here, such as
-# retired ones, are accepted and ignored.
+# Every config key as [section] key: (type, default text, smallest accepted value
+# or None).  A float must also be finite and at most ``MAX_MAGNITUDE`` in magnitude.
+# Keys not listed here, such as retired ones, are accepted and ignored.
 CONFIG_KEYS = {
     "run": {"seed": (int, "0", 0)},
     "horizons": {"names": (str, ",".join(name for name, _, _ in CANONICAL_WINDOWS), None)},
@@ -122,8 +122,9 @@ def _setting(cfg, section, key):
         value = cfg.getboolean(section, key) if kind is bool else kind(text)
     except ValueError:
         raise InputError(f"config [{section}] {key}: not {_TYPE_NAMES[kind]}: {text!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise InputError(f"config [{section}] {key}: must be finite, got {text!r}")
+    if kind is float and not abs(value) <= MAX_MAGNITUDE:  # NaN too
+        rule = f"be at most {MAX_MAGNITUDE:g} in magnitude" if math.isfinite(value) else "be finite"
+        raise InputError(f"config [{section}] {key}: must {rule}, got {text!r}")
     if least is not None and value < least:
         raise InputError(f"config [{section}] {key}: must be at least {least}, got {value}")
     return value
@@ -209,6 +210,8 @@ def _emit_inflow(out: Path, series, **record) -> list[str]:
 
 
 def cmd_synth(args, cfg, seed: int, out: Path) -> list[str]:
+    import numpy as np
+
     from . import io as iomod
     from .synth import ScenarioConfig, generate_scenario, simulate_telemetry
 
@@ -239,14 +242,14 @@ def cmd_synth(args, cfg, seed: int, out: Path) -> list[str]:
     ]
     if args.with_telemetry:
         sim = simulate_telemetry(seed=seed)
-        true_inflow = [[f"{t}Z", v] for t, v in zip(sim.telemetry.timestamps, sim.true_inflow)]
+        true_inflow = np.datetime_as_string(sim.telemetry.timestamps, timezone="UTC"), sim.true_inflow
         written += [
             _emit(out, "telemetry.csv", iomod.write_telemetry_csv, sim.telemetry),
             _emit(out, "efficiency.csv", iomod.write_grid_table_csv, sim.curves.efficiency),
             _emit(out, "net_head.csv", iomod.write_grid_table_csv, sim.curves.net_head),
             _emit(out, "storage.csv", iomod.write_storage_csv, sim.curves.storage),
             _emit(out, "compensation.csv", iomod.write_compensation_csv, sim.compensation),
-            _emit(out, "true_inflow.csv", iomod.write_table_csv, ["timestamp", "inflow_m3s"], true_inflow),
+            _emit(out, "true_inflow.csv", iomod.write_columns_csv, ["timestamp", "inflow_m3s"], true_inflow),
         ]
     return written
 
@@ -346,9 +349,8 @@ def cmd_forecast(args, cfg, seed: int, out: Path) -> list[str]:
     from . import io as iomod
     from .pipeline import FORECAST_HEADER, forecast_rows
 
-    models, tables, predictions, _, _ = _scored_inputs(args)
-    rows = forecast_rows(models, tables, predictions)
-    return [_emit(out, "forecasts.csv", iomod.write_table_csv, FORECAST_HEADER, rows)]
+    columns = forecast_rows(*_scored_inputs(args)[:3])
+    return [_emit(out, "forecasts.csv", iomod.write_columns_csv, FORECAST_HEADER, columns)]
 
 
 def cmd_verify(args, cfg, seed: int, out: Path) -> list[str]:
@@ -404,6 +406,8 @@ def _cost_settings(cfg) -> CostSettings:
 
 
 def cmd_cost_eval(args, cfg, seed: int, out: Path) -> list[str]:
+    import numpy as np
+
     from . import io as iomod
     from .costmodel import FORECAST_TYPES, PriceConfig, evaluate_cases, optimal_adjustments, price_sweep
     from .pipeline import build_cost_cases
@@ -415,29 +419,25 @@ def cmd_cost_eval(args, cfg, seed: int, out: Path) -> list[str]:
     if not cases:
         raise InputError("no cost cases could be built (missing observations or climatology)")
     adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
-    rows, _ = price_sweep(
+    rows = price_sweep(
         cases,
         differentials=settings.differentials,
         peak_price=settings.peak_price,
         n_boot=settings.n_boot,
         seed=seed,
         adjustments=adjustments,
-    )
+    )[0]  # the per-case totals, which no file holds, are freed at once
     value_rows = [[r.forecast_type, r.horizon, r.differential, r.water_value, r.se, r.n_cases] for r in rows]
     prices = PriceConfig(peak=settings.peak_price, differential=settings.decision_differential)
-    columns = {
-        ftype: [c.tolist() for c in (a, costs.stage1, costs.stage2, costs.total)]
-        for ftype, (a, costs) in evaluate_cases(cases, prices, adjustments=adjustments).items()
-    }
-    decision_rows = [
-        [date, horizon, ftype, *(col[i] for col in cols)]
-        for i, (date, horizon) in enumerate(zip(cases.issue_dates.astype(str).tolist(), cases.horizons.tolist()))
-        for ftype, cols in columns.items()
-    ]
+    decided = evaluate_cases(cases, prices, adjustments=adjustments)  # (adjustments, costs) by forecast type
+    # a row per case and forecast type, with the rows of a case together
+    k = len(decided)
+    decisions = [np.repeat(cases.issue_dates, k), np.repeat(cases.horizons, k), np.tile(list(decided), len(cases))]
+    decisions += [np.column_stack(c).ravel() for c in zip(*((a, t.stage1, t.stage2, t.total) for a, t in decided.values()))]
     decision_header = ["issue_date", "horizon", "type", "A", "stage1", "stage2", "total"]
     return [
         _emit(out, "value_report.csv", iomod.write_table_csv, VALUE_HEADER, value_rows),
-        _emit(out, "decisions.csv", iomod.write_table_csv, decision_header, decision_rows),
+        _emit(out, "decisions.csv", iomod.write_columns_csv, decision_header, decisions),
     ]
 
 

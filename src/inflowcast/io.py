@@ -15,8 +15,9 @@ imported here with the header and row checks the readers share.
 Writers write the bytes of the ``csv`` module's default dialect: ``,``
 between fields, CRLF line ends and minimal quoting (a field holding a
 comma, a quote or a line break is quoted).  Floats, numpy's too, are written
-with ``repr``, so outputs are byte-stable and round-trip exactly.  Each
-column is formatted in one pass, and a block of rows is written at a time.
+with ``repr``, so outputs are byte-stable and round-trip exactly.  Every
+writer but the ensemble's goes through ``_column_lines``: each column is
+formatted in one pass, and a block of rows is written at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import csv
 import datetime as dt
 import math
 import warnings
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,7 +35,7 @@ from .data import EnsemblePrecipForecast, NaoIndex
 from .errors import InputError
 from .horizons import LAST_LEAD_DAY
 from .series import DailySeries, InflowSeries
-from .textio import _check_bytes, _converted, _header, _parse, _parse_finite, _require, _rows, read_json, read_table_csv, write_json
+from .textio import MAX_MAGNITUDE, _check_bytes, _converted, _header, _parse, _parse_finite, _require, _rows, read_json, read_table_csv, write_json
 
 if TYPE_CHECKING:
     from .telemetry import CompensationSchedule, GridTable, StorageCurve, TelemetrySeries
@@ -73,15 +73,8 @@ def _csv_lines(columns, line: str | None = None) -> str:
 
 def _column_lines(*columns, line: str | None = None):
     """The CSV text of equal-length ``columns``, ``_BLOCK_ROWS`` rows at a time."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+    for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
         yield _csv_lines([c[start : start + _BLOCK_ROWS] for c in columns], line)
-
-
-def _row_lines(rows):
-    """The CSV text of ``rows`` of equal length, ``_BLOCK_ROWS`` rows at a time."""
-    rows = iter(rows)
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        yield _csv_lines(list(zip(*block, strict=True)))
 
 
 def _write_csv(path, header, blocks) -> None:
@@ -146,7 +139,8 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
     One ``np.loadtxt`` reads them into a structured array (the last of a
     repeated name wins, as in csv.DictReader), with ``to_key`` as the key
     column's converter: it gives the integer count of ``unit``'s steps since
-    1970, which the int64 column is then viewed as.  The order and, if ``finite``, the finiteness are
+    1970, which the int64 column is then viewed as.  The order and, if
+    ``finite``, that each value is finite and within ``MAX_MAGNITUDE`` are
     checked on whole columns.  A file that fails to parse or a check is
     scanned row by row only to name the first bad line, by the rules in row
     order: the key, its order against the previous row (``not_after`` is the
@@ -163,7 +157,7 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(fh, dtype, comments=None, delimiter=",", quotechar='"', skiprows=skip, usecols=cols, converters=converters, ndmin=1)
         keys = rows[key]
-        if np.any(keys[1:] <= keys[:-1]) or finite and not all(np.isfinite(rows[c]).all() for c in values):
+        if np.any(keys[1:] <= keys[:-1]) or finite and not all((np.abs(rows[c]) <= MAX_MAGNITUDE).all() for c in values):
             raise ValueError("a value out of order or range")
     except ValueError as exc:
         previous = []
@@ -177,6 +171,8 @@ def _read_series(path, key: str, to_key, unit: str, values: tuple[str, ...], fin
                 v, message = _converted(row, c, float)
                 if message or (finite and not math.isfinite(v)):
                     return message or f"non-finite value {row[c]!r} in column {c!r}"
+                if finite and abs(v) > MAX_MAGNITUDE:
+                    return f"value {row[c]!r} in column {c!r} is beyond the largest magnitude accepted, {MAX_MAGNITUDE:g}"
             return None
 
         raise _first_bad_row(path, problem) or InputError(f"{path}: {exc}") from None
@@ -226,6 +222,8 @@ def read_grid_table_csv(path) -> GridTable:
             raise InputError(f"{path}:1: level axis header must be numeric") from None
         if not all(map(math.isfinite, levels)):
             raise InputError(f"{path}:1: non-finite level in the level axis header")
+        if any(abs(v) > MAX_MAGNITUDE for v in levels):
+            raise InputError(f"{path}:1: level beyond the largest magnitude accepted, {MAX_MAGNITUDE:g}, in the level axis header")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise InputError(f"{path}:1: grid axes must be strictly increasing (level axis header)")
         powers, values = [], []
@@ -239,6 +237,8 @@ def read_grid_table_csv(path) -> GridTable:
                 raise InputError(f"{path}:{lineno}: non-numeric grid entry") from None
             if not all(map(math.isfinite, [powers[-1], *values[-1]])):
                 raise InputError(f"{path}:{lineno}: non-finite grid entry")
+            if any(abs(v) > MAX_MAGNITUDE for v in [powers[-1], *values[-1]]):
+                raise InputError(f"{path}:{lineno}: grid entry beyond the largest magnitude accepted, {MAX_MAGNITUDE:g}")
             if len(values[-1]) != len(levels):
                 raise InputError(f"{path}:{lineno}: expected {len(levels)} grid columns")
             if len(powers) > 1 and powers[-1] <= powers[-2]:
@@ -338,7 +338,8 @@ def read_nao_csv(path) -> NaoIndex:
 
 
 def write_nao_csv(path, nao: NaoIndex) -> None:
-    _write_csv(path, ["year", "month", "index"], _row_lines((y, m, value) for (y, m), value in nao.items()))
+    rows = [(y, m, value) for (y, m), value in nao.items()]
+    _write_csv(path, ["year", "month", "index"], _column_lines(*zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +389,8 @@ def _ensemble_row_problem(fields: dict, mode: str) -> str | None:
     for c in columns[3:]:
         if not (math.isfinite(values[c]) and values[c] >= 0):
             return f"precipitation must be finite and non-negative, got {fields[c]!r} in column {c!r}"
+        if values[c] > MAX_MAGNITUDE:
+            return f"precipitation must be at most the largest magnitude accepted, {MAX_MAGNITUDE:g}, got {fields[c]!r} in column {c!r}"
     return None
 
 
@@ -423,7 +426,7 @@ def _ensemble_blocks(path: Path, header: list[str], skip: int, mode: str):
             values = [rows[c] for c in columns[3:]]
             flagged = (lead <= 0) | (lead % 6 != 0) if mode == "six_hourly" else lead <= 0
             for v in values:
-                flagged |= ~np.isfinite(v) | (v < 0)
+                flagged |= ~((v >= 0) & (v <= MAX_MAGNITUDE))  # NaN too
             if flagged.any():
                 raise ValueError("a value out of range")
             member = rows["member"]
@@ -634,6 +637,13 @@ def _ensemble_lines(forecast: EnsemblePrecipForecast) -> str:
 # ---------------------------------------------------------------------------
 
 
+def write_columns_csv(path, header, columns) -> None:
+    """Write a table given as equal-length ``columns``, one per header field; a table of no rows is its header alone."""
+    if len({len(c) for c in columns}) > 1:  # the lines would stop at the shortest column
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    _write_csv(path, header, _column_lines(*columns))
+
+
 def write_table_csv(path, header, rows) -> None:
-    """Generic deterministic CSV writer: ``rows`` of the header's length, floats via repr."""
-    _write_csv(path, header, _row_lines(rows))
+    """Write a table given as ``rows`` of equal length, transposed once into columns; a ragged row is a ValueError."""
+    write_columns_csv(path, header, list(zip(*rows, strict=True)))

@@ -298,15 +298,13 @@ def predict_params(
     return out
 
 
-def forecast_rows(models: TrainedModels, tables, predictions) -> list[list]:
-    """Rows for the forecast CSV: quantiles plus distribution parameters."""
-    rows = []
-    for h in models.horizons:
-        dist = predictions[h.name].dist
-        q = dist.quantile(QUANTILE_COLUMNS)
-        columns = (tables[h.name].issue_dates.astype(str), *q.T, dist.nu, dist.mu, dist.sigma, dist.offset)
-        rows += [[date, h.name, *values] for date, *values in zip(*(c.tolist() for c in columns))]
-    return rows
+def forecast_rows(models: TrainedModels, tables, predictions) -> list[np.ndarray]:
+    """The columns of ``FORECAST_HEADER``, horizon by horizon, with the issue dates as datetime64[D]."""
+    dists = [predictions[h.name].dist for h in models.horizons]
+    dates = np.concatenate([tables[h.name].issue_dates for h in models.horizons])
+    names = np.repeat([h.name for h in models.horizons], [len(d.mu) for d in dists])
+    values = np.concatenate([np.column_stack([d.quantile(QUANTILE_COLUMNS), d.nu, d.mu, d.sigma, d.offset]) for d in dists])
+    return [dates, names, *values.T]
 
 
 FORECAST_HEADER = (

@@ -15,6 +15,9 @@ from pathlib import Path
 from .errors import InputError
 
 _BLOCK_BYTES = 1 << 20  # bytes ``_check_bytes`` reads at a time
+# The largest magnitude a reader accepts where it needs a finite number: far above any
+# physical value, and low enough that the sums and squares of such values stay finite.
+MAX_MAGNITUDE = 1e100
 
 
 def _require(path: Path) -> Path:
@@ -110,13 +113,16 @@ def _parse_finite(path: Path, lineno: int, row: dict, column: str) -> float:
     value = _parse(path, lineno, row, column, float)
     if not math.isfinite(value):
         raise InputError(f"{path}:{lineno}: non-finite value {row[column]!r} in column {column!r}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise InputError(f"{path}:{lineno}: value {row[column]!r} in column {column!r} is beyond the largest magnitude accepted, {MAX_MAGNITUDE:g}")
     return value
 
 
 def read_table_csv(path, columns, finite=()):
     """Read selected columns back as dicts of raw strings.
 
-    The ``finite`` columns are parsed as finite floats, failing as `file:line`.
+    The ``finite`` columns are parsed as finite floats of magnitude at most
+    ``MAX_MAGNITUDE``, failing as `file:line`.
     """
     out = []
     for lineno, row in _rows(Path(path), tuple(columns)):

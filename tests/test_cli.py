@@ -618,6 +618,60 @@ class TestErrorPaths:
         assert rc == 2
 
 
+def _split(lines):
+    """The ensemble in the split schema: all of each amount large-scale, none convective."""
+    return ["issue_date,member,lead_day,largescale_mm_day,convective_mm_day", *(f"{line},0.0" for line in lines[1:])]
+
+
+def _six_hourly(lines):
+    """The ensemble in the six-hourly schema: four equal steps a day."""
+    rows = [line.split(",") for line in lines[1:]]
+    steps = [f"{i},{m},{(int(d) - 1) * 24 + 6 * k},{float(v) / 4!r}" for i, m, d, v in rows for k in range(1, 5)]
+    return ["issue_date,member,lead_step_hours,precip_mm", *steps]
+
+
+# command, file, how the file is reshaped first, and its (line, field, value) edits;
+# the first edited line is the one the refusal names
+HUGE_VALUES = {
+    **{
+        f"inflow_{command}": (command, "inflow.csv", None, [(101, 1, "1e308"), (102, 1, "1e308")])
+        for command in ("train", "forecast", "verify", "cost-eval")
+    },
+    "split_ensemble": ("train", "ensemble.csv", _split, [(6, 3, "1e308"), (6, 4, "1e308")]),
+    "six_hourly_ensemble": ("forecast", "ensemble.csv", _six_hourly, [(2, 3, "1e308"), (3, 3, "1e308")]),
+    "reanalysis": ("verify", "reanalysis.csv", None, [(2, 1, "1e308")]),
+    "nao": ("verify", "nao.csv", None, [(2, 2, "-1e308")]),
+    "value_report": ("report", "value_report.csv", None, [(2, 3, "1e308"), (3, 3, "-1e308")]),
+    "compensation": ("reconstruct-inflow", "compensation.csv", None, [(2, 2, "1e308")]),
+    "storage": ("reconstruct-inflow", "storage.csv", None, [(2, 0, "-1e308"), (2, 1, "-1e308")]),
+    "grid_level": ("reconstruct-inflow", "efficiency.csv", None, [(1, 1, "-1e308")]),
+    "grid_entry": ("reconstruct-inflow", "net_head.csv", None, [(2, 1, "1e308")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_VALUES))
+def test_value_beyond_the_magnitude_bound_exits_2_naming_its_line(tiny_run, command_dirs, tmp_path, capsys, case):
+    # a finite value too large to sum is refused where it is read, before any sum overflows
+    command, name, reshape, edits = HUGE_VALUES[case]
+    args = _command_args(tiny_run, command_dirs["synth"])[command]
+    at = next(i for i, a in enumerate(args) if Path(a).name == name)
+    lines = Path(args[at]).read_text().splitlines()
+    lines = reshape(lines) if reshape else lines
+    for line, field, value in edits:
+        fields = lines[line - 1].split(",")
+        fields[field] = value
+        lines[line - 1] = ",".join(fields)
+    args[at] = str(tmp_path / name)
+    Path(args[at]).write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is a failure the exit code hides
+        rc = main(["--config", str(tiny_run / "run.ini"), "--seed", "3", command, *args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{args[at]}:{edits[0][0]}: " in err and "largest magnitude accepted, 1e+100" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 REFUSED = object()
 
 
@@ -631,7 +685,7 @@ def _accepted(kind, least, text):
         value = kind(text)
     except ValueError:
         return REFUSED
-    if kind is float and not math.isfinite(value):
+    if kind is float and not abs(value) <= 1e100:  # not finite, or beyond the magnitude bound
         return REFUSED
     return REFUSED if least is not None and value < least else value
 
@@ -639,7 +693,7 @@ def _accepted(kind, least, text):
 @pytest.mark.parametrize("section, key", [(s, k) for s, keys in CONFIG_KEYS.items() for k in keys])
 def test_setting_accepts_only_finite_values_in_bounds(section, key):
     kind, default, least = CONFIG_KEYS[section][key]
-    for text in (default, "nan", "inf", "-inf", "", "abc", "-1", "0", "1e400"):
+    for text in (default, "nan", "inf", "-inf", "", "abc", "-1", "0", "1e400", "1e100", "1e308", "-1e308"):
         cfg = load_config(None)
         cfg.set(section, key, text)
         expected = _accepted(kind, least, text)
@@ -770,6 +824,27 @@ def test_scoring_commands_leave_out_telemetry(tmp_path, tiny_run):
         "print(codes, 'inflowcast.telemetry' in sys.modules)"
     )
     assert _python(code, cwd=tmp_path) == "[0, 0, 0, 0] False"
+
+
+def test_per_case_tables_go_to_the_writer_as_columns(tiny_run, command_dirs, tmp_path, monkeypatch):
+    # forecasts.csv, decisions.csv and true_inflow.csv are handed to the CSV
+    # writer as columns; only the small tables built from objects go as rows
+    from inflowcast import io as iomod
+
+    written, write = [], iomod.write_table_csv
+
+    def spy(path, header, rows):
+        written.append(Path(path).name)
+        return write(path, header, rows)
+
+    monkeypatch.setattr(iomod, "write_table_csv", spy)
+    args = _command_args(tiny_run, command_dirs["synth"])
+    for command, tables in (("synth", []), ("forecast", []), ("cost-eval", ["value_report.csv"])):
+        written.clear()
+        out = tmp_path / command
+        assert main(["--config", str(tiny_run / "run.ini"), "--seed", "3", command, *args[command], "--out", str(out)]) == 0
+        assert written == tables, command
+        assert {"true_inflow.csv", "forecasts.csv", "decisions.csv"} & set(_files(out)), command
 
 
 def test_train_fits_with_the_ensemble_freed(tiny_run, tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from inflowcast.cli import CONFIG_KEYS, main
 
 PLANT_FILES = ("telemetry.csv", "efficiency.csv", "net_head.csv", "storage.csv", "compensation.csv")
 RAW_MUTATED = ("ensemble.csv", "inflow.csv", *PLANT_FILES)  # also get byte-level mutations
-ODD_VALUES = ("nan", "inf", "-inf", "", "abc", "-1", "1e400")
+ODD_VALUES = ("nan", "inf", "-inf", "", "abc", "-1", "1e400", "1e308", "-1e308")
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),

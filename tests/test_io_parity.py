@@ -72,9 +72,38 @@ class TestWritersMatchCsvWriter:
         _same_bytes(tmp_path, "write_table_csv", ["a", "b"], [])
         _same_bytes(tmp_path, "write_table_csv", ["v", "w"], [[0.1 * i, i] for i in range(3 * iomod._BLOCK_ROWS // 2)])
 
+    def test_columns_match_their_transposed_rows(self, tmp_path):
+        def same(header, columns):
+            new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+            iomod.write_columns_csv(new, header, columns)
+            oracle.write_table_csv(old, header, list(zip(*columns)))
+            assert new.read_bytes() == old.read_bytes()
+
+        floats = [-0.0, 5e-324, 1e16, 1e17, math.nan, math.inf, -math.inf]
+        days = np.datetime64("1969-12-30") + np.arange(len(floats))
+        stamps = np.datetime64("1969-12-31T22:00:00") + np.arange(len(floats)) * np.timedelta64(3599, "s")
+        texts = ["", "a,b", 'say "hi"', "x\r\ny", "\r", "\n", "plain"]
+        columns = [
+            np.array(floats),
+            np.array(floats, dtype=np.float32),
+            days,
+            stamps,
+            np.datetime_as_string(stamps, timezone="UTC"),
+            np.array(texts),
+            texts,
+        ]
+        same(["f64", "f32", "day", "second", "utc", "text", "list"], columns)
+        same(["only"], [["", "", ""]])  # a lone empty field is quoted
+        same(["only"], [np.array(texts)])
+        same(["a", "b"], [np.zeros(0), np.array([], dtype="datetime64[D]")])
+        n = 2 * iomod._BLOCK_ROWS + 3
+        same(["v", "day", "w"], [np.arange(n) * 0.1, np.datetime64("2015-01-01") + np.arange(n), np.arange(n, dtype=np.float32) / 3])
+
     def test_table_rows_of_other_lengths_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             iomod.write_table_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
+        with pytest.raises(ValueError):
+            iomod.write_columns_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 # ---------------------------------------------------------------------------

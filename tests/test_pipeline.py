@@ -25,6 +25,7 @@ from inflowcast.pipeline import (
     build_cost_cases,
     climatology_scores,
     CostSettings,
+    FORECAST_HEADER,
     forecast_rows,
     predict_params,
     train_models,
@@ -188,10 +189,10 @@ class TestPrediction:
 
     def test_quantile_rows_match_distributions(self, trained):
         _, tables, models, predictions = trained
-        rows = forecast_rows(models, tables, predictions)
+        columns = forecast_rows(models, tables, predictions)
         n_expected = sum(len(tables[h.name]) for h in HORIZONS)
-        assert len(rows) == n_expected
-        row = rows[7]
+        assert [len(column) for column in columns] == [n_expected] * len(FORECAST_HEADER)
+        row = [column[7] for column in columns]
         h = horizon_by_name(row[1])
         table = tables[h.name]
         i = 7 % len(table)
