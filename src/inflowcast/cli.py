@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import sys
@@ -96,7 +95,7 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     if path is not None:
         try:
             read = cfg.read(path)
-            config_fingerprint(cfg)  # resolves every value, so a stray '%' fails here
+            _resolved(cfg)  # resolves every value, so a stray '%' fails here
         except configparser.InterpolationError as exc:
             raise InputError(f"config file {path}: [{exc.section}] {exc.option}: {exc.message}") from None
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -106,8 +105,16 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
+def _resolved(cfg: configparser.ConfigParser) -> dict:
+    """Every section of ``cfg`` as a dict of its interpolated values."""
+    return {section: dict(cfg[section]) for section in cfg.sections()}
+
+
 def config_fingerprint(cfg: configparser.ConfigParser) -> tuple[dict, str]:
-    resolved = {section: dict(cfg[section]) for section in cfg.sections()}
+    """The resolved config and the SHA-256 of its sorted JSON."""
+    import hashlib  # here, not at start-up: it maps OpenSSL's libcrypto, 3 MB resident, which only a manifest needs
+
+    resolved = _resolved(cfg)
     digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
     return resolved, digest
 

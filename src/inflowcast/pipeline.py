@@ -64,6 +64,9 @@ def _observed_means(series: DailySeries | None, issue_dates: np.ndarray, horizon
     return out
 
 
+_STACK_ISSUES = 256  # issues whose lead days are stacked at a time: a slice of the ensemble cube, never a copy of all of it
+
+
 def build_case_tables(
     issues,
     inflow: DailySeries,
@@ -79,13 +82,18 @@ def build_case_tables(
             horizon_average(next(f for f in issues if f.n_lead_days < h.end_day), h)  # raises, naming the issue
     dates = np.array([np.datetime64(f.issue_date, "D") for f in issues])
     years = dates.astype("datetime64[Y]").astype(int) + 1970
-    lead_days = np.stack([f.members[:, : max((h.end_day for h in horizons), default=0)] for f in issues])
+    n_days = max((h.end_day for h in horizons), default=0)
+    means = {h.name: np.empty((len(issues), issues[0].n_members)) for h in horizons}
+    for first in range(0, len(issues), _STACK_ISSUES):
+        lead_days = np.stack([f.members[:, :n_days] for f in issues[first : first + _STACK_ISSUES]])
+        for h in horizons:
+            means[h.name][first : first + len(lead_days)] = lead_days[:, :, h.start_day - 1 : h.end_day].mean(axis=2)
     return {
         h.name: HorizonCaseTable(
             h,
             dates,
             years,
-            lead_days[:, :, h.start_day - 1 : h.end_day].mean(axis=2),
+            means[h.name],
             _observed_means(inflow, dates, h),
             _observed_means(reanalysis, dates, h),
         )
@@ -373,7 +381,6 @@ def verify_skill(
     """
     # train and forecast do not score, so they do not import the verification module
     from .verification import (
-        DEFAULT_LEVELS,
         RELIABILITY_MIN_CASES,
         crps_zaga_batch,
         fair_crps_many,
@@ -420,9 +427,7 @@ def verify_skill(
 
             # reliability of the calibrated forecasts
             if len(idx) >= RELIABILITY_MIN_CASES:
-                report.reliability[h.name] = reliability_diagram(
-                    table.obs_inflow[idx], pred.dist[idx].quantile(DEFAULT_LEVELS), DEFAULT_LEVELS
-                )
+                report.reliability[h.name] = reliability_diagram(pred.dist[idx], table.obs_inflow[idx])
 
         # raw ensemble precipitation skill against reanalysis
         if reanalysis is not None:

@@ -142,16 +142,23 @@ class ReliabilityDiagram:
     n_cases: int
 
 
-def reliability_diagram(observations, quantiles, levels=DEFAULT_LEVELS) -> ReliabilityDiagram:
-    """Empirical coverage of predictive quantiles: share of observations <= Q(level)."""
+def reliability_diagram(dist: ZagaDistribution, observations, levels=DEFAULT_LEVELS) -> ReliabilityDiagram:
+    """Empirical coverage of predictive quantiles: share of observations <= Q(level).
+
+    An observation lies at or below its level-p quantile exactly when its CDF
+    value is at most p (the PIT reading of calibration; Gneiting, Balabdaoui
+    & Raftery 2007), so one CDF per case stands in for a quantile per case and
+    level.  An observation on or below the zero atom (y + offset <= 0) lies at
+    or below every quantile, and counts at every level.
+    """
     y = np.asarray(observations, dtype=float)
-    q = np.asarray(quantiles, dtype=float)
     levels = np.asarray(levels, dtype=float)
-    if q.shape != (len(y), len(levels)):
-        raise InputError("quantiles must have shape (n_cases, n_levels)")
+    if y.ndim != 1 or np.broadcast(dist.mu, dist.sigma, dist.nu, dist.offset).shape != y.shape:
+        raise InputError("forecasts and observations must be aligned 1-D arrays")
     if len(y) < RELIABILITY_MIN_CASES:
         raise InputError(f"{len(y)} cases is below the minimum of {RELIABILITY_MIN_CASES}")
-    coverage = (y[:, None] <= q).mean(axis=0)
+    pit = np.where(y + dist.offset <= 0.0, -np.inf, dist.cdf(y))
+    coverage = (pit[:, None] <= levels).mean(axis=0)
     return ReliabilityDiagram(levels=levels, coverage=coverage, n_cases=len(y))
 
 
@@ -241,7 +248,7 @@ class BootstrapResult:
     n_boot: int
 
 
-_BLOCK_DRAWS = 1 << 16  # case draws per block of replicates: 512 KB of indices and of each gathered column
+_BLOCK_DRAWS = 1 << 14  # case draws per block of replicates: 128 KB of indices and of each gathered column
 
 
 def replicate_sums(columns, n_boot: int, rng: np.random.Generator) -> np.ndarray:

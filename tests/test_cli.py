@@ -873,3 +873,21 @@ def test_train_fits_with_the_ensemble_freed(tiny_run, tmp_path, monkeypatch):
     assert main(["--config", str(tiny_run / "run.ini"), "--seed", "3", "train", *data, "--out", str(tmp_path)]) == 0
     assert len(cubes) == 1 and alive and not any(alive)
     assert (tmp_path / "models.json").read_bytes() == (tiny_run / "models.json").read_bytes()
+
+
+def test_verify_counts_reliability_without_inverting_the_gamma(tiny_run, command_dirs, tmp_path, monkeypatch):
+    # coverage comes from one CDF per case, so verify solves no incomplete
+    # gamma inverse; tests/test_golden.py pins its outputs to the quantile count's
+    from inflowcast import zaga
+
+    calls, inverse = [], zaga.gammaincinv
+    monkeypatch.setattr(zaga, "gammaincinv", lambda *a: calls.append(a) or inverse(*a))
+    args = _command_args(tiny_run, command_dirs["synth"])
+    for command in ("verify", "forecast"):
+        assert main(["--config", str(tiny_run / "run.ini"), "--seed", "3", command, *args[command], "--out", str(tmp_path / command)]) == 0
+        assert bool(calls) == (command == "forecast"), command  # forecast's quantile columns show the spy works
+
+
+def test_cli_import_leaves_out_openssl():
+    # hashlib maps libcrypto, a few MB resident; only writing a manifest needs it
+    assert _python("import sys, inflowcast.cli; print('_hashlib' in sys.modules, 'hashlib' in sys.modules)") == "False False"

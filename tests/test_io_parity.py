@@ -91,8 +91,12 @@ class TestWritersMatchCsvWriter:
             np.datetime_as_string(stamps, timezone="UTC"),
             np.array(texts),
             texts,
+            np.array([0, -1, 2**63 - 1, -(2**63), 7, 10**15, -42], dtype=np.int64),
+            np.arange(len(floats), dtype=np.uint8) * 40,
+            np.array([True, False, True, True, False, False, True]),
+            np.array([1.5, np.float32(0.1), "a,b", None, True, np.int64(3), -0.0], dtype=object),
         ]
-        same(["f64", "f32", "day", "second", "utc", "text", "list"], columns)
+        same(["f64", "f32", "day", "second", "utc", "text", "list", "i64", "u8", "bool", "object"], columns)
         same(["only"], [["", "", ""]])  # a lone empty field is quoted
         same(["only"], [np.array(texts)])
         same(["a", "b"], [np.zeros(0), np.array([], dtype="datetime64[D]")])

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,10 +72,11 @@ class TestCaseTables:
         min_lead=st.sampled_from([30, 42]),
         n_gaps=st.integers(0, 8),
         with_reanalysis=st.booleans(),
+        stack=st.sampled_from([1, 3, 7, pipeline._STACK_ISSUES]),  # issues stacked at a time
     )
     @settings(max_examples=40, deadline=None)
     def test_bitwise_equal_to_per_issue_loop(
-        self, data_seed, h_indices, n_issues, n_members, min_lead, n_gaps, with_reanalysis
+        self, data_seed, h_indices, n_issues, n_members, min_lead, n_gaps, with_reanalysis, stack
     ):
         gen = np.random.default_rng(data_seed)
         horizons = tuple(CANONICAL_HORIZONS[i] for i in h_indices)
@@ -96,7 +98,8 @@ class TestCaseTables:
             with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
                 build_case_tables(issues, inflow, horizons, reanalysis=reanalysis)
             return
-        tables = build_case_tables(issues, inflow, horizons, reanalysis=reanalysis)
+        with mock.patch.object(pipeline, "_STACK_ISSUES", stack):
+            tables = build_case_tables(issues, inflow, horizons, reanalysis=reanalysis)
 
         dates = np.array([np.datetime64(f.issue_date, "D") for f in ordered])
         assert list(tables) == [h.name for h in horizons]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, special, stats
 
 from inflowcast.data import CANONICAL_HORIZONS, horizon_by_name
@@ -234,41 +234,69 @@ class TestSkillScores:
         assert classify_skill(score) == expected
 
 
+LEVELS = np.round(np.arange(0.05, 0.951, 0.05), 2)
+
+
+def random_zaga(rng, n, max_nu=0.4, max_offset=0.3):
+    return ZagaDistribution(
+        rng.uniform(0.5, 2.0, n), rng.uniform(0.3, 1.2, n), rng.uniform(0.0, max_nu, n), rng.uniform(0.0, max_offset, n)
+    )
+
+
 class TestReliability:
     def test_coverage_within_binomial_bands_for_calibrated_forecasts(self, rng):
         n = 4000
-        mu = rng.uniform(0.5, 2.0, n)
-        sigma = rng.uniform(0.4, 1.0, n)
-        nu = rng.uniform(0.0, 0.03, n)
-        obs = np.empty(n)
-        quantiles = np.empty((n, 19))
-        levels = np.round(np.arange(0.05, 0.951, 0.05), 2)
-        for i in range(n):
-            d = ZagaDistribution(mu[i], sigma[i], nu[i])
-            obs[i] = d.random(rng, 1)[0]
-            quantiles[i] = d.quantile(levels)
-        diagram = reliability_diagram(obs, quantiles, levels)
-        band = 1.96 * np.sqrt(levels * (1 - levels) / n)
-        assert np.all(np.abs(diagram.coverage - levels) <= band + 1e-9)
+        dist = ZagaDistribution(rng.uniform(0.5, 2.0, n), rng.uniform(0.4, 1.0, n), rng.uniform(0.0, 0.03, n))
+        obs = np.array([dist[i].random(rng, 1)[0] for i in range(n)])
+        diagram = reliability_diagram(dist, obs, LEVELS)
+        band = 1.96 * np.sqrt(LEVELS * (1 - LEVELS) / n)
+        assert np.all(np.abs(diagram.coverage - LEVELS) <= band + 1e-9)
+        assert diagram.n_cases == n and diagram.levels.tolist() == LEVELS.tolist()
 
-    def test_forecasts_above_observations_cover_everything(self, rng):
-        obs = rng.normal(0, 1, 60)
-        quantiles = np.full((60, 3), 100.0)
-        diagram = reliability_diagram(obs, quantiles, [0.1, 0.5, 0.9])
+    def test_forecasts_far_above_observations_cover_everything(self, rng):
+        dist = ZagaDistribution(np.full(60, 100.0), 0.1, 0.0, 0.5)
+        diagram = reliability_diagram(dist, rng.uniform(0.0, 10.0, 60), [0.1, 0.5, 0.9])
         assert_allclose(diagram.coverage, 1.0)
 
-    def test_degenerate_point_forecast_tie_rule(self):
-        obs = np.full(60, 2.0)
-        quantiles = np.full((60, 3), 2.0)
-        diagram = reliability_diagram(obs, quantiles, [0.1, 0.5, 0.9])
-        assert_allclose(diagram.coverage, 1.0)  # observations <= quantile counts ties
+    def test_atom_rule(self):
+        # an observation on or below the atom lies at or below every quantile,
+        # even where the atom outweighs every level; one just above it at none below the atom's mass
+        offset = np.full(60, 0.3)
+        dist = ZagaDistribution(np.ones(60), 0.5, 0.97, offset)
+        levels = [0.1, 0.5, 0.95]
+        assert_allclose(reliability_diagram(dist, -offset, levels).coverage, 1.0)
+        assert_allclose(reliability_diagram(dist, -offset - 1.0, levels).coverage, 1.0)
+        assert_allclose(reliability_diagram(dist, np.nextafter(-offset, 0.0), levels).coverage, 0.0)
+        assert_array_equal(np.nextafter(-offset, 0.0) <= dist.quantile(levels)[:, 0], False)
 
     def test_coverage_monotone_in_level(self, rng):
-        obs = rng.normal(0, 1, 200)
-        levels = np.linspace(0.05, 0.95, 10)
-        quantiles = np.sort(rng.normal(0, 1, (200, 10)), axis=1)
-        diagram = reliability_diagram(obs, quantiles, levels)
+        dist = random_zaga(rng, 200)
+        diagram = reliability_diagram(dist, rng.gamma(1.5, 1.0, 200) - 0.2, np.linspace(0.05, 0.95, 10))
         assert np.all(np.diff(diagram.coverage) >= 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coverage_equals_the_share_at_or_below_each_quantile(self, seed):
+        # the CDF count against the quantile count it replaces, on cases with
+        # atoms, offsets, observations on and below the atom and from other forecasts
+        gen = np.random.default_rng(seed)
+        n = 5000
+        dist = random_zaga(gen, n, max_nu=0.6)
+        y = np.where(gen.random(n) < 0.5, dist.random(gen, n), random_zaga(gen, n).random(gen, n))
+        on_atom = gen.random(n) < 0.05
+        y[on_atom] = -dist.offset[on_atom]
+        below = gen.random(n) < 0.02
+        y[below] = -dist.offset[below] - gen.uniform(0.0, 1.0, below.sum())
+        diagram = reliability_diagram(dist, y, LEVELS)
+        assert_array_equal(diagram.coverage, (y[:, None] <= dist.quantile(LEVELS)).mean(0))
+
+    def test_misaligned_or_too_few_cases_are_refused(self, rng):
+        dist = random_zaga(rng, 60)
+        with pytest.raises(InputError, match="aligned"):
+            reliability_diagram(dist, np.zeros(59))
+        with pytest.raises(InputError, match="aligned"):
+            reliability_diagram(dist, np.zeros((60, 1)))
+        with pytest.raises(InputError, match="below the minimum of 50"):
+            reliability_diagram(dist[:49], np.zeros(49))
 
     def test_randomized_pit_uniform_for_self_generated_data(self, rng):
         n = 3000
