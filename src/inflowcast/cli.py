@@ -112,7 +112,9 @@ def _resolved(cfg: configparser.ConfigParser) -> dict:
 
 def config_fingerprint(cfg: configparser.ConfigParser) -> tuple[dict, str]:
     """The resolved config and the SHA-256 of its sorted JSON."""
-    import hashlib  # here, not at start-up: it maps OpenSSL's libcrypto, 3 MB resident, which only a manifest needs
+    # here, not at start-up: it maps OpenSSL's libcrypto, 3 MB resident, which the CLI needs only for
+    # a manifest (numpy.random imports it too, so only commands that draw no random numbers are spared)
+    import hashlib
 
     resolved = _resolved(cfg)
     digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()

@@ -48,19 +48,14 @@ _QUOTED = (",", '"', "\r", "\n")  # characters that make the csv module quote a 
 def _texts(values) -> list[str]:
     """The fields of one column as the csv module writes them after ``str``, with floats (numpy's too) by ``repr``.
 
-    Float, datetime, integer, bool and text arrays are formatted in one pass
-    each, through Python scalars, whose ``str`` is numpy's; other values one at
-    a time.  A field holding a comma, a quote or a line break is quoted.
+    Float and datetime arrays are formatted in one pass each; other values one
+    at a time.  A field holding a comma, a quote or a line break is quoted.
     """
-    kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
-    if kind == "f":
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return list(map(repr, values.astype(float, copy=False).tolist()))
-    if kind == "M":
+    if isinstance(values, np.ndarray) and values.dtype.kind == "M":
         return np.datetime_as_string(values).tolist()
-    if kind in "iubU":
-        texts = list(map(str, values.tolist()))
-    else:
-        texts = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
+    texts = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
     joined = "".join(texts)
     if any(c in joined for c in _QUOTED):
         texts = ['"' + t.replace('"', '""') + '"' if any(c in t for c in _QUOTED) else t for t in texts]

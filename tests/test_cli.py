@@ -891,3 +891,19 @@ def test_verify_counts_reliability_without_inverting_the_gamma(tiny_run, command
 def test_cli_import_leaves_out_openssl():
     # hashlib maps libcrypto, a few MB resident; only writing a manifest needs it
     assert _python("import sys, inflowcast.cli; print('_hashlib' in sys.modules, 'hashlib' in sys.modules)") == "False False"
+
+
+def test_only_the_commands_that_draw_random_numbers_load_openssl(tiny_run, command_dirs, tmp_path):
+    # cli imports hashlib, and so OpenSSL's libcrypto, only for the manifest;
+    # numpy.random imports secrets, and so hashlib, in the commands that draw
+    config = ["--config", str(tiny_run / "run.ini"), "--seed", "3"]
+    before_manifest = {}
+    for command, args in _command_args(tiny_run, command_dirs["synth"]).items():
+        argv = [*config, command, *args, "--out", str(tmp_path / command)]
+        code = (
+            "import sys; from inflowcast import cli; write = cli.write_manifest; "
+            "cli.write_manifest = lambda *a: print('_hashlib' in sys.modules) or write(*a); "
+            f"sys.exit(cli.main({argv!r}))"
+        )
+        before_manifest[command] = _python(code, cwd=tmp_path)
+    assert before_manifest == {c: str(c in ("synth", "train", "verify", "cost-eval")) for c in before_manifest}
