@@ -435,7 +435,7 @@ def cmd_cost_eval(args, cfg, seed: int, out: Path) -> list[str]:
         n_boot=settings.n_boot,
         seed=seed,
         adjustments=adjustments,
-    )[0]  # the per-case totals, which no file holds, are freed at once
+    )
     value_rows = [[r.forecast_type, r.horizon, r.differential, r.water_value, r.se, r.n_cases] for r in rows]
     prices = PriceConfig(peak=settings.peak_price, differential=settings.decision_differential)
     decided = evaluate_cases(cases, prices, adjustments=adjustments)  # (adjustments, costs) by forecast type

@@ -332,15 +332,6 @@ def realized_cost(
     )
 
 
-def water_value(total_costs, clim_generations, peak_price: float) -> float:
-    """Net unit rate achieved: (sum(GEN * peak) - sum(costs)) / sum(GEN), GBP/MWh."""
-    totals = np.asarray(total_costs, dtype=float)
-    gens = np.asarray(clim_generations, dtype=float)
-    if totals.shape != gens.shape or len(totals) == 0:
-        raise InputError("costs and generations must be aligned non-empty arrays")
-    return float((gens.sum() * peak_price - totals.sum()) / gens.sum())
-
-
 # ---------------------------------------------------------------------------
 # evaluation cases and the price sweep
 # ---------------------------------------------------------------------------
@@ -512,6 +503,11 @@ class ValueRow:
     n_cases: int
 
 
+def _water_values(g, d, p, differentials, peak: float):
+    """``(peak G - (differential D + peak P)) / G`` for the sums G, D and P, one row per differential."""
+    return (g * peak - (differentials * d + peak * p)) / g
+
+
 def price_sweep(
     cases: CostCases,
     differentials=tuple(range(5, 101, 5)),
@@ -522,33 +518,25 @@ def price_sweep(
 ):
     """Water value per (forecast type, horizon, differential) with bootstrap bands.
 
-    Each case is decided once per forecast type and priced at each
-    differential in turn, of whose costs only the totals are kept.  The
-    bootstrap resamples cases per horizon and for the pooled "all" stratum,
-    with the same draws for every forecast type and differential (paired).
-    A realised total is ``differential * D + peak * P``, with D and P the
-    case's costs at unit prices, so one set of replicate sums of the
-    generations, D and P prices every differential: a replicate's water value
-    is ``(peak G - d D - peak P) / G`` in those sums.  ``adjustments`` is as
-    in ``evaluate_cases``.
-    Returns (value rows, per-case total-cost table).
+    Each case is decided once per forecast type.  A realised total is
+    ``differential * D + peak * P``, with D and P the case's costs at unit
+    prices, so the sums of the generations G, D and P over a group price it
+    at every differential: its water value is ``(peak G - d D - peak P) / G``
+    in those sums.  The bootstrap resamples cases per horizon and for the
+    pooled "all" stratum, with the same draws for every forecast type and
+    differential (paired), and prices each replicate's sums the same way.
+    ``adjustments`` is as in ``evaluate_cases``.
     """
     n = len(cases)
     if n < MIN_VALUE_CASES:
         raise InputError(f"{n} cost cases is below the minimum of {MIN_VALUE_CASES}")
-    gens = cases.envelope.clim_generation
-    diffs = sorted({float(d) for d in differentials})
-    sweep = [PriceConfig(peak=peak_price, differential=d) for d in diffs]
+    # each price pair through PriceConfig, which rejects a differential <= 0 and a non-finite peak
+    diffs = sorted({PriceConfig(peak=peak_price, differential=float(d)).differential for d in differentials})
     if adjustments is None:
         adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
-    by_type = {ftype: {} for ftype in FORECAST_TYPES}
-    for prices in sweep:
-        for ftype, (_, costs) in evaluate_cases(cases, prices, adjustments).items():
-            by_type[ftype][prices.differential] = costs.total
-    totals = {(ftype, d): col for ftype, cols in by_type.items() for d, col in cols.items()}
     # the price-free parts of every total: D at (peak 0, differential 1), P from (1, 1) less D
     unit_d, unit_dp = (evaluate_cases(cases, PriceConfig(peak=p, differential=1.0), adjustments) for p in (0.0, 1.0))
-    columns = [gens]
+    columns = [cases.envelope.clim_generation]
     for ftype in FORECAST_TYPES:
         d = unit_d[ftype][1].total
         columns += [d, unit_dp[ftype][1].total - d]
@@ -564,22 +552,14 @@ def price_sweep(
         sums = replicate_sums(columns[idx], n_boot, rng)  # a group too small to report still takes its draws
         if len(idx) < MIN_VALUE_CASES:
             continue
-        g, g_boot = gens[idx], sums[:, 0]
+        point = columns[idx].sum(axis=0)
         for k, ftype in enumerate(FORECAST_TYPES):
-            t_boot = d_col * sums[:, 1 + 2 * k] + peak_price * sums[:, 2 + 2 * k]
-            se = ((g_boot * peak_price - t_boot) / g_boot).std(axis=1, ddof=1)
-            for diff, diff_se in zip(diffs, se.tolist()):
-                rows.append(
-                    ValueRow(
-                        forecast_type=ftype,
-                        horizon=name,
-                        differential=diff,
-                        water_value=water_value(totals[(ftype, diff)][idx], g, peak_price),
-                        se=diff_se,
-                        n_cases=len(idx),
-                    )
-                )
-    return rows, totals
+            i = 1 + 2 * k  # the type's D, then P
+            se = _water_values(sums[:, 0], sums[:, i], sums[:, i + 1], d_col, peak_price).std(axis=1, ddof=1)
+            values = _water_values(point[0], point[i], point[i + 1], d_col, peak_price)[:, 0]
+            for diff, wv, diff_se in zip(diffs, values.tolist(), se.tolist()):
+                rows.append(ValueRow(ftype, name, diff, wv, diff_se, len(idx)))
+    return rows
 
 
 def value_difference(

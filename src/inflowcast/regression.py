@@ -86,10 +86,11 @@ def fit_week1_regression(precip, inflow, training_years) -> LinearInflowModel:
     if len(x) < MIN_PAIRS:
         raise InputError(f"{len(x)} training pairs is below the minimum of {MIN_PAIRS}")
     xc = x - x.mean()
-    sxx = float(np.dot(xc, xc))
+    # numpy's pairwise sums, not BLAS dot products, whose order depends on the thread count
+    sxx = float((xc * xc).sum())
     if sxx == 0.0:
         raise InputError("precipitation training values are constant; slope undefined")
-    slope = float(np.dot(xc, y) / sxx)
+    slope = float((xc * y).sum()) / sxx
     intercept = float(y.mean() - slope * x.mean())
     return LinearInflowModel(
         slope=slope,

@@ -433,5 +433,5 @@ class ZagaDistribution:
     def random(self, rng: np.random.Generator, size=None):
         """Draw samples (shifted space)."""
         gam = rng.gamma(self.shape, self.scale, size=size)
-        zero = rng.random(size=size) < self.nu
+        zero = rng.random(size=np.shape(gam)) < self.nu  # one uniform per draw, also for array parameters
         return np.where(zero, 0.0, gam) - self.offset

@@ -12,11 +12,14 @@ import pytest
 from scipy import integrate, stats
 
 from inflowcast.costmodel import (
+    FORECAST_TYPES,
     DiscreteForecast,
     OperatingEnvelope,
     PriceConfig,
+    evaluate_cases,
     forecast_atoms,
     optimal_adjustment,
+    optimal_adjustments,
     price_sweep,
     realized_cost,
     stage1_cost,
@@ -374,15 +377,17 @@ def test_value_ordering(pipeline10):
         settings,
     )
     differentials = tuple(range(5, 101, 5))
-    rows, totals = price_sweep(
+    rows = price_sweep(
         cases, differentials=differentials, peak_price=50.0, n_boot=1000, seed=0
     )
 
     # probabilistic beats deterministic with 2 SE significance at high differentials
+    adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
     prob_beats_det = True
     for diff in (60, 65, 70, 75, 80, 85, 90, 95, 100):
+        totals = evaluate_cases(cases, PriceConfig(peak=50.0, differential=float(diff)), adjustments)
         gap = value_difference(
-            cases, totals[("deterministic", float(diff))], totals[("probabilistic", float(diff))],
+            cases, totals["deterministic"][1].total, totals["probabilistic"][1].total,
             n_boot=1000, seed=diff,
         )
         prob_beats_det &= gap.estimate - 2 * gap.se > 0

@@ -26,7 +26,6 @@ from inflowcast.costmodel import (
     stage1_cost,
     stage2_cost,
     value_difference,
-    water_value,
 )
 from inflowcast.errors import InputError
 from inflowcast.zaga import ZagaDistribution
@@ -269,17 +268,6 @@ class TestRiskNeutralThreshold:
                 assert decision.adjustment == 0.0
 
 
-class TestWaterValue:
-    def test_direct_evaluation(self):
-        assert_allclose(water_value([200.0], [100.0], 50.0), 48.0, rtol=1e-14)
-
-    def test_zero_costs_give_peak_price(self):
-        assert water_value(np.zeros(5), np.full(5, 80.0), 50.0) == 50.0
-
-    def test_aggregates_over_cases(self):
-        assert_allclose(water_value([100.0, 300.0], [100.0, 100.0], 50.0), (10000 - 400) / 200)
-
-
 @dataclass(frozen=True)
 class Case:
     """One scored forecast built from scalars; ``stack`` turns a list of them into ``CostCases``."""
@@ -350,7 +338,7 @@ class TestSweep:
 
     def test_climatological_value_decreases_with_differential(self, rng):
         cases = make_cases(rng)
-        rows, _ = price_sweep(cases, differentials=(10, 30, 50, 70, 90), n_boot=50, seed=0)
+        rows = price_sweep(cases, differentials=(10, 30, 50, 70, 90), n_boot=50, seed=0)
         clim = sorted(
             [r for r in rows if r.forecast_type == "climatological" and r.horizon == "all"],
             key=lambda r: r.differential,
@@ -360,22 +348,31 @@ class TestSweep:
 
     def test_fixed_seed_reproducible(self, rng):
         cases = make_cases(rng)
-        rows1, _ = price_sweep(cases, differentials=(20, 60), n_boot=100, seed=7)
-        rows2, _ = price_sweep(cases, differentials=(20, 60), n_boot=100, seed=7)
+        rows1 = price_sweep(cases, differentials=(20, 60), n_boot=100, seed=7)
+        rows2 = price_sweep(cases, differentials=(20, 60), n_boot=100, seed=7)
         assert rows1 == rows2
 
     def test_paired_value_difference(self, rng):
         cases = make_cases(rng)
-        _, totals = price_sweep(cases, differentials=(60,), n_boot=50, seed=0)
+        totals = priced_totals(cases, (60,))
         diff = value_difference(
             cases, totals[("climatological", 60.0)], totals[("probabilistic", 60.0)], n_boot=300, seed=1
         )
-        direct = water_value(
-            totals[("probabilistic", 60.0)], cases.envelope.clim_generation, 50.0
-        ) - water_value(
-            totals[("climatological", 60.0)], cases.envelope.clim_generation, 50.0
-        )
-        assert_allclose(diff.estimate, direct, rtol=1e-10)
+        value = {r.forecast_type: r.water_value for r in price_sweep(cases, (60,), n_boot=2) if r.horizon == "all"}
+        assert_allclose(diff.estimate, value["probabilistic"] - value["climatological"], rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "prices", [{"differentials": (30, 0)}, {"differentials": (30, float("nan"))}, {"peak_price": float("inf")}]
+    )
+    def test_rejects_a_differential_or_peak_that_price_config_rejects(self, rng, prices):
+        with pytest.raises(InputError):
+            price_sweep(make_cases(rng), n_boot=2, **prices)
+
+    def test_prices_only_at_unit_prices(self, rng):
+        cases = make_cases(rng)
+        with patch.object(costmodel, "evaluate_cases", wraps=costmodel.evaluate_cases) as spy:
+            price_sweep(cases, differentials=(20, 60), n_boot=10)
+        assert [c.args[1] for c in spy.call_args_list] == [PriceConfig(0.0, 1.0), PriceConfig(1.0, 1.0)]
 
     def test_evaluate_case_returns_all_types(self, rng):
         case = make_case_list(rng, n=1)[0]
@@ -480,6 +477,35 @@ def exact_objectives(adjustments, forecast, env: OperatingEnvelope) -> np.ndarra
     return stage1_cost(adjustments, env, UNIT_DIFFERENTIAL) + stage2_cost(adjustments, at_point, env, UNIT_DIFFERENTIAL)
 
 
+def priced_totals(cases, diffs, peak=50.0, adjustments=None):
+    """Per-case realised totals by (forecast type, differential), each priced by ``evaluate_cases``."""
+    if adjustments is None:
+        adjustments = {ftype: optimal_adjustments(cases, ftype) for ftype in FORECAST_TYPES}
+    priced = {d: evaluate_cases(cases, PriceConfig(peak, d), adjustments) for d in sorted({float(d) for d in diffs})}
+    return {(ftype, d): out[ftype][1].total for ftype in FORECAST_TYPES for d, out in priced.items()}
+
+
+def unit_sum_values(cases, diffs, peak, min_cases):
+    """Water values from each group's sums of G and of the unit-price costs D and P.
+
+    Returns {(forecast type, horizon, differential): ``(peak G - (d D + peak P)) / G``}.
+    """
+    unit_d, unit_dp = (evaluate_cases(cases, PriceConfig(p, 1.0)) for p in (0.0, 1.0))
+    groups = {"all": np.arange(len(cases))}
+    groups.update((h, np.flatnonzero(cases.horizons == h)) for h in np.unique(cases.horizons).tolist())
+    out = {}
+    for name, idx in groups.items():
+        if len(idx) < min_cases:
+            continue
+        for ftype in FORECAST_TYPES:
+            d = unit_d[ftype][1].total
+            columns = np.column_stack([cases.envelope.clim_generation, d, unit_dp[ftype][1].total - d])
+            g, d, p = columns[idx].sum(axis=0)
+            for diff in sorted({float(x) for x in diffs}):
+                out[(ftype, name, diff)] = (g * peak - (diff * d + peak * p)) / g
+    return out
+
+
 def gathered_sweep(cases, totals, peak, n_boot, seed, min_cases):
     """The sweep's bootstrap by gathers: every group's (n_boot, n) draw matrix at once, one gather per column.
 
@@ -499,7 +525,7 @@ def gathered_sweep(cases, totals, peak, n_boot, seed, min_cases):
         for (ftype, diff), col in totals.items():
             t = col[idx]
             reps = (g_boot * peak - t[draws[name]].sum(axis=1)) / g_boot
-            out[(ftype, name, diff)] = (water_value(t, g, peak), reps.std(ddof=1))
+            out[(ftype, name, diff)] = ((g.sum() * peak - t.sum()) / g.sum(), reps.std(ddof=1))
     return out
 
 
@@ -529,22 +555,25 @@ class TestSweepBootstrap:
         min_cases=st.integers(1, 4),  # batch_cases gives at least 4 cases; a horizon may have fewer
     )
     def test_replicate_sums_match_gathered_totals(self, cases, diffs, n_boot, seed, min_cases):
-        # water values bit for bit; SEs from d * sum(D) + peak * sum(P) within 1e-12 of sum(totals).
-        # A water value that cannot vary has SE 0 here but a few ulp of the peak price from the
-        # gathers (7e-15 at peak 50 in one example), hence the floor at 1e-12 of the peak.
+        # water values bit for bit from the unit-price sums; water values and SEs from
+        # d * sum(D) + peak * sum(P) within 1e-12 of those of sum(totals). A water value that
+        # cannot vary has SE 0 here but a few ulp of the peak price from the gathers (7e-15 at
+        # peak 50 in one example), hence the floor at 1e-12 of the peak.
         table = stack(cases)
         with patch.object(costmodel, "MIN_VALUE_CASES", min_cases):
-            rows, totals = price_sweep(table, diffs, n_boot=n_boot, seed=seed)
-        reference = gathered_sweep(table, totals, 50.0, n_boot, seed, min_cases)
-        assert [(r.forecast_type, r.horizon, r.differential) for r in rows] == list(reference)
+            rows = price_sweep(table, diffs, n_boot=n_boot, seed=seed)
+        reference = gathered_sweep(table, priced_totals(table, diffs), 50.0, n_boot, seed, min_cases)
+        unit_sums = unit_sum_values(table, diffs, 50.0, min_cases)
+        assert [(r.forecast_type, r.horizon, r.differential) for r in rows] == list(reference) == list(unit_sums)
         for r in rows:
             wv, se = reference[(r.forecast_type, r.horizon, r.differential)]
-            assert r.water_value == wv
+            assert r.water_value == unit_sums[(r.forecast_type, r.horizon, r.differential)]
+            assert_allclose(r.water_value, wv, rtol=1e-12, atol=1e-12 * 50.0)
             assert_allclose(r.se, se, rtol=1e-12, atol=1e-12 * 50.0)
 
     def test_value_difference_matches_gathered_totals(self, rng):
         cases = make_cases(rng)
-        _, totals = price_sweep(cases, differentials=(60,), n_boot=2, seed=0)
+        totals = priced_totals(cases, (60,))
         base, other = totals[("deterministic", 60.0)], totals[("probabilistic", 60.0)]
         diff = value_difference(cases, base, other, n_boot=300, seed=4)
         draws = np.random.default_rng(4).integers(0, len(cases), size=(300, len(cases)))
@@ -574,8 +603,7 @@ class TestBatchedDecisions:
         diffs = tuple(range(5, 101, 5))
         table = stack(cases)
         adjustments = {ftype: optimal_adjustments(table, ftype) for ftype in FORECAST_TYPES}
-        with patch.object(costmodel, "MIN_VALUE_CASES", 1):
-            _, totals = price_sweep(table, diffs, n_boot=2, adjustments=adjustments)
+        totals = priced_totals(table, diffs, adjustments=adjustments)
         for ftype in ("climatological", "deterministic"):
             for i, case in enumerate(cases):
                 observed = case.envelope.inflow_energy(case.observed_inflow)

@@ -1,9 +1,14 @@
 import datetime as dt
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import inflowcast
 from inflowcast import regression
 from inflowcast.data import EnsemblePrecipForecast, horizon_by_name
 from inflowcast.errors import InputError, LeakageError
@@ -56,6 +61,47 @@ class TestFit:
         m2 = fit_week1_regression(c * x, y, [2009])
         assert_allclose(m2.slope, m1.slope / c, rtol=1e-9)
         assert_allclose(m2.predict(c * x), m1.predict(x), rtol=1e-9)
+
+
+# OpenBLAS splits a dot product over its threads above 10,000 elements, which
+# changes the order of the sum; 10,329 is the week-1 pair count of the
+# Baseline's largest fold.
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from inflowcast import emos, regression
+from inflowcast.splines import CyclicSplineBasis
+
+n = 10329
+rng = np.random.default_rng(n)
+model = regression.fit_week1_regression(rng.gamma(2.0, 1.0, n), rng.gamma(2.0, 1.0, n), [2015])
+basis = CyclicSplineBasis(4, 365.25)
+features = np.column_stack([rng.gamma(2.0, 1.0, n), rng.uniform(0, 1, n), rng.gamma(1.0, 1.0, n)])
+phases = rng.uniform(0, 365, n)
+design = emos.build_design(features, phases, basis)
+beta = rng.normal(size=(5, design.x_mu.shape[1])) * 0.1
+fitted = emos.EmosModel(beta[0], beta[1], rng.normal(size=2) * 0.1, 0.0, basis)
+for name, out in [
+    ("regression", [model.slope, model.intercept]),
+    ("stacked", emos._stacked(design.x_mu, beta)),
+    ("gram", emos._gram(design.x_mu, rng.uniform(0, 1, (5, n)), design.x_sigma)),
+    ("params_for", np.concatenate(fitted.params_for(features, phases))),
+]:
+    print(name, hashlib.sha256(np.asarray(out, dtype=float).tobytes()).hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(inflowcast.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, check=True, timeout=300
+        )
+        digests.append(result.stdout.splitlines())
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
 
 
 class TestGenerateBenchmark:

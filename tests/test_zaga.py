@@ -390,6 +390,26 @@ class TestArrayParameters:
         assert dist.quantile(0.5).shape == (2, 3)
         assert dist.quantile(np.full((4, 1), 0.5)).shape == (2, 3, 4, 1)
 
+    def test_random_draws_each_case_its_own_atom(self):
+        # with array parameters and no size, every case draws its own uniform: the zeros are binomial
+        rng = np.random.default_rng(5)
+        n = 200_000
+        nu = rng.uniform(0, 0.03, n)
+        dist = ZagaDistribution(rng.uniform(0.5, 2, n), rng.uniform(0.4, 1, n), nu)
+        zeros = int((dist.random(rng) == 0.0).sum())
+        assert abs(zeros - nu.sum()) < 4.0 * np.sqrt((nu * (1 - nu)).sum())
+
+    @pytest.mark.parametrize("size", [None, 1, 1000, (20, 3)])
+    def test_random_draws_the_generator_as_before_for_scalar_parameters(self, size):
+        # a gamma draw, then one uniform per sample, as a scalar-parameter draw has always taken them
+        dist = ZagaDistribution(1.5, 0.8, nu=0.2, offset=0.4)
+        reference = np.random.default_rng(3)
+        gam = reference.gamma(dist.shape, dist.scale, size=size)
+        expected = np.where(reference.random(size=size) < dist.nu, 0.0, gam) - dist.offset
+        draws = dist.random(np.random.default_rng(3), size)
+        assert np.shape(draws) == np.shape(expected)
+        assert np.asarray(draws).tobytes() == np.asarray(expected).tobytes()
+
     def test_indexing_selects_cases(self, rng):
         mu, sigma, nu, offset = rng.uniform(0.5, 2, 9), rng.uniform(0.3, 1.2, 9), rng.uniform(0, 0.3, 9), rng.uniform(0, 0.5, 9)
         dist = ZagaDistribution(mu, sigma, nu, offset)
